@@ -461,16 +461,7 @@ class Tape:
         if mv.ndim != 2 or mv.shape[1] != d or mv.shape[0] % d != 0:
             raise ShapeError(f"batch_sym_eig got shape {mv.shape} for block size {d}")
         nblocks = mv.shape[0] // d
-        m3 = mv.reshape(nblocks, d, d)
-        if d == 2:
-            ws, us = linalg.sym_eig_2x2_batch(m3)
-        else:
-            ws = np.empty((nblocks, d))
-            us = np.empty((nblocks, d, d))
-            for l in range(nblocks):
-                eig = linalg.sym_eig(m3[l])
-                ws[l] = eig.eigenvalues
-                us[l] = eig.eigenvectors
+        ws, us = linalg.sym_eig_batch(mv.reshape(nblocks, d, d))
 
         def vjp_w(g):
             out = np.einsum("lik,lk,ljk->lij", us, g, us)

@@ -1,9 +1,10 @@
 """Dense double-precision linear algebra kernels.
 
 Vectors are 1-d float64 arrays, matrices are 2-d float64 arrays (row major).
-The symmetric eigensolver is a cyclic Jacobi iteration; everything downstream
-(PSD square roots, spectral truncation gradients, closed-form Gaussian
-distances) is built on top of it.
+The symmetric eigensolver is one batched LAPACK call (np.linalg.eigh) with a
+fixed order and sign convention; everything downstream (PSD square roots,
+spectral truncation gradients, closed-form Gaussian distances) is built on top
+of it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 from .errors import DomainError, NotPSDError, NumericalError, ShapeError
 
 SYM_REL_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-MAX_EIG_DIM = 64
 PSD_EIG_FLOOR = -1e-10
 
 
@@ -81,9 +80,10 @@ def frobenius_norm(m) -> float:
 class SymEig:
     """Eigendecomposition of a symmetric matrix.
 
-    eigenvalues are sorted descending (stable in the original index order on
-    ties); eigenvectors are the matching orthonormal columns, each with its
-    largest-magnitude entry made positive so the factorization is unique.
+    eigenvalues are sorted descending (ties keep LAPACK's order, so the
+    identity gives Q = I); eigenvectors are the matching orthonormal columns,
+    each with its largest-magnitude entry (the first one on ties) made
+    positive so the factorization is unique up to repeated eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -94,117 +94,37 @@ class SymEig:
         return (q * self.eigenvalues) @ q.T
 
 
-def _jacobi_rotate(a: np.ndarray, q: np.ndarray, p: int, r: int) -> None:
-    """Zero a[p, r] with a two-sided rotation; accumulate into q columns."""
-    apr = a[p, r]
-    tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-    # hypot avoids overflow of tau*tau for nearly-converged pivots
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
+def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a stack of symmetric matrices with one LAPACK call.
 
-    col_p = a[:, p].copy()
-    col_r = a[:, r].copy()
-    a[:, p] = c * col_p - s * col_r
-    a[:, r] = s * col_p + c * col_r
-    row_p = a[p, :].copy()
-    row_r = a[r, :].copy()
-    a[p, :] = c * row_p - s * row_r
-    a[r, :] = s * row_p + c * row_r
-    # the 2x2 pivot block is known analytically; overwrite to kill round-off
-    a[p, p] = col_p[p] - t * apr
-    a[r, r] = col_r[r] + t * apr
-    a[p, r] = 0.0
-    a[r, p] = 0.0
-
-    qcol_p = q[:, p].copy()
-    qcol_r = q[:, r].copy()
-    q[:, p] = c * qcol_p - s * qcol_r
-    q[:, r] = s * qcol_p + c * qcol_r
+    m3 is (L, n, n); only its lower triangle is read.  Returns (w (L, n),
+    q (L, n, n)) under the SymEig conventions.  Non-finite input and LAPACK
+    failures raise NumericalError.
+    """
+    m3 = np.asarray(m3, dtype=np.float64)
+    if m3.ndim != 3 or m3.shape[1] != m3.shape[2]:
+        raise ShapeError(f"expected a stack of square matrices, got shape {m3.shape}")
+    if not np.isfinite(m3).all():
+        raise NumericalError("eigensolver input has non-finite entries")
+    try:
+        w, q = np.linalg.eigh(m3)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    rows = np.arange(m3.shape[0])[:, None]
+    cols = np.arange(m3.shape[1])
+    order = np.argsort(-w, axis=1, kind="stable")
+    w = w[rows, order]
+    # qt[l, j] is eigenvector j of block l, as a row
+    qt = np.swapaxes(q, 1, 2)[rows, order]
+    lead = qt[rows, cols, np.argmax(np.abs(qt), axis=2)]
+    qt *= np.copysign(1.0, lead)[:, :, None]
+    return w, np.swapaxes(qt, 1, 2)
 
 
 def sym_eig(m) -> SymEig:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix (dim <= 64).
-
-    Sweeps until the off-diagonal Frobenius norm drops below
-    1e-12 * max(1, ||M||_F); raises NumericalError after 100 sweeps.
-    """
-    m = require_symmetric(m)
-    n = m.shape[0]
-    if n > MAX_EIG_DIM:
-        raise DomainError(f"sym_eig supports dimension <= {MAX_EIG_DIM}, got {n}")
-
-    a = 0.5 * (m + m.T)
-    q = np.eye(n)
-    threshold = SYM_REL_TOL * max(1.0, float(np.linalg.norm(m)))
-
-    def off_norm(x):
-        return float(np.linalg.norm(x - np.diag(np.diag(x))))
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm(a) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                if a[p, r] != 0.0:
-                    _jacobi_rotate(a, q, p, r)
-    else:
-        converged = off_norm(a) <= threshold
-    if not converged:
-        raise NumericalError("Jacobi eigensolver did not converge in 100 sweeps")
-
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    q = q[:, order]
-    # sign convention: largest-magnitude entry of each eigenvector positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(q[:, j])))
-        if q[k, j] < 0.0:
-            q[:, j] = -q[:, j]
-    return SymEig(eigenvalues=w, eigenvectors=q)
-
-
-def sym_eig_2x2_batch(m3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a stack of symmetric 2x2 matrices.
-
-    Vectorized fast path for the batched training graph; follows the same
-    conventions as sym_eig (descending eigenvalues, stable ties, columns with
-    their largest-magnitude entry positive).  Returns (w (L, 2), q (L, 2, 2)).
-    """
-    a = m3[:, 0, 0]
-    b = 0.5 * (m3[:, 0, 1] + m3[:, 1, 0])
-    c = m3[:, 1, 1]
-    half_sum = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), b)
-    w = np.stack([half_sum + rad, half_sum - rad], axis=1)
-
-    # eigenvector for the top eigenvalue: the better-conditioned of two candidates
-    u = np.stack([b, w[:, 0] - a], axis=1)
-    v = np.stack([w[:, 0] - c, b], axis=1)
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    pick_u = (nu >= nv)[:, None]
-    top = np.where(pick_u, u, v)
-    norm = np.where(pick_u[:, 0], nu, nv)
-    degenerate = norm == 0.0  # multiple of the identity: keep Q = I
-    safe = np.where(degenerate, 1.0, norm)
-    top = np.where(degenerate[:, None], np.array([1.0, 0.0]), top / safe[:, None])
-    q = np.empty_like(m3)
-    q[:, :, 0] = top
-    q[:, 0, 1] = -top[:, 1]
-    q[:, 1, 1] = top[:, 0]
-    # sign convention per column: largest-magnitude entry (first on ties) positive
-    for col in range(2):
-        use_row1 = np.abs(q[:, 1, col]) > np.abs(q[:, 0, col])
-        lead = np.where(use_row1, q[:, 1, col], q[:, 0, col])
-        q[:, :, col] *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    return w, q
+    """Eigendecomposition of one symmetric matrix; see sym_eig_batch."""
+    w, q = sym_eig_batch(require_symmetric(m)[None])
+    return SymEig(eigenvalues=w[0], eigenvectors=q[0])
 
 
 def psd_sqrt(m) -> np.ndarray:

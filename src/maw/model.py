@@ -181,17 +181,17 @@ def loss_gen(d_gen) -> float:
     return float(-np.mean(np.asarray(d_gen, dtype=np.float64)))
 
 
-def cosine_score(y, decodes) -> float:
-    """Mean cosine similarity between y and each decode; zero vectors score 0."""
+def cosine_score(y, decodes):
+    """Mean cosine similarity between y and each of its decodes; zero vectors score 0.
+
+    y is (..., D) and decodes (..., T, D); the result has shape y.shape[:-1].
+    """
     y = np.asarray(y, dtype=np.float64)
-    decodes = np.atleast_2d(np.asarray(decodes, dtype=np.float64))
-    ny = np.linalg.norm(y)
-    if ny == 0.0:
-        return 0.0
-    norms = np.linalg.norm(decodes, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    cos = np.where(norms > 0.0, (decodes @ y) / (safe * ny), 0.0)
-    return float(np.mean(cos))
+    decodes = np.asarray(decodes, dtype=np.float64)
+    denom = np.linalg.norm(decodes, axis=-1) * np.linalg.norm(y, axis=-1)[..., None]
+    dots = np.einsum("...td,...d->...t", decodes, y)
+    cos = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return np.mean(cos, axis=-1)
 
 
 # --------------------------------------------------------------------- model
@@ -519,21 +519,17 @@ def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
         truncate = hp.variant != "maw-same-rank"
     blocks = np.einsum("pk,lp,pq->lkq", a, s_rows, a)
     if truncate:
-        mask = truncation_mask(d)
-        out = np.empty_like(blocks)
-        for j in range(n):
-            eig = linalg.sym_eig(blocks[j])
-            kept = eig.eigenvalues * mask
-            out[j] = (eig.eigenvectors * kept) @ eig.eigenvectors.T
-        blocks = out
+        w, q = linalg.sym_eig_batch(blocks)
+        blocks = np.einsum("lik,lk,ljk->lij", q, w * truncation_mask(d), q)
     return mu, blocks, True
 
 
 def score_batch(model: MawModel, y_rows, samples: int | None = None, seed: int = 0) -> np.ndarray:
     """Normality scores in [-1, 1] for each row of y_rows (higher = more normal).
 
-    Each point gets an independent child RNG stream spawned from the seed, so
-    results do not depend on how the batch is split.
+    Row j draws from child j of SeedSequence(seed), so a prefix of a batch
+    scored alone gets the same scores as in the whole batch; any other slice
+    gets other streams, and so other scores.
     """
     y = np.asarray(y_rows, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != model.feature_dim:
@@ -554,10 +550,7 @@ def score_batch(model: MawModel, y_rows, samples: int | None = None, seed: int =
             z_j = z_j + rng.standard_normal((t, d))
         z[j * t:(j + 1) * t] = z_j
     decoded = nets.mlp_apply(model.store, "dec", model.specs["dec"], z)
-    scores = np.empty(n)
-    for j in range(n):
-        scores[j] = cosine_score(y[j], decoded[j * t:(j + 1) * t])
-    return scores
+    return cosine_score(y, decoded.reshape(n, t, -1))
 
 
 def score(model: MawModel, y, samples: int | None = None,
@@ -576,4 +569,4 @@ def score(model: MawModel, y, samples: int | None = None,
     if add_unit:
         z = z + rng.standard_normal((t, model.hp.d))
     decoded = nets.mlp_apply(model.store, "dec", model.specs["dec"], z)
-    return cosine_score(yn, decoded)
+    return float(cosine_score(yn, decoded))

@@ -9,7 +9,7 @@ from _gradcheck import (
     symmetric_fd_check,
 )
 from maw.autodiff import Tape
-from maw.errors import DomainError, ShapeError
+from maw.errors import DomainError, NumericalError, ShapeError
 
 N_QUICK = 8  # instances per op here; the acceptance suite reruns with >= 50
 
@@ -181,6 +181,14 @@ def test_sym_eig_degenerate_input_is_finite():
     head = t.add(t.sum_all(w), t.sum_all(u))
     grads = t.backward(head)
     assert np.all(np.isfinite(grads["m"]))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_batch_sym_eig_rejects_nan_block(d):
+    blocks = np.tile(np.eye(d), (3, 1))
+    blocks[d, 0] = np.nan  # second block
+    with pytest.raises(NumericalError):
+        Tape().batch_sym_eig(blocks, d)
 
 
 # ---------------------------------------------------------------- FD sweep over ops
@@ -357,26 +365,27 @@ def test_fd_spectral_truncation_chain():
     # batch_diag_sandwich -> batch_sym_eig -> mask -> batch_recompose, the exact
     # composite the training graph uses; FD runs on the unconstrained A, S inputs.
     rng = np.random.default_rng(19)
-    mask = np.array([1.0, 0.0])
-    done = 0
-    while done < N_QUICK:
-        a = _mat(rng, 5, 2)
-        srows = _mat(rng, 3, 5)
-        blocks = np.einsum("pk,lp,pq->lkq", a, srows, a)
-        gaps = [np.diff(np.sort(np.linalg.eigvalsh(b)))[0] for b in blocks]
-        if min(gaps) < 0.1:
-            continue
-        done += 1
-        proj = rng.uniform(-1.0, 1.0, size=(6, 2))
+    for d in (2, 4):
+        mask = np.concatenate([np.ones(d // 2), np.zeros(d - d // 2)])
+        done = 0
+        while done < N_QUICK:
+            a = _mat(rng, 5, d)
+            srows = _mat(rng, 3, 5)
+            blocks = np.einsum("pk,lp,pq->lkq", a, srows, a)
+            gaps = [np.min(np.diff(np.sort(np.linalg.eigvalsh(b)))) for b in blocks]
+            if min(gaps) < 0.1:
+                continue
+            done += 1
+            proj = rng.uniform(-1.0, 1.0, size=(3 * d, d))
 
-        def build(t, aa, ss):
-            m = t.batch_diag_sandwich(aa, ss)
-            w, u = t.batch_sym_eig(m, 2)
-            wt = t.hadamard(w, t.const(mask))
-            out = t.batch_recompose(u, wt)
-            return random_projection_head(t, out, proj)
+            def build(t, aa, ss):
+                m = t.batch_diag_sandwich(aa, ss)
+                w, u = t.batch_sym_eig(m, d)
+                wt = t.hadamard(w, t.const(mask))
+                out = t.batch_recompose(u, wt)
+                return random_projection_head(t, out, proj)
 
-        check_grads(build, [a, srows])
+            check_grads(build, [a, srows])
 
 
 def test_fd_mixture_sample():

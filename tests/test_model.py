@@ -277,6 +277,11 @@ def test_score_batch_deterministic_and_split_invariant():
     s_all = M.score_batch(model, x, seed=3)
     s_again = M.score_batch(model, x, seed=3)
     assert np.array_equal(s_all, s_again)
+    # row j always draws from child stream j, so any prefix scores alone as in
+    # the whole batch; other slices get other streams
+    for k in (1, 3, 5):
+        s_prefix = M.score_batch(model, x[:k], seed=3)
+        assert np.allclose(s_prefix, s_all[:k], rtol=0.0, atol=1e-12)
 
 
 def test_zero_critic_gives_zero_w1_and_zero_generator_gradient():
