@@ -9,13 +9,14 @@ differentiates through an eigendecomposition.
 import numpy as np
 
 from maw.autodiff import Tape
+from maw.errors import DomainError
 
 print("=== a scalar chain ===")
 tape = Tape()
-x = tape.param(np.array([3.0, 4.0]), "x")
-dist = tape.l2norm_of_diff(x, tape.const(np.zeros(2)))  # ||x||
+x = tape.param(np.array([[3.0, 4.0]]), "x")  # one row
+dist = tape.mean_rowwise_norm_diff(x, tape.const(np.zeros((1, 2))))  # ||x||
 grads = tape.backward(dist)
-print(f"d||x|| / dx at (3,4) = {grads['x']}  (expected the unit vector (0.6, 0.8))")
+print(f"d||x|| / dx at (3,4) = {grads['x'][0]}  (expected the unit vector (0.6, 0.8))")
 
 print("\n=== gradients flow through batch normalization ===")
 tape = Tape()
@@ -61,14 +62,19 @@ for i in range(a_val.shape[0]):
 err = np.max(np.abs(fd - grads["A"]))
 print(f"max |finite difference - tape gradient| over A: {err:.2e}")
 
-print("\n=== the tape is single-use until reset ===")
-tape = Tape()
-x = tape.param(np.array(2.0), "x")
-root = tape.scale(x, 5.0)
+print("\n=== one backward pass per tape ===")
+
+
+def five_x():
+    t = Tape()
+    return t, t.scale(t.param(np.array(2.0), "x"), 5.0)
+
+
+tape, root = five_x()
 tape.backward(root)
 try:
     tape.backward(root)
-except Exception as exc:
+except DomainError as exc:
     print(f"second backward raised: {exc}")
-tape.reset()
-print("after reset:", tape.backward(root)["x"], "(gradient of 5x)")
+tape, root = five_x()
+print("on a new tape:", tape.backward(root)["x"], "(gradient of 5x)")

@@ -23,13 +23,7 @@ from .evaluation import (
 from .model import (
     Hyperparams,
     MawModel,
-    MixturePosterior,
     VARIANTS,
-    loss_gen,
-    loss_vae,
-    loss_w1_critic,
-    reduce,
-    sample_latent,
     score,
     score_batch,
     train,
@@ -54,9 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "PoolFamily", "SplitSpec", "SyntheticFamily", "ap", "auc",
     "gen_synthetic", "load_csv", "run_experiment",
-    "Hyperparams", "MawModel", "MixturePosterior", "VARIANTS",
-    "loss_gen", "loss_vae", "loss_w1_critic", "reduce", "sample_latent",
-    "score", "score_batch", "train",
+    "Hyperparams", "MawModel", "VARIANTS", "score", "score_batch", "train",
     "TheoryProblem", "TheorySolution", "brute_force_minimizer",
     "colinearity_minimizer", "colinearity_objective", "empirical_w1",
     "kl_gaussian", "low_rank_w2_minimizer", "solve_shared_cov",

@@ -2,8 +2,8 @@
 
 A Tape records nodes in topological (insertion) order; each node stores its
 value, a zero-initialized adjoint of the same shape, and vjp closures that
-push its adjoint into its parents.  One backward pass per forward build;
-reset() re-arms a tape.  Sampling noise enters as constant leaves so the
+push its adjoint into its parents.  A tape runs one backward pass; build a
+new tape for the next one.  Sampling noise enters as constant leaves so the
 reparameterized gradients flow only into distribution parameters.
 
 Batched variants (batch_diag_sandwich, batch_sym_eig, batch_recompose,
@@ -76,7 +76,7 @@ class Tape:
         reached by the sweep keep their zero adjoint.
         """
         if self._consumed:
-            raise DomainError("tape already ran backward; call reset() to reuse")
+            raise DomainError("tape already ran backward; build a new tape")
         if root.value.ndim != 0:
             raise DomainError("backward root must be a scalar node")
         self._consumed = True
@@ -88,11 +88,6 @@ class Tape:
             for parent, vjp in node.parents:
                 parent.adjoint = parent.adjoint + vjp(a)
         return {name: n.adjoint.copy() for name, n in self.params.items()}
-
-    def reset(self):
-        for node in self.nodes:
-            node.adjoint = np.zeros_like(node.value)
-        self._consumed = False
 
     # -- elementwise / arithmetic -------------------------------------------
 
@@ -170,25 +165,14 @@ class Tape:
             "sum_all",
         )
 
-    def pick(self, x, index: int) -> Node:
-        x = self._as_node(x)
-        if x.value.ndim != 1:
-            raise ShapeError("pick expects a vector")
-
-        def vjp(g):
-            out = np.zeros_like(x.value)
-            out[index] = float(g)
-            return out
-
-        return self._record(np.asarray(x.value[index]), [(x, vjp)], "pick")
-
     # -- linear maps ---------------------------------------------------------
 
     def affine(self, x, w, b) -> Node:
-        """x @ W + b for a batch matrix (L,n) or a single vector (n,)."""
+        """X @ W + b for a batch matrix X (L, n)."""
         x, w, b = self._as_node(x), self._as_node(w), self._as_node(b)
         xv, wv, bv = x.value, w.value, b.value
-        if wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or bv.shape != (wv.shape[1],):
+        if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
+                or bv.shape != (wv.shape[1],)):
             raise ShapeError(
                 f"affine shapes x{xv.shape} W{wv.shape} b{bv.shape} incompatible"
             )
@@ -198,12 +182,10 @@ class Tape:
             return g @ wv.T
 
         def vjp_w(g):
-            if xv.ndim == 1:
-                return np.outer(xv, g)
             return xv.T @ g
 
         def vjp_b(g):
-            return g if g.ndim == 1 else g.sum(axis=0)
+            return g.sum(axis=0)
 
         return self._record(out, [(x, vjp_x), (w, vjp_w), (b, vjp_b)], "affine")
 
@@ -244,30 +226,6 @@ class Tape:
 
     # -- norms and normalization ----------------------------------------------
 
-    def l2norm_of_diff(self, x, y) -> Node:
-        x, y = self._as_node(x), self._as_node(y)
-        if x.value.shape != y.value.shape:
-            raise ShapeError("l2norm_of_diff operands must share a shape")
-        diff = x.value - y.value
-        norm = float(np.linalg.norm(diff))
-        unit = diff / norm if norm > 0.0 else np.zeros_like(diff)
-        return self._record(
-            np.asarray(norm),
-            [(x, lambda g: float(g) * unit), (y, lambda g: -float(g) * unit)],
-            "l2norm_of_diff",
-        )
-
-    def sqnorm_of_diff(self, x, y) -> Node:
-        x, y = self._as_node(x), self._as_node(y)
-        if x.value.shape != y.value.shape:
-            raise ShapeError("sqnorm_of_diff operands must share a shape")
-        diff = x.value - y.value
-        return self._record(
-            np.asarray(float(np.sum(diff * diff))),
-            [(x, lambda g: 2.0 * float(g) * diff), (y, lambda g: -2.0 * float(g) * diff)],
-            "sqnorm_of_diff",
-        )
-
     def mean_rowwise_norm_diff(self, a, b, squared: bool = False) -> Node:
         """Mean over rows of ||a_r - b_r||_2 (or its square)."""
         a, b = self._as_node(a), self._as_node(b)
@@ -296,25 +254,6 @@ class Tape:
             "mean_rowwise_norm_diff",
         )
 
-    def unit_normalize(self, x) -> Node:
-        """x / ||x||_2 for a vector; the zero vector maps to itself."""
-        x = self._as_node(x)
-        if x.value.ndim != 1:
-            raise ShapeError("unit_normalize expects a vector")
-        norm = float(np.linalg.norm(x.value))
-        if norm == 0.0:
-            return self._record(
-                np.zeros_like(x.value),
-                [(x, lambda g: np.zeros_like(x.value))],
-                "unit_normalize",
-            )
-        y = x.value / norm
-
-        def vjp(g):
-            return (g - y * float(y @ g)) / norm
-
-        return self._record(y, [(x, vjp)], "unit_normalize")
-
     def normalize_rows(self, x) -> Node:
         """Unit-normalize each row of a matrix; zero rows stay zero."""
         x = self._as_node(x)
@@ -335,15 +274,16 @@ class Tape:
     def batch_norm(self, x, gamma, beta, running_mean, running_var, train: bool) -> Node:
         """Per-feature batch normalization.
 
-        Train mode requires a batch of >= 2 rows, uses batch statistics and
-        updates the running arrays in place (momentum 0.9, biased variance).
-        Eval mode standardizes with the running statistics and accepts a
-        single vector or a matrix.
+        x is an (L, n) batch.  Train mode requires L >= 2, uses batch
+        statistics and updates the running arrays in place (momentum 0.9,
+        biased variance).  Eval mode standardizes with the running statistics.
         """
         x, gamma, beta = self._as_node(x), self._as_node(gamma), self._as_node(beta)
         xv = x.value
+        if xv.ndim != 2:
+            raise ShapeError(f"batch_norm expects a matrix, got shape {xv.shape}")
         if train:
-            if xv.ndim != 2 or xv.shape[0] < 2:
+            if xv.shape[0] < 2:
                 raise DomainError("batch_norm in train mode needs a batch of >= 2")
             mean = xv.mean(axis=0)
             var = xv.var(axis=0)
@@ -374,33 +314,16 @@ class Tape:
                 return g * gv * inv
 
         def vjp_gamma(g):
-            r = g * xhat
-            return r if r.ndim == 1 else r.sum(axis=0)
+            return (g * xhat).sum(axis=0)
 
         def vjp_beta(g):
-            return g if g.ndim == 1 else g.sum(axis=0)
+            return g.sum(axis=0)
 
         return self._record(
             out, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)], "batch_norm"
         )
 
     # -- quadratic forms and spectra ------------------------------------------
-
-    def diag_sandwich(self, a, s) -> Node:
-        """A^T diag(s) A for one weight vector s."""
-        a, s = self._as_node(a), self._as_node(s)
-        av, sv = a.value, s.value
-        if av.ndim != 2 or sv.ndim != 1 or av.shape[0] != sv.shape[0]:
-            raise ShapeError(f"diag_sandwich shapes A{av.shape} s{sv.shape} incompatible")
-        out = av.T @ (sv[:, None] * av)
-
-        def vjp_a(g):
-            return sv[:, None] * (av @ (g + g.T))
-
-        def vjp_s(g):
-            return np.sum((av @ g.T) * av, axis=1)
-
-        return self._record(out, [(a, vjp_a), (s, vjp_s)], "diag_sandwich")
 
     def batch_diag_sandwich(self, a, s_rows) -> Node:
         """Blocks M_l = A^T diag(S[l]) A stacked into an (L*d, d) matrix."""
@@ -426,35 +349,13 @@ class Tape:
             blocks.reshape(nblocks * d, d), [(a, vjp_a), (s_rows, vjp_s)], "batch_diag_sandwich"
         )
 
-    def sym_eig_diff(self, m) -> tuple[Node, Node]:
-        """Differentiable symmetric eigendecomposition (single matrix).
-
-        Returns (eigenvalues, eigenvectors) nodes; eigenvalues descending.
-        Off-diagonal inverse-gap factors are clamped at 1e-6 so the backward
-        map stays finite through degenerate spectra.
-        """
-        m = self._as_node(m)
-        eig = linalg.sym_eig(m.value)
-        w, u = eig.eigenvalues, eig.eigenvectors
-
-        def vjp_w(g):
-            out = (u * g) @ u.T
-            return 0.5 * (out + out.T)
-
-        def vjp_u(g):
-            f = _clamped_inverse_gaps(w)
-            out = u @ (f * (u.T @ g)) @ u.T
-            return 0.5 * (out + out.T)
-
-        w_node = self._record(w, [(m, vjp_w)], "sym_eig_w")
-        u_node = self._record(u, [(m, vjp_u)], "sym_eig_u")
-        return w_node, u_node
-
     def batch_sym_eig(self, mblocks, d: int) -> tuple[Node, Node]:
         """Eigendecompose a stack of d x d symmetric blocks.
 
         mblocks is (L*d, d); returns eigenvalue rows (L, d) and eigenvector
-        blocks (L*d, d), with the same clamped backward as sym_eig_diff.
+        blocks (L*d, d).  Inverse eigen-gap factors in the eigenvector backward
+        are clamped at 1e-6 in magnitude, so it stays finite through
+        degenerate spectra.
         """
         mblocks = self._as_node(mblocks)
         mv = mblocks.value
@@ -597,17 +498,13 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _clamped_inverse_gaps(w: np.ndarray) -> np.ndarray:
-    """F[i, j] = 1 / (w_j - w_i) with the gap clamped away from zero.
+def _clamped_inverse_gaps_batch(ws: np.ndarray) -> np.ndarray:
+    """F[l, i, j] = 1 / (w_lj - w_li) with the gap clamped away from zero.
 
     Gap magnitudes below 1e-6 are clamped; the sign of an exactly tied gap
     follows the descending sort order so the result is deterministic.
     The diagonal is zero.
     """
-    return _clamped_inverse_gaps_batch(w[None, :])[0]
-
-
-def _clamped_inverse_gaps_batch(ws: np.ndarray) -> np.ndarray:
     d = ws.shape[1]
     gaps = ws[:, None, :] - ws[:, :, None]
     idx = np.arange(d)

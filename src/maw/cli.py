@@ -136,10 +136,7 @@ def load_config(args) -> dict:
 
 
 def _hyperparams(config) -> model_mod.Hyperparams:
-    try:
-        return model_mod.Hyperparams(variant=config["variant"], **config["model"])
-    except TypeError as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
+    return model_mod.Hyperparams.from_dict({**config["model"], "variant": config["variant"]})
 
 
 def _family(config):
@@ -278,7 +275,10 @@ def cmd_score(config, args) -> int:
     if not os.path.exists(args.checkpoint):
         raise DataError(f"checkpoint not found: {args.checkpoint}")
     with open(args.checkpoint) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"checkpoint is not valid JSON: {exc}") from exc
     model = model_mod.MawModel.from_payload(payload)
     if args.data is not None:
         dataset = evalx.load_csv(args.data)

@@ -17,13 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from . import model as model_mod
 from .errors import DataError, DomainError, MetricError, ShapeError
-
-
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return np.where(norms > 0.0, x / np.where(norms > 0.0, norms, 1.0), 0.0)
 
 
 @dataclass
@@ -75,7 +71,7 @@ class SyntheticFamily:
         inliers += self.noise * rng.standard_normal((n_inliers, self.dim))
         scale = np.sqrt((self.rank + self.noise**2 * self.dim) / self.dim)
         outliers = scale * rng.standard_normal((n_outliers, self.dim))
-        features = normalize_rows(np.vstack([inliers, outliers]))
+        features = linalg.normalize_rows(np.vstack([inliers, outliers]))
         labels = np.concatenate([np.zeros(n_inliers, int), np.ones(n_outliers, int)])
         return Dataset(features, labels, provenance="synthetic")
 
@@ -121,8 +117,8 @@ def load_csv(path) -> Dataset:
     """Read a headed CSV of numeric feature columns plus an optional `label`.
 
     Rows are unit-normalized; a missing label column means all inliers.
-    Comment lines starting with '#' are skipped.  Malformed cells raise
-    DataError with their (1-based) row and column.
+    Comment lines starting with '#' are skipped.  Malformed or non-finite
+    (nan, inf) cells raise DataError with their (1-based) row and column.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
@@ -143,11 +139,12 @@ def load_csv(path) -> Dataset:
     for r, rec in enumerate(reader, start=1):
         if len(rec) != len(header):
             raise DataError(f"row {r}: expected {len(header)} cells, got {len(rec)}")
-        try:
-            rows.append([float(rec[i]) for i in feat_cols])
-        except ValueError:
-            bad = next(i for i in feat_cols if not _is_float(rec[i]))
-            raise DataError(f"row {r}, column {header[bad]!r}: non-numeric cell {rec[bad]!r}")
+        bad = next((i for i in feat_cols if not _is_finite_number(rec[i])), None)
+        if bad is not None:
+            raise DataError(
+                f"row {r}, column {header[bad]!r}: expected a finite number, got {rec[bad]!r}"
+            )
+        rows.append([float(rec[i]) for i in feat_cols])
         if label_col is None:
             labels.append(0)
         else:
@@ -157,14 +154,13 @@ def load_csv(path) -> Dataset:
             labels.append(int(cell))
     if not rows:
         raise DataError(f"no data rows in {path}")
-    features = normalize_rows(np.asarray(rows, dtype=np.float64))
+    features = linalg.normalize_rows(np.asarray(rows, dtype=np.float64))
     return Dataset(features, np.asarray(labels), provenance="csv")
 
 
-def _is_float(cell: str) -> bool:
+def _is_finite_number(cell: str) -> bool:
     try:
-        float(cell)
-        return True
+        return bool(np.isfinite(float(cell)))
     except ValueError:
         return False
 

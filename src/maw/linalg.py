@@ -57,23 +57,10 @@ def require_symmetric(m) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not chain")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("matmul produced non-finite entries")
-    return out
-
-
-def l2_norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row of x to unit L2 norm; zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The mixture-latent autoencoder: posterior reduction, losses, training, scoring.
+"""The mixture-latent autoencoder: checkpoints, training, scoring.
 
 Training alternates three updates per batch: an Adam step on the least
 absolute deviation reconstruction loss (encoder, reduction matrix, decoder),
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg, nets
 from .autodiff import Tape
-from .errors import ConfigError, DomainError, NumericalError, ShapeError
+from .errors import ConfigError, DataError, DomainError, NumericalError, ShapeError
 
 VARIANTS = (
     "maw",
@@ -72,113 +72,16 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
-
-
-@dataclass
-class MixturePosterior:
-    """Per-sample latent mixture: means, factors, covariances, inlier weight."""
-
-    mu1: np.ndarray
-    mu2: np.ndarray
-    mtilde1: np.ndarray
-    m2: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    eta: float
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ConfigError(f"bad hyperparameters: {exc}") from exc
 
 
 def truncation_mask(d: int) -> np.ndarray:
     """Keep the d/2 largest (by signed value) of d descending eigenvalues."""
     keep = d // 2
     return np.concatenate([np.ones(keep), np.zeros(d - keep)])
-
-
-def reduce(mu01, mu02, s01, s02, a, eta: float = DEFAULT_ETA, truncate: bool = True) -> MixturePosterior:
-    """Map encoder features through the reduction matrix to mixture parameters.
-
-    mu_j = A^T mu0_j; M_j = A^T diag(s0_j) A; the inlier factor is M_1 with its
-    bottom d/2 eigenvalues (signed, descending) zeroed; covariances get an
-    identity floor: Sigma_j = M_j M_j^T + I.
-    """
-    a = linalg.as_matrix(a)
-    mu01, mu02 = linalg.as_vector(mu01), linalg.as_vector(mu02)
-    s01, s02 = linalg.as_vector(s01), linalg.as_vector(s02)
-    dprime, d = a.shape
-    if d % 2 != 0:
-        raise DomainError("reduction matrix must have an even number of columns")
-    for v in (mu01, mu02, s01, s02):
-        if v.shape != (dprime,):
-            raise ShapeError(f"feature vector shape {v.shape} does not match A {a.shape}")
-    mu1 = a.T @ mu01
-    mu2 = a.T @ mu02
-    m1 = a.T @ (s01[:, None] * a)
-    m2 = a.T @ (s02[:, None] * a)
-    if truncate:
-        eig = linalg.sym_eig(m1)
-        kept = eig.eigenvalues * truncation_mask(d)
-        mtilde1 = (eig.eigenvectors * kept) @ eig.eigenvectors.T
-    else:
-        mtilde1 = m1
-    sigma1 = mtilde1 @ mtilde1.T + np.eye(d)
-    sigma2 = m2 @ m2.T + np.eye(d)
-    return MixturePosterior(mu1, mu2, mtilde1, m2, sigma1, sigma2, float(eta))
-
-
-def sample_latent(post: MixturePosterior, n_draws: int, rng: np.random.Generator, mode=None):
-    """Reparameterized draws from the latent mixture.
-
-    Each draw picks component 1 with probability eta (or always `mode` when
-    forced, as the single-Gaussian ablation does) and returns
-    z = mu_j + M_j e1 + e2 with e1, e2 ~ N(0, I), so Cov(z | j) = M_j M_j^T + I
-    exactly.  Returns (draws, component labels).
-    """
-    if n_draws < 1:
-        raise DomainError("need at least one draw")
-    d = post.mu1.shape[0]
-    if mode is None:
-        labels = np.where(rng.random(n_draws) < post.eta, 1, 2)
-    else:
-        if mode not in (1, 2):
-            raise DomainError("mode must be 1 or 2")
-        labels = np.full(n_draws, mode, dtype=int)
-    eps1 = rng.standard_normal((n_draws, d))
-    eps2 = rng.standard_normal((n_draws, d))
-    pick1 = labels == 1
-    mu = np.where(pick1[:, None], post.mu1, post.mu2)
-    factor = np.where(pick1[:, None, None], post.mtilde1, post.m2)
-    z = mu + np.einsum("kde,ke->kd", factor, eps1) + eps2
-    return z, labels
-
-
-# --------------------------------------------------------------------- losses
-
-
-def loss_vae(x, decoded, squared: bool = False) -> float:
-    """(1 / LT) sum of ||x_i - decode(z_it)||_2 over the batch and draws.
-
-    decoded has shape (L, T, D); squared=True gives the mean-squared variant.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    decoded = np.asarray(decoded, dtype=np.float64)
-    if decoded.ndim != 3 or x.ndim != 2 or decoded.shape[0] != x.shape[0] or decoded.shape[2] != x.shape[1]:
-        raise ShapeError(f"loss_vae shapes x{x.shape} decoded{decoded.shape} incompatible")
-    norms = np.linalg.norm(x[:, None, :] - decoded, axis=2)
-    return float(np.mean(norms**2 if squared else norms))
-
-
-def loss_w1_critic(d_gen, d_hyp) -> float:
-    """mean(critic on generated) - mean(critic on prior draws)."""
-    d_gen = np.asarray(d_gen, dtype=np.float64).reshape(-1)
-    d_hyp = np.asarray(d_hyp, dtype=np.float64).reshape(-1)
-    if d_gen.shape != d_hyp.shape:
-        raise ShapeError("generated and prior critic outputs must have equal counts")
-    return float(np.mean(d_gen) - np.mean(d_hyp))
-
-
-def loss_gen(d_gen) -> float:
-    """-mean(critic on generated); the generator's objective."""
-    return float(-np.mean(np.asarray(d_gen, dtype=np.float64)))
 
 
 def cosine_score(y, decodes):
@@ -228,14 +131,22 @@ class MawModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MawModel":
-        if payload.get("format") != "maw-checkpoint":
+        """Rebuild a model from to_payload's dict.
+
+        Unknown hyperparameters raise ConfigError.  Every parameter and state
+        array must match init_model's names and shapes and be finite, else
+        DataError: a missing entry would silently keep its init value.
+        """
+        if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
             raise ConfigError("not a model checkpoint payload")
+        missing = [k for k in ("hyperparams", "feature_dim", "params", "state", "optimizers")
+                   if k not in payload]
+        if missing:
+            raise DataError(f"checkpoint lacks {missing}")
         hp = Hyperparams.from_dict(payload["hyperparams"])
         model = init_model(hp, int(payload["feature_dim"]), np.random.default_rng(0))
-        for k, v in payload["params"].items():
-            model.store.params[k] = np.asarray(v, dtype=np.float64)
-        for k, v in payload["state"].items():
-            model.store.state[k] = np.asarray(v, dtype=np.float64)
+        _load_arrays(model.store.params, payload["params"], "params")
+        _load_arrays(model.store.state, payload["state"], "state")
         for name, slot in payload["optimizers"].items():
             opt = model.optimizers[name]
             opt.slots["step"] = int(slot["step"])
@@ -244,6 +155,28 @@ class MawModel:
             for k, v in slot["v"].items():
                 opt.slots["v"][k] = np.asarray(v, dtype=np.float64)
         return model
+
+
+def _load_arrays(target: dict, source, section: str):
+    """Replace each array of target by source's entry of the same name and shape."""
+    if not isinstance(source, dict) or source.keys() != target.keys():
+        found = set(source) if isinstance(source, dict) else set()
+        raise DataError(
+            f"checkpoint {section} do not match the model: missing "
+            f"{sorted(set(target) - found)}, unexpected {sorted(found - set(target))}"
+        )
+    for name, ref in target.items():
+        try:
+            value = np.asarray(source[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint {section} entry {name} is not numeric") from exc
+        if value.shape != ref.shape:
+            raise DataError(
+                f"checkpoint {section} entry {name} has shape {value.shape}, expected {ref.shape}"
+            )
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"checkpoint {section} entry {name} is not finite")
+        target[name] = value
 
 
 def _network_specs(hp: Hyperparams, feature_dim: int) -> dict:
@@ -310,8 +243,7 @@ def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
     x = tape.const(xb)
     if hp.variant == "maw-diagonal-cov":
         mu1, mu2, s1, s2 = nets.mlp_forward(tape, store, "enc", model.specs["enc"], x, train)
-        keep = np.concatenate([np.ones(hp.d // 2), np.zeros(hp.d - hp.d // 2)])
-        s1 = tape.hadamard(s1, tape.const(keep))
+        s1 = tape.hadamard(s1, tape.const(truncation_mask(hp.d)))
         m1 = tape.rows_to_diag_blocks(s1)
         m2 = tape.rows_to_diag_blocks(s2)
     else:
@@ -437,7 +369,7 @@ def train(features, hp: Hyperparams, seed: int):
         raise ShapeError("training data must be an (n >= 2, D) matrix")
     if not np.all(np.isfinite(x)):
         raise DomainError("training data must be finite")
-    x = _normalize_rows(x)
+    x = linalg.normalize_rows(x)
 
     rng = np.random.default_rng(seed)
     model = init_model(hp, x.shape[1], rng)
@@ -475,17 +407,12 @@ def train(features, hp: Hyperparams, seed: int):
 # --------------------------------------------------------------------- scoring
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return np.where(norms > 0.0, x / np.where(norms > 0.0, norms, 1.0), 0.0)
-
-
 def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
     """Per-point inlier-mode mean and covariance factor for scoring.
 
-    Returns (mu (n, d), factors (n, d, d), add_unit_noise).  The single
-    Gaussian ablation scores with its only (full covariance) mode; the plain
-    VAE samples N(mu, diag(sigma^2)) without the identity floor.
+    Returns (mu (n, d), factors (n, d, d)).  The single Gaussian ablation
+    scores with its only (full covariance) mode; the plain VAE's factor is
+    diag(sigma).
     """
     hp = model.hp
     store = model.store
@@ -498,14 +425,13 @@ def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
         factors = np.zeros((n, d, d))
         idx = np.arange(d)
         factors[:, idx, idx] = np.exp(0.5 * logvar)
-        return mu, factors, False
+        return mu, factors
     if hp.variant == "maw-diagonal-cov":
         mu1, _, s1, _ = nets.mlp_apply(store, "enc", model.specs["enc"], y_rows)
-        keep = np.concatenate([np.ones(d // 2), np.zeros(d - d // 2)])
         factors = np.zeros((n, d, d))
         idx = np.arange(d)
-        factors[:, idx, idx] = s1 * keep
-        return mu1, factors, True
+        factors[:, idx, idx] = s1 * truncation_mask(d)
+        return mu1, factors
 
     mu01, mu02, s01, s02 = nets.mlp_apply(store, "enc", model.specs["enc"], y_rows)
     a = store.params["A"]
@@ -521,52 +447,55 @@ def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
     if truncate:
         w, q = linalg.sym_eig_batch(blocks)
         blocks = np.einsum("lik,lk,ljk->lij", q, w * truncation_mask(d), q)
-    return mu, blocks, True
+    return mu, blocks
+
+
+def _prepare_rows(model: MawModel, y_rows, samples: int | None):
+    """Validate and unit-normalize rows to score; returns (rows, noise block shape).
+
+    The block is (n, k, t, d): k = 2 (factor noise, then identity-floor
+    noise), or k = 1 for the plain VAE, whose draws have no identity floor.
+    """
+    y = np.asarray(y_rows, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != model.feature_dim:
+        raise ShapeError(f"expected (n, {model.feature_dim}) test matrix, got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("rows to score must be finite")
+    t = model.hp.samples if samples is None else int(samples)
+    if t < 1:
+        raise DomainError("need at least one scoring draw")
+    k = 1 if model.hp.variant == "vae" else 2
+    return linalg.normalize_rows(y), (y.shape[0], k, t, model.hp.d)
+
+
+def _score_rows(model: MawModel, y: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Scores of unit rows y (n, D), row j decoding the draws made from noise[j]."""
+    n, k, t, d = noise.shape
+    mu, factors = _inlier_mode_factors(model, y)
+    z = mu[:, None, :] + np.einsum("lde,lte->ltd", factors, noise[:, 0])
+    if k == 2:
+        z = z + noise[:, 1]
+    decoded = nets.mlp_apply(model.store, "dec", model.specs["dec"], z.reshape(n * t, d))
+    return cosine_score(y, decoded.reshape(n, t, -1))
 
 
 def score_batch(model: MawModel, y_rows, samples: int | None = None, seed: int = 0) -> np.ndarray:
     """Normality scores in [-1, 1] for each row of y_rows (higher = more normal).
 
-    Row j draws from child j of SeedSequence(seed), so a prefix of a batch
-    scored alone gets the same scores as in the whole batch; any other slice
-    gets other streams, and so other scores.
+    One default_rng(seed) call draws an (n, k, t, d) block of standard
+    normals and row j uses block j, so a prefix of a batch scored alone gets
+    the same scores as in the whole batch, and score(model, y,
+    rng=default_rng(seed)) equals score_batch(model, y[None], seed=seed)[0].
+    Any other slice gets other draws, and so other scores.
     """
-    y = np.asarray(y_rows, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != model.feature_dim:
-        raise ShapeError(f"expected (n, {model.feature_dim}) test matrix, got {y.shape}")
-    y = _normalize_rows(y)
-    t = model.hp.samples if samples is None else int(samples)
-    if t < 1:
-        raise DomainError("need at least one scoring draw")
-    n, d = y.shape[0], model.hp.d
-    mu, factors, add_unit = _inlier_mode_factors(model, y)
-    children = np.random.SeedSequence(seed).spawn(n)
-    z = np.empty((n * t, d))
-    for j in range(n):
-        rng = np.random.default_rng(children[j])
-        eps1 = rng.standard_normal((t, d))
-        z_j = mu[j] + eps1 @ factors[j].T
-        if add_unit:
-            z_j = z_j + rng.standard_normal((t, d))
-        z[j * t:(j + 1) * t] = z_j
-    decoded = nets.mlp_apply(model.store, "dec", model.specs["dec"], z)
-    return cosine_score(y, decoded.reshape(n, t, -1))
+    y, shape = _prepare_rows(model, y_rows, samples)
+    return _score_rows(model, y, np.random.default_rng(seed).standard_normal(shape))
 
 
 def score(model: MawModel, y, samples: int | None = None,
           rng: np.random.Generator | None = None) -> float:
-    """Single-point normality score; see score_batch."""
-    y = linalg.as_vector(y)
+    """Single-point normality score; its draws are the next block of rng (default seed 0)."""
+    y, shape = _prepare_rows(model, np.asarray(y, dtype=np.float64)[None], samples)
     if rng is None:
         rng = np.random.default_rng(0)
-    t = model.hp.samples if samples is None else int(samples)
-    if t < 1:
-        raise DomainError("need at least one scoring draw")
-    yn = y / np.linalg.norm(y) if np.linalg.norm(y) > 0.0 else y
-    mu, factors, add_unit = _inlier_mode_factors(model, yn[None, :])
-    eps1 = rng.standard_normal((t, model.hp.d))
-    z = mu[0] + eps1 @ factors[0].T
-    if add_unit:
-        z = z + rng.standard_normal((t, model.hp.d))
-    decoded = nets.mlp_apply(model.store, "dec", model.specs["dec"], z)
-    return float(cosine_score(yn, decoded))
+    return float(_score_rows(model, y, rng.standard_normal(shape))[0])

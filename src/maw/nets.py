@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .autodiff import Tape, Node, BN_EPS
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -133,7 +134,7 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, tr
         elif act == "leaky_relu":
             h = tape.leaky_relu(h, LEAKY_SLOPE)
     if spec.final_transform == "unit_normalize":
-        return tape.normalize_rows(h) if h.value.ndim == 2 else tape.unit_normalize(h)
+        return tape.normalize_rows(h)
     if spec.final_transform == "split4":
         quarter = spec.widths[-1] // 4
         return tuple(
@@ -159,8 +160,7 @@ def mlp_apply(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray):
         elif act == "leaky_relu":
             h = np.where(h > 0.0, h, LEAKY_SLOPE * h)
     if spec.final_transform == "unit_normalize":
-        norms = np.linalg.norm(h, axis=-1, keepdims=True)
-        h = np.where(norms > 0.0, h / np.where(norms > 0.0, norms, 1.0), 0.0)
+        h = linalg.normalize_rows(h)
     elif spec.final_transform == "split4":
         quarter = spec.widths[-1] // 4
         return tuple(h[..., i * quarter:(i + 1) * quarter] for i in range(4))

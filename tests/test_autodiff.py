@@ -58,7 +58,7 @@ def test_batch_norm_updates_running_stats():
 def test_diag_sandwich_value():
     t = Tape()
     a = t.const(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    out = t.diag_sandwich(a, t.const([4.0, 1.0, 9.0]))
+    out = t.batch_diag_sandwich(a, t.const([[4.0, 1.0, 9.0]]))
     assert np.allclose(out.value, np.diag([4.0, 1.0]))
 
 
@@ -70,6 +70,11 @@ def test_shape_errors():
         t.matmul(t.const(np.ones((2, 3))), t.const(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         t.affine(t.const(np.ones((2, 3))), t.const(np.ones((4, 2))), t.const(np.ones(2)))
+    with pytest.raises(ShapeError):
+        t.affine(t.const(np.ones(3)), t.const(np.ones((3, 2))), t.const(np.ones(2)))
+    with pytest.raises(ShapeError):
+        t.batch_norm(t.const(np.ones(2)), t.const(np.ones(2)), t.const(np.zeros(2)),
+                     np.zeros(2), np.ones(2), False)
 
 
 # ---------------------------------------------------------------- backward basics
@@ -77,18 +82,18 @@ def test_shape_errors():
 
 def test_backward_sqnorm():
     t = Tape()
-    x = t.param(np.array([1.0, 2.0]), "x")
-    root = t.sqnorm_of_diff(x, t.const(np.zeros(2)))
+    x = t.param(np.array([[1.0, 2.0]]), "x")
+    root = t.mean_rowwise_norm_diff(x, t.const(np.zeros((1, 2))), squared=True)
     grads = t.backward(root)
-    assert np.allclose(grads["x"], [2.0, 4.0])
+    assert np.allclose(grads["x"], [[2.0, 4.0]])
 
 
 def test_backward_l2norm_of_diff():
     t = Tape()
-    x = t.param(np.array([3.0, 4.0]), "x")
-    root = t.l2norm_of_diff(x, t.const(np.zeros(2)))
+    x = t.param(np.array([[3.0, 4.0]]), "x")
+    root = t.mean_rowwise_norm_diff(x, t.const(np.zeros((1, 2))))
     grads = t.backward(root)
-    assert np.allclose(grads["x"], [0.6, 0.8])
+    assert np.allclose(grads["x"], [[0.6, 0.8]])
 
 
 def test_backward_constant_root_gives_zero():
@@ -114,9 +119,6 @@ def test_single_use_tape():
     t.backward(root)
     with pytest.raises(DomainError):
         t.backward(root)
-    t.reset()
-    grads = t.backward(root)
-    assert grads["x"] == pytest.approx(3.0)
 
 
 def test_backward_accumulation_is_linear():
@@ -124,7 +126,7 @@ def test_backward_accumulation_is_linear():
     x0 = rng.uniform(-2.0, 2.0, size=4)
 
     def parts(tape, x):
-        f = tape.sqnorm_of_diff(x, tape.const(np.zeros(4)))
+        f = tape.sum_all(tape.hadamard(x, x))
         g = tape.sum_all(tape.relu(x))
         return f, g
 
@@ -144,11 +146,14 @@ def test_backward_accumulation_is_linear():
 # ---------------------------------------------------------------- eig specifics
 
 
+# batch_sym_eig on a single 2x2 block: the block is the (2, 2) input itself
+
+
 def test_eigenvalue_adjoint_of_diagonal():
     t = Tape()
     m = t.param(np.diag([3.0, 1.0]), "m")
-    w, _ = t.sym_eig_diff(m)
-    grads = t.backward(t.pick(w, 0))
+    w, _ = t.batch_sym_eig(m, 2)
+    grads = t.backward(t.sum_all(t.hadamard(w, t.const([[1.0, 0.0]]))))
     assert grads["m"][0, 0] == pytest.approx(1.0, abs=1e-10)
     assert abs(grads["m"][1, 1]) <= 1e-10
 
@@ -157,11 +162,11 @@ def test_sym_eig_fd_random_2x2():
     rng = np.random.default_rng(7)
     for _ in range(N_QUICK):
         m = random_symmetric(rng, 2, min_gap=0.5)
-        proj_w = rng.uniform(-1.0, 1.0, size=2)
+        proj_w = rng.uniform(-1.0, 1.0, size=(1, 2))
         proj_u = rng.uniform(-1.0, 1.0, size=(2, 2))
 
         def build(tape, mn):
-            w, u = tape.sym_eig_diff(mn)
+            w, u = tape.batch_sym_eig(mn, 2)
             head = tape.add(
                 random_projection_head(tape, w, proj_w),
                 random_projection_head(tape, u, proj_u),
@@ -175,9 +180,10 @@ def test_sym_eig_fd_random_2x2():
 
 
 def test_sym_eig_degenerate_input_is_finite():
+    # a tied spectrum: the inverse-gap clamp keeps the eigenvector backward finite
     t = Tape()
     m = t.param(np.eye(2), "m")
-    w, u = t.sym_eig_diff(m)
+    w, u = t.batch_sym_eig(m, 2)
     head = t.add(t.sum_all(w), t.sum_all(u))
     grads = t.backward(head)
     assert np.all(np.isfinite(grads["m"]))
@@ -217,8 +223,6 @@ def test_fd_elementwise_and_reductions():
         check_grads(lambda t, a, b: random_projection_head(t, t.hadamard(a, b), proj), [x, y])
         check_grads(lambda t, a: t.mean_all(a), [x])
         check_grads(lambda t, a: t.sum_all(t.hadamard(a, proj)), [x])
-        v = _mat(rng, 5)
-        check_grads(lambda t, a: t.pick(a, 2), [v])
 
 
 def test_fd_hadamard_broadcast_mask():
@@ -243,12 +247,6 @@ def test_fd_linear_maps():
         check_grads(
             lambda t, a, ww, bb: random_projection_head(t, t.affine(a, ww, bb), proj),
             [x, w, b],
-        )
-        xv = _mat(rng, 3)
-        projv = rng.uniform(-1.0, 1.0, size=5)
-        check_grads(
-            lambda t, a, ww, bb: random_projection_head(t, t.affine(a, ww, bb), projv),
-            [xv, w, b],
         )
         a = _mat(rng, 4, 3)
         bmat = _mat(rng, 3, 2)
@@ -282,16 +280,6 @@ def test_fd_gather_and_blocks():
 def test_fd_norm_ops():
     rng = np.random.default_rng(15)
     for _ in range(N_QUICK):
-        x = _mat(rng, 4)
-        y = _mat(rng, 4)
-        if np.linalg.norm(x - y) < 1e-2 or np.linalg.norm(x) < 1e-2:
-            continue
-        check_grads(lambda t, a, b: t.l2norm_of_diff(a, b), [x, y])
-        check_grads(lambda t, a, b: t.sqnorm_of_diff(a, b), [x, y])
-        projv = rng.uniform(-1.0, 1.0, size=4)
-        check_grads(
-            lambda t, a: random_projection_head(t, t.unit_normalize(a), projv), [x]
-        )
         am = _mat(rng, 3, 4)
         bm = _mat(rng, 3, 4)
         if np.min(np.linalg.norm(am - bm, axis=1)) < 1e-2:
@@ -333,12 +321,6 @@ def test_fd_diag_sandwich():
     rng = np.random.default_rng(17)
     for _ in range(N_QUICK):
         a = _mat(rng, 5, 2)
-        s = _mat(rng, 5)
-        proj = rng.uniform(-1.0, 1.0, size=(2, 2))
-        check_grads(
-            lambda t, aa, ss: random_projection_head(t, t.diag_sandwich(aa, ss), proj),
-            [a, s],
-        )
         srows = _mat(rng, 3, 5)
         projb = rng.uniform(-1.0, 1.0, size=(6, 2))
         check_grads(

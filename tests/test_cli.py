@@ -173,6 +173,32 @@ def test_score_missing_checkpoint_exits_3(tmp_path):
     assert code == 3
 
 
+def _trained_checkpoint(cfg):
+    assert run(["--config", cfg, "train"]) == 0
+    return os.path.join(json.loads(open(cfg).read())["output_dir"], "checkpoint.json")
+
+
+def test_score_truncated_checkpoint_exits_3(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    ckpt = _trained_checkpoint(cfg)
+    text = open(ckpt).read()
+    with open(ckpt, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "data"
+
+
+def test_score_non_finite_csv_cell_exits_3(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    ckpt = _trained_checkpoint(cfg)
+    data = tmp_path / "rows.csv"
+    for cell in ("nan", "inf", "-inf"):
+        data.write_text(f"f1,f2,f3,f4,f5,f6\n1,0,0,0,0,0\n0,1,{cell},0,0,0\n")
+        assert run(["--config", cfg, "score", "--checkpoint", ckpt, "--data", str(data)]) == 3
+        detail = json.loads(capsys.readouterr().err.strip())["error"]["detail"]
+        assert "row 2" in detail and "'f3'" in detail
+
+
 def test_bad_set_path_exits_2(tmp_path):
     cfg = small_config(tmp_path)
     assert run(["--config", cfg, "--set", "model.bogus=3", "train"]) == 2

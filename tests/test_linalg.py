@@ -5,23 +5,6 @@ from maw import linalg
 from maw.errors import DomainError, NotPSDError, NumericalError, ShapeError
 
 
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(linalg.matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_value():
-    # (1,2) . (3,4) = 11
-    out = linalg.matmul([[1.0, 2.0]], [[3.0], [4.0]])
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 def test_vector_validation():
     with pytest.raises(ShapeError):
         linalg.as_vector([])
@@ -29,12 +12,6 @@ def test_vector_validation():
         linalg.as_vector([1.0, np.nan])
     with pytest.raises(ShapeError):
         linalg.as_vector(np.ones((2, 2)))
-
-
-def test_norms():
-    assert linalg.l2_norm([3.0, 4.0]) == pytest.approx(5.0)
-    assert linalg.frobenius_norm(np.zeros((2, 2))) == 0.0
-    assert linalg.frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
 
 
 def test_sym_eig_diagonal():

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from maw import model as M
 from maw.autodiff import Tape
-from maw.errors import ConfigError, DomainError, ShapeError
+from maw.errors import ConfigError, DataError, DomainError, ShapeError
 
 
 A_EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -27,141 +29,166 @@ def line_data(n, dim, seed, noise=0.05):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+# ------------------------------------------------------- pinned encoder
+
+
+def pinned_model(mu01, mu02, s01, s02, a=A_EMBED, **hp_kw):
+    """A model whose encoder emits (mu01, mu02, s01, s02) for every input row.
+
+    The last encoder layer's weights are zero and its bias holds the four
+    blocks, so the reduction, truncation and sampling downstream of the
+    encoder see chosen values.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    hp = tiny_hp(dprime=a.shape[0], d=a.shape[1], **hp_kw)
+    model = M.init_model(hp, 4, np.random.default_rng(0))
+    last = len(hp.encoder_widths)
+    model.store.params[f"enc.l{last}.W"][:] = 0.0
+    model.store.params[f"enc.l{last}.b"] = np.concatenate(
+        [np.asarray(v, dtype=np.float64) for v in (mu01, mu02, s01, s02)]
+    )
+    model.store.params["A"] = a
+    return model
+
+
+PINNED_INPUT = np.full((1, 4), 0.5)
+
+
+def inlier_mode(model):
+    mu, factors = M._inlier_mode_factors(model, PINNED_INPUT)
+    return mu[0], factors[0]
+
+
+def draw_latents(model, seed):
+    """hp.samples training draws for one row: (z, labels, eps2)."""
+    labels, point_idx, eps1, eps2, _ = M._draw_batch_noise(
+        model.hp, np.random.default_rng(seed), 1
+    )
+    z = M._forward_generated(Tape(), model, PINNED_INPUT, labels, point_idx, eps1, eps2, False)
+    return z.value, labels, eps2
+
+
 # ----------------------------------------------------------------- reduce
 
 
 def test_reduce_identity_embedding():
-    post = M.reduce(np.zeros(3), np.zeros(3), [4.0, 1.0, 9.0], [1.0, 1.0, 1.0], A_EMBED)
-    assert np.allclose(post.mtilde1, np.diag([4.0, 0.0]))
-    assert np.allclose(post.sigma1, np.diag([17.0, 1.0]))
-    assert np.allclose(post.sigma2, 2.0 * np.eye(2))
+    mu, f = inlier_mode(pinned_model([1.0, 2.0, 3.0], np.zeros(3),
+                                     [4.0, 1.0, 9.0], [1.0, 1.0, 1.0]))
+    assert np.allclose(mu, [1.0, 2.0])
+    assert np.allclose(f, np.diag([4.0, 0.0]))
+    assert np.allclose(f @ f.T + np.eye(2), np.diag([17.0, 1.0]))
 
 
 def test_reduce_signed_value_rule():
     # M1 = diag(-5, 2); the largest signed eigenvalue (2) survives
-    post = M.reduce(np.zeros(3), np.zeros(3), [-5.0, 2.0, 0.0], np.zeros(3), A_EMBED)
-    assert np.allclose(post.mtilde1, np.diag([0.0, 2.0]))
-    assert np.allclose(post.sigma1, np.diag([1.0, 5.0]))
+    _, f = inlier_mode(pinned_model(np.zeros(3), np.zeros(3), [-5.0, 2.0, 0.0], np.zeros(3)))
+    assert np.allclose(f, np.diag([0.0, 2.0]))
+    assert np.allclose(f @ f.T + np.eye(2), np.diag([1.0, 5.0]))
 
 
 def test_reduce_zero_mean_maps_to_zero():
-    post = M.reduce(np.zeros(3), np.ones(3), np.ones(3), np.ones(3), A_EMBED)
-    assert np.allclose(post.mu1, 0.0)
-
-
-def test_reduce_shape_error():
-    with pytest.raises(ShapeError):
-        M.reduce(np.zeros(4), np.zeros(3), np.zeros(3), np.zeros(3), A_EMBED)
+    mu, _ = inlier_mode(pinned_model(np.zeros(3), np.ones(3), np.ones(3), np.ones(3)))
+    assert np.allclose(mu, 0.0)
 
 
 def test_reduce_skip_truncation_keeps_m1():
-    post = M.reduce(np.zeros(3), np.zeros(3), [-5.0, 2.0, 0.0], np.zeros(3), A_EMBED,
-                    truncate=False)
-    assert np.allclose(post.mtilde1, np.diag([-5.0, 2.0]))
+    _, f = inlier_mode(pinned_model(np.zeros(3), np.zeros(3), [-5.0, 2.0, 0.0], np.zeros(3),
+                                       variant="maw-same-rank"))
+    assert np.allclose(f, np.diag([-5.0, 2.0]))
+
+
+def test_reduce_single_gaussian_scores_full_mode():
+    # the ablation samples only mode 2 in training, so scoring uses mode 2, untruncated
+    mu, f = inlier_mode(pinned_model(
+        [1.0, 2.0, 3.0], [-1.0, 4.0, 0.0], [4.0, 1.0, 9.0], [-5.0, 2.0, 0.0],
+        variant="maw-single-gaussian",
+    ))
+    assert np.allclose(mu, [-1.0, 4.0])
+    assert np.allclose(f, np.diag([-5.0, 2.0]))
 
 
 def test_sigma1_has_half_unit_eigenvalues():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = rng.standard_normal((6, 4))
-        post = M.reduce(rng.standard_normal(6), rng.standard_normal(6),
-                        rng.standard_normal(6), rng.standard_normal(6), a)
-        w = np.sort(np.linalg.eigvalsh(post.sigma1))
+        _, f = inlier_mode(pinned_model(*rng.standard_normal((4, 6)), a=a))
+        w = np.linalg.eigvalsh(f @ f.T + np.eye(4))
         assert np.sum(np.abs(w - 1.0) < 1e-9) >= 2  # d/2 identity-floor eigenvalues
-        w2 = np.linalg.eigvalsh(post.sigma2 - np.eye(4))
-        assert np.all(w2 >= -1e-9)
-        assert np.linalg.matrix_rank(post.sigma2 - np.eye(4), tol=1e-8) == np.linalg.matrix_rank(post.m2, tol=1e-8)
+        assert np.all(w >= 1.0 - 1e-9)
 
 
 # ----------------------------------------------------------------- sampling
 
 
-def _point_mass_posterior(eta=5.0 / 6.0, d=2):
-    zeros = np.zeros(d)
-    zmat = np.zeros((d, d))
-    return M.MixturePosterior(zeros, zeros, zmat, zmat, np.eye(d), np.eye(d), eta)
-
-
-def test_sample_latent_degenerate_eta():
-    post = _point_mass_posterior(eta=1.0)
-    _, labels = M.sample_latent(post, 100, np.random.default_rng(0))
-    assert np.all(labels == 1)
-
-
 def test_sample_latent_standard_normal_covariance():
-    post = _point_mass_posterior()
-    z, _ = M.sample_latent(post, 100_000, np.random.default_rng(1))
-    cov = np.cov(z.T)
-    assert np.all(np.abs(cov - np.eye(2)) <= 0.03)
+    # zero means and factors leave only the identity floor: z = eps2
+    model = pinned_model(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), samples=100_000)
+    z, _, eps2 = draw_latents(model, 1)
+    assert np.array_equal(z, eps2)
+    assert np.all(np.abs(np.cov(z.T) - np.eye(2)) <= 0.03)
 
 
 def test_sample_latent_mode_fraction():
-    post = _point_mass_posterior(eta=5.0 / 6.0)
-    _, labels = M.sample_latent(post, 100_000, np.random.default_rng(2))
+    labels, *_ = M._draw_batch_noise(tiny_hp(samples=100_000), np.random.default_rng(2), 1)
     frac = np.mean(labels == 1)
     assert abs(frac - 5.0 / 6.0) <= 0.005  # 3-sigma binomial bound is ~0.0035
 
 
-def test_sample_latent_mixture_mean():
-    d = 2
-    mu1 = np.array([1.0, 0.0])
-    mu2 = np.array([-2.0, 1.0])
-    post = M.MixturePosterior(mu1, mu2, np.zeros((d, d)), np.zeros((d, d)),
-                              np.eye(d), np.eye(d), 5.0 / 6.0)
-    z, _ = M.sample_latent(post, 100_000, np.random.default_rng(3))
-    expected = post.eta * mu1 + (1 - post.eta) * mu2
-    # 3 sigma Monte-Carlo bound per coordinate
-    sig = np.sqrt(np.var(z, axis=0) / z.shape[0])
-    assert np.all(np.abs(z.mean(axis=0) - expected) <= 3.0 * sig + 1e-12)
-
-
 def test_sample_latent_forced_mode():
-    post = _point_mass_posterior(eta=0.9)
-    _, labels = M.sample_latent(post, 50, np.random.default_rng(4), mode=2)
+    model = pinned_model([1.0, 0.0, 0.0], [-2.0, 1.0, 0.0], np.zeros(3), np.zeros(3),
+                         samples=50, variant="maw-single-gaussian")
+    z, labels, eps2 = draw_latents(model, 4)
     assert np.all(labels == 2)
+    assert np.allclose(z - eps2, [-2.0, 1.0], rtol=0.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------- losses
 
 
+def loss_vae(x, decoded, squared=False):
+    """The training reconstruction loss for rows x (L, D) and decodes (L, T, D)."""
+    x = np.asarray(x, dtype=np.float64)
+    decoded = np.asarray(decoded, dtype=np.float64)
+    nrows, ndraws, _ = decoded.shape
+    tape = Tape()
+    out = tape.mean_rowwise_norm_diff(
+        tape.const(decoded.reshape(nrows * ndraws, -1)),
+        tape.const(np.repeat(x, ndraws, axis=0)),
+        squared=squared,
+    )
+    return float(out.value)
+
+
 def test_loss_vae_perfect_reconstruction():
     x = np.array([[1.0, 2.0]])
     decoded = x[:, None, :].repeat(3, axis=1)
-    assert M.loss_vae(x, decoded) == 0.0
+    assert loss_vae(x, decoded) == 0.0
 
 
 def test_loss_vae_hand_value():
     x = np.array([[1.0, 1.0]])
     decoded = np.zeros((1, 1, 2))
-    assert M.loss_vae(x, decoded) == pytest.approx(np.sqrt(2.0))
+    assert loss_vae(x, decoded) == pytest.approx(np.sqrt(2.0))
 
 
 def test_loss_vae_mean_of_norms():
     x = np.array([[1.0, 0.0], [3.0, 0.0]])
     decoded = np.zeros((2, 1, 2))
-    assert M.loss_vae(x, decoded) == pytest.approx(2.0)
+    assert loss_vae(x, decoded) == pytest.approx(2.0)
     # MSE variant: (1 + 9) / 2
-    assert M.loss_vae(x, decoded, squared=True) == pytest.approx(5.0)
+    assert loss_vae(x, decoded, squared=True) == pytest.approx(5.0)
 
 
 def test_loss_vae_invariances():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 3))
     decoded = rng.standard_normal((4, 2, 3))
-    base = M.loss_vae(x, decoded)
+    base = loss_vae(x, decoded)
     perm = rng.permutation(4)
-    assert M.loss_vae(x[perm], decoded[perm]) == pytest.approx(base, rel=1e-12)
+    assert loss_vae(x[perm], decoded[perm]) == pytest.approx(base, rel=1e-12)
     # scaling all residuals scales the loss linearly
-    scaled = M.loss_vae(3.0 * x, 3.0 * decoded)
+    scaled = loss_vae(3.0 * x, 3.0 * decoded)
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
-
-
-def test_loss_w1_and_gen():
-    assert M.loss_w1_critic([1.0, 2.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert M.loss_w1_critic([0.3, 0.7], [0.3, 0.7]) == 0.0
-    assert M.loss_gen([1.0, 3.0]) == pytest.approx(-2.0)
-    with pytest.raises(ShapeError):
-        M.loss_w1_critic([1.0], [1.0, 2.0])
 
 
 def test_cosine_score_examples():
@@ -270,18 +297,43 @@ def test_score_rescaling_invariance():
     assert -1.0 - 1e-9 <= s1 <= 1.0 + 1e-9
 
 
-def test_score_batch_deterministic_and_split_invariant():
+def test_score_batch_deterministic_and_prefix_invariant():
     hp = tiny_hp(epochs=2)
     x = line_data(8, 4, seed=7)
     model, _ = M.train(x, hp, seed=0)
     s_all = M.score_batch(model, x, seed=3)
     s_again = M.score_batch(model, x, seed=3)
     assert np.array_equal(s_all, s_again)
-    # row j always draws from child stream j, so any prefix scores alone as in
-    # the whole batch; other slices get other streams
+    # row j always uses block j of the seed's normal draws, so any prefix scores
+    # alone as in the whole batch; other slices get other draws
     for k in (1, 3, 5):
         s_prefix = M.score_batch(model, x[:k], seed=3)
         assert np.allclose(s_prefix, s_all[:k], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_score_is_score_batch_of_one_row(variant):
+    model = M.init_model(tiny_hp(variant=variant), 4, np.random.default_rng(1))
+    y = np.random.default_rng(2).standard_normal((3, 4))
+    for s, row in enumerate(y):
+        one = M.score(model, row, rng=np.random.default_rng(s))
+        batch = M.score_batch(model, row[None], seed=s)[0]
+        assert one == pytest.approx(batch, rel=0.0, abs=1e-12)
+
+
+def test_score_rejects_bad_rows():
+    model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        M.score_batch(model, np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        M.score(model, np.ones(3))
+    for bad in (np.nan, np.inf):
+        rows = np.ones((3, 4))
+        rows[1, 2] = bad
+        with pytest.raises(DomainError):
+            M.score_batch(model, rows)
+        with pytest.raises(DomainError):
+            M.score(model, rows[1])
 
 
 def test_zero_critic_gives_zero_w1_and_zero_generator_gradient():
@@ -315,3 +367,41 @@ def test_checkpoint_roundtrip():
     s2 = M.score_batch(clone, x, seed=5)
     assert np.array_equal(s1, s2)
     assert clone.optimizers["vae"].slots["step"] == model.optimizers["vae"].slots["step"]
+
+
+def _tiny_payload():
+    model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
+    return json.loads(json.dumps(model.to_payload()))
+
+
+def _nan_parameter(payload):
+    payload["params"]["dec.l0.W"][0][0] = float("nan")
+
+
+def _missing_parameter(payload):
+    del payload["params"]["dec.l0.b"]
+
+
+def _unexpected_state(payload):
+    payload["state"]["dec.l9.running_mean"] = [0.0]
+
+
+def _misshapen_parameter(payload):
+    payload["params"]["A"] = payload["params"]["A"][:-1]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_nan_parameter, _missing_parameter, _unexpected_state, _misshapen_parameter]
+)
+def test_checkpoint_rejects_bad_arrays(corrupt):
+    payload = _tiny_payload()
+    corrupt(payload)
+    with pytest.raises(DataError):
+        M.MawModel.from_payload(payload)
+
+
+def test_checkpoint_unknown_hyperparameter_is_config_error():
+    payload = _tiny_payload()
+    payload["hyperparams"]["bogus"] = 1
+    with pytest.raises(ConfigError, match="bogus"):
+        M.MawModel.from_payload(payload)
