@@ -128,6 +128,18 @@ def test_sample_latent_standard_normal_covariance():
     assert np.all(np.abs(np.cov(z.T) - np.eye(2)) <= 0.03)
 
 
+def test_sample_latent_mixture_mean():
+    # mode means (1, 0) and (-2, 1) with zero factors: z = mu_k + eps2
+    model = pinned_model([1.0, 0.0, 0.0], [-2.0, 1.0, 0.0], np.zeros(3), np.zeros(3),
+                         samples=100_000)
+    z, _, _ = draw_latents(model, 3)
+    eta = model.hp.eta
+    expected = eta * np.array([1.0, 0.0]) + (1.0 - eta) * np.array([-2.0, 1.0])
+    # 3 sigma Monte-Carlo bound per coordinate
+    sig = np.sqrt(np.var(z, axis=0) / z.shape[0])
+    assert np.all(np.abs(z.mean(axis=0) - expected) <= 3.0 * sig + 1e-12)
+
+
 def test_sample_latent_mode_fraction():
     labels, *_ = M._draw_batch_noise(tiny_hp(samples=100_000), np.random.default_rng(2), 1)
     frac = np.mean(labels == 1)
