@@ -18,14 +18,16 @@ dist = tape.mean_rowwise_norm_diff(x, tape.const(np.zeros((1, 2))))  # ||x||
 grads = tape.backward(dist)
 print(f"d||x|| / dx at (3,4) = {grads['x'][0]}  (expected the unit vector (0.6, 0.8))")
 
-print("\n=== gradients flow through batch normalization ===")
+print("\n=== gradients flow through a batch-normalized layer ===")
 tape = Tape()
 xb = tape.param(np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 1.5]]), "batch")
-normed = tape.batch_norm(
-    xb, tape.const(np.ones(2)), tape.const(np.zeros(2)),
-    np.zeros(2), np.ones(2), train=True,
+# one dense node: identity weights, then batch norm (train mode), then relu
+layer = tape.dense(
+    xb, tape.const(np.eye(2)), tape.const(np.zeros(2)), act="relu",
+    norm=(tape.const(np.ones(2)), tape.const(np.zeros(2)), np.zeros(2), np.ones(2)),
+    train=True,
 )
-head = tape.mean_all(tape.relu(normed))
+head = tape.mean_all(layer)
 grads = tape.backward(head)
 print("column sums of the gradient:", np.round(grads["batch"].sum(axis=0), 12))
 print("(each column sums to ~0: standardization removes the batch mean direction)")

@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over the op set the model needs.
 
 A Tape records nodes in topological (insertion) order; each node stores its
-value, a zero-initialized adjoint of the same shape, and vjp closures that
-push its adjoint into its parents.  A tape runs one backward pass; build a
-new tape for the next one.  Sampling noise enters as constant leaves so the
-reparameterized gradients flow only into distribution parameters.
+value and vjp closures that push its adjoint into the parents that need one.
+The first push allocates a node's adjoint; backward skips nodes none reached.
+A tape runs one backward pass; build a new tape for the next one.  Sampling
+noise enters as constant leaves so the reparameterized gradients flow only
+into distribution parameters.
 
 Batched variants (batch_diag_sandwich, batch_sym_eig, batch_recompose,
 mixture_sample) operate on row-stacked blocks: a batch of L dxd matrices is
@@ -22,6 +23,8 @@ from .errors import DomainError, ShapeError
 EIG_GAP_CLAMP = 1e-6
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+LEAKY_SLOPE = 0.2
+ACTIVATIONS = ("relu", "leaky_relu", "linear")
 
 
 class Node:
@@ -29,10 +32,16 @@ class Node:
 
     def __init__(self, value, parents=(), needs_grad=False, tag=""):
         self.value = value
-        self.adjoint = np.zeros_like(value)
+        self.adjoint = None  # set by the first push in backward
         self.parents = parents
         self.needs_grad = needs_grad
         self.tag = tag
+
+
+class DenseNode(Node):
+    """A dense layer's node: its activation name and its pre-activation."""
+
+    __slots__ = ("act", "pre")
 
 
 class Tape:
@@ -73,21 +82,25 @@ class Tape:
         """Seed d(root)/d(root)=1 and accumulate adjoints in reverse order.
 
         Returns a map from parameter name to adjoint; parameters never
-        reached by the sweep keep their zero adjoint.
+        reached by the sweep get zeros.
         """
         if self._consumed:
             raise DomainError("tape already ran backward; build a new tape")
         if root.value.ndim != 0:
             raise DomainError("backward root must be a scalar node")
         self._consumed = True
-        root.adjoint = root.adjoint + 1.0
+        root.adjoint = np.ones_like(root.value)
         for node in reversed(self.nodes):
-            if not node.parents:
-                continue
             a = node.adjoint
+            if a is None or not node.parents:
+                continue
             for parent, vjp in node.parents:
-                parent.adjoint = parent.adjoint + vjp(a)
-        return {name: n.adjoint.copy() for name, n in self.params.items()}
+                g = vjp(a)
+                parent.adjoint = g if parent.adjoint is None else parent.adjoint + g
+        return {
+            name: np.zeros_like(n.value) if n.adjoint is None else n.adjoint.copy()
+            for name, n in self.params.items()
+        }
 
     # -- elementwise / arithmetic -------------------------------------------
 
@@ -107,39 +120,18 @@ class Tape:
         return self._record(c * x.value, [(x, lambda g: c * g)], "scale")
 
     def hadamard(self, x, y) -> Node:
-        """Elementwise product; y may be a broadcastable constant."""
+        """Elementwise product; y has x's shape or is a constant that broadcasts to it."""
         x, y = self._as_node(x), self._as_node(y)
-        out = x.value * y.value
-        if out.shape != x.value.shape and out.shape != y.value.shape:
-            raise ShapeError("hadamard operands do not broadcast to an operand shape")
         xv, yv = x.value, y.value
-
-        def vjp_x(g):
-            r = g * yv
-            return r if r.shape == xv.shape else _unbroadcast(r, xv.shape)
-
-        def vjp_y(g):
-            r = g * xv
-            return r if r.shape == yv.shape else _unbroadcast(r, yv.shape)
-
-        return self._record(out, [(x, vjp_x), (y, vjp_y)], "hadamard")
+        out = xv * yv
+        if out.shape != xv.shape or (y.needs_grad and yv.shape != xv.shape):
+            raise ShapeError(f"hadamard shapes {xv.shape} and {yv.shape} do not match")
+        return self._record(out, [(x, lambda g: g * yv), (y, lambda g: g * xv)], "hadamard")
 
     def exp(self, x) -> Node:
         x = self._as_node(x)
         out = np.exp(x.value)
         return self._record(out, [(x, lambda g: g * out)], "exp")
-
-    def relu(self, x) -> Node:
-        x = self._as_node(x)
-        mask = x.value > 0.0
-        return self._record(
-            np.where(mask, x.value, 0.0), [(x, lambda g: g * mask)], "relu"
-        )
-
-    def leaky_relu(self, x, alpha: float = 0.2) -> Node:
-        x = self._as_node(x)
-        slope = np.where(x.value > 0.0, 1.0, alpha)
-        return self._record(x.value * slope, [(x, lambda g: g * slope)], "leaky_relu")
 
     def softplus(self, x) -> Node:
         x = self._as_node(x)
@@ -167,27 +159,85 @@ class Tape:
 
     # -- linear maps ---------------------------------------------------------
 
-    def affine(self, x, w, b) -> Node:
-        """X @ W + b for a batch matrix X (L, n)."""
+    def dense(self, x, w, b, act: str = "linear", norm=None, train: bool = True) -> Node:
+        """act(batch_norm(X @ W + b)) for a batch matrix X (L, n), as one node.
+
+        norm is None or (gamma, beta, running_mean, running_var).  Train mode
+        needs L >= 2, uses the batch statistics (biased variance) and updates
+        the running arrays in place (momentum 0.9); eval mode uses the running
+        statistics.  act is one of ACTIVATIONS; leaky_relu has slope
+        LEAKY_SLOPE below zero.  One backward call yields every parent's adjoint.
+        """
         x, w, b = self._as_node(x), self._as_node(w), self._as_node(b)
         xv, wv, bv = x.value, w.value, b.value
         if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
                 or bv.shape != (wv.shape[1],)):
-            raise ShapeError(
-                f"affine shapes x{xv.shape} W{wv.shape} b{bv.shape} incompatible"
-            )
-        out = xv @ wv + bv
+            raise ShapeError(f"dense shapes x{xv.shape} W{wv.shape} b{bv.shape} incompatible")
+        if act not in ACTIVATIONS:
+            raise DomainError(f"dense activation must be among {ACTIVATIONS}, got {act!r}")
+        pre = xv @ wv + bv
+        parents = [x, w, b]
+        if norm is not None:
+            gamma, beta = self._as_node(norm[0]), self._as_node(norm[1])
+            running_mean, running_var = norm[2], norm[3]
+            parents += [gamma, beta]
+            if train:
+                if pre.shape[0] < 2:
+                    raise DomainError("batch norm in train mode needs a batch of >= 2")
+                # np.mean and np.var's own arithmetic, sharing the centred batch
+                mean = pre.sum(axis=0) / pre.shape[0]
+                centred = pre - mean
+                var = (centred * centred).sum(axis=0) / pre.shape[0]
+                running_mean *= BN_MOMENTUM
+                running_mean += (1.0 - BN_MOMENTUM) * mean
+                running_var *= BN_MOMENTUM
+                running_var += (1.0 - BN_MOMENTUM) * var
+                inv = 1.0 / np.sqrt(var + BN_EPS)
+                xhat = centred * inv
+            else:
+                inv = 1.0 / np.sqrt(running_var + BN_EPS)
+                xhat = (pre - running_mean) * inv
+            pre = gamma.value * xhat + beta.value
+        # branch-free slopes: np.where on a random sign pattern is ~10x slower here
+        out, slope = pre, None
+        if act == "relu":
+            out, slope = np.maximum(pre, 0.0), (pre > 0.0).astype(np.float64)
+        elif act == "leaky_relu":
+            slope = np.maximum((pre > 0.0).astype(np.float64), LEAKY_SLOPE)
+            out = pre * slope
+        kept = [p for p in parents if p.needs_grad]
 
-        def vjp_x(g):
-            return g @ wv.T
+        def backward(g):
+            if slope is not None:
+                g = g * slope
+            grads = {}
+            if norm is not None:
+                grads[gamma] = (g * xhat).sum(axis=0) if gamma.needs_grad else None
+                grads[beta] = g.sum(axis=0) if beta.needs_grad else None
+                if train:
+                    dxhat = g * gamma.value
+                    g = inv * (dxhat - dxhat.mean(axis=0) - xhat * np.mean(dxhat * xhat, axis=0))
+                else:
+                    g = g * gamma.value * inv
+            grads[x] = g @ wv.T if x.needs_grad else None
+            grads[w] = xv.T @ g if w.needs_grad else None
+            grads[b] = g.sum(axis=0) if b.needs_grad else None
+            return [grads[p] for p in kept]
 
-        def vjp_w(g):
-            return xv.T @ g
+        memo = {}
 
-        def vjp_b(g):
-            return g.sum(axis=0)
+        def vjp_of(i):
+            def vjp(g):
+                if memo.get("g") is not g:
+                    memo.update(g=g, grads=backward(g))
+                return memo["grads"][i]
+            return vjp
 
-        return self._record(out, [(x, vjp_x), (w, vjp_w), (b, vjp_b)], "affine")
+        node = DenseNode(out, tuple((p, vjp_of(i)) for i, p in enumerate(kept)), bool(kept),
+                         "dense")
+        node.act, node.pre = act, pre
+        self.nodes.append(node)
+        return node
 
     def matmul(self, a, b) -> Node:
         a, b = self._as_node(a), self._as_node(b)
@@ -268,60 +318,6 @@ class Tape:
             return np.where(norms[:, None] > 0.0, (g - y * dots) / safe[:, None], 0.0)
 
         return self._record(y, [(x, vjp)], "normalize_rows")
-
-    # -- batch normalization ----------------------------------------------------
-
-    def batch_norm(self, x, gamma, beta, running_mean, running_var, train: bool) -> Node:
-        """Per-feature batch normalization.
-
-        x is an (L, n) batch.  Train mode requires L >= 2, uses batch
-        statistics and updates the running arrays in place (momentum 0.9,
-        biased variance).  Eval mode standardizes with the running statistics.
-        """
-        x, gamma, beta = self._as_node(x), self._as_node(gamma), self._as_node(beta)
-        xv = x.value
-        if xv.ndim != 2:
-            raise ShapeError(f"batch_norm expects a matrix, got shape {xv.shape}")
-        if train:
-            if xv.shape[0] < 2:
-                raise DomainError("batch_norm in train mode needs a batch of >= 2")
-            mean = xv.mean(axis=0)
-            var = xv.var(axis=0)
-            running_mean *= BN_MOMENTUM
-            running_mean += (1.0 - BN_MOMENTUM) * mean
-            running_var *= BN_MOMENTUM
-            running_var += (1.0 - BN_MOMENTUM) * var
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (xv - mean) * inv
-            out = gamma.value * xhat + beta.value
-            gv = gamma.value
-
-            def vjp_x(g):
-                dxhat = g * gv
-                return inv * (
-                    dxhat
-                    - dxhat.mean(axis=0)
-                    - xhat * np.mean(dxhat * xhat, axis=0)
-                )
-
-        else:
-            inv = 1.0 / np.sqrt(running_var + BN_EPS)
-            xhat = (xv - running_mean) * inv
-            out = gamma.value * xhat + beta.value
-            gv = gamma.value
-
-            def vjp_x(g):
-                return g * gv * inv
-
-        def vjp_gamma(g):
-            return (g * xhat).sum(axis=0)
-
-        def vjp_beta(g):
-            return g.sum(axis=0)
-
-        return self._record(
-            out, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)], "batch_norm"
-        )
 
     # -- quadratic forms and spectra ------------------------------------------
 
@@ -486,16 +482,6 @@ class Tape:
             ],
             "vae_kl_diag",
         )
-
-
-def _unbroadcast(grad, shape):
-    """Reduce a broadcasted gradient back to the operand shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 def _clamped_inverse_gaps_batch(ws: np.ndarray) -> np.ndarray:

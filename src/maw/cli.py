@@ -282,6 +282,9 @@ def cmd_score(config, args) -> int:
     model = model_mod.MawModel.from_payload(payload)
     if args.data is not None:
         dataset = evalx.load_csv(args.data)
+        width = dataset.features.shape[1]
+        if width != model.feature_dim:
+            raise DataError(f"{args.data} has {width} feature columns, not {model.feature_dim}")
     else:
         split = _split(config)
         family = _family(config)

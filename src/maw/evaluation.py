@@ -171,20 +171,21 @@ def _is_finite_number(cell: str) -> bool:
 def auc(scores, labels) -> float:
     """Area under the ROC over all thresholds, outliers (label 1) positive.
 
-    Mann-Whitney form with half credit for ties:
-    (#(pos > neg) + #(pos == neg) / 2) / (#pos * #neg).
+    Mann-Whitney form with half credit for ties, (#(pos > neg) + #(pos == neg)
+    / 2) / (#pos * #neg), from the positives' rank sum with average ranks for
+    ties.  Twice the count is an exact integer, so only the division rounds.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ShapeError("scores and labels must be matching vectors")
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
+    npos, nneg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    if npos == 0 or nneg == 0:
         raise MetricError("AUC is undefined with a single class")
-    greater = np.sum(pos[:, None] > neg[None, :])
-    ties = np.sum(pos[:, None] == neg[None, :])
-    return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # a tie group holds 1-based ranks last - count + 1 .. last
+    twice_rank = (2 * last - counts + 1)[group]
+    return (int(twice_rank[labels == 1].sum()) - npos * (npos + 1)) / (2 * npos * nneg)
 
 
 def ap(scores, labels) -> float:

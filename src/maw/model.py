@@ -133,9 +133,10 @@ class MawModel:
     def from_payload(cls, payload: dict) -> "MawModel":
         """Rebuild a model from to_payload's dict.
 
-        Unknown hyperparameters raise ConfigError.  Every parameter and state
-        array must match init_model's names and shapes and be finite, else
-        DataError: a missing entry would silently keep its init value.
+        Unknown hyperparameters raise ConfigError.  Every parameter, state and
+        optimizer slot array must match init_model's names and shapes and be
+        finite, and optimizer steps and second moments >= 0, else DataError:
+        a missing entry would silently keep its init value.
         """
         if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
             raise ConfigError("not a model checkpoint payload")
@@ -147,24 +148,38 @@ class MawModel:
         model = init_model(hp, int(payload["feature_dim"]), np.random.default_rng(0))
         _load_arrays(model.store.params, payload["params"], "params")
         _load_arrays(model.store.state, payload["state"], "state")
-        for name, slot in payload["optimizers"].items():
-            opt = model.optimizers[name]
-            opt.slots["step"] = int(slot["step"])
-            for k, v in slot["m"].items():
-                opt.slots["m"][k] = np.asarray(v, dtype=np.float64)
-            for k, v in slot["v"].items():
-                opt.slots["v"][k] = np.asarray(v, dtype=np.float64)
+        _load_optimizers(model.optimizers, payload["optimizers"])
         return model
+
+
+def _load_optimizers(optimizers: dict, source):
+    """Replace each optimizer's step and m/v slots by source's checked entries."""
+    _check_names(optimizers, source, "optimizers")
+    for name, opt in optimizers.items():
+        _check_names(("step", "m", "v"), source[name], f"optimizers.{name}")
+        step = source[name]["step"]
+        if type(step) is not int or step < 0:
+            raise DataError(f"checkpoint optimizers.{name}.step must be an integer >= 0")
+        _load_arrays(opt.slots["m"], source[name]["m"], f"optimizers.{name}.m")
+        _load_arrays(opt.slots["v"], source[name]["v"], f"optimizers.{name}.v")
+        if any(np.any(v < 0.0) for v in opt.slots["v"].values()):
+            raise DataError(f"checkpoint optimizers.{name}.v has a negative entry")
+        opt.slots["step"] = step
+
+
+def _check_names(names, source, section: str):
+    """source must be a dict holding exactly the given names."""
+    if not isinstance(source, dict) or source.keys() != set(names):
+        found = set(source) if isinstance(source, dict) else set()
+        raise DataError(
+            f"checkpoint {section} do not match the model: missing "
+            f"{sorted(set(names) - found)}, unexpected {sorted(found - set(names))}"
+        )
 
 
 def _load_arrays(target: dict, source, section: str):
     """Replace each array of target by source's entry of the same name and shape."""
-    if not isinstance(source, dict) or source.keys() != target.keys():
-        found = set(source) if isinstance(source, dict) else set()
-        raise DataError(
-            f"checkpoint {section} do not match the model: missing "
-            f"{sorted(set(target) - found)}, unexpected {sorted(found - set(target))}"
-        )
+    _check_names(target, source, section)
     for name, ref in target.items():
         try:
             value = np.asarray(source[name], dtype=np.float64)
@@ -297,10 +312,10 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     grads = tape.backward(l_vae)
     model.optimizers["vae"].step(model.store, grads)
 
-    # critic step on fresh draws from the updated generator
+    # critic step on fresh draws, as constants, from the updated generator
     tape = Tape()
     z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True)
-    d_gen = _critic(tape, model, z, True)
+    d_gen = _critic(tape, model, tape.const(z.value), True)
     d_hyp = _critic(tape, model, tape.const(z_hyp), True)
     if bce:
         l_cri = tape.add(
@@ -314,10 +329,10 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     if not bce:
         nets.clip_weights(model.store, model.store.names("cri."))
 
-    # generator step against the updated critic
+    # generator step against the updated critic, its weights bound as constants
     tape = Tape()
     z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True)
-    d_gen = _critic(tape, model, z, True)
+    d_gen = nets.mlp_forward(tape, model.store, "cri", model.specs["cri"], z, True, _frozen=True)
     if bce:
         l_gen = tape.mean_all(tape.softplus(tape.scale(d_gen, -1.0)))
     else:
@@ -335,7 +350,7 @@ def _vae_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
 
     tape = Tape()
     feats = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb), True)
-    head = tape.affine(
+    head = tape.dense(
         feats,
         tape.param(model.store.params["head.W"], "head.W"),
         tape.param(model.store.params["head.b"], "head.b"),

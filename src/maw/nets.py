@@ -3,7 +3,8 @@
 Every hidden layer is affine -> batch norm -> activation; output layers are
 affine only (batch norm on an output layer would re-center the produced
 distribution parameters, so the flag covers hidden layers).  The critic keeps
-batch norm too, deliberately.
+batch norm too, deliberately.  On the tape each layer is one `Tape.dense`
+node.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .autodiff import Tape, Node, BN_EPS
+from .autodiff import ACTIVATIONS, BN_EPS, LEAKY_SLOPE, Tape, Node
 from .errors import ConfigError, DomainError, NumericalError
 
-ACTIVATIONS = ("relu", "leaky_relu", "linear")
 FINAL_TRANSFORMS = ("none", "unit_normalize", "split4")
-LEAKY_SLOPE = 0.2
 
 
 @dataclass(frozen=True)
@@ -105,34 +104,30 @@ def build_mlp_params(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.rand
         fan_in = width
 
 
-def _bind(tape: Tape, store: ParamStore, name: str) -> Node:
+def _bind(tape: Tape, store: ParamStore, name: str, frozen: bool) -> Node:
+    if frozen:
+        return tape.const(store.params[name])
     if name in tape.params:
         return tape.params[name]
     return tape.param(store.params[name], name)
 
 
-def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, train: bool):
-    """Run the MLP on the tape; returns a node or a 4-tuple for split4."""
+def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, train: bool,
+                _frozen: bool = False):
+    """Run the MLP on the tape, one dense node per layer; returns a node or a
+    4-tuple for split4.  _frozen binds the weights as constants (no gradients)."""
     h = tape._as_node(x)
     nlayers = len(spec.widths)
     for k in range(nlayers):
-        w = _bind(tape, store, f"{prefix}.l{k}.W")
-        b = _bind(tape, store, f"{prefix}.l{k}.b")
-        h = tape.affine(h, w, b)
+        layer = f"{prefix}.l{k}"
+        w = _bind(tape, store, f"{layer}.W", _frozen)
+        b = _bind(tape, store, f"{layer}.b", _frozen)
+        norm = None
         if spec.batch_norm and k < nlayers - 1:
-            h = tape.batch_norm(
-                h,
-                _bind(tape, store, f"{prefix}.l{k}.gamma"),
-                _bind(tape, store, f"{prefix}.l{k}.beta"),
-                store.state[f"{prefix}.l{k}.running_mean"],
-                store.state[f"{prefix}.l{k}.running_var"],
-                train,
-            )
-        act = spec.activations[k]
-        if act == "relu":
-            h = tape.relu(h)
-        elif act == "leaky_relu":
-            h = tape.leaky_relu(h, LEAKY_SLOPE)
+            norm = (_bind(tape, store, f"{layer}.gamma", _frozen),
+                    _bind(tape, store, f"{layer}.beta", _frozen),
+                    store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"])
+        h = tape.dense(h, w, b, spec.activations[k], norm, train)
     if spec.final_transform == "unit_normalize":
         return tape.normalize_rows(h)
     if spec.final_transform == "split4":

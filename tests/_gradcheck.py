@@ -108,3 +108,33 @@ def symmetric_fd_check(build, m, grad_m, tol=FD_TOL, h=FD_H):
             worst = max(worst, err)
             assert err <= tol, f"symmetric pair ({i},{j}): {err:.3e}"
     return worst
+
+
+def dense_case(rng, act, norm):
+    """(build, arrays) for an FD check of one Tape.dense layer (5, 3) -> (5, 4).
+
+    norm is "train", "eval" or None (no batch norm).  For relu/leaky_relu,
+    instances whose pre-activation lies within 5e-2 of the kink are redrawn.
+    """
+    rows, margin = 5, 5e-2
+    while True:
+        arrays = [
+            rng.uniform(-2.0, 2.0, size=(rows, 3)),
+            rng.uniform(-2.0, 2.0, size=(3, 4)),
+            rng.uniform(-2.0, 2.0, size=4),
+        ]
+        if norm is not None:
+            arrays += [rng.uniform(0.5, 1.5, size=4), rng.uniform(-2.0, 2.0, size=4)]
+        running_mean = rng.uniform(-2.0, 2.0, size=4)
+        running_var = rng.uniform(0.5, 2.0, size=4)
+        proj = rng.uniform(-1.0, 1.0, size=(rows, 4))
+
+        def layer(tape, x, w, b, *gamma_beta):
+            stats = None
+            if norm is not None:
+                stats = (*gamma_beta, running_mean.copy(), running_var.copy())
+            return tape.dense(x, w, b, act, stats, norm == "train")
+
+        if act == "linear" or np.min(np.abs(layer(Tape(), *arrays).pre)) >= margin:
+            return (lambda tape, *nodes: random_projection_head(tape, layer(tape, *nodes), proj),
+                    arrays)

@@ -3,12 +3,13 @@ import pytest
 
 from _gradcheck import (
     check_grads,
+    dense_case,
     random_projection_head,
     random_symmetric,
     rel_err,
     symmetric_fd_check,
 )
-from maw.autodiff import Tape
+from maw.autodiff import ACTIVATIONS, Tape
 from maw.errors import DomainError, NumericalError, ShapeError
 
 N_QUICK = 8  # instances per op here; the acceptance suite reruns with >= 50
@@ -17,40 +18,52 @@ N_QUICK = 8  # instances per op here; the acceptance suite reruns with >= 50
 # ---------------------------------------------------------------- forward values
 
 
+def _unit_layer(t, x, act="linear", norm=None, train=True):
+    """Tape.dense with an identity weight and zero bias, so x is the affine output."""
+    width = np.shape(x)[1]
+    return t.dense(t.const(x), t.const(np.eye(width)), t.const(np.zeros(width)), act, norm, train)
+
+
 def test_relu_value():
-    t = Tape()
-    out = t.relu(t.const([-1.0, 2.0]))
-    assert np.array_equal(out.value, [0.0, 2.0])
+    out = _unit_layer(Tape(), [[-1.0, 2.0]], "relu")
+    assert np.array_equal(out.value, [[0.0, 2.0]])
+    assert np.array_equal(out.pre, [[-1.0, 2.0]])
 
 
 def test_leaky_relu_value():
-    t = Tape()
-    out = t.leaky_relu(t.const([-1.0, 2.0]), alpha=0.2)
-    assert np.allclose(out.value, [-0.2, 2.0])
+    out = _unit_layer(Tape(), [[-1.0, 2.0]], "leaky_relu")
+    assert np.allclose(out.value, [[-0.2, 2.0]])
+
+
+def test_dense_rejects_unknown_activation():
+    with pytest.raises(DomainError):
+        _unit_layer(Tape(), [[-1.0, 2.0]], "tanh")
 
 
 def test_batch_norm_train_value():
     # batch {1, 3}: mean 2, std 1 -> roughly {-1, +1} (eps = 1e-5)
-    t = Tape()
-    x = t.const(np.array([[1.0], [3.0]]))
-    out = t.batch_norm(x, t.const([1.0]), t.const([0.0]), np.zeros(1), np.ones(1), True)
+    norm = (np.array([1.0]), np.array([0.0]), np.zeros(1), np.ones(1))
+    out = _unit_layer(Tape(), [[1.0], [3.0]], norm=norm)
     assert np.allclose(out.value, [[-1.0], [1.0]], atol=1e-4)
 
 
+def test_batch_norm_matches_numpy_statistics_exactly():
+    # the train-mode statistics use np.mean / np.var's own arithmetic
+    x = np.random.default_rng(3).standard_normal((7, 5))
+    norm = (np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))
+    out = _unit_layer(Tape(), x, norm=norm)
+    assert np.array_equal(out.value, (x - x.mean(axis=0)) * (1.0 / np.sqrt(x.var(axis=0) + 1e-5)))
+
+
 def test_batch_norm_batch_of_one_rejected():
-    t = Tape()
+    norm = (np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
     with pytest.raises(DomainError):
-        t.batch_norm(
-            t.const(np.ones((1, 2))), t.const(np.ones(2)), t.const(np.zeros(2)),
-            np.zeros(2), np.ones(2), True,
-        )
+        _unit_layer(Tape(), np.ones((1, 2)), norm=norm)
 
 
 def test_batch_norm_updates_running_stats():
-    t = Tape()
     rm, rv = np.zeros(1), np.ones(1)
-    x = np.array([[1.0], [3.0]])
-    t.batch_norm(t.const(x), t.const([1.0]), t.const([0.0]), rm, rv, True)
+    _unit_layer(Tape(), [[1.0], [3.0]], norm=(np.array([1.0]), np.array([0.0]), rm, rv))
     assert np.allclose(rm, [0.1 * 2.0])
     assert np.allclose(rv, [0.9 * 1.0 + 0.1 * 1.0])
 
@@ -68,13 +81,17 @@ def test_shape_errors():
         t.add(t.const(np.ones(2)), t.const(np.ones(3)))
     with pytest.raises(ShapeError):
         t.matmul(t.const(np.ones((2, 3))), t.const(np.ones((2, 3))))
+    with pytest.raises(ShapeError):  # only a constant may broadcast
+        t.hadamard(t.param(np.ones((2, 3)), "x"), t.param(np.ones(3), "y"))
     with pytest.raises(ShapeError):
-        t.affine(t.const(np.ones((2, 3))), t.const(np.ones((4, 2))), t.const(np.ones(2)))
+        t.dense(t.const(np.ones((2, 3))), t.const(np.ones((4, 2))), t.const(np.ones(2)))
     with pytest.raises(ShapeError):
-        t.affine(t.const(np.ones(3)), t.const(np.ones((3, 2))), t.const(np.ones(2)))
+        t.dense(t.const(np.ones(3)), t.const(np.ones((3, 2))), t.const(np.ones(2)))
     with pytest.raises(ShapeError):
-        t.batch_norm(t.const(np.ones(2)), t.const(np.ones(2)), t.const(np.zeros(2)),
-                     np.zeros(2), np.ones(2), False)
+        t.dense(t.const(np.ones((2, 3))), t.const(np.ones((3, 2))), t.const(np.ones(3)))
+    with pytest.raises(ShapeError):
+        t.dense(t.const(np.ones(2)), t.const(np.eye(2)), t.const(np.zeros(2)), "relu",
+                (np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)), False)
 
 
 # ---------------------------------------------------------------- backward basics
@@ -99,7 +116,7 @@ def test_backward_l2norm_of_diff():
 def test_backward_constant_root_gives_zero():
     t = Tape()
     x = t.param(np.array([1.0, 2.0]), "x")
-    t.relu(x)  # x participates in the graph but not in the root
+    t.exp(x)  # x participates in the graph but not in the root
     root = t.scale(t.const(5.0), 1.0)
     grads = t.backward(root)
     assert np.array_equal(grads["x"], np.zeros(2))
@@ -109,7 +126,7 @@ def test_backward_requires_scalar_root():
     t = Tape()
     x = t.param(np.ones(3), "x")
     with pytest.raises(DomainError):
-        t.backward(t.relu(x))
+        t.backward(t.exp(x))
 
 
 def test_single_use_tape():
@@ -127,7 +144,7 @@ def test_backward_accumulation_is_linear():
 
     def parts(tape, x):
         f = tape.sum_all(tape.hadamard(x, x))
-        g = tape.sum_all(tape.relu(x))
+        g = tape.sum_all(tape.softplus(x))
         return f, g
 
     t1 = Tape()
@@ -215,8 +232,8 @@ def test_fd_elementwise_and_reductions():
         proj = rng.uniform(-1.0, 1.0, size=(3, 4))
         x = _away_from_kinks(rng, 3, 4)
         y = _mat(rng, 3, 4)
-        check_grads(lambda t, a: random_projection_head(t, t.relu(a), proj), [x])
-        check_grads(lambda t, a: random_projection_head(t, t.leaky_relu(a), proj), [x])
+        check_grads(*dense_case(rng, "relu", None))
+        check_grads(*dense_case(rng, "leaky_relu", None))
         check_grads(lambda t, a: random_projection_head(t, t.softplus(a), proj), [x])
         check_grads(lambda t, a: random_projection_head(t, t.exp(t.scale(a, 0.3)), proj), [x])
         check_grads(lambda t, a, b: random_projection_head(t, t.add(a, b), proj), [x, y])
@@ -240,14 +257,7 @@ def test_fd_hadamard_broadcast_mask():
 def test_fd_linear_maps():
     rng = np.random.default_rng(13)
     for _ in range(N_QUICK):
-        x = _mat(rng, 4, 3)
-        w = _mat(rng, 3, 5)
-        b = _mat(rng, 5)
-        proj = rng.uniform(-1.0, 1.0, size=(4, 5))
-        check_grads(
-            lambda t, a, ww, bb: random_projection_head(t, t.affine(a, ww, bb), proj),
-            [x, w, b],
-        )
+        check_grads(*dense_case(rng, "linear", None))
         a = _mat(rng, 4, 3)
         bmat = _mat(rng, 3, 2)
         projm = rng.uniform(-1.0, 1.0, size=(4, 2))
@@ -294,27 +304,12 @@ def test_fd_norm_ops():
 
 
 def test_fd_batch_norm():
+    # every activation after train- and eval-mode batch norm, all in one dense node
     rng = np.random.default_rng(16)
     for _ in range(N_QUICK):
-        x = _mat(rng, 5, 3)
-        gamma = rng.uniform(0.5, 1.5, size=3)
-        beta = _mat(rng, 3)
-        proj = rng.uniform(-1.0, 1.0, size=(5, 3))
-
-        def build_train(t, a, g, b):
-            out = t.batch_norm(a, g, b, np.zeros(3), np.ones(3), True)
-            return random_projection_head(t, out, proj)
-
-        check_grads(build_train, [x, gamma, beta])
-
-        rm = _mat(rng, 3)
-        rv = rng.uniform(0.5, 2.0, size=3)
-
-        def build_eval(t, a, g, b):
-            out = t.batch_norm(a, g, b, rm, rv, False)
-            return random_projection_head(t, out, proj)
-
-        check_grads(build_eval, [x, gamma, beta])
+        for act in ACTIVATIONS:
+            for norm in ("train", "eval"):
+                check_grads(*dense_case(rng, act, norm))
 
 
 def test_fd_diag_sandwich():

@@ -199,6 +199,29 @@ def test_score_non_finite_csv_cell_exits_3(tmp_path, capsys):
         assert "row 2" in detail and "'f3'" in detail
 
 
+def test_score_csv_of_wrong_width_exits_3(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    ckpt = _trained_checkpoint(cfg)
+    data = tmp_path / "narrow.csv"
+    data.write_text("f1,f2,f3\n1,0,0\n0,1,0\n")
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt, "--data", str(data)]) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "data" and "3 feature columns" in err["detail"]
+
+
+def test_score_corrupt_optimizer_slot_exits_3(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    ckpt = _trained_checkpoint(cfg)
+    payload = json.loads(open(ckpt).read())
+    slot = payload["optimizers"]["vae"]
+    slot["m"][next(iter(slot["m"]))] = [[float("nan")]]
+    slot["step"] = -5
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "data"
+
+
 def test_bad_set_path_exits_2(tmp_path):
     cfg = small_config(tmp_path)
     assert run(["--config", cfg, "--set", "model.bogus=3", "train"]) == 2

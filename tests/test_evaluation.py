@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maw import evaluation as E
 from maw import model as M
@@ -112,13 +114,33 @@ def test_ap_examples():
         E.ap([0.5, 0.6], [0, 0])
 
 
-def test_auc_monotone_transform_invariance():
-    rng = np.random.default_rng(0)
-    s = rng.standard_normal(50)
-    labels = rng.integers(0, 2, size=50)
-    if labels.sum() in (0, 50):
-        labels[0] = 1 - labels[0]
-    assert E.auc(s, labels) == pytest.approx(E.auc(np.exp(2.0 * s), labels))
+# tie-heavy scored sets: small integer scores, both classes present
+scored_sets = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(0, 1)), min_size=2, max_size=60
+).filter(lambda rows: len({label for _, label in rows}) == 2)
+hypothesis_settings = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def _unzip(rows):
+    return np.array([r[0] for r in rows], dtype=np.float64), np.array([r[1] for r in rows])
+
+
+@hypothesis_settings
+@given(scored_sets, st.integers(1, 5), st.integers(-3, 3))
+def test_auc_monotone_transform_invariance(rows, slope, shift):
+    # each map is strictly increasing and exact on these scores, ties included
+    s, labels = _unzip(rows)
+    base = E.auc(s, labels)
+    assert E.auc(slope * s + shift, labels) == base
+    assert E.auc(np.exp(s), labels) == base
+    assert E.auc(np.unique(s, return_inverse=True)[1], labels) == base
+
+
+@hypothesis_settings
+@given(scored_sets)
+def test_auc_complement_with_ties(rows):
+    s, labels = _unzip(rows)
+    assert E.auc(-s, labels) == pytest.approx(1.0 - E.auc(s, labels), abs=1e-15)
 
 
 def test_auc_complement_without_ties():

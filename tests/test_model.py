@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from maw import model as M
+from maw import nets
 from maw.autodiff import Tape
 from maw.errors import ConfigError, DataError, DomainError, ShapeError
 
@@ -369,6 +371,93 @@ def test_zero_critic_gives_zero_w1_and_zero_generator_gradient():
         assert np.allclose(grads[name], 0.0)
 
 
+# ------------------------------------------------- fully attached reference
+
+
+def loss_model_and_noise(rng, variant="maw"):
+    """A tiny model with jittered weights, a 3-row unit batch and its draws."""
+    hp = M.Hyperparams(
+        d=2, dprime=3, samples=2, epochs=1, batch_size=4,
+        encoder_widths=(5, 4), decoder_widths=(4, 5), critic_widths=(4, 3),
+        lr_vae=1e-3, lr_critic=1e-3, variant=variant,
+    )
+    feature_dim = 4
+    model = M.init_model(hp, feature_dim, rng)
+    for name in model.store.params:
+        model.store.params[name] = model.store.params[name] + 0.05 * rng.standard_normal(
+            model.store.params[name].shape
+        )
+    xb = rng.standard_normal((3, feature_dim))
+    xb = xb / np.linalg.norm(xb, axis=1, keepdims=True)
+    noise = M._draw_batch_noise(hp, rng, 3)
+    return model, xb, noise
+
+
+def loss_value(model, xb, noise, which):
+    """One of the three losses ("vae", "critic", "gen") on a fully attached tape.
+
+    Every draw and every weight keeps its gradient, so backward reaches all
+    parameters the loss depends on.  The variant picks the loss forms
+    (maw-mse: squared reconstruction; maw-kl: the standard-GAN pair).
+    """
+    labels, point_idx, eps1, eps2, z_hyp = noise
+    variant = model.hp.variant
+    tape = Tape()
+    z = M._forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True)
+    if which == "vae":
+        decoded = M._decode(tape, model, z, True)
+        root = tape.mean_rowwise_norm_diff(
+            decoded, tape.const(xb[point_idx]), squared=variant == "maw-mse"
+        )
+    elif which == "critic":
+        d_gen = M._critic(tape, model, z, True)
+        d_hyp = M._critic(tape, model, tape.const(z_hyp), True)
+        if variant == "maw-kl":
+            root = tape.add(
+                tape.mean_all(tape.softplus(tape.scale(d_hyp, -1.0))),
+                tape.mean_all(tape.softplus(d_gen)),
+            )
+        else:
+            root = tape.add(tape.mean_all(d_gen), tape.scale(tape.mean_all(d_hyp), -1.0))
+    else:
+        d_gen = M._critic(tape, model, z, True)
+        if variant == "maw-kl":
+            root = tape.mean_all(tape.softplus(tape.scale(d_gen, -1.0)))
+        else:
+            root = tape.scale(tape.mean_all(d_gen), -1.0)
+    return tape, root
+
+
+@pytest.mark.parametrize("variant", ["maw", "maw-mse", "maw-kl"])
+def test_batch_update_matches_fully_attached_tapes(variant):
+    # the critic step's constant draws and the generator step's constant critic
+    # weights drop only gradients that no optimizer reads
+    rng = np.random.default_rng(62)
+    model, xb, noise = loss_model_and_noise(rng, variant)
+    ref = copy.deepcopy(model)
+    for _ in range(2):
+        losses = M._maw_batch_update(model, xb, noise)
+        ref_losses = []
+        for which in ("vae", "critic", "gen"):
+            tape, root = loss_value(ref, xb, noise, which)
+            ref.optimizers[which].step(ref.store, tape.backward(root))
+            if which == "critic" and variant != "maw-kl":
+                nets.clip_weights(ref.store, ref.store.names("cri."))
+            ref_losses.append(float(root.value))
+        assert losses == tuple(ref_losses)
+        noise = M._draw_batch_noise(model.hp, rng, 3)
+    for name, value in ref.store.params.items():
+        assert np.array_equal(model.store.params[name], value), name
+    for name, value in ref.store.state.items():
+        assert np.array_equal(model.store.state[name], value), name
+    for key, opt in ref.optimizers.items():
+        slots = model.optimizers[key].slots
+        assert slots["step"] == opt.slots["step"] == 2
+        for moment in ("m", "v"):
+            for name, value in opt.slots[moment].items():
+                assert np.array_equal(slots[moment][name], value), (key, moment, name)
+
+
 def test_checkpoint_roundtrip():
     hp = tiny_hp(epochs=2)
     x = line_data(8, 4, seed=9)
@@ -402,8 +491,37 @@ def _misshapen_parameter(payload):
     payload["params"]["A"] = payload["params"]["A"][:-1]
 
 
+def _misshapen_optimizer_slot(payload):
+    m = payload["optimizers"]["vae"]["m"]
+    m[next(iter(m))] = [[float("nan")]]
+
+
+def _nan_optimizer_slot(payload):
+    payload["optimizers"]["critic"]["v"]["cri.l0.W"][0][0] = float("nan")
+
+
+def _negative_second_moment(payload):
+    payload["optimizers"]["gen"]["v"]["A"][0][0] = -1.0
+
+
+def _negative_optimizer_step(payload):
+    payload["optimizers"]["vae"]["step"] = -5
+
+
+def _fractional_optimizer_step(payload):
+    payload["optimizers"]["gen"]["step"] = 2.5
+
+
+def _missing_optimizer(payload):
+    del payload["optimizers"]["critic"]
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_nan_parameter, _missing_parameter, _unexpected_state, _misshapen_parameter]
+    "corrupt", [
+        _nan_parameter, _missing_parameter, _unexpected_state, _misshapen_parameter,
+        _misshapen_optimizer_slot, _nan_optimizer_slot, _negative_second_moment,
+        _negative_optimizer_step, _fractional_optimizer_step, _missing_optimizer,
+    ]
 )
 def test_checkpoint_rejects_bad_arrays(corrupt):
     payload = _tiny_payload()
