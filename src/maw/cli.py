@@ -257,6 +257,9 @@ def cmd_train(config) -> int:
     seed = config["seeds"][0]
     hp = _hyperparams(config)
     train_set = _resolve_train_set(config, seed)
+    rows = train_set.features.shape[0]
+    if config["data"]["source"] == "csv" and rows < 2:
+        raise DataError(f"{config['data']['path']} has {rows} row(s); training needs >= 2")
     model, trace = model_mod.train(train_set.features, hp, seed=seed)
     _ensure_dir(config["output_dir"])
     ckpt = os.path.join(config["output_dir"], "checkpoint.json")

@@ -1,6 +1,7 @@
 """Dense double-precision linear algebra kernels.
 
-Vectors are 1-d float64 arrays, matrices are 2-d float64 arrays (row major).
+Vectors are 1-d float64 arrays, matrices are 2-d float64 arrays (row major)
+and stacks of matrices are (..., n, n) arrays.
 The symmetric eigensolver is one batched LAPACK call (np.linalg.eigh) with a
 fixed order and sign convention; everything downstream (PSD square roots,
 spectral truncation gradients, closed-form Gaussian distances) is built on top
@@ -29,29 +30,25 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_matrix(x) -> np.ndarray:
-    """Validate and convert to a nonempty finite 2-d float64 array."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ShapeError(f"expected a nonempty matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix entries must be finite")
-    return m
-
-
 def is_symmetric(m: np.ndarray) -> bool:
-    """Entrywise check |M[i,j] - M[j,i]| <= 1e-12 * max(1, |M[i,j]|)."""
-    if m.shape[0] != m.shape[1]:
+    """Entrywise check |M[i,j] - M[j,i]| <= 1e-12 * max(1, |M[i,j]|), over every
+    matrix of a (..., n, n) stack."""
+    if m.shape[-1] != m.shape[-2]:
         return False
-    diff = np.abs(m - m.T)
+    diff = np.abs(m - np.swapaxes(m, -1, -2))
     tol = SYM_REL_TOL * np.maximum(1.0, np.abs(m))
     return bool(np.all(diff <= tol))
 
 
 def require_symmetric(m) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    """Validate a finite symmetric float64 matrix, or a (..., n, n) stack of them."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim < 2 or m.size == 0:
+        raise ShapeError(f"expected a nonempty matrix, got shape {m.shape}")
+    if m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite")
     if not is_symmetric(m):
         raise DomainError("matrix is not symmetric within tolerance")
     return m
@@ -110,21 +107,25 @@ def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
 
 def sym_eig(m) -> SymEig:
     """Eigendecomposition of one symmetric matrix; see sym_eig_batch."""
-    w, q = sym_eig_batch(require_symmetric(m)[None])
+    m = require_symmetric(m)
+    if m.ndim != 2:
+        raise ShapeError(f"expected one matrix, got shape {m.shape}")
+    w, q = sym_eig_batch(m[None])
     return SymEig(eigenvalues=w[0], eigenvectors=q[0])
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root of a matrix or of each matrix of a (..., n, n)
+    stack, from one sym_eig_batch call.
 
     Eigenvalues in [-1e-10, 0) are treated as round-off and clamped to zero;
-    anything below that raises NotPSDError.
+    anything below that, in any matrix, raises NotPSDError.
     """
-    eig = sym_eig(m)
-    w = eig.eigenvalues
-    if np.min(w) < PSD_EIG_FLOOR:
-        raise NotPSDError(f"matrix has eigenvalue {np.min(w):.3e} < {PSD_EIG_FLOOR}")
-    w = np.clip(w, 0.0, None)
-    q = eig.eigenvectors
-    root = (q * np.sqrt(w)) @ q.T
-    return 0.5 * (root + root.T)
+    m = require_symmetric(m)
+    n = m.shape[-1]
+    w, q = sym_eig_batch(m.reshape(-1, n, n))
+    low = float(np.min(w[:, -1]))
+    if low < PSD_EIG_FLOOR:
+        raise NotPSDError(f"matrix has eigenvalue {low:.3e} < {PSD_EIG_FLOOR}")
+    root = (q * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return (0.5 * (root + np.swapaxes(root, 1, 2))).reshape(m.shape)

@@ -30,6 +30,7 @@ VARIANTS = (
 )
 
 DEFAULT_ETA = 5.0 / 6.0
+WIDTH_KEYS = ("encoder_widths", "decoder_widths", "critic_widths")
 
 
 @dataclass
@@ -48,9 +49,14 @@ class Hyperparams:
     critic_widths: tuple = (32, 64, 128)
 
     def __post_init__(self):
-        self.encoder_widths = tuple(self.encoder_widths)
-        self.decoder_widths = tuple(self.decoder_widths)
-        self.critic_widths = tuple(self.critic_widths)
+        for key in WIDTH_KEYS:
+            widths = getattr(self, key)
+            if (not isinstance(widths, (list, tuple)) or not widths
+                    or any(isinstance(w, bool) or not isinstance(w, int) or w < 1
+                           for w in widths)):
+                raise ConfigError(f"{key} must be a non-empty list of positive ints, "
+                                  f"got {widths!r}")
+            setattr(self, key, tuple(widths))
         if self.d < 2 or self.d % 2 != 0:
             raise ConfigError("latent dimension d must be even and >= 2")
         if not (0.5 < self.eta < 1.0):
@@ -66,7 +72,7 @@ class Hyperparams:
 
     def to_dict(self):
         out = dataclasses.asdict(self)
-        for key in ("encoder_widths", "decoder_widths", "critic_widths"):
+        for key in WIDTH_KEYS:
             out[key] = list(out[key])
         return out
 
@@ -133,10 +139,11 @@ class MawModel:
     def from_payload(cls, payload: dict) -> "MawModel":
         """Rebuild a model from to_payload's dict.
 
-        Unknown hyperparameters raise ConfigError.  Every parameter, state and
-        optimizer slot array must match init_model's names and shapes and be
-        finite, and optimizer steps and second moments >= 0, else DataError:
-        a missing entry would silently keep its init value.
+        Unknown hyperparameters raise ConfigError.  feature_dim must be a
+        positive integer, and every parameter, state and optimizer slot array
+        must match init_model's names and shapes and be finite, and optimizer
+        steps and second moments >= 0, else DataError: a missing entry would
+        silently keep its init value.
         """
         if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
             raise ConfigError("not a model checkpoint payload")
@@ -145,7 +152,12 @@ class MawModel:
         if missing:
             raise DataError(f"checkpoint lacks {missing}")
         hp = Hyperparams.from_dict(payload["hyperparams"])
-        model = init_model(hp, int(payload["feature_dim"]), np.random.default_rng(0))
+        dim = payload["feature_dim"]
+        if isinstance(dim, float) and dim.is_integer():
+            dim = int(dim)
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise DataError(f"checkpoint feature_dim must be a positive int, got {dim!r}")
+        model = init_model(hp, dim, np.random.default_rng(0))
         _load_arrays(model.store.params, payload["params"], "params")
         _load_arrays(model.store.state, payload["state"], "state")
         _load_optimizers(model.optimizers, payload["optimizers"])

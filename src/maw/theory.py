@@ -14,7 +14,9 @@ closed-form minimizer driven by a scalar colinearity parameter; the KL
 problem is ill-posed because KL from a rank-deficient Gaussian is infinite.
 Each analytic fact is paired with an independent numeric oracle
 (grid search + Nelder-Mead over the reduced colinear/diagonal
-parameterization, and an exact-assignment empirical W1).
+parameterization, and an exact-assignment empirical W1).  The oracle
+evaluates its whole grid as one stacked call of the full distance formulas
+and runs Nelder-Mead on the same function, one candidate at a time.
 """
 
 from __future__ import annotations
@@ -37,69 +39,92 @@ CONSTRAINTS = ("shared", "low-rank-inlier")
 
 
 # ------------------------------------------------------------ closed forms
+#
+# Each distance takes one candidate or a stack of G of them: a mean is (k,) or
+# (G, k), a covariance (k, k), shared by the whole stack, or (G, k, k).  Every
+# matrix of a stack gets the checks a single one gets, and the distinct
+# covariances are decomposed in one sym_eig_batch call; single operands give a
+# float, a stack a (G,) array.
 
 
-def wp_equal_cov(mu_i, mu_0) -> float:
+def _operands(name: str, means, covariances=()):
+    """Means as (1 or G, k) arrays, covariances as (1 or G, k, k) arrays, and
+    whether every operand was a single one."""
+    means = [np.asarray(m, dtype=np.float64) for m in means]
+    covariances = [linalg.require_symmetric(c) for c in covariances]
+    k = means[0].shape[-1] if means[0].ndim else 0
+    if (k == 0
+            or any(m.ndim not in (1, 2) or m.size == 0 or m.shape[-1] != k for m in means)
+            or any(c.ndim > 3 or c.shape[-1] != k for c in covariances)):
+        raise ShapeError(f"{name} operands have inconsistent dimensions")
+    if not all(np.all(np.isfinite(m)) for m in means):
+        raise DomainError("vector entries must be finite")
+    sizes = {m.shape[0] for m in means if m.ndim == 2}
+    sizes |= {c.shape[0] for c in covariances if c.ndim == 3}
+    if len(sizes) > 1:
+        raise ShapeError(f"{name} operands stack different numbers of candidates")
+    means = [m.reshape(-1, k) for m in means]
+    covariances = [c.reshape(-1, k, k) for c in covariances]
+    return means, covariances, not sizes
+
+
+def _result(values: np.ndarray, single: bool):
+    return float(values[0]) if single else values
+
+
+def _trace(m3: np.ndarray) -> np.ndarray:
+    return np.trace(m3, axis1=1, axis2=2)
+
+
+def wp_equal_cov(mu_i, mu_0):
     """W_p distance (any p >= 1) between Gaussians sharing one covariance.
 
     For equal covariances the optimal coupling is the mean shift itself, so
     the distance is ||mu_i - mu_0||_2 independently of p.
     """
-    mu_i, mu_0 = linalg.as_vector(mu_i), linalg.as_vector(mu_0)
-    if mu_i.shape != mu_0.shape:
-        raise ShapeError("mean vectors must share a dimension")
-    return float(np.linalg.norm(mu_i - mu_0))
+    (mu_i, mu_0), _, single = _operands("wp_equal_cov", (mu_i, mu_0))
+    return _result(np.sqrt(np.sum((mu_i - mu_0) ** 2, axis=1)), single)
 
 
-def w2_gaussian(mu1, sigma1, mu2, sigma2) -> float:
+def w2_gaussian(mu1, sigma1, mu2, sigma2):
     """2-Wasserstein distance between Gaussians.
 
-    W2^2 = ||dmu||^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}).
+    W2^2 = ||dmu||^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}), with both
+    PSD roots taken per candidate.
     """
-    mu1, mu2 = linalg.as_vector(mu1), linalg.as_vector(mu2)
-    s1 = linalg.require_symmetric(sigma1)
-    s2 = linalg.require_symmetric(sigma2)
-    if mu1.shape != mu2.shape or s1.shape[0] != mu1.shape[0] or s2.shape != s1.shape:
-        raise ShapeError("w2_gaussian operands have inconsistent dimensions")
+    (mu1, mu2), (s1, s2), single = _operands("w2_gaussian", (mu1, mu2), (sigma1, sigma2))
     r1 = linalg.psd_sqrt(s1)
     inner = r1 @ s2 @ r1
-    cross = linalg.psd_sqrt(0.5 * (inner + inner.T))
-    sq = float(np.sum((mu1 - mu2) ** 2) + np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
-    return math.sqrt(max(sq, 0.0))
+    cross = linalg.psd_sqrt(0.5 * (inner + np.swapaxes(inner, 1, 2)))
+    sq = np.sum((mu1 - mu2) ** 2, axis=1) + _trace(s1) + _trace(s2) - 2.0 * _trace(cross)
+    return _result(np.sqrt(np.maximum(sq, 0.0)), single)
 
 
-def kl_gaussian(mu1, sigma1, mu0, sigma0) -> float:
+def kl_gaussian(mu1, sigma1, mu0, sigma0):
     """KL(N(mu1, S1) || N(mu0, S0)); +inf when S1 is rank deficient.
 
     KL = (log det S0 / det S1 - K + tr(S0^{-1} S1) + dmu^T S0^{-1} dmu) / 2.
     S0 must be positive definite; an S1 whose smallest eigenvalue is below
-    1e-12 of its largest is treated as exactly singular.
+    1e-12 of its largest is treated as exactly singular (+inf at its own
+    entry of a stack).
     """
-    mu1, mu0 = linalg.as_vector(mu1), linalg.as_vector(mu0)
-    s1 = linalg.require_symmetric(sigma1)
-    s0 = linalg.require_symmetric(sigma0)
-    k = mu1.shape[0]
-    if mu0.shape != (k,) or s1.shape != (k, k) or s0.shape != (k, k):
-        raise ShapeError("kl_gaussian operands have inconsistent dimensions")
-    eig0 = linalg.sym_eig(s0)
-    if np.min(eig0.eigenvalues) <= 0.0:
+    (mu1, mu0), (s1, s0), single = _operands("kl_gaussian", (mu1, mu0), (sigma1, sigma0))
+    k = mu1.shape[1]
+    w, q = linalg.sym_eig_batch(np.concatenate([s0, s1]))
+    w0, q0, w1 = w[:len(s0)], q[:len(s0)], w[len(s0):]
+    if np.any(w0[:, -1] <= 0.0):
         raise DomainError("reference covariance must be positive definite")
-    eig1 = linalg.sym_eig(s1)
-    w1 = eig1.eigenvalues
-    if np.min(w1) < -1e-9 * max(1.0, float(np.max(np.abs(w1)))):
+    if np.any(w1[:, -1] < -1e-9 * np.maximum(1.0, np.max(np.abs(w1), axis=1))):
         raise DomainError("sigma1 is not positive semidefinite")
-    if np.min(w1) <= KL_SINGULAR_REL_TOL * max(1.0, float(np.max(w1))):
-        return math.inf
-    q0, w0 = eig0.eigenvectors, eig0.eigenvalues
-    inv0 = (q0 / w0) @ q0.T
+    singular = w1[:, -1] <= KL_SINGULAR_REL_TOL * np.maximum(1.0, w1[:, 0])
+    inv0 = (q0 / w0[:, None, :]) @ np.swapaxes(q0, 1, 2)
+    w1 = np.where(singular[:, None], 1.0, w1)  # their entries are +inf below
+    log_det = np.sum(np.log(w0), axis=1) - np.sum(np.log(w1), axis=1)
+    trace = np.sum(inv0 * np.swapaxes(s1, 1, 2), axis=(1, 2))
     dmu = mu1 - mu0
-    val = 0.5 * (
-        float(np.sum(np.log(w0)) - np.sum(np.log(w1)))
-        - k
-        + float(np.trace(inv0 @ s1))
-        + float(dmu @ inv0 @ dmu)
-    )
-    return val
+    mahalanobis = np.sum(dmu[:, :, None] * inv0 * dmu[:, None, :], axis=(1, 2))
+    val = 0.5 * (log_det - k + trace + mahalanobis)
+    return _result(np.where(singular, math.inf, val), single)
 
 
 # ------------------------------------------------------------ problem objects
@@ -157,8 +182,11 @@ class TheorySolution:
         return abs(float(np.linalg.norm(self.mu1 - self.mu2)) - epsilon)
 
 
-def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2) -> float:
-    """eta R(mode1, prior) + (1 - eta) R(mode2, prior) for the problem's R."""
+def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2):
+    """eta R(mode1, prior) + (1 - eta) R(mode2, prior) for the problem's R.
+
+    The modes are one candidate or a stack of them, as for the distances.
+    """
     if problem.regularizer == "wp":
         r1 = wp_equal_cov(mu1, problem.mu0)
         r2 = wp_equal_cov(mu2, problem.mu0)
@@ -301,17 +329,16 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
             # the fixed-axis reduction is only exhaustive for isotropic priors
             raise DomainError("the KL oracle requires an isotropic shared covariance")
 
-        def objective(x):
-            mu1 = problem.mu0 + x[0] * e1
-            mu2 = mu1 - eps * e1
-            return mixture_objective(problem, mu1, mu2, sigma, sigma)
+        def modes(offset):
+            # one offset, or a vector of them for a stack of candidates
+            mu1 = problem.mu0 + np.multiply.outer(offset, e1)
+            return mu1, mu1 - eps * e1, sigma, sigma
 
         grid = np.linspace(-2.0 * eps, 2.0 * eps, grid_points)
-        values = [objective([a]) for a in grid]
+        values = mixture_objective(problem, *modes(grid))
         x0 = [grid[int(np.argmin(values))]]
-        x, fun = _refine(objective, x0)
-        mu1 = problem.mu0 + x[0] * e1
-        mu2 = mu1 - eps * e1
+        x, fun = _refine(lambda x: mixture_objective(problem, *modes(x[0])), x0)
+        mu1, mu2, _, _ = modes(x[0])
         return TheorySolution(mu1, mu2, sigma.copy(), sigma.copy(), fun)
 
     if problem.regularizer == "kl":
@@ -326,14 +353,17 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
     # means (mu1 = u eps e1, mu2 = -(1-u) eps e1); the inlier root diagonal a'
     # is free; the outlier root diagonal is induced by the colinearity relations
     # b_i = (1 + (u-1) a_i) / u on the shared block and b_i = 1 / u on the tail.
+    # x is one point (1 + kappa,) or a stack of them (G, 1 + kappa).
     def unpack(x):
-        u = x[0]
-        alpha = x[1:]
+        u = x[..., :1]
+        alpha = x[..., 1:]
         mu1 = u * eps * e1
         mu2 = -(1.0 - u) * eps * e1
-        beta = np.concatenate([(1.0 + (u - 1.0) * alpha) / u, np.full(k - kappa, 1.0 / u)])
-        sigma1 = np.diag(np.concatenate([alpha**2, np.zeros(k - kappa)]))
-        sigma2 = np.diag(beta**2)
+        tail = np.broadcast_to(1.0 / u, u.shape[:-1] + (k - kappa,))
+        beta = np.concatenate([(1.0 + (u - 1.0) * alpha) / u, tail], axis=-1)
+        alpha_sq = np.concatenate([alpha**2, np.zeros_like(tail)], axis=-1)
+        sigma1 = alpha_sq[..., :, None] * np.eye(k)
+        sigma2 = (beta**2)[..., :, None] * np.eye(k)
         return mu1, mu2, sigma1, sigma2
 
     def objective(x):
@@ -345,10 +375,9 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
         np.linspace(-2.0, -1e-3, max(100, grid_points // 8)),
         np.linspace(1e-3, 2.0, max(100, grid_points // 8)),
     ])
-    ones = np.ones(kappa)
-    values = [objective(np.concatenate([[u], ones])) for u in grid]
-    x0 = np.concatenate([[grid[int(np.argmin(values))]], ones])
-    x, fun = _refine(objective, x0)
+    points = np.column_stack([grid, np.ones((grid.size, kappa))])
+    values = mixture_objective(problem, *unpack(points))
+    x, fun = _refine(objective, points[int(np.argmin(values))])
     mu1, mu2, sigma1, sigma2 = unpack(x)
     return TheorySolution(mu1, mu2, sigma1, sigma2, fun, u=float(x[0]))
 

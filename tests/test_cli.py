@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from maw import cli
 from maw import model as M
@@ -220,6 +221,37 @@ def test_score_corrupt_optimizer_slot_exits_3(tmp_path, capsys):
         json.dump(payload, fh)
     assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
     assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "data"
+
+
+@pytest.mark.parametrize("dim", ["abc", 0])
+def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    ckpt = _trained_checkpoint(cfg)
+    payload = json.loads(open(ckpt).read())
+    payload["feature_dim"] = dim
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "data" and "feature_dim" in err["detail"]
+
+
+def test_train_string_widths_exit_2(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", 'model.encoder_widths="ab"', "train"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "encoder_widths" in err["detail"]
+
+
+def test_train_on_one_row_csv_exits_3(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("f1,f2,f3\n1,0,0\n")
+    cfg = small_config(tmp_path, data={"source": "csv", "path": str(data)})
+    assert run(["--config", cfg, "train"]) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "data" and "1 row" in err["detail"]
+    out_dir = json.loads(open(cfg).read())["output_dir"]
+    assert not os.path.exists(os.path.join(out_dir, "checkpoint.json"))
 
 
 def test_bad_set_path_exits_2(tmp_path):

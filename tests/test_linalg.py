@@ -103,6 +103,37 @@ def test_psd_sqrt_clamps_tiny_negative():
     assert np.allclose(r, np.diag([1.0, 0.0]))
 
 
+def test_psd_sqrt_on_a_stack_equals_per_matrix():
+    rng = np.random.default_rng(9)
+    b = rng.uniform(-2.0, 2.0, size=(2, 6, 3, 3))
+    m = b @ np.swapaxes(b, -1, -2)
+    m[0, 1] = np.diag([2.0, 1.0, 0.0])  # singular member
+    roots = linalg.psd_sqrt(m)
+    assert roots.shape == m.shape
+    for index in np.ndindex(m.shape[:-2]):
+        assert np.array_equal(roots[index], linalg.psd_sqrt(m[index]))
+
+
+def test_stacks_check_every_member():
+    m = np.stack([np.eye(2), np.eye(2), np.eye(2)])
+    m[1, 0, 1] = 0.5  # not symmetric
+    with pytest.raises(DomainError):
+        linalg.require_symmetric(m)
+    with pytest.raises(DomainError):
+        linalg.psd_sqrt(m)
+    m[1] = [[0.0, 1.0], [1.0, 0.0]]  # symmetric, indefinite
+    assert linalg.require_symmetric(m).shape == m.shape
+    with pytest.raises(NotPSDError):
+        linalg.psd_sqrt(m)
+    m[1, 0, 0] = np.inf
+    with pytest.raises(DomainError):
+        linalg.require_symmetric(m)
+    with pytest.raises(ShapeError):
+        linalg.require_symmetric(np.ones((3, 2, 3)))
+    with pytest.raises(ShapeError):
+        linalg.sym_eig(np.stack([np.eye(2)] * 2))
+
+
 def test_sym_eig_batch_conventions():
     rng = np.random.default_rng(8)
     stacks = []

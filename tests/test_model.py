@@ -226,6 +226,14 @@ def test_hyperparams_validation():
         tiny_hp(variant="maw-unknown")
 
 
+@pytest.mark.parametrize("widths", ["ab", (), (8, 0), (8, True), (8, 2.0), 8, None])
+def test_hyperparams_reject_bad_widths(widths):
+    for key in M.WIDTH_KEYS:
+        with pytest.raises(ConfigError, match=key):
+            tiny_hp(**{key: widths})
+    assert tiny_hp(encoder_widths=[3, 5]).encoder_widths == (3, 5)
+
+
 def test_single_gaussian_noise_uses_full_mode():
     hp = tiny_hp(variant="maw-single-gaussian")
     labels, *_ = M._draw_batch_noise(hp, np.random.default_rng(0), 4)
@@ -528,6 +536,20 @@ def test_checkpoint_rejects_bad_arrays(corrupt):
     corrupt(payload)
     with pytest.raises(DataError):
         M.MawModel.from_payload(payload)
+
+
+@pytest.mark.parametrize("dim", ["abc", "20", 0, -3, True, 2.5, None])
+def test_checkpoint_rejects_bad_feature_dim(dim):
+    payload = _tiny_payload()
+    payload["feature_dim"] = dim
+    with pytest.raises(DataError, match="feature_dim"):
+        M.MawModel.from_payload(payload)
+
+
+def test_checkpoint_accepts_integral_float_feature_dim():
+    payload = _tiny_payload()
+    payload["feature_dim"] = float(payload["feature_dim"])
+    assert M.MawModel.from_payload(payload).feature_dim == _tiny_payload()["feature_dim"]
 
 
 def test_checkpoint_unknown_hyperparameter_is_config_error():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maw import theory
-from maw.errors import DomainError, ShapeError
+from maw.errors import DomainError, NotPSDError, ShapeError
 
 
 # ------------------------------------------------------------ distances
@@ -101,6 +101,88 @@ def test_kl_nonnegative_random():
         val = theory.kl_gaussian(rng.standard_normal(k), s1, rng.standard_normal(k), s0)
         assert val >= -1e-10
         assert theory.kl_gaussian(rng.standard_normal(k), s1, rng.standard_normal(k), s1) >= -1e-10
+
+
+# ------------------------------------------------------------ stacked candidates
+
+
+def _spd_stack(rng, g, k):
+    b = rng.standard_normal((g, k, k))
+    return b @ np.swapaxes(b, 1, 2) + 0.3 * np.eye(k)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-cov", "stacked-cov"])
+def test_distances_on_a_stack_equal_single_calls(shared):
+    rng = np.random.default_rng(5)
+    g, k = 9, 3
+    mu1, mu0 = rng.standard_normal((g, k)), rng.standard_normal(k)
+    s1 = _spd_stack(rng, 1 if shared else g, k)
+    s1 = s1[0] if shared else s1
+    s0 = _spd_stack(rng, 1, k)[0]
+    rows = [(mu1[i], s1 if shared else s1[i]) for i in range(g)]
+    wp, w2, kl = theory.wp_equal_cov, theory.w2_gaussian, theory.kl_gaussian
+    cases = [
+        (wp(mu1, mu0), [wp(m, mu0) for m, _ in rows]),
+        (w2(mu1, s1, mu0, s0), [w2(m, s, mu0, s0) for m, s in rows]),
+        (w2(mu0, s0, mu1, s1), [w2(mu0, s0, m, s) for m, s in rows]),
+        (kl(mu1, s1, mu0, s0), [kl(m, s, mu0, s0) for m, s in rows]),
+    ]
+    for stacked, single in cases:
+        assert isinstance(single[0], float)
+        assert stacked.shape == (g,)
+        assert np.array_equal(stacked, single)
+
+
+def test_kl_stack_is_infinite_at_its_rank_deficient_member_only():
+    rng = np.random.default_rng(6)
+    g, k = 5, 3
+    s1 = _spd_stack(rng, g, k)
+    c = rng.standard_normal((k, 1))
+    s1[2] = c @ c.T
+    mu1, mu0, s0 = rng.standard_normal((g, k)), np.zeros(k), np.eye(k)
+    vals = theory.kl_gaussian(mu1, s1, mu0, s0)
+    assert np.isinf(vals).tolist() == [False, False, True, False, False]
+    assert np.array_equal(vals, [theory.kl_gaussian(mu1[i], s1[i], mu0, s0) for i in range(g)])
+    # a 1-d mean against a stacked covariance is a stack too
+    assert np.array_equal(theory.kl_gaussian(mu0, s1, mu0, s0)[[0, 2]],
+                          [theory.kl_gaussian(mu0, s1[i], mu0, s0) for i in (0, 2)])
+
+
+def test_stacks_with_one_bad_member_raise():
+    rng = np.random.default_rng(7)
+    g, k = 4, 2
+    mu = rng.standard_normal((g, k))
+    asymmetric = _spd_stack(rng, g, k)
+    asymmetric[1, 0, 1] += 0.5
+    indefinite = _spd_stack(rng, g, k)
+    indefinite[3] = [[0.0, 1.0], [1.0, 0.0]]
+    for bad in (asymmetric, indefinite):
+        with pytest.raises(DomainError):
+            theory.kl_gaussian(mu, bad, np.zeros(k), np.eye(k))
+    with pytest.raises(DomainError):
+        theory.w2_gaussian(mu, asymmetric, np.zeros(k), np.eye(k))
+    with pytest.raises(NotPSDError):
+        theory.w2_gaussian(mu, indefinite, np.zeros(k), np.eye(k))
+    with pytest.raises(ShapeError):
+        theory.kl_gaussian(mu, _spd_stack(rng, g + 1, k), np.zeros(k), np.eye(k))
+    with pytest.raises(ShapeError):
+        theory.wp_equal_cov(mu, np.zeros(k + 1))
+
+
+@pytest.mark.parametrize("regularizer", theory.REGULARIZERS)
+def test_mixture_objective_over_a_grid_equals_single_points(regularizer):
+    rng = np.random.default_rng(8)
+    g, k = 6, 3
+    problem = theory.TheoryProblem(k=k, epsilon=1.0, eta=0.75, regularizer=regularizer)
+    mu1, mu2 = rng.standard_normal((g, k)), rng.standard_normal((g, k))
+    s1, s2 = _spd_stack(rng, g, k), _spd_stack(rng, g, k)
+    grid = theory.mixture_objective(problem, mu1, mu2, s1, s2)
+    single = [theory.mixture_objective(problem, mu1[i], mu2[i], s1[i], s2[i]) for i in range(g)]
+    assert np.array_equal(grid, single)
+    shared = theory.mixture_objective(problem, mu1, mu2, s1[0], s2[0])
+    assert np.array_equal(
+        shared, [theory.mixture_objective(problem, mu1[i], mu2[i], s1[0], s2[0]) for i in range(g)]
+    )
 
 
 # ------------------------------------------------------------ shared covariance
