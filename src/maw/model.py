@@ -30,7 +30,9 @@ VARIANTS = (
 )
 
 DEFAULT_ETA = 5.0 / 6.0
+SCORE_CHUNK = 2048  # rows per score_batch step; bounds its working set
 WIDTH_KEYS = ("encoder_widths", "decoder_widths", "critic_widths")
+INT_KEYS = ("d", "dprime", "samples", "epochs", "batch_size")
 
 
 @dataclass
@@ -57,6 +59,13 @@ class Hyperparams:
                 raise ConfigError(f"{key} must be a non-empty list of positive ints, "
                                   f"got {widths!r}")
             setattr(self, key, tuple(widths))
+        for key in INT_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an int, got {value!r}")
+            setattr(self, key, value)
         if self.d < 2 or self.d % 2 != 0:
             raise ConfigError("latent dimension d must be even and >= 2")
         if not (0.5 < self.eta < 1.0):
@@ -478,7 +487,7 @@ def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
 
 
 def _prepare_rows(model: MawModel, y_rows, samples: int | None):
-    """Validate and unit-normalize rows to score; returns (rows, noise block shape).
+    """Validate rows to score; returns (rows, noise block shape).
 
     The block is (n, k, t, d): k = 2 (factor noise, then identity-floor
     noise), or k = 1 for the plain VAE, whose draws have no identity floor.
@@ -492,12 +501,13 @@ def _prepare_rows(model: MawModel, y_rows, samples: int | None):
     if t < 1:
         raise DomainError("need at least one scoring draw")
     k = 1 if model.hp.variant == "vae" else 2
-    return linalg.normalize_rows(y), (y.shape[0], k, t, model.hp.d)
+    return y, (y.shape[0], k, t, model.hp.d)
 
 
 def _score_rows(model: MawModel, y: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Scores of unit rows y (n, D), row j decoding the draws made from noise[j]."""
+    """Scores of rows y (n, D), unit-normalized here, row j decoding the draws from noise[j]."""
     n, k, t, d = noise.shape
+    y = linalg.normalize_rows(y)
     mu, factors = _inlier_mode_factors(model, y)
     z = mu[:, None, :] + np.einsum("lde,lte->ltd", factors, noise[:, 0])
     if k == 2:
@@ -513,10 +523,19 @@ def score_batch(model: MawModel, y_rows, samples: int | None = None, seed: int =
     normals and row j uses block j, so a prefix of a batch scored alone gets
     the same scores as in the whole batch, and score(model, y,
     rng=default_rng(seed)) equals score_batch(model, y[None], seed=seed)[0].
-    Any other slice gets other draws, and so other scores.
+    Any other slice gets other draws, and so other scores.  Rows are scored
+    SCORE_CHUNK at a time, each chunk drawing its rows of the block from the
+    same generator in order (the same bits as one draw), so memory is
+    bounded by the chunk, not n.
     """
-    y, shape = _prepare_rows(model, y_rows, samples)
-    return _score_rows(model, y, np.random.default_rng(seed).standard_normal(shape))
+    y, (n, k, t, d) = _prepare_rows(model, y_rows, samples)
+    rng = np.random.default_rng(seed)
+    scores = np.empty(n)
+    for start in range(0, n, SCORE_CHUNK):
+        rows = y[start:start + SCORE_CHUNK]
+        noise = rng.standard_normal((rows.shape[0], k, t, d))
+        scores[start:start + rows.shape[0]] = _score_rows(model, rows, noise)
+    return scores
 
 
 def score(model: MawModel, y, samples: int | None = None,

@@ -75,12 +75,6 @@ class ParamStore:
     def names(self, prefix: str) -> list[str]:
         return [n for n in self.params if n.startswith(prefix)]
 
-    def copy(self) -> "ParamStore":
-        other = ParamStore()
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        other.state = {k: v.copy() for k, v in self.state.items()}
-        return other
-
 
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform on [-L, L] with L = sqrt(6 / (rows + cols))."""
@@ -139,21 +133,30 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, tr
 
 
 def mlp_apply(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray):
-    """Evaluation-mode forward pass in plain numpy (running statistics)."""
+    """Evaluation-mode forward pass in plain numpy (running statistics).
+
+    Each hidden batch norm is folded into its layer's affine map, with
+    s = gamma / sqrt(running_var + BN_EPS): W' = W s and
+    b' = (b - running_mean) s + beta.  The fold is redone on every call, as
+    optimizer steps, clipping and running-stat updates all change its inputs.
+    """
     h = np.asarray(x, dtype=np.float64)
     nlayers = len(spec.widths)
     for k in range(nlayers):
-        h = h @ store.params[f"{prefix}.l{k}.W"] + store.params[f"{prefix}.l{k}.b"]
+        layer = f"{prefix}.l{k}"
+        w, b = store.params[f"{layer}.W"], store.params[f"{layer}.b"]
         if spec.batch_norm and k < nlayers - 1:
-            mean = store.state[f"{prefix}.l{k}.running_mean"]
-            var = store.state[f"{prefix}.l{k}.running_var"]
-            h = (h - mean) / np.sqrt(var + BN_EPS)
-            h = store.params[f"{prefix}.l{k}.gamma"] * h + store.params[f"{prefix}.l{k}.beta"]
+            mean, var = store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"]
+            s = store.params[f"{layer}.gamma"] / np.sqrt(var + BN_EPS)
+            w = w * s
+            b = (b - mean) * s + store.params[f"{layer}.beta"]
+        h = h @ w
+        h += b
         act = spec.activations[k]
         if act == "relu":
-            h = np.maximum(h, 0.0)
-        elif act == "leaky_relu":
-            h = np.where(h > 0.0, h, LEAKY_SLOPE * h)
+            np.maximum(h, 0.0, out=h)
+        elif act == "leaky_relu":  # max(h, a h) for a slope 0 < a < 1
+            np.maximum(h, LEAKY_SLOPE * h, out=h)
     if spec.final_transform == "unit_normalize":
         h = linalg.normalize_rows(h)
     elif spec.final_transform == "split4":

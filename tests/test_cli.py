@@ -243,6 +243,15 @@ def test_train_string_widths_exit_2(tmp_path, capsys):
     assert err["kind"] == "config" and "encoder_widths" in err["detail"]
 
 
+@pytest.mark.parametrize("key", M.INT_KEYS)
+@pytest.mark.parametrize("value", ["2.5", "true"])
+def test_train_non_integer_hyperparameter_exits_2(tmp_path, capsys, key, value):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", f"model.{key}={value}", "train"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and key in err["detail"]
+
+
 def test_train_on_one_row_csv_exits_3(tmp_path, capsys):
     data = tmp_path / "one.csv"
     data.write_text("f1,f2,f3\n1,0,0\n")

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,15 @@ def test_hyperparams_validation():
         tiny_hp(variant="maw-unknown")
 
 
+@pytest.mark.parametrize("key", M.INT_KEYS)
+def test_hyperparams_int_fields(key):
+    for bad in (2.5, True, "4", None):
+        with pytest.raises(ConfigError, match=key):
+            tiny_hp(**{key: bad})
+    value = getattr(tiny_hp(**{key: 4.0}), key)
+    assert value == 4 and type(value) is int
+
+
 @pytest.mark.parametrize("widths", ["ab", (), (8, 0), (8, True), (8, 2.0), 8, None])
 def test_hyperparams_reject_bad_widths(widths):
     for key in M.WIDTH_KEYS:
@@ -341,6 +351,34 @@ def test_score_is_score_batch_of_one_row(variant):
         one = M.score(model, row, rng=np.random.default_rng(s))
         batch = M.score_batch(model, row[None], seed=s)[0]
         assert one == pytest.approx(batch, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_score_batch_is_independent_of_chunk_size(variant, monkeypatch):
+    model = M.init_model(tiny_hp(variant=variant), 4, np.random.default_rng(1))
+    y = np.random.default_rng(2).standard_normal((20, 4))
+    whole = M.score_batch(model, y, seed=5)
+    for chunk in (1, 7, 2048, len(y)):
+        monkeypatch.setattr(M, "SCORE_CHUNK", chunk)
+        chunked = M.score_batch(model, y, seed=5)
+        assert np.allclose(chunked, whole, rtol=0.0, atol=1e-12)
+        one = M.score(model, y[0], rng=np.random.default_rng(5))
+        assert one == pytest.approx(chunked[0], rel=0.0, abs=1e-12)
+
+
+def test_score_batch_memory_is_bounded_by_the_chunk():
+    # 10^5 rows at d=2, dprime=16: the 16 MB input is made before tracing starts,
+    # and all n*t decoder activations at once would take ~1.5 GB
+    model = M.init_model(M.Hyperparams(d=2, dprime=16), 20, np.random.default_rng(0))
+    y = np.random.default_rng(1).standard_normal((100_000, 20))
+    tracemalloc.start()
+    try:
+        scores = M.score_batch(model, y, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (100_000,) and np.all(np.isfinite(scores))
+    assert peak < 64 * 2**20
 
 
 def test_score_rejects_bad_rows():

@@ -164,18 +164,24 @@ def test_unit_normalize_transform():
 
 
 def test_tape_and_numpy_forward_agree_in_eval_mode():
+    # mlp_apply folds each batch norm into its layer; the tape keeps it unfolded
     rng = np.random.default_rng(4)
-    spec = nets.mlp(3, (5, 4), "relu", final_transform="unit_normalize")
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "net", spec, rng)
-    # push the running stats away from their init to make the check real
-    store.state["net.l0.running_mean"] += 0.3
-    store.state["net.l0.running_var"] *= 1.7
-    x = rng.standard_normal((5, 3))
-    tape = Tape()
-    out_tape = nets.mlp_forward(tape, store, "net", spec, tape.const(x), train=False)
-    out_np = nets.mlp_apply(store, "net", spec, x)
-    assert np.allclose(out_tape.value, out_np, atol=1e-12)
+    for act in ("relu", "leaky_relu"):
+        spec = nets.mlp(3, (5, 6, 4), act, final_transform="unit_normalize")
+        store = nets.ParamStore()
+        nets.build_mlp_params(store, "net", spec, rng)
+        # push every hidden layer's stats and affine off their init to make the check real
+        for k in range(len(spec.widths) - 1):
+            width = spec.widths[k]
+            store.state[f"net.l{k}.running_mean"] += rng.normal(0.0, 0.5, width)
+            store.state[f"net.l{k}.running_var"] *= rng.uniform(0.2, 3.0, width)
+            store.params[f"net.l{k}.gamma"] *= rng.uniform(0.5, 2.0, width)
+            store.params[f"net.l{k}.beta"] += rng.normal(0.0, 0.5, width)
+        x = rng.standard_normal((5, 3))
+        tape = Tape()
+        out_tape = nets.mlp_forward(tape, store, "net", spec, tape.const(x), train=False)
+        out_np = nets.mlp_apply(store, "net", spec, x)
+        assert np.allclose(out_tape.value, out_np, rtol=0.0, atol=1e-12)
 
 
 def test_optimizer_steps_are_deterministic():
