@@ -7,10 +7,8 @@ A tape runs one backward pass; build a new tape for the next one.  Sampling
 noise enters as constant leaves so the reparameterized gradients flow only
 into distribution parameters.
 
-Batched variants (batch_diag_sandwich, batch_sym_eig, batch_recompose,
-mixture_sample) operate on row-stacked blocks: a batch of L dxd matrices is
-stored as an (L*d) x d matrix.  They exist so one tape node covers a whole
-minibatch instead of L python-level nodes.
+Ops on blocks take a whole minibatch as one node: a batch of L dxd matrices
+is stored row-stacked as an (L*d) x d matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +40,12 @@ class DenseNode(Node):
     """A dense layer's node: its activation name and its pre-activation."""
 
     __slots__ = ("act", "pre")
+
+
+class SpectralNode(Node):
+    """A spectral truncation's node: the eigenvalue rows (L, d) of its input blocks."""
+
+    __slots__ = ("eigenvalues",)
 
 
 class Tape:
@@ -345,64 +349,42 @@ class Tape:
             blocks.reshape(nblocks * d, d), [(a, vjp_a), (s_rows, vjp_s)], "batch_diag_sandwich"
         )
 
-    def batch_sym_eig(self, mblocks, d: int) -> tuple[Node, Node]:
-        """Eigendecompose a stack of d x d symmetric blocks.
+    def spectral_truncate(self, mblocks, d: int) -> SpectralNode:
+        """Rank-d/2 truncation U diag(w * mask) U^T of each symmetric d x d block.
 
-        mblocks is (L*d, d); returns eigenvalue rows (L, d) and eigenvector
-        blocks (L*d, d).  Inverse eigen-gap factors in the eigenvector backward
-        are clamped at 1e-6 in magnitude, so it stays finite through
-        degenerate spectra.
+        mblocks is (L*d, d); linalg.spectral_truncate keeps the d/2 largest
+        eigenvalues by signed value.  The backward is the Daleckii-Krein form
+        U (F o U^T sym(G) U) U^T, F holding the divided differences of
+        f = w * mask: 1 within the kept block, 0 within the dropped block and
+        w_i / (w_i - w_j) across the cut.  Ties inside either block are smooth
+        points and need no care; the gap across the cut is clamped at
+        EIG_GAP_CLAMP, so the backward stays finite at a tie there.
         """
         mblocks = self._as_node(mblocks)
         mv = mblocks.value
         if mv.ndim != 2 or mv.shape[1] != d or mv.shape[0] % d != 0:
-            raise ShapeError(f"batch_sym_eig got shape {mv.shape} for block size {d}")
-        nblocks = mv.shape[0] // d
-        ws, us = linalg.sym_eig_batch(mv.reshape(nblocks, d, d))
+            raise ShapeError(f"spectral_truncate got shape {mv.shape} for block size {d}")
+        nblocks, keep = mv.shape[0] // d, d // 2
+        out, ws, us = linalg.spectral_truncate(mv.reshape(nblocks, d, d))
 
-        def vjp_w(g):
-            out = np.einsum("lik,lk,ljk->lij", us, g, us)
-            out = 0.5 * (out + np.transpose(out, (0, 2, 1)))
-            return out.reshape(nblocks * d, d)
-
-        def vjp_u(g):
+        def vjp(g):
+            kept = ws[:, :keep, None]
+            cross = kept / np.maximum(kept - ws[:, None, keep:], EIG_GAP_CLAMP)
+            f = np.zeros((nblocks, d, d))
+            f[:, :keep, :keep] = 1.0
+            f[:, :keep, keep:] = cross
+            f[:, keep:, :keep] = np.swapaxes(cross, 1, 2)
             g3 = g.reshape(nblocks, d, d)
-            f = _clamped_inverse_gaps_batch(ws)
-            s = np.einsum("lki,lkj->lij", us, g3)
-            out = np.einsum("lik,lkm,ljm->lij", us, f * s, us)
-            out = 0.5 * (out + np.transpose(out, (0, 2, 1)))
-            return out.reshape(nblocks * d, d)
+            ut = np.swapaxes(us, 1, 2)
+            inner = ut @ (0.5 * (g3 + np.swapaxes(g3, 1, 2))) @ us
+            return (us @ (f * inner) @ ut).reshape(nblocks * d, d)
 
-        w_node = self._record(ws, [(mblocks, vjp_w)], "batch_sym_eig_w")
-        u_node = self._record(
-            us.reshape(nblocks * d, d), [(mblocks, vjp_u)], "batch_sym_eig_u"
-        )
-        return w_node, u_node
-
-    def batch_recompose(self, ublocks, w_rows) -> Node:
-        """Blocks U_l diag(w_l) U_l^T from eigenvector blocks and value rows."""
-        ublocks, w_rows = self._as_node(ublocks), self._as_node(w_rows)
-        uv, wv = ublocks.value, w_rows.value
-        if wv.ndim != 2 or uv.shape != (wv.shape[0] * wv.shape[1], wv.shape[1]):
-            raise ShapeError(
-                f"batch_recompose shapes U{uv.shape} w{wv.shape} incompatible"
-            )
-        nblocks, d = wv.shape
-        u3 = uv.reshape(nblocks, d, d)
-        out = np.einsum("lik,lk,ljk->lij", u3, wv, u3)
-
-        def vjp_u(g):
-            g3 = g.reshape(nblocks, d, d)
-            sym = g3 + np.transpose(g3, (0, 2, 1))
-            return (np.einsum("lij,ljk,lk->lik", sym, u3, wv)).reshape(nblocks * d, d)
-
-        def vjp_w(g):
-            g3 = g.reshape(nblocks, d, d)
-            return np.einsum("lik,lij,ljk->lk", u3, g3, u3)
-
-        return self._record(
-            out.reshape(nblocks * d, d), [(ublocks, vjp_u), (w_rows, vjp_w)], "batch_recompose"
-        )
+        parents = ((mblocks, vjp),) if mblocks.needs_grad else ()
+        node = SpectralNode(out.reshape(nblocks * d, d), parents, bool(parents),
+                            "spectral_truncate")
+        node.eigenvalues = ws
+        self.nodes.append(node)
+        return node
 
     def rows_to_diag_blocks(self, s_rows) -> Node:
         """Embed each row of S as a diagonal d x d block, stacked (L*d, d)."""
@@ -483,21 +465,3 @@ class Tape:
             "vae_kl_diag",
         )
 
-
-def _clamped_inverse_gaps_batch(ws: np.ndarray) -> np.ndarray:
-    """F[l, i, j] = 1 / (w_lj - w_li) with the gap clamped away from zero.
-
-    Gap magnitudes below 1e-6 are clamped; the sign of an exactly tied gap
-    follows the descending sort order so the result is deterministic.
-    The diagonal is zero.
-    """
-    d = ws.shape[1]
-    gaps = ws[:, None, :] - ws[:, :, None]
-    idx = np.arange(d)
-    tie_sign = np.sign(idx[:, None] - idx[None, :]).astype(np.float64)
-    signs = np.where(gaps > 0.0, 1.0, np.where(gaps < 0.0, -1.0, tie_sign))
-    clamped = signs * np.maximum(np.abs(gaps), EIG_GAP_CLAMP)
-    f = np.zeros_like(gaps)
-    off = ~np.eye(d, dtype=bool)
-    f[:, off] = 1.0 / clamped[:, off]
-    return f

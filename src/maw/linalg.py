@@ -4,13 +4,11 @@ Vectors are 1-d float64 arrays, matrices are 2-d float64 arrays (row major)
 and stacks of matrices are (..., n, n) arrays.
 The symmetric eigensolver is one batched LAPACK call (np.linalg.eigh) with a
 fixed order and sign convention; everything downstream (PSD square roots,
-spectral truncation gradients, closed-form Gaussian distances) is built on top
-of it.
+spectral truncation and its gradient, closed-form Gaussian distances) is built
+on top of it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,30 +58,16 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
 
 
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    eigenvalues are sorted descending (ties keep LAPACK's order, so the
-    identity gives Q = I); eigenvectors are the matching orthonormal columns,
-    each with its largest-magnitude entry (the first one on ties) made
-    positive so the factorization is unique up to repeated eigenvalues.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def recompose(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
-
-
 def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a stack of symmetric matrices with one LAPACK call.
 
     m3 is (L, n, n); only its lower triangle is read.  Returns (w (L, n),
-    q (L, n, n)) under the SymEig conventions.  Non-finite input and LAPACK
-    failures raise NumericalError.
+    q (L, n, n)): each row of w is sorted descending (ties keep LAPACK's
+    order, so the identity gives q = I), and the columns of q[l] are the
+    matching orthonormal eigenvectors, each with its largest-magnitude entry
+    (the first one on ties) made positive, so the factorization is unique up
+    to repeated eigenvalues.  Non-finite input and LAPACK failures raise
+    NumericalError.
     """
     m3 = np.asarray(m3, dtype=np.float64)
     if m3.ndim != 3 or m3.shape[1] != m3.shape[2]:
@@ -105,13 +89,18 @@ def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
     return w, np.swapaxes(qt, 1, 2)
 
 
-def sym_eig(m) -> SymEig:
-    """Eigendecomposition of one symmetric matrix; see sym_eig_batch."""
-    m = require_symmetric(m)
-    if m.ndim != 2:
-        raise ShapeError(f"expected one matrix, got shape {m.shape}")
-    w, q = sym_eig_batch(m[None])
-    return SymEig(eigenvalues=w[0], eigenvectors=q[0])
+def truncation_mask(n: int) -> np.ndarray:
+    """Keep the n/2 largest (by signed value) of n descending eigenvalues."""
+    keep = n // 2
+    return np.concatenate([np.ones(keep), np.zeros(n - keep)])
+
+
+def spectral_truncate(m3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-n/2 truncation q diag(w * truncation_mask(n)) q^T of each block of
+    an (L, n, n) symmetric stack; returns (truncated stack, w, q) with w and q
+    from sym_eig_batch."""
+    w, q = sym_eig_batch(m3)
+    return np.einsum("lik,lk,ljk->lij", q, w * truncation_mask(w.shape[1]), q), w, q
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -11,6 +11,7 @@ between a test point and its decodes.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ DEFAULT_ETA = 5.0 / 6.0
 SCORE_CHUNK = 2048  # rows per score_batch step; bounds its working set
 WIDTH_KEYS = ("encoder_widths", "decoder_widths", "critic_widths")
 INT_KEYS = ("d", "dprime", "samples", "epochs", "batch_size")
+FLOAT_KEYS = ("eta", "lr_vae", "lr_critic")
 
 
 @dataclass
@@ -66,6 +68,13 @@ class Hyperparams:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{key} must be an int, got {value!r}")
             setattr(self, key, value)
+        for key in FLOAT_KEYS:
+            value = getattr(self, key)
+            # the bound also rejects nan and ints too large for a float
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+            setattr(self, key, float(value))
         if self.d < 2 or self.d % 2 != 0:
             raise ConfigError("latent dimension d must be even and >= 2")
         if not (0.5 < self.eta < 1.0):
@@ -91,12 +100,6 @@ class Hyperparams:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(f"bad hyperparameters: {exc}") from exc
-
-
-def truncation_mask(d: int) -> np.ndarray:
-    """Keep the d/2 largest (by signed value) of d descending eigenvalues."""
-    keep = d // 2
-    return np.concatenate([np.ones(keep), np.zeros(d - keep)])
 
 
 def cosine_score(y, decodes):
@@ -279,7 +282,7 @@ def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
     x = tape.const(xb)
     if hp.variant == "maw-diagonal-cov":
         mu1, mu2, s1, s2 = nets.mlp_forward(tape, store, "enc", model.specs["enc"], x, train)
-        s1 = tape.hadamard(s1, tape.const(truncation_mask(hp.d)))
+        s1 = tape.hadamard(s1, tape.const(linalg.truncation_mask(hp.d)))
         m1 = tape.rows_to_diag_blocks(s1)
         m2 = tape.rows_to_diag_blocks(s2)
     else:
@@ -290,9 +293,7 @@ def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
         m1 = tape.batch_diag_sandwich(a, s01)
         m2 = tape.batch_diag_sandwich(a, s02)
         if hp.variant != "maw-same-rank":
-            w, u = tape.batch_sym_eig(m1, hp.d)
-            w = tape.hadamard(w, tape.const(truncation_mask(hp.d)))
-            m1 = tape.batch_recompose(u, w)
+            m1 = tape.spectral_truncate(m1, hp.d)
     return tape.mixture_sample(mu1, mu2, m1, m2, labels, point_idx, eps1, eps2)
 
 
@@ -466,7 +467,7 @@ def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
         mu1, _, s1, _ = nets.mlp_apply(store, "enc", model.specs["enc"], y_rows)
         factors = np.zeros((n, d, d))
         idx = np.arange(d)
-        factors[:, idx, idx] = s1 * truncation_mask(d)
+        factors[:, idx, idx] = s1 * linalg.truncation_mask(d)
         return mu1, factors
 
     mu01, mu02, s01, s02 = nets.mlp_apply(store, "enc", model.specs["enc"], y_rows)
@@ -481,8 +482,7 @@ def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
         truncate = hp.variant != "maw-same-rank"
     blocks = np.einsum("pk,lp,pq->lkq", a, s_rows, a)
     if truncate:
-        w, q = linalg.sym_eig_batch(blocks)
-        blocks = np.einsum("lik,lk,ljk->lij", q, w * truncation_mask(d), q)
+        blocks = linalg.spectral_truncate(blocks)[0]
     return mu, blocks
 
 

@@ -225,7 +225,7 @@ def solve_shared_cov(problem: TheoryProblem) -> TheorySolution:
         mu2 = problem.mu0 + eps * direction
         objective = (1.0 - eta) * eps
     else:
-        direction = linalg.sym_eig(sigma).eigenvectors[:, 0]
+        direction = linalg.sym_eig_batch(sigma[None])[1][0, :, 0]
         mu1 = problem.mu0 + (1.0 - eta) * eps * direction
         mu2 = problem.mu0 - eta * eps * direction
         objective = mixture_objective(problem, mu1, mu2, sigma, sigma)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _gradcheck import check_grads, dense_case, random_projection_head
+from _gradcheck import check_grads, dense_case, random_projection_head, symmetric_fd_check
 from test_evaluation import _brute_force_pr_ap, _brute_force_roc_auc
 from test_model import draw_latents, loss_model_and_noise, loss_value, pinned_model
 
@@ -19,7 +19,7 @@ from maw import cli
 from maw import evaluation as E
 from maw import model as M
 from maw import theory
-from maw.autodiff import ACTIVATIONS, DenseNode
+from maw.autodiff import ACTIVATIONS, DenseNode, SpectralNode, Tape
 
 N_GRAD_INSTANCES = 50
 
@@ -139,12 +139,8 @@ def _op_cases(rng):
     p62 = rng.uniform(-1, 1, size=(6, 2))
     cases.append(("batch_diag_sandwich", lambda t, aa, ss: random_projection_head(
         t, t.batch_diag_sandwich(aa, ss), p62), [a52, s35]))
-    u62 = _mk(rng, 6, 2)
-    w32 = _mk(rng, 3, 2)
-    cases.append(("batch_recompose", lambda t, uu, ww: random_projection_head(
-        t, t.batch_recompose(uu, ww), p62), [u62, w32]))
-
-    # spectral truncation chain exercises batch_sym_eig's backward
+    # spectral truncation after the sandwich, as in training; at d=2 the one
+    # gap is the gap across the cut, the only non-smooth point
     while True:
         a_eig = _mk(rng, 5, 2)
         s_eig = _mk(rng, 3, 5)
@@ -152,15 +148,8 @@ def _op_cases(rng):
         gaps = [np.diff(np.sort(np.linalg.eigvalsh(m)))[0] for m in blocks]
         if min(gaps) >= 0.1:
             break
-    mask = np.array([1.0, 0.0])
-
-    def eig_chain(t, aa, ss):
-        mb = t.batch_diag_sandwich(aa, ss)
-        wv, uv = t.batch_sym_eig(mb, 2)
-        wt = t.hadamard(wv, t.const(mask))
-        return random_projection_head(t, t.batch_recompose(uv, wt), p62)
-
-    cases.append(("batch_sym_eig_truncation", eig_chain, [a_eig, s_eig]))
+    cases.append(("spectral_truncate", lambda t, aa, ss: random_projection_head(
+        t, t.spectral_truncate(t.batch_diag_sandwich(aa, ss), 2), p62), [a_eig, s_eig]))
 
     nrows, dd, ndraws = 3, 2, 8
     labels = rng.integers(1, 3, size=ndraws)
@@ -198,26 +187,52 @@ def test_criterion_6a_every_op_matches_finite_differences():
     _report(6, f"{len(names)} ops x {N_GRAD_INSTANCES} instances match central FD", True)
 
 
+@pytest.mark.parametrize("split", [0.0, 1e-7])
+@pytest.mark.parametrize("d", [4, 8])
+def test_criterion_6a_truncation_with_tied_kept_eigenvalues(d, split):
+    # The truncation is smooth wherever the gap across the cut is open, however
+    # close the kept eigenvalues are; its backward must match FD there too.
+    rng = np.random.default_rng(62)
+    kept = [3.0 + split, 3.0] + [2.0, 1.5][: d // 2 - 2]
+    dropped = [0.5, -0.5, -1.0, -2.0][: d // 2]
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    m = (q * np.array(kept + dropped)) @ q.T
+    m = 0.5 * (m + m.T)
+    proj = rng.uniform(-1.0, 1.0, size=(d, d))
+
+    def build(t, mn):
+        return random_projection_head(t, t.spectral_truncate(mn, d), proj)
+
+    tape = Tape()
+    grads = tape.backward(build(tape, tape.param(m, "m")))
+    worst = symmetric_fd_check(build, m, grads["m"])
+    _report(6, f"truncation at d={d}, kept eigenvalues 3 and 3+{split:g}: "
+               f"symmetric FD within {worst:.1e}", True)
+
+
 def _instance_is_clean(tape, model, xb, point_idx):
-    """Reject relu kinks, tiny eigen-gaps, and near-zero norms for FD accuracy."""
+    """Reject relu kinks, tiny eigen-gaps across the truncation cut, and
+    near-zero norms for FD accuracy."""
     kinked_layers = sum(
         act != "linear" for net in ("enc", "dec") for act in model.specs[net].activations
     )
-    seen = 0
+    seen = truncations = 0
     for node in tape.nodes:
         if isinstance(node, DenseNode) and node.act != "linear":
             seen += 1
             if np.min(np.abs(node.pre)) < 1e-3:
                 return False
-        if node.tag == "batch_sym_eig_w":
-            for row in node.value:
-                if np.min(np.abs(np.diff(np.sort(row)))) < 0.05:
-                    return False
+        if isinstance(node, SpectralNode):
+            truncations += 1
+            keep = node.eigenvalues.shape[1] // 2
+            if np.min(node.eigenvalues[:, keep - 1] - node.eigenvalues[:, keep]) < 0.05:
+                return False
         if node.tag == "mean_rowwise_norm_diff" and node.parents:
             decoded = node.parents[0][0].value
             if np.min(np.linalg.norm(decoded - xb[point_idx], axis=1)) < 1e-2:
                 return False
     assert seen == kinked_layers, f"kink filter saw {seen} of {kinked_layers} relu layers"
+    assert truncations == 1, f"gap filter saw {truncations} truncations, expected 1"
     return True
 
 

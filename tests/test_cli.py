@@ -252,6 +252,17 @@ def test_train_non_integer_hyperparameter_exits_2(tmp_path, capsys, key, value):
     assert err["kind"] == "config" and key in err["detail"]
 
 
+@pytest.mark.parametrize("key", M.FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["true", "NaN", "Infinity", '"x"', "null"])
+def test_train_non_finite_float_hyperparameter_exits_2(tmp_path, capsys, key, value):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", f"model.{key}={value}", "train"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["kind"] == "config" and key in err["detail"]
+
+
 def test_train_on_one_row_csv_exits_3(tmp_path, capsys):
     data = tmp_path / "one.csv"
     data.write_text("f1,f2,f3\n1,0,0\n")

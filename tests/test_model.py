@@ -236,6 +236,16 @@ def test_hyperparams_int_fields(key):
     assert value == 4 and type(value) is int
 
 
+@pytest.mark.parametrize("key", M.FLOAT_KEYS)
+def test_hyperparams_float_fields(key):
+    for bad in (True, float("nan"), float("inf"), -float("inf"), "x", None, 10**400):
+        with pytest.raises(ConfigError, match=key):
+            tiny_hp(**{key: bad})
+    if key != "eta":  # an int learning rate is taken as its float
+        value = getattr(tiny_hp(**{key: 1}), key)
+        assert value == 1.0 and type(value) is float
+
+
 @pytest.mark.parametrize("widths", ["ab", (), (8, 0), (8, True), (8, 2.0), 8, None])
 def test_hyperparams_reject_bad_widths(widths):
     for key in M.WIDTH_KEYS:
