@@ -25,6 +25,25 @@ LEAKY_SLOPE = 0.2
 ACTIVATIONS = ("relu", "leaky_relu", "linear")
 
 
+def _row_indices(idx, nrows: int) -> np.ndarray:
+    """idx as an intp array, every entry a row number in [0, nrows)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= nrows):
+        raise ShapeError(f"row indices must lie in [0, {nrows})")
+    return idx
+
+
+def _scatter_rows(idx, rows, nrows: int) -> np.ndarray:
+    """out[i] = sum of rows[k] over k with idx[k] == i, for nrows output rows.
+
+    One np.bincount over flat element indices: it adds in k order, as
+    np.add.at does, so the sums have the same bits.  Rows no index names are 0.
+    """
+    width = int(np.prod(rows.shape[1:]))
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, rows.ravel(), nrows * width).reshape((nrows, *rows.shape[1:]))
+
+
 class Node:
     __slots__ = ("value", "adjoint", "parents", "needs_grad", "tag")
 
@@ -179,35 +198,49 @@ class Tape:
             raise ShapeError(f"dense shapes x{xv.shape} W{wv.shape} b{bv.shape} incompatible")
         if act not in ACTIVATIONS:
             raise DomainError(f"dense activation must be among {ACTIVATIONS}, got {act!r}")
-        pre = xv @ wv + bv
+        pre = xv @ wv
+        pre += bv
         parents = [x, w, b]
         if norm is not None:
             gamma, beta = self._as_node(norm[0]), self._as_node(norm[1])
             running_mean, running_var = norm[2], norm[3]
+            shapes = [gamma.value.shape, beta.value.shape, np.shape(running_mean),
+                      np.shape(running_var)]
+            if any(s != bv.shape for s in shapes):
+                raise ShapeError(f"batch norm arrays {shapes} do not match width {bv.shape}")
             parents += [gamma, beta]
+            nrows = pre.shape[0]
             if train:
-                if pre.shape[0] < 2:
+                if nrows < 2:
                     raise DomainError("batch norm in train mode needs a batch of >= 2")
                 # np.mean and np.var's own arithmetic, sharing the centred batch
-                mean = pre.sum(axis=0) / pre.shape[0]
-                centred = pre - mean
-                var = (centred * centred).sum(axis=0) / pre.shape[0]
+                mean = pre.sum(axis=0) / nrows
+                xhat = pre
+                xhat -= mean
+                sq = xhat * xhat
+                var = sq.sum(axis=0) / nrows
                 running_mean *= BN_MOMENTUM
                 running_mean += (1.0 - BN_MOMENTUM) * mean
                 running_var *= BN_MOMENTUM
                 running_var += (1.0 - BN_MOMENTUM) * var
                 inv = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = centred * inv
+                xhat *= inv
+                pre = np.multiply(xhat, gamma.value, out=sq)
             else:
                 inv = 1.0 / np.sqrt(running_var + BN_EPS)
-                xhat = (pre - running_mean) * inv
-            pre = gamma.value * xhat + beta.value
-        # branch-free slopes: np.where on a random sign pattern is ~10x slower here
+                xhat = pre
+                xhat -= running_mean
+                xhat *= inv
+                pre = xhat * gamma.value
+            pre += beta.value
+        # branch-free float slopes: np.where on a random sign pattern is ~10x
+        # slower here, and a product with a bool mask ~2x slower than with floats
         out, slope = pre, None
         if act == "relu":
             out, slope = np.maximum(pre, 0.0), (pre > 0.0).astype(np.float64)
         elif act == "leaky_relu":
-            slope = np.maximum((pre > 0.0).astype(np.float64), LEAKY_SLOPE)
+            slope = (pre > 0.0).astype(np.float64)
+            np.maximum(slope, LEAKY_SLOPE, out=slope)
             out = pre * slope
         kept = [p for p in parents if p.needs_grad]
 
@@ -216,11 +249,12 @@ class Tape:
                 g = g * slope
             grads = {}
             if norm is not None:
-                grads[gamma] = (g * xhat).sum(axis=0) if gamma.needs_grad else None
-                grads[beta] = g.sum(axis=0) if beta.needs_grad else None
-                if train:
-                    dxhat = g * gamma.value
-                    g = inv * (dxhat - dxhat.mean(axis=0) - xhat * np.mean(dxhat * xhat, axis=0))
+                dgamma = grads[gamma] = np.einsum("ij,ij->j", g, xhat)
+                dbeta = grads[beta] = g.sum(axis=0)
+                if train:  # the batch statistics' closed form, through dgamma and dbeta
+                    g = g - dbeta / nrows
+                    g -= xhat * (dgamma / nrows)
+                    g *= gamma.value * inv
                 else:
                     g = g * gamma.value * inv
             grads[x] = g @ wv.T if x.needs_grad else None
@@ -257,14 +291,10 @@ class Tape:
     def gather_rows(self, x, idx) -> Node:
         """Row gather X[idx]; backward scatter-adds."""
         x = self._as_node(x)
-        idx = np.asarray(idx, dtype=np.intp)
-
-        def vjp(g):
-            out = np.zeros_like(x.value)
-            np.add.at(out, idx, g)
-            return out
-
-        return self._record(x.value[idx], [(x, vjp)], "gather_rows")
+        nrows = x.value.shape[0]
+        idx = _row_indices(idx, nrows)
+        return self._record(x.value[idx], [(x, lambda g: _scatter_rows(idx, g, nrows))],
+                            "gather_rows")
 
     def col_block(self, x, start: int, stop: int) -> Node:
         x = self._as_node(x)
@@ -419,6 +449,7 @@ class Tape:
         ndraws = labels.shape[0]
         if point_idx.shape != (ndraws,) or eps1.shape != (ndraws, d) or eps2.shape != (ndraws, d):
             raise ShapeError("mixture_sample draw arrays are inconsistent")
+        _row_indices(point_idx, nrows)
         m1 = m1blocks.value.reshape(nrows, d, d)
         m2 = m2blocks.value.reshape(nrows, d, d)
         pick1 = labels == 1
@@ -426,23 +457,20 @@ class Tape:
         musel = np.where(pick1[:, None], mu1.value[point_idx], mu2.value[point_idx])
         out = musel + np.einsum("kde,ke->kd", msel, eps1) + eps2
 
-        def vjp_mu(g, mask, ref):
-            acc = np.zeros_like(ref)
-            np.add.at(acc, point_idx[mask], g[mask])
-            return acc
+        def vjp_mu(g, mask):
+            return _scatter_rows(point_idx[mask], g[mask], nrows)
 
-        def vjp_m(g, mask, ref3):
-            acc = np.zeros_like(ref3)
-            np.add.at(acc, point_idx[mask], g[mask, :, None] * eps1[mask, None, :])
-            return acc.reshape(nrows * d, d)
+        def vjp_m(g, mask):
+            outer = g[mask, :, None] * eps1[mask, None, :]
+            return _scatter_rows(point_idx[mask], outer, nrows).reshape(nrows * d, d)
 
         return self._record(
             out,
             [
-                (mu1, lambda g: vjp_mu(g, pick1, mu1.value)),
-                (mu2, lambda g: vjp_mu(g, ~pick1, mu2.value)),
-                (m1blocks, lambda g: vjp_m(g, pick1, m1)),
-                (m2blocks, lambda g: vjp_m(g, ~pick1, m2)),
+                (mu1, lambda g: vjp_mu(g, pick1)),
+                (mu2, lambda g: vjp_mu(g, ~pick1)),
+                (m1blocks, lambda g: vjp_m(g, pick1)),
+                (m2blocks, lambda g: vjp_m(g, ~pick1)),
             ],
             "mixture_sample",
         )

@@ -185,30 +185,47 @@ class OptimizerConfig:
 
 
 def adam_step(params, grads, slots, cfg: OptimizerConfig):
-    """One bias-corrected Adam update over a dict of named tensors."""
+    """One bias-corrected Adam update over a dict of named tensors; m and v change in place."""
     slots["step"] = int(slots["step"]) + 1
     t = slots["step"]
+    correct1, correct2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
     for name, theta in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for parameter {name}")
-        m = slots["m"][name] = cfg.beta1 * slots["m"][name] + (1.0 - cfg.beta1) * g
-        v = slots["v"][name] = cfg.beta2 * slots["v"][name] + (1.0 - cfg.beta2) * g * g
-        mhat = m / (1.0 - cfg.beta1**t)
-        vhat = v / (1.0 - cfg.beta2**t)
-        params[name] = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+        m, v = slots["m"][name], slots["v"][name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        gg = (1.0 - cfg.beta2) * g
+        gg *= g
+        v *= cfg.beta2
+        v += gg
+        step = m / correct1
+        step *= cfg.learning_rate
+        denom = np.sqrt(v / correct2)
+        denom += cfg.eps
+        step /= denom
+        params[name] = theta - step
     return params
 
 
 def rmsprop_step(params, grads, slots, cfg: OptimizerConfig):
-    """v <- rho v + (1 - rho) g^2; theta <- theta - lr g / (sqrt(v) + eps)."""
+    """v <- rho v + (1 - rho) g^2 in place; theta <- theta - lr g / (sqrt(v) + eps)."""
     slots["step"] = int(slots["step"]) + 1
     for name, theta in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for parameter {name}")
-        v = slots["v"][name] = cfg.rho * slots["v"][name] + (1.0 - cfg.rho) * g * g
-        params[name] = theta - cfg.learning_rate * g / (np.sqrt(v) + cfg.eps)
+        v = slots["v"][name]
+        gg = (1.0 - cfg.rho) * g
+        gg *= g
+        v *= cfg.rho
+        v += gg
+        denom = np.sqrt(v)
+        denom += cfg.eps
+        step = cfg.learning_rate * g
+        step /= denom
+        params[name] = theta - step
     return params
 
 

@@ -414,7 +414,10 @@ MEAN_TOL = 1e-3
 OBJECTIVE_TOL = 1e-4
 U_TOL = 1e-3
 PROFILE_TOL = 1e-9
-MC_REL_TOL = 0.12
+# |empirical W1 - true W1| is at most the sum of the two clouds' W1 to their
+# own laws (triangle inequality), and each of those is at most, in
+# expectation, the W1 between two independent clouds of that law (Jensen).
+MC_NOISE_FLOOR_FACTOR = 2.0
 
 
 def _random_spd(rng, k):
@@ -517,24 +520,36 @@ def verify_kl_rank_deficiency(seed: int = 0, per_dim: int = 20) -> dict:
     return {"instances": instances, "pass": all(r["pass"] for r in instances)}
 
 
+def w1_shift_within_floor(estimate: float, shift: float, noise_floor: float) -> bool:
+    """Whether an empirical W1 matches a mean shift, given the draw's null W1."""
+    return abs(estimate - shift) <= MC_NOISE_FLOOR_FACTOR * noise_floor
+
+
 def verify_w1_mean_shift(seed: int = 0, n: int = 256, n_sigmas: int = 5) -> dict:
-    """Monte-Carlo: empirical W1 across a mean shift approximates the shift."""
+    """Monte-Carlo: empirical W1 across a mean shift approximates the shift.
+
+    Per covariance, the noise floor is the empirical W1 between two unshifted
+    clouds, drawn from a second generator so the shifted draws stay those of
+    the seed.
+    """
     rng = np.random.default_rng(seed)
+    null_rng = np.random.default_rng((seed, 1))
     k = 2
     instances = []
     for i in range(n_sigmas):
         sigma = 0.25 * _random_spd(rng, k)
         root = linalg.psd_sqrt(sigma)
+        floor = empirical_w1(*(null_rng.standard_normal((2, n, k)) @ root.T))
         for shift in (1.0, 2.0):
             dmu = rng.standard_normal(k)
             dmu = shift * dmu / np.linalg.norm(dmu)
             a = rng.standard_normal((n, k)) @ root.T + dmu
             b = rng.standard_normal((n, k)) @ root.T
             est = empirical_w1(a, b)
-            rel = abs(est - shift) / shift
             instances.append({
-                "sigma_index": i, "shift": shift, "estimate": est,
-                "relative_error": rel, "pass": rel <= MC_REL_TOL,
+                "sigma_index": i, "shift": shift, "estimate": est, "noise_floor": floor,
+                "relative_error": abs(est - shift) / shift,
+                "pass": w1_shift_within_floor(est, shift, floor),
             })
     return {"instances": instances, "pass": all(r["pass"] for r in instances)}
 

@@ -94,6 +94,106 @@ def test_shape_errors():
                 (np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)), False)
     with pytest.raises(ShapeError):
         t.spectral_truncate(t.const(np.ones((5, 2))), 2)
+    for bad in range(4):  # every batch-norm array must have the layer's width
+        norm = [np.ones(5), np.zeros(5), np.zeros(5), np.ones(5)]
+        norm[bad] = np.ones(1)
+        with pytest.raises(ShapeError):
+            t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), t.const(np.zeros(5)),
+                    "relu", tuple(norm))
+    eps = np.zeros((2, 2))
+    for idx in ([0, 2], [-1, 0]):  # row indices outside [0, 2)
+        with pytest.raises(ShapeError):
+            t.mixture_sample(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((4, 2)),
+                             np.zeros((4, 2)), [1, 2], idx, eps, eps)
+        with pytest.raises(ShapeError):
+            t.gather_rows(np.zeros((2, 2)), idx)
+
+
+# ------------------------------------------------------ batch-norm backward, scatter
+
+
+def _textbook_dense_adjoints(x, w, b, gamma, beta, running, dy, act, train):
+    """Adjoints of act(batch_norm(x @ w + b)) under the upstream adjoint dy,
+    step by step through the batch statistics (Ioffe & Szegedy, Alg. 1)."""
+    z = x @ w + b
+    nrows = z.shape[0]
+    if train:
+        mu = z.mean(axis=0)
+        var = ((z - mu) ** 2).mean(axis=0)
+        xhat = (z - mu) / np.sqrt(var + 1e-5)
+    else:
+        var = running[1]
+        xhat = (z - running[0]) / np.sqrt(var + 1e-5)
+    pre = gamma * xhat + beta
+    slope = {"relu": (pre > 0.0) * 1.0, "leaky_relu": np.where(pre > 0.0, 1.0, 0.2),
+             "linear": np.ones_like(pre)}[act]
+    dpre = dy * slope
+    dgamma = np.sum(dpre * xhat, axis=0)
+    dbeta = np.sum(dpre, axis=0)
+    dxhat = dpre * gamma
+    if train:
+        dvar = np.sum(dxhat * (z - mu), axis=0) * -0.5 * (var + 1e-5) ** -1.5
+        dmu = -np.sum(dxhat, axis=0) / np.sqrt(var + 1e-5) + dvar * np.mean(-2.0 * (z - mu), axis=0)
+        dz = dxhat / np.sqrt(var + 1e-5) + dvar * 2.0 * (z - mu) / nrows + dmu / nrows
+    else:
+        dz = dxhat / np.sqrt(var + 1e-5)
+    return {"x": dz @ w.T, "w": x.T @ dz, "b": dz.sum(axis=0), "gamma": dgamma, "beta": dbeta}
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("act", ACTIVATIONS)
+@pytest.mark.parametrize("rows", [2, 160])
+def test_batch_norm_backward_matches_textbook(rows, act, train):
+    rng = np.random.default_rng(rows)
+    x, w = rng.standard_normal((rows, 6)), rng.standard_normal((6, 5))
+    b, beta = rng.standard_normal(5), rng.standard_normal(5)
+    gamma = rng.uniform(0.5, 2.0, 5)  # gamma != 1
+    running = (rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
+    dy = rng.standard_normal((rows, 5))
+    t = Tape()
+    names = ("x", "w", "b", "gamma", "beta")
+    nodes = [t.param(v, n) for v, n in zip((x, w, b, gamma, beta), names)]
+    norm = (nodes[3], nodes[4], running[0].copy(), running[1].copy())
+    out = t.dense(*nodes[:3], act, norm, train)
+    grads = t.backward(t.sum_all(t.hadamard(out, dy)))
+    want = _textbook_dense_adjoints(x, w, b, gamma, beta, running, dy, act, train)
+    for name in names:
+        np.testing.assert_allclose(grads[name], want[name], rtol=0.0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("layout", ["shuffled", "repeated", "empty_rows"])
+def test_scatter_matches_add_at(layout):
+    rng = np.random.default_rng(5)
+    nrows, d, ndraws = 6, 3, 30
+    point_idx = {
+        "shuffled": rng.permutation(np.repeat(np.arange(nrows), ndraws // nrows)),
+        "repeated": rng.integers(0, nrows, ndraws),
+        "empty_rows": rng.choice([1, 4], ndraws),
+    }[layout]
+    labels = rng.integers(1, 3, ndraws)
+    eps1, eps2 = rng.standard_normal((ndraws, d)), rng.standard_normal((ndraws, d))
+    dz = rng.standard_normal((ndraws, d))
+    t = Tape()
+    mu1, mu2 = t.param(rng.standard_normal((nrows, d)), "mu1"), t.param(np.zeros((nrows, d)), "mu2")
+    m1 = t.param(rng.standard_normal((nrows * d, d)), "m1")
+    m2 = t.param(rng.standard_normal((nrows * d, d)), "m2")
+    z = t.mixture_sample(mu1, mu2, m1, m2, labels, point_idx, eps1, eps2)
+    gathered = t.gather_rows(mu1, point_idx)
+    root = t.add(t.sum_all(t.hadamard(z, dz)), t.sum_all(t.hadamard(gathered, dz)))
+    grads = t.backward(root)
+    want = {k: np.zeros((nrows, d)) for k in ("mu1", "mu2")}
+    want.update({k: np.zeros((nrows, d, d)) for k in ("m1", "m2")})
+    for mode, mask in ((1, labels == 1), (2, labels == 2)):
+        np.add.at(want[f"mu{mode}"], point_idx[mask], dz[mask])
+        np.add.at(want[f"m{mode}"], point_idx[mask], dz[mask, :, None] * eps1[mask, None, :])
+    np.add.at(want["mu1"], point_idx, dz)  # the gather's scatter
+    for name in want:
+        np.testing.assert_allclose(grads[name].reshape(want[name].shape), want[name],
+                                   rtol=0.0, atol=1e-13, err_msg=name)
+    if layout == "empty_rows":
+        untouched = np.setdiff1d(np.arange(nrows), point_idx)
+        for name in want:
+            assert not grads[name].reshape(want[name].shape)[untouched].any()
 
 
 # ---------------------------------------------------------------- backward basics

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from maw import model as M
 from maw import nets
 from maw.autodiff import Tape
 from maw.errors import ConfigError, DomainError, NumericalError
@@ -198,3 +201,59 @@ def test_optimizer_steps_are_deterministic():
         results.append({k: v.copy() for k, v in store.params.items()})
     for k in results[0]:
         assert np.array_equal(results[0][k], results[1][k])
+
+
+def _reference_step(kind, theta, g, m, v, t, cfg):
+    """The out-of-place update formulas; returns (theta, m, v)."""
+    if kind == "adam":
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        mhat = m / (1.0 - cfg.beta1**t)
+        vhat = v / (1.0 - cfg.beta2**t)
+        return theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps), m, v
+    v = cfg.rho * v + (1.0 - cfg.rho) * g * g
+    return theta - cfg.learning_rate * g / (np.sqrt(v) + cfg.eps), m, v
+
+
+@pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+def test_in_place_optimizer_matches_out_of_place_formulas(kind):
+    rng = np.random.default_rng(8)
+    shapes = {"s": (), "b": (7,), "W": (4, 3)}
+    cfg = nets.OptimizerConfig(kind, 1e-2)
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    slots = {"step": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
+             "v": {k: np.zeros(s) for k, s in shapes.items()}}
+    ref = {k: (params[k].copy(), np.zeros(s), np.zeros(s)) for k, s in shapes.items()}
+    step = nets.adam_step if kind == "adam" else nets.rmsprop_step
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        before = {k: g.copy() for k, g in grads.items()}
+        step(params, grads, slots, cfg)
+        assert grads.keys() == before.keys()
+        for k in shapes:
+            assert np.array_equal(grads[k], before[k])
+            theta, m, v = ref[k]
+            ref[k] = _reference_step(kind, theta, grads[k], m, v, t, cfg)
+            assert np.array_equal(params[k], ref[k][0])
+            assert np.array_equal(slots["v"][k], ref[k][2])
+            if kind == "adam":
+                assert np.array_equal(slots["m"][k], ref[k][1])
+    assert slots["step"] == 3
+
+
+def test_optimizer_slots_survive_a_checkpoint_round_trip():
+    hp = M.Hyperparams(d=2, dprime=4, samples=2, batch_size=8, encoder_widths=(8,),
+                       decoder_widths=(8,), critic_widths=(8,))
+    model = M.init_model(hp, 4, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for opt in model.optimizers.values():
+        for _ in range(3):
+            opt.step(model.store, {k: rng.standard_normal(np.shape(v))
+                                   for k, v in model.store.params.items()})
+    loaded = M.MawModel.from_payload(json.loads(json.dumps(model.to_payload())))
+    for name, opt in model.optimizers.items():
+        again = loaded.optimizers[name].slots
+        assert again["step"] == opt.slots["step"] == 3
+        for slot in ("m", "v"):
+            for k, value in opt.slots[slot].items():
+                assert np.array_equal(again[slot][k], value)
