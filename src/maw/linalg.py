@@ -54,7 +54,7 @@ def require_symmetric(m) -> np.ndarray:
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Scale each row of x to unit L2 norm; zero rows stay zero."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))  # np.linalg.norm's arithmetic
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
 
 

@@ -37,6 +37,15 @@ INT_KEYS = ("d", "dprime", "samples", "epochs", "batch_size")
 FLOAT_KEYS = ("eta", "lr_vae", "lr_critic")
 
 
+def _as_int(value, what: str, error: type) -> int:
+    """An int or integral float as an int; a bool, fraction or other type raises error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an int, got {value!r}")
+    return value
+
+
 @dataclass
 class Hyperparams:
     d: int = 2
@@ -62,12 +71,7 @@ class Hyperparams:
                                   f"got {widths!r}")
             setattr(self, key, tuple(widths))
         for key in INT_KEYS:
-            value = getattr(self, key)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an int, got {value!r}")
-            setattr(self, key, value)
+            setattr(self, key, _as_int(getattr(self, key), key, ConfigError))
         for key in FLOAT_KEYS:
             value = getattr(self, key)
             # the bound also rejects nan and ints too large for a float
@@ -109,9 +113,11 @@ def cosine_score(y, decodes):
     """
     y = np.asarray(y, dtype=np.float64)
     decodes = np.asarray(decodes, dtype=np.float64)
-    denom = np.linalg.norm(decodes, axis=-1) * np.linalg.norm(y, axis=-1)[..., None]
+    denom = (np.sqrt(np.add.reduce(decodes * decodes, axis=-1))  # np.linalg.norm's arithmetic
+             * np.sqrt(np.add.reduce(y * y, axis=-1))[..., None])
     dots = np.einsum("...td,...d->...t", decodes, y)
-    cos = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
+    positive = denom > 0.0
+    cos = np.where(positive, dots / np.where(positive, denom, 1.0), 0.0)
     return np.mean(cos, axis=-1)
 
 
@@ -164,11 +170,9 @@ class MawModel:
         if missing:
             raise DataError(f"checkpoint lacks {missing}")
         hp = Hyperparams.from_dict(payload["hyperparams"])
-        dim = payload["feature_dim"]
-        if isinstance(dim, float) and dim.is_integer():
-            dim = int(dim)
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise DataError(f"checkpoint feature_dim must be a positive int, got {dim!r}")
+        dim = _as_int(payload["feature_dim"], "checkpoint feature_dim", DataError)
+        if dim < 1:
+            raise DataError(f"checkpoint feature_dim must be positive, got {dim}")
         model = init_model(hp, dim, np.random.default_rng(0))
         _load_arrays(model.store.params, payload["params"], "params")
         _load_arrays(model.store.state, payload["state"], "state")
@@ -497,7 +501,7 @@ def _prepare_rows(model: MawModel, y_rows, samples: int | None):
         raise ShapeError(f"expected (n, {model.feature_dim}) test matrix, got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise DomainError("rows to score must be finite")
-    t = model.hp.samples if samples is None else int(samples)
+    t = model.hp.samples if samples is None else _as_int(samples, "samples", DomainError)
     if t < 1:
         raise DomainError("need at least one scoring draw")
     k = 1 if model.hp.variant == "vae" else 2

@@ -61,6 +61,7 @@ class ParamStore:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
+        self.folded: dict = {}  # _eval_layers' memo of each network's eval-mode layers
 
     def add(self, name: str, value: np.ndarray):
         if name in self.params:
@@ -110,6 +111,8 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, tr
                 _frozen: bool = False):
     """Run the MLP on the tape, one dense node per layer; returns a node or a
     4-tuple for split4.  _frozen binds the weights as constants (no gradients)."""
+    if train:  # Tape.dense updates the running statistics in place
+        store.folded.clear()
     h = tape._as_node(x)
     nlayers = len(spec.widths)
     for k in range(nlayers):
@@ -132,27 +135,49 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, tr
     return h
 
 
+def _eval_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> list:
+    """Each layer's (W', b', activation), memoized in store.folded under (prefix,
+    spec) until an array the fold reads is replaced (optimizer steps, checkpoint
+    loads, assignment); train-mode mlp_forward and clip_weights edit in place and clear it."""
+    last = len(spec.widths) - 1
+    sources = []
+    for k in range(last + 1):
+        layer = f"{prefix}.l{k}"
+        sources += [store.params[f"{layer}.W"], store.params[f"{layer}.b"]]
+        if spec.batch_norm and k < last:
+            sources += [store.params[f"{layer}.gamma"], store.params[f"{layer}.beta"],
+                        store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"]]
+    hit = store.folded.get((prefix, spec))
+    if hit is None or any(a is not b for a, b in zip(hit[0], sources)):
+        hit = store.folded[prefix, spec] = (sources, _fold_layers(sources, spec))
+    return hit[1]
+
+
+def _fold_layers(sources: list, spec: MlpSpec) -> list:
+    """Fold each hidden batch norm of _eval_layers' sources into its layer, with
+    s = gamma / sqrt(running_var + BN_EPS): W' = W s, b' = (b - running_mean) s + beta."""
+    arrays, layers = iter(sources), []
+    for k, act in enumerate(spec.activations):
+        w, b = next(arrays), next(arrays)
+        if spec.batch_norm and k < len(spec.widths) - 1:
+            gamma, beta, mean, var = (next(arrays) for _ in range(4))
+            s = gamma / np.sqrt(var + BN_EPS)
+            w, b = w * s, (b - mean) * s + beta
+        layers.append((w, b, act))
+    return layers
+
+
 def mlp_apply(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray):
     """Evaluation-mode forward pass in plain numpy (running statistics).
 
-    Each hidden batch norm is folded into its layer's affine map, with
-    s = gamma / sqrt(running_var + BN_EPS): W' = W s and
-    b' = (b - running_mean) s + beta.  The fold is redone on every call, as
-    optimizer steps, clipping and running-stat updates all change its inputs.
+    Runs _eval_layers' folded layers: h @ W', h += b', the activation in
+    place.  The fold is memoized on the store, so outside training replace
+    arrays instead of editing them in place, which the memo does not see.
     """
     h = np.asarray(x, dtype=np.float64)
-    nlayers = len(spec.widths)
-    for k in range(nlayers):
-        layer = f"{prefix}.l{k}"
-        w, b = store.params[f"{layer}.W"], store.params[f"{layer}.b"]
-        if spec.batch_norm and k < nlayers - 1:
-            mean, var = store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"]
-            s = store.params[f"{layer}.gamma"] / np.sqrt(var + BN_EPS)
-            w = w * s
-            b = (b - mean) * s + store.params[f"{layer}.beta"]
+    for w, b, act in _eval_layers(store, prefix, spec):
         h = h @ w
         h += b
-        act = spec.activations[k]
         if act == "relu":
             np.maximum(h, 0.0, out=h)
         elif act == "leaky_relu":  # max(h, a h) for a slope 0 < a < 1
@@ -259,5 +284,6 @@ def clip_weights(store: ParamStore, names: list[str], lo: float = -1.0, hi: floa
     """Elementwise clamp of the named parameters (the critic's, in training)."""
     if lo >= hi:
         raise DomainError("clip_weights needs lo < hi")
+    store.folded.clear()
     for name in names:
         np.clip(store.params[name], lo, hi, out=store.params[name])

@@ -49,6 +49,48 @@ def test_gen_synthetic_rejects_bad_rank():
         E.gen_synthetic(4, 4, 10, 0.1, noise=0.1, seed=0)
 
 
+# ------------------------------------------------------------ pooled splits
+
+
+def _pool(n_in=12, n_out=5):
+    # row i is the i-th unit vector scaled, so a split's rows name their pool rows
+    features = np.eye(n_in + n_out)
+    labels = np.r_[np.zeros(n_in, int), np.ones(n_out, int)]
+    return E.Dataset(features, labels, provenance="pool.csv")
+
+
+def _pool_rows(split):
+    return np.argmax(split.features, axis=1)
+
+
+def test_pool_family_split_sizes_and_labels():
+    pool = _pool()
+    split = E.PoolFamily(pool, seed=1).sample(7, 3, sample_seed=0)
+    assert split.features.shape == (10, pool.features.shape[1])
+    assert np.array_equal(split.labels, [0] * 7 + [1] * 3)
+    rows = _pool_rows(split)
+    assert np.array_equal(pool.labels[rows], split.labels)
+    assert len(set(rows)) == len(rows)  # drawn without replacement
+    assert split.provenance == "pool.csv"
+    whole = E.PoolFamily(pool, seed=1).sample(12, 5, sample_seed=0)
+    assert sorted(_pool_rows(whole)) == list(range(17))
+
+
+def test_pool_family_is_seeded():
+    family = E.PoolFamily(_pool(), seed=1)
+    first = _pool_rows(family.sample(6, 2, sample_seed=0))
+    assert np.array_equal(first, _pool_rows(E.PoolFamily(_pool(), seed=1).sample(6, 2, 0)))
+    assert not np.array_equal(first, _pool_rows(family.sample(6, 2, sample_seed=1)))
+    assert not np.array_equal(first, _pool_rows(E.PoolFamily(_pool(), seed=2).sample(6, 2, 0)))
+
+
+def test_pool_family_rejects_oversized_requests():
+    family = E.PoolFamily(_pool(), seed=0)
+    for n_in, n_out in ((13, 0), (0, 6), (13, 6)):
+        with pytest.raises(DataError, match="pool has 12 inliers / 5 outliers"):
+            family.sample(n_in, n_out, sample_seed=0)
+
+
 # ------------------------------------------------------------ CSV ingestion
 
 

@@ -526,6 +526,51 @@ def test_checkpoint_roundtrip():
     assert clone.optimizers["vae"].slots["step"] == model.optimizers["vae"].slots["step"]
 
 
+def test_reloaded_arrays_are_refolded():
+    # _load_arrays rebinds every array, so a store that has scored refolds
+    x = line_data(8, 4, seed=9)
+    model, _ = M.train(x, tiny_hp(epochs=1), seed=0)
+    other, _ = M.train(x, tiny_hp(epochs=2), seed=1)
+    before = M.score_batch(model, x, seed=5)
+    payload = other.to_payload()
+    M._load_arrays(model.store.params, payload["params"], "params")
+    M._load_arrays(model.store.state, payload["state"], "state")
+    after = M.score_batch(model, x, seed=5)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, M.score_batch(M.MawModel.from_payload(payload), x, seed=5))
+
+
+def test_scoring_folds_each_network_once(monkeypatch):
+    # guards the memoized fold by counting folds, not by timing scores
+    x = line_data(8, 4, seed=9)
+    model, _ = M.train(x, tiny_hp(epochs=1), seed=0)
+    model = M.MawModel.from_payload(json.loads(json.dumps(model.to_payload())))
+    folds = []
+    fold = nets._fold_layers
+
+    def counted(sources, spec):
+        folds.append(spec)
+        return fold(sources, spec)
+
+    monkeypatch.setattr(nets, "_fold_layers", counted)
+    for i in range(50):
+        M.score(model, x[i % 8], rng=np.random.default_rng(i))
+    assert len(folds) == 2 and set(folds) == {model.specs["enc"], model.specs["dec"]}
+
+
+def test_score_samples_must_be_an_int():
+    model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
+    rows = line_data(3, 4, seed=1)
+    for bad in (2.5, True, "3", [3]):
+        with pytest.raises(DomainError, match="samples"):
+            M.score_batch(model, rows, samples=bad)
+        with pytest.raises(DomainError, match="samples"):
+            M.score(model, rows[0], samples=bad)
+    assert np.array_equal(M.score_batch(model, rows, samples=3.0),
+                          M.score_batch(model, rows, samples=3))
+    assert M.score(model, rows[0], samples=3.0) == M.score(model, rows[0], samples=3)
+
+
 def _tiny_payload():
     model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
     return json.loads(json.dumps(model.to_payload()))

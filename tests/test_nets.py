@@ -148,6 +148,7 @@ def test_split4_is_a_bijection_on_the_output():
     parts = nets.mlp_apply(store, "enc", spec, x)
     assert len(parts) == 4
     assert np.array_equal(np.concatenate(parts, axis=1), full)
+    assert set(store.folded) == {("enc", full_spec), ("enc", spec)}  # one entry per spec
 
 
 def test_unit_normalize_transform():
@@ -185,6 +186,67 @@ def test_tape_and_numpy_forward_agree_in_eval_mode():
         out_tape = nets.mlp_forward(tape, store, "net", spec, tape.const(x), train=False)
         out_np = nets.mlp_apply(store, "net", spec, x)
         assert np.allclose(out_tape.value, out_np, rtol=0.0, atol=1e-12)
+
+
+def _fresh_apply(store, prefix, spec, x):
+    """mlp_apply on a new store holding copies of store's arrays (nothing memoized)."""
+    fresh = nets.ParamStore()
+    fresh.params = {k: v.copy() for k, v in store.params.items()}
+    fresh.state = {k: v.copy() for k, v in store.state.items()}
+    return nets.mlp_apply(fresh, prefix, spec, x)
+
+
+def _adam_step(store, spec, rng):
+    opt = nets.Optimizer(nets.OptimizerConfig("adam", 1e-2), store.names("net."), store)
+    opt.step(store, {k: rng.standard_normal(v.shape) for k, v in store.params.items()})
+
+
+def _train_forward(store, spec, rng):
+    tape = Tape()
+    nets.mlp_forward(tape, store, "net", spec, tape.const(rng.standard_normal((6, 3))), train=True)
+
+
+def _clip(store, spec, rng):
+    nets.clip_weights(store, store.names("net."), -0.3, 0.3)
+
+
+def _assign(store, spec, rng):
+    store.params["net.l1.gamma"] = rng.uniform(0.5, 2.0, spec.widths[1])
+    store.state["net.l0.running_var"] = rng.uniform(0.2, 3.0, spec.widths[0])
+
+
+@pytest.mark.parametrize("writer", [_adam_step, _train_forward, _clip, _assign])
+def test_eval_fold_follows_every_writer(writer):
+    # mlp_apply memoizes its fold on the store: after each writer it must
+    # give what a store that never folded gives for the same arrays
+    rng = np.random.default_rng(8)
+    spec = nets.mlp(3, (5, 6, 4), "leaky_relu")
+    store = nets.ParamStore()
+    nets.build_mlp_params(store, "net", spec, rng)
+    for name in store.names("net."):  # weights beyond the clip, non-trivial batch norms
+        store.params[name] = 2.0 * rng.standard_normal(store.params[name].shape)
+    x = rng.standard_normal((7, 3))
+    before = nets.mlp_apply(store, "net", spec, x)
+    assert np.array_equal(before, _fresh_apply(store, "net", spec, x))
+    writer(store, spec, rng)
+    after = nets.mlp_apply(store, "net", spec, x)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _fresh_apply(store, "net", spec, x))
+
+
+def test_eval_fold_is_per_spec():
+    # the same prefix under a spec without batch norm must not reuse the folded layers
+    rng = np.random.default_rng(9)
+    spec = nets.mlp(3, (5, 4), "relu")
+    plain = nets.mlp(3, (5, 4), "relu", batch_norm=False)
+    store = nets.ParamStore()
+    nets.build_mlp_params(store, "net", spec, rng)
+    store.state["net.l0.running_var"] = rng.uniform(0.2, 3.0, 5)
+    x = rng.standard_normal((4, 3))
+    with_norm = nets.mlp_apply(store, "net", spec, x)
+    without = nets.mlp_apply(store, "net", plain, x)
+    assert not np.array_equal(with_norm, without)
+    assert np.array_equal(without, _fresh_apply(store, "net", plain, x))
 
 
 def test_optimizer_steps_are_deterministic():
