@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import evaluation as evalx
+from . import linalg
 from . import model as model_mod
 from . import theory
 from .errors import ConfigError, DataError, MawError, MetricError, NumericalError
@@ -99,6 +100,8 @@ def _apply_set(config, assignment: str):
     leaf = keys[-1]
     if leaf not in node:
         raise ConfigError(f"unknown config key: {path.strip()}")
+    if isinstance(node[leaf], dict):
+        raise ConfigError(f"--set sets one value; {path.strip()} is a whole section")
     node[leaf] = value
 
 
@@ -130,9 +133,19 @@ def load_config(args) -> dict:
         config["variant"] = args.variant
     if getattr(args, "epochs", None) is not None:
         config["model"]["epochs"] = args.epochs
-    if not config["seeds"]:
+    if not isinstance(config["seeds"], list) or not config["seeds"]:
         raise ConfigError("seeds must be a nonempty list")
+    config["seeds"] = [_seed(s, "seeds entry") for s in config["seeds"]]
+    config["data"]["family_seed"] = _seed(config["data"]["family_seed"], "data.family_seed")
+    config["split"]["seed"] = _seed(config["split"]["seed"], "split.seed")
     return config
+
+
+def _seed(value, what: str) -> int:
+    seed = linalg.as_int(value, what, ConfigError)
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative int, got {seed}")
+    return seed
 
 
 def _hyperparams(config) -> model_mod.Hyperparams:

@@ -28,6 +28,15 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_int(value, what: str, error: type) -> int:
+    """An int or integral float as an int; a bool, fraction or other type raises error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def is_symmetric(m: np.ndarray) -> bool:
     """Entrywise check |M[i,j] - M[j,i]| <= 1e-12 * max(1, |M[i,j]|), over every
     matrix of a (..., n, n) stack."""

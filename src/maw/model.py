@@ -37,15 +37,6 @@ INT_KEYS = ("d", "dprime", "samples", "epochs", "batch_size")
 FLOAT_KEYS = ("eta", "lr_vae", "lr_critic")
 
 
-def _as_int(value, what: str, error: type) -> int:
-    """An int or integral float as an int; a bool, fraction or other type raises error."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{what} must be an int, got {value!r}")
-    return value
-
-
 @dataclass
 class Hyperparams:
     d: int = 2
@@ -71,7 +62,7 @@ class Hyperparams:
                                   f"got {widths!r}")
             setattr(self, key, tuple(widths))
         for key in INT_KEYS:
-            setattr(self, key, _as_int(getattr(self, key), key, ConfigError))
+            setattr(self, key, linalg.as_int(getattr(self, key), key, ConfigError))
         for key in FLOAT_KEYS:
             value = getattr(self, key)
             # the bound also rejects nan and ints too large for a float
@@ -170,7 +161,7 @@ class MawModel:
         if missing:
             raise DataError(f"checkpoint lacks {missing}")
         hp = Hyperparams.from_dict(payload["hyperparams"])
-        dim = _as_int(payload["feature_dim"], "checkpoint feature_dim", DataError)
+        dim = linalg.as_int(payload["feature_dim"], "checkpoint feature_dim", DataError)
         if dim < 1:
             raise DataError(f"checkpoint feature_dim must be positive, got {dim}")
         model = init_model(hp, dim, np.random.default_rng(0))
@@ -501,7 +492,7 @@ def _prepare_rows(model: MawModel, y_rows, samples: int | None):
         raise ShapeError(f"expected (n, {model.feature_dim}) test matrix, got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise DomainError("rows to score must be finite")
-    t = model.hp.samples if samples is None else _as_int(samples, "samples", DomainError)
+    t = model.hp.samples if samples is None else linalg.as_int(samples, "samples", DomainError)
     if t < 1:
         raise DomainError("need at least one scoring draw")
     k = 1 if model.hp.variant == "vae" else 2

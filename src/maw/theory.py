@@ -16,7 +16,8 @@ Each analytic fact is paired with an independent numeric oracle
 (grid search + Nelder-Mead over the reduced colinear/diagonal
 parameterization, and an exact-assignment empirical W1).  The oracle
 evaluates its whole grid as one stacked call of the full distance formulas
-and runs Nelder-Mead on the same function, one candidate at a time.
+and runs Nelder-Mead on the same function, one candidate at a time; every
+evaluation stacks both modes into a single distance call.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ def kl_gaussian(mu1, sigma1, mu0, sigma0):
 
 @dataclass(frozen=True)
 class TheoryProblem:
-    """Instance of the constrained two-mode approximation problem."""
+    """Instance of the constrained two-mode approximation problem.
+
+    k and kappa are ints (an integral float counts, a bool does not) and
+    epsilon is positive and finite; anything else raises DomainError.
+    """
 
     k: int
     epsilon: float
@@ -144,10 +149,13 @@ class TheoryProblem:
     sigma0: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "k", linalg.as_int(self.k, "ambient dimension k", DomainError))
+        if self.kappa is not None:
+            object.__setattr__(self, "kappa", linalg.as_int(self.kappa, "rank kappa", DomainError))
         if self.k < 1:
             raise DomainError("ambient dimension must be >= 1")
-        if self.epsilon <= 0.0:
-            raise DomainError("mean separation must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError("mean separation must be positive and finite")
         if not (0.5 < self.eta < 1.0):
             raise DomainError("mixture weight must lie in (0.5, 1)")
         if self.regularizer not in REGULARIZERS:
@@ -182,21 +190,38 @@ class TheorySolution:
         return abs(float(np.linalg.norm(self.mu1 - self.mu2)) - epsilon)
 
 
+def _mode_operand(x, g: int, tail: tuple) -> np.ndarray:
+    """One mode's operand, single (tail) or a stack (g, *tail), as a (g, *tail) stack."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape == tail:
+        return x[None].repeat(g, axis=0)
+    if x.shape != (g, *tail):
+        raise ShapeError(f"a mode operand of shape {x.shape} does not fit {tail} or {(g, *tail)}")
+    return x
+
+
 def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2):
     """eta R(mode1, prior) + (1 - eta) R(mode2, prior) for the problem's R.
 
-    The modes are one candidate or a stack of them, as for the distances.
+    The modes are one candidate or a stack of G of them, as for the distances,
+    and a single mode broadcasts against a stacked one.  Both modes go through
+    one distance call: mode 1's candidates, then mode 2's, as one stack of 2G,
+    with a single covariance that both modes share passed once.
     """
+    k = problem.k
+    covs = () if problem.regularizer == "wp" else (sigma1, sigma2)
+    stacks = [np.shape(m)[0] for m in (mu1, mu2) if np.ndim(m) == 2]
+    stacks += [np.shape(c)[0] for c in covs if np.ndim(c) == 3]
+    g = max(stacks, default=1)
+    means = np.concatenate([_mode_operand(m, g, (k,)) for m in (mu1, mu2)])
     if problem.regularizer == "wp":
-        r1 = wp_equal_cov(mu1, problem.mu0)
-        r2 = wp_equal_cov(mu2, problem.mu0)
-    elif problem.regularizer == "w2":
-        r1 = w2_gaussian(mu1, sigma1, problem.mu0, problem.sigma0)
-        r2 = w2_gaussian(mu2, sigma2, problem.mu0, problem.sigma0)
+        r = wp_equal_cov(means, problem.mu0)
     else:
-        r1 = kl_gaussian(mu1, sigma1, problem.mu0, problem.sigma0)
-        r2 = kl_gaussian(mu2, sigma2, problem.mu0, problem.sigma0)
-    return problem.eta * r1 + (1.0 - problem.eta) * r2
+        shared = np.shape(sigma1) == np.shape(sigma2) == (k, k) and np.array_equal(sigma1, sigma2)
+        cov = sigma1 if shared else np.concatenate([_mode_operand(c, g, (k, k)) for c in covs])
+        distance = w2_gaussian if problem.regularizer == "w2" else kl_gaussian
+        r = distance(means, cov, problem.mu0, problem.sigma0)
+    return _result(problem.eta * r[:g] + (1.0 - problem.eta) * r[g:], not stacks)
 
 
 # ------------------------------------------------------------ analytic solvers
@@ -303,8 +328,8 @@ def _refine(objective, x0, max_iter=NM_MAX_ITER):
     )
     if not np.all(np.isfinite(res.x)):
         raise NumericalError("simplex refinement diverged")
-    if res.status not in (0,) and res.nit >= max_iter:
-        raise NumericalError("simplex refinement did not converge")
+    if res.status != 0:
+        raise NumericalError(f"simplex refinement did not converge: {res.message}")
     return res.x, float(res.fun)
 
 

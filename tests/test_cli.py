@@ -168,6 +168,39 @@ def test_bad_env_seed_exits_2(tmp_path, monkeypatch, capsys):
     assert run(["--config", cfg, "train"]) == 2
 
 
+SEED_CASES = {
+    "flag": (["--seed", "-1"], {}, {}),
+    "env": ([], {"MAW_SEED": "-2"}, {}),
+    "file-seeds": ([], {}, {"seeds": [0, -3]}),
+    "file-family-seed": ([], {}, {"data": {"family_seed": -1}}),
+    "file-split-seed": ([], {}, {"split": {"seed": 1.5}}),
+    "set-seeds-fraction": (["--set", "seeds=[1.5]"], {}, {}),
+    "set-seeds-bool": (["--set", "seeds=[true]"], {}, {}),
+    "set-seeds-scalar": (["--set", "seeds=3"], {}, {}),
+    "set-family-seed": (["--set", "data.family_seed=-1"], {}, {}),
+    "set-split-seed": (["--set", "split.seed=-1"], {}, {}),
+}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "theory"])
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_negative_or_non_integer_seed_exits_2(tmp_path, capsys, monkeypatch, case, command):
+    flags, env, overrides = SEED_CASES[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = small_config(tmp_path, **overrides)
+    assert run(["--config", cfg, *flags, command]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["kind"] == "config" and "seed" in err["detail"]
+
+
+def test_set_cannot_replace_a_section(tmp_path):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", 'split={"seed": 1}', "train"]) == 2
+
+
 def test_score_missing_checkpoint_exits_3(tmp_path):
     cfg = small_config(tmp_path)
     code = run(["--config", cfg, "score", "--checkpoint", str(tmp_path / "no.json")])

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from maw import theory
-from maw.errors import DomainError, NotPSDError, ShapeError
+from maw import linalg, theory
+from maw.errors import DomainError, NotPSDError, NumericalError, ShapeError
 
 
 # ------------------------------------------------------------ distances
@@ -185,6 +186,94 @@ def test_mixture_objective_over_a_grid_equals_single_points(regularizer):
     )
 
 
+MODE_CASES = {  # (mu1, mu2, sigma1, sigma2) as picks from two stacks of G
+    "single": lambda m1, m2, s1, s2: (m1[0], m2[0], s1[0], s2[0]),
+    "stacks": lambda m1, m2, s1, s2: (m1, m2, s1, s2),
+    "one-shared-cov": lambda m1, m2, s1, s2: (m1, m2, s1[0], s1[0]),
+    "two-shared-covs": lambda m1, m2, s1, s2: (m1, m2, s1[0], s2[0]),
+    "single-mode-1-against-a-stack": lambda m1, m2, s1, s2: (m1[0], m2, s1[0], s2),
+    "single-mode-2-against-a-stack": lambda m1, m2, s1, s2: (m1, m2[0], s1, s2[0]),
+    "single-means-stacked-covs": lambda m1, m2, s1, s2: (m1[0], m2[0], s1, s2[1]),
+}
+
+
+@pytest.mark.parametrize("case", MODE_CASES)
+@pytest.mark.parametrize("regularizer", theory.REGULARIZERS)
+def test_mixture_objective_equals_two_single_mode_distance_calls(regularizer, case):
+    rng = np.random.default_rng(11)
+    g, k = 5, 3
+    mu0, s0 = rng.standard_normal(k), _spd_stack(rng, 1, k)[0]
+    problem = theory.TheoryProblem(
+        k=k, epsilon=1.0, eta=0.8, regularizer=regularizer, mu0=mu0, sigma0=s0,
+    )
+    mu1, mu2, s1, s2 = MODE_CASES[case](
+        rng.standard_normal((g, k)), rng.standard_normal((g, k)),
+        _spd_stack(rng, g, k), _spd_stack(rng, g, k),
+    )
+    if regularizer == "wp":
+        r1, r2 = theory.wp_equal_cov(mu1, mu0), theory.wp_equal_cov(mu2, mu0)
+    else:
+        distance = theory.w2_gaussian if regularizer == "w2" else theory.kl_gaussian
+        r1, r2 = distance(mu1, s1, mu0, s0), distance(mu2, s2, mu0, s0)
+    expected = problem.eta * r1 + (1.0 - problem.eta) * r2
+    got = theory.mixture_objective(problem, mu1, mu2, s1, s2)
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.array_equal(got, expected)
+
+
+def test_mixture_objective_rejects_modes_that_do_not_stack():
+    rng = np.random.default_rng(12)
+    k = 3
+    problem = theory.TheoryProblem(k=k, epsilon=1.0, eta=0.8, regularizer="kl")
+    mu, s = rng.standard_normal((4, k)), _spd_stack(rng, 4, k)
+    bad = [
+        (mu, mu[:3], s, s[:3]),  # stacks of different sizes
+        (mu[0], np.zeros(k + 1), s[0], s[1]),  # a mean of the wrong dimension
+        (mu, mu, s, s[:, :2, :2]),  # a covariance of the wrong dimension
+        (mu[:1], mu, s[0], s),  # a stack of one against a stack of four
+    ]
+    for operands in bad:
+        with pytest.raises(ShapeError):
+            theory.mixture_objective(problem, *operands)
+
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("problem", [
+    dict(k=3, epsilon=1.0, eta=0.75, regularizer="wp"),
+    dict(k=3, epsilon=1.0, eta=0.75, regularizer="kl"),
+    dict(k=3, epsilon=1.0, eta=0.9, regularizer="w2", constraint="low-rank-inlier", kappa=1),
+], ids=lambda p: p["regularizer"])
+def test_each_objective_evaluation_makes_one_distance_call(monkeypatch, problem):
+    problem = theory.TheoryProblem(**problem)
+    distance = {"wp": "wp_equal_cov", "w2": "w2_gaussian", "kl": "kl_gaussian"}
+    evaluations = _spy(monkeypatch, theory, "mixture_objective")
+    distance_calls = _spy(monkeypatch, theory, distance[problem.regularizer])
+    theory.brute_force_minimizer(problem)
+    assert len(evaluations) > 10  # the grid and the Nelder-Mead steps
+    assert len(distance_calls) == len(evaluations)
+
+
+def test_shared_kl_grid_decomposes_two_matrices(monkeypatch):
+    problem = theory.TheoryProblem(k=5, epsilon=1.0, eta=5.0 / 6.0, regularizer="kl")
+    calls = _spy(monkeypatch, linalg, "sym_eig_batch")
+    theory.brute_force_minimizer(problem, grid_points=801)
+    sizes = [len(args[0]) for args in calls]
+    assert len(sizes) > 1 and max(sizes) <= 2  # the grid call and every Nelder-Mead step
+
+
 # ------------------------------------------------------------ shared covariance
 
 
@@ -353,3 +442,41 @@ def test_report_sections_small():
     assert kl["pass"]
     mc = theory.verify_w1_mean_shift(seed=1, n=128, n_sigmas=1)
     assert mc["pass"]
+
+
+# ------------------------------------------------------------ input checks
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 2.5), ("k", True), ("k", "3"), ("k", None),
+    ("kappa", 1.5), ("kappa", True), ("kappa", "1"),
+    ("epsilon", math.inf), ("epsilon", math.nan), ("epsilon", -1.0),
+])
+def test_theory_problem_rejects_bad_numbers(field, value):
+    args = dict(k=3, epsilon=1.0, eta=0.9, regularizer="w2",
+                constraint="low-rank-inlier", kappa=1)
+    args[field] = value
+    with pytest.raises(DomainError):
+        theory.TheoryProblem(**args)
+
+
+def test_theory_problem_takes_integral_floats_as_ints():
+    problem = theory.TheoryProblem(
+        k=3.0, epsilon=1.0, eta=0.9, regularizer="w2", constraint="low-rank-inlier", kappa=1.0,
+    )
+    assert (problem.k, problem.kappa) == (3, 1)
+    assert type(problem.k) is int and type(problem.kappa) is int
+    assert problem.mu0.shape == (3,)
+
+
+@pytest.mark.parametrize("status, nit", [(1, 7), (2, theory.NM_MAX_ITER)])
+def test_refine_rejects_a_run_that_did_not_converge(monkeypatch, status, nit):
+    def stopped(fun, x0, **kwargs):
+        x = np.asarray(x0, dtype=np.float64)
+        return OptimizeResult(x=x, fun=float(fun(x)), status=status, nit=nit,
+                              message="stopped early")
+
+    monkeypatch.setattr(theory, "minimize", stopped)
+    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
+    with pytest.raises(NumericalError):
+        theory.brute_force_minimizer(problem)
