@@ -26,9 +26,10 @@ print(f"d||x|| / dx at (3,4) = {grads['x'][0]}  (expected the unit vector (0.6, 
 print("\n=== gradients flow through a batch-normalized layer ===")
 tape = Tape()
 xb = tape.param(np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 1.5]]), "batch")
-# one dense node: identity weights, then batch norm (train mode), then relu
+# one dense node: identity weights (no bias: beta is the shift), then batch
+# norm (train mode), then relu
 layer = tape.dense(
-    xb, tape.const(np.eye(2)), tape.const(np.zeros(2)), act="relu",
+    xb, tape.const(np.eye(2)), None, act="relu",
     norm=(tape.const(np.ones(2)), tape.const(np.zeros(2)), np.zeros(2), np.ones(2)),
     train=True,
 )

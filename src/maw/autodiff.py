@@ -182,56 +182,56 @@ class Tape:
 
     # -- linear maps ---------------------------------------------------------
 
-    def dense(self, x, w, b, act: str = "linear", norm=None, train: bool = True) -> Node:
-        """act(batch_norm(X @ W + b)) for a batch matrix X (L, n), as one node.
+    def dense(self, x, w, b=None, act: str = "linear", norm=None, train: bool = True) -> Node:
+        """act(X @ W + b), or act(batch_norm(X @ W)) when norm is given (beta is
+        then the shift, and b is None), for a batch matrix X (L, n), as one node.
 
-        norm is None or (gamma, beta, running_mean, running_var).  Train mode
-        needs L >= 2, uses the batch statistics (biased variance) and updates
-        the running arrays in place (momentum 0.9); eval mode uses the running
-        statistics.  act is one of ACTIVATIONS; leaky_relu has slope
-        LEAKY_SLOPE below zero.  One backward call yields every parent's adjoint.
+        norm is (gamma, beta, running_mean, running_var), all of width
+        W.shape[1].  Train mode needs L >= 2, uses the batch statistics (biased
+        variance) and updates the running arrays in place (momentum 0.9), if
+        they are not both None; eval mode uses the running statistics.  act is
+        one of ACTIVATIONS; leaky_relu has slope LEAKY_SLOPE below zero.  One
+        backward call yields every parent's adjoint.
         """
-        x, w, b = self._as_node(x), self._as_node(w), self._as_node(b)
-        xv, wv, bv = x.value, w.value, b.value
+        if (b is None) == (norm is None):
+            raise DomainError("dense takes a bias exactly when it has no batch norm")
+        x, w = self._as_node(x), self._as_node(w)
+        shift = [self._as_node(p) for p in ((b,) if norm is None else norm[:2])]
+        stats = () if norm is None or (norm[2] is None and norm[3] is None) else norm[2:]
+        xv, wv = x.value, w.value
+        shapes = [np.shape(a) for a in [p.value for p in shift] + list(stats)]
         if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
-                or bv.shape != (wv.shape[1],)):
-            raise ShapeError(f"dense shapes x{xv.shape} W{wv.shape} b{bv.shape} incompatible")
+                or any(s != wv.shape[1:] for s in shapes)):
+            raise ShapeError(f"dense shapes x{xv.shape} W{wv.shape}, bias or batch norm {shapes} "
+                             "incompatible")
         if act not in ACTIVATIONS:
             raise DomainError(f"dense activation must be among {ACTIVATIONS}, got {act!r}")
         pre = xv @ wv
-        pre += bv
-        parents = [x, w, b]
-        if norm is not None:
-            gamma, beta = self._as_node(norm[0]), self._as_node(norm[1])
-            running_mean, running_var = norm[2], norm[3]
-            shapes = [gamma.value.shape, beta.value.shape, np.shape(running_mean),
-                      np.shape(running_var)]
-            if any(s != bv.shape for s in shapes):
-                raise ShapeError(f"batch norm arrays {shapes} do not match width {bv.shape}")
-            parents += [gamma, beta]
-            nrows = pre.shape[0]
+        parents = [x, w, *shift]
+        if norm is None:
+            pre += shift[0].value
+        else:
+            gamma, beta = shift
+            nrows, xhat, sq = pre.shape[0], pre, None
             if train:
                 if nrows < 2:
                     raise DomainError("batch norm in train mode needs a batch of >= 2")
                 # np.mean and np.var's own arithmetic, sharing the centred batch
                 mean = pre.sum(axis=0) / nrows
-                xhat = pre
                 xhat -= mean
                 sq = xhat * xhat
                 var = sq.sum(axis=0) / nrows
-                running_mean *= BN_MOMENTUM
-                running_mean += (1.0 - BN_MOMENTUM) * mean
-                running_var *= BN_MOMENTUM
-                running_var += (1.0 - BN_MOMENTUM) * var
-                inv = 1.0 / np.sqrt(var + BN_EPS)
-                xhat *= inv
-                pre = np.multiply(xhat, gamma.value, out=sq)
+                for running, batch in zip(stats, (mean, var)):
+                    running *= BN_MOMENTUM
+                    running += (1.0 - BN_MOMENTUM) * batch
+            elif stats:
+                xhat -= stats[0]
+                var = stats[1]
             else:
-                inv = 1.0 / np.sqrt(running_var + BN_EPS)
-                xhat = pre
-                xhat -= running_mean
-                xhat *= inv
-                pre = xhat * gamma.value
+                raise DomainError("batch norm in eval mode needs running statistics")
+            inv = 1.0 / np.sqrt(var + BN_EPS)
+            xhat *= inv
+            pre = np.multiply(xhat, gamma.value, out=sq)
             pre += beta.value
         # branch-free float slopes: np.where on a random sign pattern is ~10x
         # slower here, and a product with a bool mask ~2x slower than with floats
@@ -257,9 +257,10 @@ class Tape:
                     g *= gamma.value * inv
                 else:
                     g = g * gamma.value * inv
+            elif shift[0].needs_grad:
+                grads[shift[0]] = g.sum(axis=0)
             grads[x] = g @ wv.T if x.needs_grad else None
             grads[w] = xv.T @ g if w.needs_grad else None
-            grads[b] = g.sum(axis=0) if b.needs_grad else None
             return [grads[p] for p in kept]
 
         memo = {}

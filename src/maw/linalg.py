@@ -10,6 +10,8 @@ on top of it.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import DomainError, NotPSDError, NumericalError, ShapeError
@@ -35,6 +37,15 @@ def as_int(value, what: str, error: type) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an int, got {value!r}")
     return value
+
+
+def as_float(value, what: str, error: type) -> float:
+    """A finite int or float as a float; a bool, other type, nan or inf raises error."""
+    # the bound also rejects nan and ints too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def is_symmetric(m: np.ndarray) -> bool:

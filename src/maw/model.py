@@ -11,7 +11,6 @@ between a test point and its decodes.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ SCORE_CHUNK = 2048  # rows per score_batch step; bounds its working set
 WIDTH_KEYS = ("encoder_widths", "decoder_widths", "critic_widths")
 INT_KEYS = ("d", "dprime", "samples", "epochs", "batch_size")
 FLOAT_KEYS = ("eta", "lr_vae", "lr_critic")
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -64,12 +64,7 @@ class Hyperparams:
         for key in INT_KEYS:
             setattr(self, key, linalg.as_int(getattr(self, key), key, ConfigError))
         for key in FLOAT_KEYS:
-            value = getattr(self, key)
-            # the bound also rejects nan and ints too large for a float
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-            setattr(self, key, float(value))
+            setattr(self, key, linalg.as_float(getattr(self, key), key, ConfigError))
         if self.d < 2 or self.d % 2 != 0:
             raise ConfigError("latent dimension d must be even and >= 2")
         if not (0.5 < self.eta < 1.0):
@@ -129,17 +124,14 @@ class MawModel:
     def to_payload(self) -> dict:
         return {
             "format": "maw-checkpoint",
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "hyperparams": self.hp.to_dict(),
             "feature_dim": self.feature_dim,
             "params": {k: v.tolist() for k, v in self.store.params.items()},
             "state": {k: v.tolist() for k, v in self.store.state.items()},
-            "optimizers": {
-                name: {
-                    "step": opt.slots["step"],
-                    "m": {k: v.tolist() for k, v in opt.slots["m"].items()},
-                    "v": {k: v.tolist() for k, v in opt.slots["v"].items()},
-                }
+            "optimizers": {  # each optimizer's step and moment slots
+                name: {k: v if k == "step" else {n: a.tolist() for n, a in v.items()}
+                       for k, v in opt.slots.items()}
                 for name, opt in self.optimizers.items()
             },
         }
@@ -148,14 +140,19 @@ class MawModel:
     def from_payload(cls, payload: dict) -> "MawModel":
         """Rebuild a model from to_payload's dict.
 
-        Unknown hyperparameters raise ConfigError.  feature_dim must be a
+        Unknown hyperparameters raise ConfigError.  A payload of another
+        format or version (an int) is a DataError.  feature_dim must be a
         positive integer, and every parameter, state and optimizer slot array
         must match init_model's names and shapes and be finite, and optimizer
         steps and second moments >= 0, else DataError: a missing entry would
         silently keep its init value.
         """
         if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
-            raise ConfigError("not a model checkpoint payload")
+            raise DataError("not a model checkpoint payload")
+        version = payload.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise DataError(f"checkpoint version {version!r} is not supported; "
+                            f"expected {CHECKPOINT_VERSION}")
         missing = [k for k in ("hyperparams", "feature_dim", "params", "state", "optimizers")
                    if k not in payload]
         if missing:
@@ -172,15 +169,16 @@ class MawModel:
 
 
 def _load_optimizers(optimizers: dict, source):
-    """Replace each optimizer's step and m/v slots by source's checked entries."""
+    """Replace each optimizer's slots (its step and its kind's moments) by
+    source's checked entries."""
     _check_names(optimizers, source, "optimizers")
     for name, opt in optimizers.items():
-        _check_names(("step", "m", "v"), source[name], f"optimizers.{name}")
+        _check_names(opt.slots, source[name], f"optimizers.{name}")
         step = source[name]["step"]
         if type(step) is not int or step < 0:
             raise DataError(f"checkpoint optimizers.{name}.step must be an integer >= 0")
-        _load_arrays(opt.slots["m"], source[name]["m"], f"optimizers.{name}.m")
-        _load_arrays(opt.slots["v"], source[name]["v"], f"optimizers.{name}.v")
+        for moment in opt.slots.keys() - {"step"}:
+            _load_arrays(opt.slots[moment], source[name][moment], f"optimizers.{name}.{moment}")
         if any(np.any(v < 0.0) for v in opt.slots["v"].values()):
             raise DataError(f"checkpoint optimizers.{name}.v has a negative entry")
         opt.slots["step"] = step
@@ -248,8 +246,8 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
         store.add("head.W", nets.glorot_init(4 * hp.dprime, 2 * hp.d, rng))
         store.add("head.b", np.zeros(2 * hp.d))
     nets.build_mlp_params(store, "dec", specs["dec"], rng)
-    if "cri" in specs:
-        nets.build_mlp_params(store, "cri", specs["cri"], rng)
+    if "cri" in specs:  # the critic runs in train mode only: no running statistics
+        nets.build_mlp_params(store, "cri", specs["cri"], rng, running_stats=False)
 
     gen_names = store.names("enc.") + (["A"] if uses_reduction else [])
     if hp.variant == "vae":

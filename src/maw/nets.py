@@ -1,10 +1,10 @@
 """Network plumbing: MLP specs, Glorot init, optimizers, weight clipping.
 
-Every hidden layer is affine -> batch norm -> activation; output layers are
-affine only (batch norm on an output layer would re-center the produced
-distribution parameters, so the flag covers hidden layers).  The critic keeps
-batch norm too, deliberately.  On the tape each layer is one `Tape.dense`
-node.
+Every hidden layer is affine without bias -> batch norm (beta shifts) ->
+activation; output layers are affine with a bias (batch norm on an output layer
+would re-center the produced distribution parameters, so the flag covers hidden
+layers).  The critic keeps batch norm too, deliberately, and runs in train mode
+only, so it keeps no running statistics.  Each layer is one `Tape.dense` node.
 """
 
 from __future__ import annotations
@@ -85,17 +85,27 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def build_mlp_params(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.random.Generator):
-    """Glorot weights, zero biases, unit/zero batch-norm parameters."""
+def _normed(spec: MlpSpec, k: int) -> bool:
+    """Whether layer k of spec is followed by batch norm (hidden layers only)."""
+    return spec.batch_norm and k < len(spec.widths) - 1
+
+
+def build_mlp_params(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.random.Generator,
+                     running_stats: bool = True):
+    """Glorot weights; a zero bias where no batch norm follows, else unit/zero
+    gamma/beta, plus running statistics unless running_stats is False (a
+    network that only ever runs in train mode)."""
     fan_in = spec.in_dim
     for k, width in enumerate(spec.widths):
         store.add(f"{prefix}.l{k}.W", glorot_init(fan_in, width, rng))
-        store.add(f"{prefix}.l{k}.b", np.zeros(width))
-        if spec.batch_norm and k < len(spec.widths) - 1:
+        if _normed(spec, k):
             store.add(f"{prefix}.l{k}.gamma", np.ones(width))
             store.add(f"{prefix}.l{k}.beta", np.zeros(width))
-            store.add_state(f"{prefix}.l{k}.running_mean", np.zeros(width))
-            store.add_state(f"{prefix}.l{k}.running_var", np.ones(width))
+            if running_stats:
+                store.add_state(f"{prefix}.l{k}.running_mean", np.zeros(width))
+                store.add_state(f"{prefix}.l{k}.running_var", np.ones(width))
+        else:
+            store.add(f"{prefix}.l{k}.b", np.zeros(width))
         fan_in = width
 
 
@@ -110,21 +120,22 @@ def _bind(tape: Tape, store: ParamStore, name: str, frozen: bool) -> Node:
 def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, train: bool,
                 _frozen: bool = False):
     """Run the MLP on the tape, one dense node per layer; returns a node or a
-    4-tuple for split4.  _frozen binds the weights as constants (no gradients)."""
+    4-tuple for split4.  _frozen binds the weights as constants (no gradients).
+    A network stored without running statistics runs in train mode only."""
     if train:  # Tape.dense updates the running statistics in place
         store.folded.clear()
     h = tape._as_node(x)
-    nlayers = len(spec.widths)
-    for k in range(nlayers):
+    for k, act in enumerate(spec.activations):
         layer = f"{prefix}.l{k}"
         w = _bind(tape, store, f"{layer}.W", _frozen)
-        b = _bind(tape, store, f"{layer}.b", _frozen)
-        norm = None
-        if spec.batch_norm and k < nlayers - 1:
+        if _normed(spec, k):
             norm = (_bind(tape, store, f"{layer}.gamma", _frozen),
                     _bind(tape, store, f"{layer}.beta", _frozen),
-                    store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"])
-        h = tape.dense(h, w, b, spec.activations[k], norm, train)
+                    store.state.get(f"{layer}.running_mean"),
+                    store.state.get(f"{layer}.running_var"))
+            h = tape.dense(h, w, None, act, norm, train)
+        else:
+            h = tape.dense(h, w, _bind(tape, store, f"{layer}.b", _frozen), act)
     if spec.final_transform == "unit_normalize":
         return tape.normalize_rows(h)
     if spec.final_transform == "split4":
@@ -139,14 +150,15 @@ def _eval_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> list:
     """Each layer's (W', b', activation), memoized in store.folded under (prefix,
     spec) until an array the fold reads is replaced (optimizer steps, checkpoint
     loads, assignment); train-mode mlp_forward and clip_weights edit in place and clear it."""
-    last = len(spec.widths) - 1
     sources = []
-    for k in range(last + 1):
+    for k in range(len(spec.widths)):
         layer = f"{prefix}.l{k}"
-        sources += [store.params[f"{layer}.W"], store.params[f"{layer}.b"]]
-        if spec.batch_norm and k < last:
+        sources.append(store.params[f"{layer}.W"])
+        if _normed(spec, k):
             sources += [store.params[f"{layer}.gamma"], store.params[f"{layer}.beta"],
                         store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"]]
+        else:
+            sources.append(store.params[f"{layer}.b"])
     hit = store.folded.get((prefix, spec))
     if hit is None or any(a is not b for a, b in zip(hit[0], sources)):
         hit = store.folded[prefix, spec] = (sources, _fold_layers(sources, spec))
@@ -154,15 +166,18 @@ def _eval_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> list:
 
 
 def _fold_layers(sources: list, spec: MlpSpec) -> list:
-    """Fold each hidden batch norm of _eval_layers' sources into its layer, with
-    s = gamma / sqrt(running_var + BN_EPS): W' = W s, b' = (b - running_mean) s + beta."""
+    """Fold each hidden batch norm of _eval_layers' sources into its bias-free
+    layer, with s = gamma / sqrt(running_var + BN_EPS): W' = W s and
+    b' = beta - running_mean s.  Layers without batch norm keep their W and b."""
     arrays, layers = iter(sources), []
     for k, act in enumerate(spec.activations):
-        w, b = next(arrays), next(arrays)
-        if spec.batch_norm and k < len(spec.widths) - 1:
+        w = next(arrays)
+        if _normed(spec, k):
             gamma, beta, mean, var = (next(arrays) for _ in range(4))
             s = gamma / np.sqrt(var + BN_EPS)
-            w, b = w * s, (b - mean) * s + beta
+            w, b = w * s, beta - mean * s
+        else:
+            b = next(arrays)
         layers.append((w, b, act))
     return layers
 
@@ -254,8 +269,11 @@ def rmsprop_step(params, grads, slots, cfg: OptimizerConfig):
     return params
 
 
+MOMENTS = {"adam": ("m", "v"), "rmsprop": ("v",)}  # the slots each optimizer kind keeps
+
+
 class Optimizer:
-    """Optimizer state bound to a fixed set of parameter names."""
+    """A step count and its kind's MOMENTS for a fixed set of parameter names."""
 
     def __init__(self, cfg: OptimizerConfig, names: list[str], store: ParamStore):
         self.cfg = cfg
@@ -263,11 +281,9 @@ class Optimizer:
         for name in self.names:
             if name not in store.params:
                 raise ConfigError(f"optimizer refers to unknown parameter {name}")
-        self.slots = {
-            "step": 0,
-            "m": {n: np.zeros_like(store.params[n]) for n in self.names},
-            "v": {n: np.zeros_like(store.params[n]) for n in self.names},
-        }
+        self.slots = {"step": 0}
+        for moment in MOMENTS[cfg.kind]:
+            self.slots[moment] = {n: np.zeros_like(store.params[n]) for n in self.names}
 
     def step(self, store: ParamStore, grads: dict[str, np.ndarray]):
         params = {n: store.params[n] for n in self.names}

@@ -135,8 +135,9 @@ def kl_gaussian(mu1, sigma1, mu0, sigma0):
 class TheoryProblem:
     """Instance of the constrained two-mode approximation problem.
 
-    k and kappa are ints (an integral float counts, a bool does not) and
-    epsilon is positive and finite; anything else raises DomainError.
+    k and kappa are ints (an integral float counts, a bool does not), and
+    epsilon and eta are finite ints or floats (not bools), epsilon positive;
+    anything else raises DomainError.
     """
 
     k: int
@@ -150,12 +151,14 @@ class TheoryProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "k", linalg.as_int(self.k, "ambient dimension k", DomainError))
+        for key, what in (("epsilon", "mean separation epsilon"), ("eta", "mixture weight eta")):
+            object.__setattr__(self, key, linalg.as_float(getattr(self, key), what, DomainError))
         if self.kappa is not None:
             object.__setattr__(self, "kappa", linalg.as_int(self.kappa, "rank kappa", DomainError))
         if self.k < 1:
             raise DomainError("ambient dimension must be >= 1")
-        if not 0.0 < self.epsilon < math.inf:
-            raise DomainError("mean separation must be positive and finite")
+        if self.epsilon <= 0.0:
+            raise DomainError("mean separation must be positive")
         if not (0.5 < self.eta < 1.0):
             raise DomainError("mixture weight must lie in (0.5, 1)")
         if self.regularizer not in REGULARIZERS:

@@ -113,27 +113,27 @@ def symmetric_fd_check(build, m, grad_m, tol=FD_TOL, h=FD_H):
 def dense_case(rng, act, norm):
     """(build, arrays) for an FD check of one Tape.dense layer (5, 3) -> (5, 4).
 
-    norm is "train", "eval" or None (no batch norm).  For relu/leaky_relu,
-    instances whose pre-activation lies within 5e-2 of the kink are redrawn.
+    norm is "train", "eval" or None.  The arrays are x, W and then the bias b
+    without batch norm, or gamma and beta with it (the layer has no bias
+    then).  For relu/leaky_relu, instances whose pre-activation lies within
+    5e-2 of the kink are redrawn.
     """
     rows, margin = 5, 5e-2
     while True:
-        arrays = [
-            rng.uniform(-2.0, 2.0, size=(rows, 3)),
-            rng.uniform(-2.0, 2.0, size=(3, 4)),
-            rng.uniform(-2.0, 2.0, size=4),
-        ]
-        if norm is not None:
+        arrays = [rng.uniform(-2.0, 2.0, size=(rows, 3)), rng.uniform(-2.0, 2.0, size=(3, 4))]
+        if norm is None:
+            arrays.append(rng.uniform(-2.0, 2.0, size=4))
+        else:
             arrays += [rng.uniform(0.5, 1.5, size=4), rng.uniform(-2.0, 2.0, size=4)]
         running_mean = rng.uniform(-2.0, 2.0, size=4)
         running_var = rng.uniform(0.5, 2.0, size=4)
         proj = rng.uniform(-1.0, 1.0, size=(rows, 4))
 
-        def layer(tape, x, w, b, *gamma_beta):
-            stats = None
-            if norm is not None:
-                stats = (*gamma_beta, running_mean.copy(), running_var.copy())
-            return tape.dense(x, w, b, act, stats, norm == "train")
+        def layer(tape, x, w, *rest):
+            if norm is None:
+                return tape.dense(x, w, rest[0], act)
+            stats = (*rest, running_mean.copy(), running_var.copy())
+            return tape.dense(x, w, None, act, stats, norm == "train")
 
         if act == "linear" or np.min(np.abs(layer(Tape(), *arrays).pre)) >= margin:
             return (lambda tape, *nodes: random_projection_head(tape, layer(tape, *nodes), proj),

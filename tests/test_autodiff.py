@@ -19,9 +19,11 @@ N_QUICK = 8  # instances per op here; the acceptance suite reruns with >= 50
 
 
 def _unit_layer(t, x, act="linear", norm=None, train=True):
-    """Tape.dense with an identity weight and zero bias, so x is the affine output."""
+    """Tape.dense with an identity weight (and a zero bias when there is no batch
+    norm), so x is the affine output."""
     width = np.shape(x)[1]
-    return t.dense(t.const(x), t.const(np.eye(width)), t.const(np.zeros(width)), act, norm, train)
+    bias = None if norm is not None else t.const(np.zeros(width))
+    return t.dense(t.const(x), t.const(np.eye(width)), bias, act, norm, train)
 
 
 def test_relu_value():
@@ -90,7 +92,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         t.dense(t.const(np.ones((2, 3))), t.const(np.ones((3, 2))), t.const(np.ones(3)))
     with pytest.raises(ShapeError):
-        t.dense(t.const(np.ones(2)), t.const(np.eye(2)), t.const(np.zeros(2)), "relu",
+        t.dense(t.const(np.ones(2)), t.const(np.eye(2)), None, "relu",
                 (np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)), False)
     with pytest.raises(ShapeError):
         t.spectral_truncate(t.const(np.ones((5, 2))), 2)
@@ -98,8 +100,10 @@ def test_shape_errors():
         norm = [np.ones(5), np.zeros(5), np.zeros(5), np.ones(5)]
         norm[bad] = np.ones(1)
         with pytest.raises(ShapeError):
-            t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), t.const(np.zeros(5)),
-                    "relu", tuple(norm))
+            t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), None, "relu", tuple(norm))
+    with pytest.raises(ShapeError):  # running statistics come as a pair or not at all
+        t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), None, "relu",
+                (np.ones(5), np.zeros(5), np.zeros(5), None))
     eps = np.zeros((2, 2))
     for idx in ([0, 2], [-1, 0]):  # row indices outside [0, 2)
         with pytest.raises(ShapeError):
@@ -112,10 +116,10 @@ def test_shape_errors():
 # ------------------------------------------------------ batch-norm backward, scatter
 
 
-def _textbook_dense_adjoints(x, w, b, gamma, beta, running, dy, act, train):
-    """Adjoints of act(batch_norm(x @ w + b)) under the upstream adjoint dy,
+def _textbook_dense_adjoints(x, w, gamma, beta, running, dy, act, train):
+    """Adjoints of act(batch_norm(x @ w)) under the upstream adjoint dy,
     step by step through the batch statistics (Ioffe & Szegedy, Alg. 1)."""
-    z = x @ w + b
+    z = x @ w
     nrows = z.shape[0]
     if train:
         mu = z.mean(axis=0)
@@ -137,7 +141,7 @@ def _textbook_dense_adjoints(x, w, b, gamma, beta, running, dy, act, train):
         dz = dxhat / np.sqrt(var + 1e-5) + dvar * 2.0 * (z - mu) / nrows + dmu / nrows
     else:
         dz = dxhat / np.sqrt(var + 1e-5)
-    return {"x": dz @ w.T, "w": x.T @ dz, "b": dz.sum(axis=0), "gamma": dgamma, "beta": dbeta}
+    return {"x": dz @ w.T, "w": x.T @ dz, "gamma": dgamma, "beta": dbeta}
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -146,19 +150,51 @@ def _textbook_dense_adjoints(x, w, b, gamma, beta, running, dy, act, train):
 def test_batch_norm_backward_matches_textbook(rows, act, train):
     rng = np.random.default_rng(rows)
     x, w = rng.standard_normal((rows, 6)), rng.standard_normal((6, 5))
-    b, beta = rng.standard_normal(5), rng.standard_normal(5)
+    beta = rng.standard_normal(5)
     gamma = rng.uniform(0.5, 2.0, 5)  # gamma != 1
     running = (rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
     dy = rng.standard_normal((rows, 5))
     t = Tape()
-    names = ("x", "w", "b", "gamma", "beta")
-    nodes = [t.param(v, n) for v, n in zip((x, w, b, gamma, beta), names)]
-    norm = (nodes[3], nodes[4], running[0].copy(), running[1].copy())
-    out = t.dense(*nodes[:3], act, norm, train)
+    names = ("x", "w", "gamma", "beta")
+    nodes = [t.param(v, n) for v, n in zip((x, w, gamma, beta), names)]
+    norm = (nodes[2], nodes[3], running[0].copy(), running[1].copy())
+    out = t.dense(nodes[0], nodes[1], None, act, norm, train)
     grads = t.backward(t.sum_all(t.hadamard(out, dy)))
-    want = _textbook_dense_adjoints(x, w, b, gamma, beta, running, dy, act, train)
+    want = _textbook_dense_adjoints(x, w, gamma, beta, running, dy, act, train)
     for name in names:
         np.testing.assert_allclose(grads[name], want[name], rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def test_dense_takes_a_bias_exactly_without_batch_norm():
+    t = Tape()
+    x, w = t.const(np.ones((3, 2))), t.const(np.ones((2, 4)))
+    norm = (np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+    with pytest.raises(DomainError, match="bias"):
+        t.dense(x, w, t.const(np.zeros(4)), "relu", norm)
+    with pytest.raises(DomainError, match="bias"):
+        t.dense(x, w, None, "relu")
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_train_batch_norm_without_running_statistics(act):
+    # a network that only trains (the critic) keeps no running statistics: the
+    # layer's value and adjoints are those of a layer that keeps them
+    rng = np.random.default_rng(6)
+    x, w = rng.standard_normal((9, 3)), rng.standard_normal((3, 4))
+    gamma, beta = rng.uniform(0.5, 2.0, 4), rng.standard_normal(4)
+    dy = rng.standard_normal((9, 4))
+    results = []
+    for running in ((np.zeros(4), np.ones(4)), (None, None)):
+        t = Tape()
+        nodes = [t.param(v, n) for v, n in zip((x, w, gamma, beta), ("x", "w", "gamma", "beta"))]
+        out = t.dense(nodes[0], nodes[1], None, act, (nodes[2], nodes[3], *running))
+        results.append((out.value, t.backward(t.sum_all(t.hadamard(out, dy)))))
+    (value, grads), (bare_value, bare_grads) = results
+    assert np.array_equal(bare_value, value)
+    for name in grads:
+        assert np.array_equal(bare_grads[name], grads[name]), name
+    with pytest.raises(DomainError, match="running statistics"):
+        Tape().dense(x, w, None, act, (gamma, beta, None, None), train=False)
 
 
 @pytest.mark.parametrize("layout", ["shuffled", "repeated", "empty_rows"])

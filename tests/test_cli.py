@@ -256,6 +256,35 @@ def test_score_corrupt_optimizer_slot_exits_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "data"
 
 
+def _one_error_line(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_score_version_1_checkpoint_exits_3(tmp_path, capsys):
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    ckpt = _trained_checkpoint(cfg)
+    payload = json.loads(open(ckpt).read())
+    payload["version"] = 1
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
+    err = _one_error_line(capsys)
+    assert err["kind"] == "data" and "version 1" in err["detail"] and "expected 2" in err["detail"]
+
+
+@pytest.mark.parametrize("text", ["[]", "{}", '"maw-checkpoint"'])
+def test_score_non_checkpoint_json_exits_3(tmp_path, capsys, text):
+    cfg = small_config(tmp_path)
+    ckpt = tmp_path / "f.json"
+    ckpt.write_text(text)
+    assert run(["--config", cfg, "score", "--checkpoint", str(ckpt)]) == 3
+    err = _one_error_line(capsys)
+    assert err["kind"] == "data" and "not a model checkpoint" in err["detail"]
+
+
 @pytest.mark.parametrize("dim", ["abc", 0])
 def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
     cfg = small_config(tmp_path, model={"epochs": 0})

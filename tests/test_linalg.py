@@ -20,6 +20,15 @@ def _eig(m):
     return w[0], q[0]
 
 
+def test_as_float_rule():
+    for bad in ("0.7", True, np.nan, np.inf, -np.inf, None, 10**400, [1.0]):
+        with pytest.raises(DomainError, match="rate must be a finite number"):
+            linalg.as_float(bad, "rate", DomainError)
+    for good, want in ((0.7, 0.7), (3, 3.0), (np.float64(-2.5), -2.5)):
+        value = linalg.as_float(good, "rate", DomainError)
+        assert value == want and type(value) is float
+
+
 def test_sym_eig_diagonal():
     w, q = _eig(np.diag([3.0, 1.0]))
     assert np.allclose(w, [3.0, 1.0])

@@ -238,7 +238,7 @@ def test_hyperparams_int_fields(key):
 
 @pytest.mark.parametrize("key", M.FLOAT_KEYS)
 def test_hyperparams_float_fields(key):
-    for bad in (True, float("nan"), float("inf"), -float("inf"), "x", None, 10**400):
+    for bad in (True, float("nan"), float("inf"), -float("inf"), "x", "0.7", None, 10**400):
         with pytest.raises(ConfigError, match=key):
             tiny_hp(**{key: bad})
     if key != "eta":  # an int learning rate is taken as its float
@@ -509,7 +509,8 @@ def test_batch_update_matches_fully_attached_tapes(variant):
     for key, opt in ref.optimizers.items():
         slots = model.optimizers[key].slots
         assert slots["step"] == opt.slots["step"] == 2
-        for moment in ("m", "v"):
+        assert slots.keys() == opt.slots.keys() == {"step", *nets.MOMENTS[opt.cfg.kind]}
+        for moment in nets.MOMENTS[opt.cfg.kind]:
             for name, value in opt.slots[moment].items():
                 assert np.array_equal(slots[moment][name], value), (key, moment, name)
 
@@ -581,7 +582,20 @@ def _nan_parameter(payload):
 
 
 def _missing_parameter(payload):
-    del payload["params"]["dec.l0.b"]
+    del payload["params"]["dec.l0.gamma"]
+
+
+def _batch_normed_bias(payload):
+    # a hidden layer with batch norm has no bias
+    payload["params"]["dec.l0.b"] = [0.0] * len(payload["params"]["dec.l0.beta"])
+
+
+def _critic_running_statistics(payload):
+    payload["state"]["cri.l0.running_mean"] = [0.0] * len(payload["params"]["cri.l0.beta"])
+
+
+def _rmsprop_first_moment(payload):
+    payload["optimizers"]["critic"]["m"] = payload["optimizers"]["critic"]["v"]
 
 
 def _unexpected_state(payload):
@@ -619,7 +633,8 @@ def _missing_optimizer(payload):
 
 @pytest.mark.parametrize(
     "corrupt", [
-        _nan_parameter, _missing_parameter, _unexpected_state, _misshapen_parameter,
+        _nan_parameter, _missing_parameter, _batch_normed_bias, _critic_running_statistics,
+        _rmsprop_first_moment, _unexpected_state, _misshapen_parameter,
         _misshapen_optimizer_slot, _nan_optimizer_slot, _negative_second_moment,
         _negative_optimizer_step, _fractional_optimizer_step, _missing_optimizer,
     ]
@@ -650,3 +665,64 @@ def test_checkpoint_unknown_hyperparameter_is_config_error():
     payload["hyperparams"]["bogus"] = 1
     with pytest.raises(ConfigError, match="bogus"):
         M.MawModel.from_payload(payload)
+
+
+@pytest.mark.parametrize("version", [1, 3, "2", True, 2.0, None, "missing"])
+def test_checkpoint_rejects_other_versions(version, monkeypatch):
+    payload = _tiny_payload()
+    if version == "missing":
+        del payload["version"]
+    else:
+        payload["version"] = version
+    del payload["params"]  # the version is checked before any array is read
+    monkeypatch.setattr(M, "_load_arrays", None)
+    with pytest.raises(DataError, match=r"version .* expected 2"):
+        M.MawModel.from_payload(payload)
+
+
+@pytest.mark.parametrize("payload", [[], "maw-checkpoint", {"format": "other", "version": 2}])
+def test_non_checkpoint_payload_is_data_error(payload):
+    with pytest.raises(DataError, match="not a model checkpoint"):
+        M.MawModel.from_payload(payload)
+
+
+# ------------------------------------------------------------ no dead state
+
+
+def _optimizer_gradients(model, xb, noise):
+    """The gradient each optimizer receives from its own loss in one batch update."""
+    seen = {}
+    for key, opt in model.optimizers.items():
+        def step(store, grads, key=key, opt=opt, inner=opt.step):
+            seen[key] = {name: grads[name] for name in opt.names}
+            inner(store, grads)
+        opt.step = step
+    update = M._vae_batch_update if model.hp.variant == "vae" else M._maw_batch_update
+    update(model, xb, noise)
+    return seen
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_every_stepped_tensor_gets_a_gradient(variant):
+    # a bias before train-mode batch norm would get ~1e-14 here; none is built.
+    # The W1 critic is defined up to a constant, so its loss gives the critic's
+    # output bias exactly zero (maw-kl's critic loss does not)
+    hp = M.Hyperparams(d=2, dprime=16, samples=5, batch_size=32, variant=variant)
+    model = M.init_model(hp, 20, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    xb = rng.standard_normal((32, 20))
+    xb /= np.linalg.norm(xb, axis=1, keepdims=True)
+    grads = _optimizer_gradients(model, xb, M._draw_batch_noise(hp, rng, 32))
+    w1_shift = f"cri.l{len(hp.critic_widths)}.b" if variant not in ("maw-kl", "vae") else None
+    for key, opt in model.optimizers.items():
+        assert grads[key].keys() == set(opt.names)
+        for name, g in grads[key].items():
+            if name == w1_shift:
+                assert np.array_equal(g, np.zeros_like(g)), name
+            else:
+                assert np.max(np.abs(g)) > 1e-8, (key, name)
+    assert not [name for name in model.store.state if name.startswith("cri.")]
+    for opt in model.optimizers.values():
+        assert set(opt.slots) == {"step", "v"} | ({"m"} if opt.cfg.kind == "adam" else set())
+    if variant != "vae":
+        assert model.optimizers["critic"].cfg.kind == "rmsprop"

@@ -137,6 +137,21 @@ def test_mlp_spec_validation():
         nets.MlpSpec(2, (6,), ("linear",), final_transform="split4")
 
 
+@pytest.mark.parametrize("running_stats", [True, False])
+def test_batch_normed_layers_have_no_bias(running_stats):
+    # beta is the shift of a layer with batch norm; only the output layer has a bias
+    spec = nets.mlp(3, (5, 6, 4), "relu")
+    store = nets.ParamStore()
+    nets.build_mlp_params(store, "net", spec, np.random.default_rng(0), running_stats)
+    hidden = [f"net.l{k}.{p}" for k in (0, 1) for p in ("W", "gamma", "beta")]
+    assert set(store.params) == {*hidden, "net.l2.W", "net.l2.b"}
+    stats = {f"net.l{k}.{s}" for k in (0, 1) for s in ("running_mean", "running_var")}
+    assert set(store.state) == (stats if running_stats else set())
+    tape = Tape()
+    out = nets.mlp_forward(tape, store, "net", spec, tape.const(np.ones((4, 3))), train=True)
+    assert out.value.shape == (4, 4)
+
+
 def test_split4_is_a_bijection_on_the_output():
     rng = np.random.default_rng(2)
     spec = nets.mlp(3, (5, 8), "relu", final_transform="split4")
@@ -242,6 +257,7 @@ def test_eval_fold_is_per_spec():
     store = nets.ParamStore()
     nets.build_mlp_params(store, "net", spec, rng)
     store.state["net.l0.running_var"] = rng.uniform(0.2, 3.0, 5)
+    store.add("net.l0.b", rng.standard_normal(5))  # the bias only the plain spec reads
     x = rng.standard_normal((4, 3))
     with_norm = nets.mlp_apply(store, "net", spec, x)
     without = nets.mlp_apply(store, "net", plain, x)
@@ -283,8 +299,9 @@ def test_in_place_optimizer_matches_out_of_place_formulas(kind):
     shapes = {"s": (), "b": (7,), "W": (4, 3)}
     cfg = nets.OptimizerConfig(kind, 1e-2)
     params = {k: rng.standard_normal(s) for k, s in shapes.items()}
-    slots = {"step": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
-             "v": {k: np.zeros(s) for k, s in shapes.items()}}
+    slots = {"step": 0}
+    for moment in nets.MOMENTS[kind]:
+        slots[moment] = {k: np.zeros(s) for k, s in shapes.items()}
     ref = {k: (params[k].copy(), np.zeros(s), np.zeros(s)) for k, s in shapes.items()}
     step = nets.adam_step if kind == "adam" else nets.rmsprop_step
     for t in range(1, 4):
@@ -316,6 +333,7 @@ def test_optimizer_slots_survive_a_checkpoint_round_trip():
     for name, opt in model.optimizers.items():
         again = loaded.optimizers[name].slots
         assert again["step"] == opt.slots["step"] == 3
-        for slot in ("m", "v"):
+        assert again.keys() == opt.slots.keys() == {"step", *nets.MOMENTS[opt.cfg.kind]}
+        for slot in nets.MOMENTS[opt.cfg.kind]:
             for k, value in opt.slots[slot].items():
                 assert np.array_equal(again[slot][k], value)

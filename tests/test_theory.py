@@ -451,6 +451,8 @@ def test_report_sections_small():
     ("k", 2.5), ("k", True), ("k", "3"), ("k", None),
     ("kappa", 1.5), ("kappa", True), ("kappa", "1"),
     ("epsilon", math.inf), ("epsilon", math.nan), ("epsilon", -1.0),
+    ("epsilon", "0.7"), ("epsilon", True), ("epsilon", -math.inf), ("epsilon", None),
+    *[("eta", bad) for bad in ("0.7", True, math.nan, math.inf, -math.inf, None)],
 ])
 def test_theory_problem_rejects_bad_numbers(field, value):
     args = dict(k=3, epsilon=1.0, eta=0.9, regularizer="w2",
@@ -458,6 +460,11 @@ def test_theory_problem_rejects_bad_numbers(field, value):
     args[field] = value
     with pytest.raises(DomainError):
         theory.TheoryProblem(**args)
+
+
+def test_theory_problem_takes_an_int_epsilon_as_a_float():
+    problem = theory.TheoryProblem(k=2, epsilon=1, eta=0.75, regularizer="wp")
+    assert problem.epsilon == 1.0 and type(problem.epsilon) is float
 
 
 def test_theory_problem_takes_integral_floats_as_ints():
