@@ -135,17 +135,10 @@ def load_config(args) -> dict:
         config["model"]["epochs"] = args.epochs
     if not isinstance(config["seeds"], list) or not config["seeds"]:
         raise ConfigError("seeds must be a nonempty list")
-    config["seeds"] = [_seed(s, "seeds entry") for s in config["seeds"]]
-    config["data"]["family_seed"] = _seed(config["data"]["family_seed"], "data.family_seed")
-    config["split"]["seed"] = _seed(config["split"]["seed"], "split.seed")
+    config["seeds"] = [linalg.as_seed(s, "seeds entry", ConfigError) for s in config["seeds"]]
+    for section, key in (("data", "family_seed"), ("split", "seed")):
+        config[section][key] = linalg.as_seed(config[section][key], f"{section}.{key}", ConfigError)
     return config
-
-
-def _seed(value, what: str) -> int:
-    seed = linalg.as_int(value, what, ConfigError)
-    if seed < 0:
-        raise ConfigError(f"{what} must be a non-negative int, got {seed}")
-    return seed
 
 
 def _hyperparams(config) -> model_mod.Hyperparams:
@@ -404,8 +397,16 @@ def cmd_theory(config) -> int:
 # --------------------------------------------------------------- entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError instead of
+    printing usage text and exiting; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maw",
         description="Robust novelty detection with a mixture-latent autoencoder.",
     )
@@ -440,8 +441,8 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args)
         if args.command == "gen-data":
             return cmd_gen_data(config)

@@ -48,6 +48,14 @@ def as_float(value, what: str, error: type) -> float:
     return float(value)
 
 
+def as_seed(value, what: str, error: type) -> int:
+    """A random seed: a non-negative int as as_int takes it; anything else raises error."""
+    seed = as_int(value, what, error)
+    if seed < 0:
+        raise error(f"{what} must be a non-negative int, got {seed}")
+    return seed
+
+
 def is_symmetric(m: np.ndarray) -> bool:
     """Entrywise check |M[i,j] - M[j,i]| <= 1e-12 * max(1, |M[i,j]|), over every
     matrix of a (..., n, n) stack."""
@@ -132,9 +140,15 @@ def psd_sqrt(m) -> np.ndarray:
     """
     m = require_symmetric(m)
     n = m.shape[-1]
-    w, q = sym_eig_batch(m.reshape(-1, n, n))
+    return _psd_sqrt(m.reshape(-1, n, n)).reshape(m.shape)
+
+
+def _psd_sqrt(m3: np.ndarray) -> np.ndarray:
+    """psd_sqrt's kernel for an (L, n, n) float64 stack whose symmetry the
+    caller has checked; only the spectrum's floor is checked here."""
+    w, q = sym_eig_batch(m3)
     low = float(np.min(w[:, -1]))
     if low < PSD_EIG_FLOOR:
         raise NotPSDError(f"matrix has eigenvalue {low:.3e} < {PSD_EIG_FLOOR}")
     root = (q * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(q, 1, 2)
-    return (0.5 * (root + np.swapaxes(root, 1, 2))).reshape(m.shape)
+    return 0.5 * (root + np.swapaxes(root, 1, 2))

@@ -14,10 +14,13 @@ closed-form minimizer driven by a scalar colinearity parameter; the KL
 problem is ill-posed because KL from a rank-deficient Gaussian is infinite.
 Each analytic fact is paired with an independent numeric oracle
 (grid search + Nelder-Mead over the reduced colinear/diagonal
-parameterization, and an exact-assignment empirical W1).  The oracle
-evaluates its whole grid as one stacked call of the full distance formulas
-and runs Nelder-Mead on the same function, one candidate at a time; every
-evaluation stacks both modes into a single distance call.
+parameterization, and an exact-assignment empirical W1).
+
+Inputs are checked once, where they enter: the public distances,
+mixture_objective, TheoryProblem and every seed (a non-negative int, else
+DomainError).  The oracle builds its candidates from a validated problem,
+factors the prior once per solve and calls the unchecked kernel objective on
+its whole grid as one stack, then on each Nelder-Mead candidate.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ CONSTRAINTS = ("shared", "low-rank-inlier")
 #
 # Each distance takes one candidate or a stack of G of them: a mean is (k,) or
 # (G, k), a covariance (k, k), shared by the whole stack, or (G, k, k).  Every
-# matrix of a stack gets the checks a single one gets, and the distinct
-# covariances are decomposed in one sym_eig_batch call; single operands give a
-# float, a stack a (G,) array.
+# matrix of a stack gets the checks a single one gets; single operands give a
+# float, a stack a (G,) array.  Each is a checked entry: _operands validates,
+# then its kernel (_wp, _w2, _kl) computes on (1 or G, k) means and (1 or G,
+# k, k) covariances, checking only the spectra it computes.  _kl takes the
+# reference covariance factored by _kl_prior, so a fixed prior is factored once.
 
 
 def _operands(name: str, means, covariances=()):
@@ -84,7 +89,11 @@ def wp_equal_cov(mu_i, mu_0):
     the distance is ||mu_i - mu_0||_2 independently of p.
     """
     (mu_i, mu_0), _, single = _operands("wp_equal_cov", (mu_i, mu_0))
-    return _result(np.sqrt(np.sum((mu_i - mu_0) ** 2, axis=1)), single)
+    return _result(_wp(mu_i, mu_0), single)
+
+
+def _wp(mu_i, mu_0):
+    return np.sqrt(np.sum((mu_i - mu_0) ** 2, axis=1))
 
 
 def w2_gaussian(mu1, sigma1, mu2, sigma2):
@@ -94,11 +103,15 @@ def w2_gaussian(mu1, sigma1, mu2, sigma2):
     PSD roots taken per candidate.
     """
     (mu1, mu2), (s1, s2), single = _operands("w2_gaussian", (mu1, mu2), (sigma1, sigma2))
-    r1 = linalg.psd_sqrt(s1)
+    return _result(_w2(mu1, s1, mu2, s2), single)
+
+
+def _w2(mu1, s1, mu2, s2):
+    r1 = linalg._psd_sqrt(s1)
     inner = r1 @ s2 @ r1
-    cross = linalg.psd_sqrt(0.5 * (inner + np.swapaxes(inner, 1, 2)))
+    cross = linalg._psd_sqrt(0.5 * (inner + np.swapaxes(inner, 1, 2)))
     sq = np.sum((mu1 - mu2) ** 2, axis=1) + _trace(s1) + _trace(s2) - 2.0 * _trace(cross)
-    return _result(np.sqrt(np.maximum(sq, 0.0)), single)
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def kl_gaussian(mu1, sigma1, mu0, sigma0):
@@ -110,22 +123,32 @@ def kl_gaussian(mu1, sigma1, mu0, sigma0):
     entry of a stack).
     """
     (mu1, mu0), (s1, s0), single = _operands("kl_gaussian", (mu1, mu0), (sigma1, sigma0))
-    k = mu1.shape[1]
-    w, q = linalg.sym_eig_batch(np.concatenate([s0, s1]))
-    w0, q0, w1 = w[:len(s0)], q[:len(s0)], w[len(s0):]
+    return _result(_kl(mu1, s1, mu0, _kl_prior(s0)), single)
+
+
+def _kl_prior(s0):
+    """(S0^{-1}, log det S0) of each matrix of a (1 or G, k, k) stack, from one
+    sym_eig_batch call; DomainError unless every one is positive definite."""
+    w0, q0 = linalg.sym_eig_batch(s0)
     if np.any(w0[:, -1] <= 0.0):
         raise DomainError("reference covariance must be positive definite")
+    return (q0 / w0[:, None, :]) @ np.swapaxes(q0, 1, 2), np.sum(np.log(w0), axis=1)
+
+
+def _kl(mu1, s1, mu0, prior):
+    inv0, log_det0 = prior
+    k = mu1.shape[1]
+    w1 = linalg.sym_eig_batch(s1)[0]
     if np.any(w1[:, -1] < -1e-9 * np.maximum(1.0, np.max(np.abs(w1), axis=1))):
         raise DomainError("sigma1 is not positive semidefinite")
     singular = w1[:, -1] <= KL_SINGULAR_REL_TOL * np.maximum(1.0, w1[:, 0])
-    inv0 = (q0 / w0[:, None, :]) @ np.swapaxes(q0, 1, 2)
     w1 = np.where(singular[:, None], 1.0, w1)  # their entries are +inf below
-    log_det = np.sum(np.log(w0), axis=1) - np.sum(np.log(w1), axis=1)
+    log_det = log_det0 - np.sum(np.log(w1), axis=1)
     trace = np.sum(inv0 * np.swapaxes(s1, 1, 2), axis=(1, 2))
     dmu = mu1 - mu0
     mahalanobis = np.sum(dmu[:, :, None] * inv0 * dmu[:, None, :], axis=(1, 2))
     val = 0.5 * (log_det - k + trace + mahalanobis)
-    return _result(np.where(singular, math.inf, val), single)
+    return np.where(singular, math.inf, val)
 
 
 # ------------------------------------------------------------ problem objects
@@ -217,14 +240,32 @@ def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2):
     stacks += [np.shape(c)[0] for c in covs if np.ndim(c) == 3]
     g = max(stacks, default=1)
     means = np.concatenate([_mode_operand(m, g, (k,)) for m in (mu1, mu2)])
-    if problem.regularizer == "wp":
-        r = wp_equal_cov(means, problem.mu0)
-    else:
+    if covs:
         shared = np.shape(sigma1) == np.shape(sigma2) == (k, k) and np.array_equal(sigma1, sigma2)
-        cov = sigma1 if shared else np.concatenate([_mode_operand(c, g, (k, k)) for c in covs])
-        distance = w2_gaussian if problem.regularizer == "w2" else kl_gaussian
-        r = distance(means, cov, problem.mu0, problem.sigma0)
-    return _result(problem.eta * r[:g] + (1.0 - problem.eta) * r[g:], not stacks)
+        covs = (sigma1 if shared else np.concatenate([_mode_operand(c, g, (k, k)) for c in covs]),)
+    (means,), covs, _ = _operands("mixture_objective", (means,), covs)
+    return _result(_objective(problem)(means, *covs), not stacks)
+
+
+def _objective(problem: TheoryProblem):
+    """mixture_objective's kernel for one problem, with the prior factored here,
+    once: a function of checked (2G, k) means, mode 1's G candidates first, and
+    (but for W_p) a checked (1 or 2G, k, k) covariance stack, giving the (G,)
+    objective values."""
+    mu0, sigma0, eta = problem.mu0[None], problem.sigma0[None], problem.eta
+    prior = _kl_prior(sigma0) if problem.regularizer == "kl" else None
+
+    def objective(means, cov=None):
+        if problem.regularizer == "wp":
+            r = _wp(means, mu0)
+        elif problem.regularizer == "w2":
+            r = _w2(means, cov, mu0, sigma0)
+        else:
+            r = _kl(means, cov, mu0, prior)
+        g = len(r) // 2
+        return eta * r[:g] + (1.0 - eta) * r[g:]
+
+    return objective
 
 
 # ------------------------------------------------------------ analytic solvers
@@ -356,17 +397,20 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
         ):
             # the fixed-axis reduction is only exhaustive for isotropic priors
             raise DomainError("the KL oracle requires an isotropic shared covariance")
+        objective = _objective(problem)
 
-        def modes(offset):
-            # one offset, or a vector of them for a stack of candidates
-            mu1 = problem.mu0 + np.multiply.outer(offset, e1)
-            return mu1, mu1 - eps * e1, sigma, sigma
+        def modes(offsets):
+            # a candidate per offset, all with the prior's covariance
+            mu1 = problem.mu0 + np.multiply.outer(offsets, e1)
+            return mu1, mu1 - eps * e1
+
+        def evaluate(offsets):
+            return objective(np.concatenate(modes(offsets)), sigma[None])
 
         grid = np.linspace(-2.0 * eps, 2.0 * eps, grid_points)
-        values = mixture_objective(problem, *modes(grid))
-        x0 = [grid[int(np.argmin(values))]]
-        x, fun = _refine(lambda x: mixture_objective(problem, *modes(x[0])), x0)
-        mu1, mu2, _, _ = modes(x[0])
+        x0 = [grid[int(np.argmin(evaluate(grid)))]]
+        x, fun = _refine(lambda x: evaluate(x)[0], x0)
+        mu1, mu2 = modes(x[0])
         return TheorySolution(mu1, mu2, sigma.copy(), sigma.copy(), fun)
 
     if problem.regularizer == "kl":
@@ -394,18 +438,19 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
         sigma2 = (beta**2)[..., :, None] * np.eye(k)
         return mu1, mu2, sigma1, sigma2
 
-    def objective(x):
-        if abs(x[0]) < 1e-9:
-            return math.inf
-        return mixture_objective(problem, *unpack(x))
+    objective = _objective(problem)
+
+    def evaluate(points):
+        mu1, mu2, sigma1, sigma2 = unpack(points)
+        return objective(np.concatenate([mu1, mu2]), np.concatenate([sigma1, sigma2]))
 
     grid = np.concatenate([
         np.linspace(-2.0, -1e-3, max(100, grid_points // 8)),
         np.linspace(1e-3, 2.0, max(100, grid_points // 8)),
     ])
     points = np.column_stack([grid, np.ones((grid.size, kappa))])
-    values = mixture_objective(problem, *unpack(points))
-    x, fun = _refine(objective, points[int(np.argmin(values))])
+    x0 = points[int(np.argmin(evaluate(points)))]
+    x, fun = _refine(lambda x: math.inf if abs(x[0]) < 1e-9 else evaluate(x[None])[0], x0)
     mu1, mu2, sigma1, sigma2 = unpack(x)
     return TheorySolution(mu1, mu2, sigma1, sigma2, fun, u=float(x[0]))
 
@@ -414,7 +459,8 @@ def empirical_w1(samples_a, samples_b) -> float:
     """Exact W1 between two equal-size empirical point clouds.
 
     Solves the optimal assignment on the Euclidean cost matrix and divides by
-    the number of points; inputs are (n, K) arrays (or length-n vectors).
+    the number of points; inputs are nonempty, finite (n, K) arrays (or
+    length-n vectors).
     """
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
@@ -424,8 +470,12 @@ def empirical_w1(samples_a, samples_b) -> float:
         b = b[:, None]
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
         raise ShapeError("empirical_w1 needs two equally-shaped sample arrays")
+    if a.size == 0:
+        raise ShapeError(f"empirical_w1 needs nonempty sample arrays, got shape {a.shape}")
     if a.shape[0] > MAX_EMPIRICAL_N:
         raise DomainError(f"empirical_w1 supports at most {MAX_EMPIRICAL_N} points per side")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("empirical_w1 samples must be finite")
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / a.shape[0])
@@ -486,6 +536,7 @@ def verify_shared_cov_recovery(regularizer: str) -> dict:
 
 def verify_low_rank_w2(seed: int = 0, extra_instances: int = 5) -> dict:
     """Canonical + random in-regime checks of the low-rank W2 minimizer."""
+    seed = linalg.as_seed(seed, "seed", DomainError)
     instances = []
 
     def check(k, kappa, eps, eta, canonical=False):
@@ -531,7 +582,7 @@ def verify_low_rank_w2(seed: int = 0, extra_instances: int = 5) -> dict:
 
 def verify_kl_rank_deficiency(seed: int = 0, per_dim: int = 20) -> dict:
     """KL from a rank-deficient Gaussian must be flagged infinite."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(linalg.as_seed(seed, "seed", DomainError))
     instances = []
     for k in (2, 3, 5):
         hits = 0
@@ -560,6 +611,7 @@ def verify_w1_mean_shift(seed: int = 0, n: int = 256, n_sigmas: int = 5) -> dict
     clouds, drawn from a second generator so the shifted draws stay those of
     the seed.
     """
+    seed = linalg.as_seed(seed, "seed", DomainError)
     rng = np.random.default_rng(seed)
     null_rng = np.random.default_rng((seed, 1))
     k = 2
@@ -583,7 +635,11 @@ def verify_w1_mean_shift(seed: int = 0, n: int = 256, n_sigmas: int = 5) -> dict
 
 
 def verification_report(seed: int = 0) -> dict:
-    """Full numeric verification of the closed-form results; JSON-friendly."""
+    """Full numeric verification of the closed-form results; JSON-friendly.
+
+    The seed is checked by the first section that draws with it: perfbench's
+    tracer takes each call made here into the package for a report section.
+    """
     sections = {
         "shared_cov_w1_recovers_prior": verify_shared_cov_recovery("wp"),
         "shared_cov_kl_barycenter": verify_shared_cov_recovery("kl"),

@@ -196,6 +196,28 @@ def test_negative_or_non_integer_seed_exits_2(tmp_path, capsys, monkeypatch, cas
     assert err["kind"] == "config" and "seed" in err["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["nosuch"], ["--bogus", "theory"], [], ["--seed", "abc", "theory"], ["theory", "--what"],
+    ["score"], ["train", "--variant", "nope"], ["train", "--epochs", "1.5"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_argument_errors_exit_2_with_one_json_line(capsys, argv):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1 and "usage" not in err
+    assert json.loads(lines[0])["error"]["code"] == 2
+    assert json.loads(lines[0])["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+def test_help_still_prints_help_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: maw") and err == ""
+
+
 def test_set_cannot_replace_a_section(tmp_path):
     cfg = small_config(tmp_path)
     assert run(["--config", cfg, "--set", 'split={"seed": 1}', "train"]) == 2

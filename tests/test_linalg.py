@@ -29,6 +29,15 @@ def test_as_float_rule():
         assert value == want and type(value) is float
 
 
+def test_as_seed_rule():
+    for bad in (-1, 1.5, True, "1", None, np.nan, np.inf):
+        with pytest.raises(DomainError, match="seed"):
+            linalg.as_seed(bad, "seed", DomainError)
+    for good, want in ((0, 0), (7, 7), (3.0, 3)):
+        value = linalg.as_seed(good, "seed", DomainError)
+        assert value == want and type(value) is int
+
+
 def test_sym_eig_diagonal():
     w, q = _eig(np.diag([3.0, 1.0]))
     assert np.allclose(w, [3.0, 1.0])
@@ -125,6 +134,16 @@ def test_psd_sqrt_on_a_stack_equals_per_matrix():
     assert roots.shape == m.shape
     for index in np.ndindex(m.shape[:-2]):
         assert np.array_equal(roots[index], linalg.psd_sqrt(m[index]))
+
+
+def test_psd_sqrt_kernel_matches_the_checked_entry():
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal((5, 3, 3))
+    m = b @ np.swapaxes(b, 1, 2)
+    assert np.array_equal(linalg._psd_sqrt(m), linalg.psd_sqrt(m))
+    m[2] = np.diag([1.0, 0.0, -1e-3])
+    with pytest.raises(NotPSDError):  # the kernel still checks the spectrum it computes
+        linalg._psd_sqrt(m)
 
 
 def test_stacks_check_every_member():

@@ -251,27 +251,95 @@ def _spy(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("problem", [
+ORACLE_PROBLEMS = [
     dict(k=3, epsilon=1.0, eta=0.75, regularizer="wp"),
     dict(k=3, epsilon=1.0, eta=0.75, regularizer="kl"),
     dict(k=3, epsilon=1.0, eta=0.9, regularizer="w2", constraint="low-rank-inlier", kappa=1),
-], ids=lambda p: p["regularizer"])
+]
+
+
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=lambda p: p["regularizer"])
 def test_each_objective_evaluation_makes_one_distance_call(monkeypatch, problem):
     problem = theory.TheoryProblem(**problem)
-    distance = {"wp": "wp_equal_cov", "w2": "w2_gaussian", "kl": "kl_gaussian"}
-    evaluations = _spy(monkeypatch, theory, "mixture_objective")
-    distance_calls = _spy(monkeypatch, theory, distance[problem.regularizer])
+    evaluations = []
+    make_objective = theory._objective
+
+    def counted(problem):
+        objective = make_objective(problem)
+
+        def evaluate(*args):
+            evaluations.append(args)
+            return objective(*args)
+
+        return evaluate
+
+    monkeypatch.setattr(theory, "_objective", counted)
+    distance_calls = _spy(monkeypatch, theory, "_" + problem.regularizer)  # its kernel
     theory.brute_force_minimizer(problem)
     assert len(evaluations) > 10  # the grid and the Nelder-Mead steps
     assert len(distance_calls) == len(evaluations)
 
 
-def test_shared_kl_grid_decomposes_two_matrices(monkeypatch):
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=lambda p: p["regularizer"])
+def test_the_oracle_checks_no_operand_it_built(monkeypatch, problem):
+    problem = theory.TheoryProblem(**problem)
+    checks = [
+        _spy(monkeypatch, owner, name)
+        for owner, name in [(theory, "_operands"), (theory, "_mode_operand"),
+                            (theory, "mixture_objective"), (linalg, "require_symmetric"),
+                            (linalg, "psd_sqrt")]
+    ]
+    theory.brute_force_minimizer(problem)
+    assert [len(calls) for calls in checks] == [0] * len(checks)
+
+
+def test_shared_kl_solve_factors_the_prior_once(monkeypatch):
     problem = theory.TheoryProblem(k=5, epsilon=1.0, eta=5.0 / 6.0, regularizer="kl")
     calls = _spy(monkeypatch, linalg, "sym_eig_batch")
+    priors = _spy(monkeypatch, theory, "_kl_prior")
     theory.brute_force_minimizer(problem, grid_points=801)
     sizes = [len(args[0]) for args in calls]
-    assert len(sizes) > 1 and max(sizes) <= 2  # the grid call and every Nelder-Mead step
+    assert len(priors) == 1
+    assert len(sizes) > 2 and max(sizes) == 1  # the prior, the grid and every Nelder-Mead step
+
+
+BAD_MODE_COVARIANCES = {  # (covariance, the message of the error for w2 and for kl)
+    "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], ("not symmetric",) * 2),
+    "non-finite": ([[math.nan, 0.0], [0.0, 1.0]], ("must be finite",) * 2),
+    "indefinite": ([[0.0, 1.0], [1.0, 0.0]], ("has eigenvalue", "not positive semidefinite")),
+}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("bad", BAD_MODE_COVARIANCES)
+@pytest.mark.parametrize("regularizer", ["w2", "kl"])
+def test_mixture_objective_rejects_a_bad_mode_covariance(regularizer, bad, stacked):
+    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.8, regularizer=regularizer)
+    cov, messages = BAD_MODE_COVARIANCES[bad]
+    mu, sigma2 = np.zeros(2), np.eye(2)
+    if stacked:
+        mu, sigma2 = np.zeros((3, 2)), np.stack([np.eye(2)] * 3)
+    error = NotPSDError if (regularizer, bad) == ("w2", "indefinite") else DomainError
+    with pytest.raises(error, match=messages[regularizer == "kl"]):
+        theory.mixture_objective(problem, mu, mu, cov, sigma2)
+
+
+def test_w2_overflow_is_a_numerical_error():
+    # finite operands whose S1^{1/2} S2 S1^{1/2} overflows to inf
+    huge = 1e200 * np.eye(2)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        theory.w2_gaussian(np.zeros(2), huge, np.zeros(2), huge)
+
+
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS[1:], ids=lambda p: p["regularizer"])
+def test_a_non_finite_simplex_candidate_ends_in_a_numerical_error(monkeypatch, problem):
+    def diverged(fun, x0, **kwargs):
+        x = np.full(np.shape(x0), math.nan)
+        return OptimizeResult(x=x, fun=float(fun(x)), status=0, nit=1, message="")
+
+    monkeypatch.setattr(theory, "minimize", diverged)
+    with pytest.raises(NumericalError):
+        theory.brute_force_minimizer(theory.TheoryProblem(**problem))
 
 
 # ------------------------------------------------------------ shared covariance
@@ -400,6 +468,21 @@ def test_empirical_w1_examples():
         theory.empirical_w1(np.zeros((600, 2)), np.zeros((600, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_empirical_w1_rejects_non_finite_samples(side, bad):
+    clouds = {"a": np.zeros((4, 2)), "b": np.ones((4, 2))}
+    clouds[side][2, 1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        theory.empirical_w1(clouds["a"], clouds["b"])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0,), (4, 0)])
+def test_empirical_w1_rejects_empty_clouds(shape):
+    with pytest.raises(ShapeError, match="nonempty"):
+        theory.empirical_w1(np.zeros(shape), np.zeros(shape))
+
+
 def test_empirical_w1_decreases_with_sample_size():
     vals = {}
     for n in (64, 256):
@@ -474,6 +557,26 @@ def test_theory_problem_takes_integral_floats_as_ints():
     assert (problem.k, problem.kappa) == (3, 1)
     assert type(problem.k) is int and type(problem.kappa) is int
     assert problem.mu0.shape == (3,)
+
+
+SEEDED = {
+    "verification_report": theory.verification_report,
+    "verify_low_rank_w2": theory.verify_low_rank_w2,
+    "verify_kl_rank_deficiency": theory.verify_kl_rank_deficiency,
+    "verify_w1_mean_shift": theory.verify_w1_mean_shift,
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "1", None, math.nan, math.inf])
+@pytest.mark.parametrize("verifier", SEEDED)
+def test_verifiers_reject_a_seed_that_is_not_a_non_negative_int(verifier, seed):
+    with pytest.raises(DomainError, match="seed"):
+        SEEDED[verifier](seed=seed)
+
+
+def test_verifiers_take_an_integral_float_seed_as_an_int():
+    assert theory.verify_kl_rank_deficiency(seed=1.0, per_dim=2) == \
+        theory.verify_kl_rank_deficiency(seed=1, per_dim=2)
 
 
 @pytest.mark.parametrize("status, nit", [(1, 7), (2, theory.NM_MAX_ITER)])
