@@ -365,7 +365,7 @@ class Tape:
                 f"batch_diag_sandwich shapes A{av.shape} S{sv.shape} incompatible"
             )
         nblocks, d = sv.shape[0], av.shape[1]
-        blocks = np.einsum("pk,lp,pq->lkq", av, sv, av)
+        blocks = linalg.diag_sandwich(av, sv)
 
         def vjp_a(g):
             g3 = g.reshape(nblocks, d, d)
@@ -424,14 +424,10 @@ class Tape:
         if sv.ndim != 2:
             raise ShapeError("rows_to_diag_blocks expects a matrix of diagonal rows")
         nblocks, d = sv.shape
-        out = np.zeros((nblocks, d, d))
         idx = np.arange(d)
-        out[:, idx, idx] = sv
-
-        def vjp(g):
-            return g.reshape(nblocks, d, d)[:, idx, idx]
-
-        return self._record(out.reshape(nblocks * d, d), [(s_rows, vjp)], "rows_to_diag_blocks")
+        return self._record(linalg.diag_blocks(sv).reshape(nblocks * d, d),
+                            [(s_rows, lambda g: g.reshape(nblocks, d, d)[:, idx, idx])],
+                            "rows_to_diag_blocks")
 
     def mixture_sample(self, mu1, mu2, m1blocks, m2blocks, labels, point_idx, eps1, eps2) -> Node:
         """Reparameterized mixture draws z_k = mu_j[i] + M_j[i] eps1_k + eps2_k.

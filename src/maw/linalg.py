@@ -18,6 +18,7 @@ from .errors import DomainError, NotPSDError, NumericalError, ShapeError
 
 SYM_REL_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
+TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 def as_vector(x) -> np.ndarray:
@@ -81,9 +82,36 @@ def require_symmetric(m) -> np.ndarray:
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row of x to unit L2 norm; zero rows stay zero."""
-    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))  # np.linalg.norm's arithmetic
+    """Scale each row of x to unit L2 norm; zero rows stay zero.
+
+    A nonzero row whose sum of squares overflows or falls below the smallest
+    normal float (entries beyond about 1e+-154) is first divided by its
+    largest |entry|; every other row keeps the plain formula's bits.
+    """
+    try:  # the floating-point flags are a cheaper test than scanning the sums
+        with np.errstate(over="raise", under="raise"):
+            sq = np.add.reduce(x * x, axis=-1, keepdims=True)  # np.linalg.norm's arithmetic
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            sq = np.add.reduce(x * x, axis=-1, keepdims=True)
+        peak = np.max(np.abs(x), axis=-1, keepdims=True)
+        x = x / np.where(((sq >= TINY) & (sq < np.inf)) | (peak == 0.0), 1.0, peak)
+        sq = np.add.reduce(x * x, axis=-1, keepdims=True)
+    norms = np.sqrt(sq)
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
+
+
+def diag_blocks(rows: np.ndarray) -> np.ndarray:
+    """Each row of an (L, d) array as the diagonal of a d x d block: (L, d, d)."""
+    idx = np.arange(rows.shape[1])
+    out = np.zeros((rows.shape[0], idx.size, idx.size))
+    out[:, idx, idx] = rows
+    return out
+
+
+def diag_sandwich(a: np.ndarray, s_rows: np.ndarray) -> np.ndarray:
+    """Blocks A^T diag(s_l) A for each row s_l of s_rows (L, p), with A (p, d): (L, d, d)."""
+    return np.einsum("pk,lp,pq->lkq", a, s_rows, a)
 
 
 def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:

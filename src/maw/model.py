@@ -5,13 +5,15 @@ absolute deviation reconstruction loss (encoder, reduction matrix, decoder),
 an RMSprop step on the clipped critic's Wasserstein-1 surrogate, and an Adam
 step pushing the generator (encoder + reduction matrix) against the critic.
 Scoring draws from the inlier mode only and averages cosine similarity
-between a test point and its decodes.
+between a test point and its decodes.  _modes is the one posterior after the
+encoder: training runs it on the tape, scoring on plain arrays (ARRAY_OPS).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -267,26 +269,41 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
     return MawModel(hp, feature_dim, store, specs, optimizers)
 
 
+def _modes(ops, model: MawModel, enc, modes=(1, 2)):
+    """([mean], [factor blocks]) of the ascending modes from the encoder's four
+    outputs, on ops: a Tape in training, ARRAY_OPS in scoring.  The tape's node
+    order (means, blocks, truncation) fixes the summation order of A's adjoint."""
+    hp = model.hp
+    means, rows = [enc[j - 1] for j in modes], [enc[j + 1] for j in modes]
+    truncate = modes[0] == 1 and hp.variant != "maw-same-rank"
+    if hp.variant == "maw-diagonal-cov":
+        if truncate:
+            rows[0] = ops.hadamard(rows[0], linalg.truncation_mask(hp.d))
+        return means, [ops.rows_to_diag_blocks(s) for s in rows]
+    a = ops.param(model.store.params["A"], "A")
+    means = [ops.matmul(mu, a) for mu in means]
+    blocks = [ops.batch_diag_sandwich(a, s) for s in rows]
+    if truncate:
+        blocks[0] = ops.spectral_truncate(blocks[0], hp.d)
+    return means, blocks
+
+
+# The Tape methods _modes calls, on plain arrays: blocks are (L, d, d), not (L*d, d).
+ARRAY_OPS = SimpleNamespace(
+    param=lambda value, name: value,
+    matmul=np.matmul,
+    hadamard=np.multiply,
+    batch_diag_sandwich=linalg.diag_sandwich,
+    rows_to_diag_blocks=linalg.diag_blocks,
+    spectral_truncate=lambda blocks, d: linalg.spectral_truncate(blocks)[0],
+)
+
+
 def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
                        labels, point_idx, eps1, eps2, train: bool):
-    """Encoder -> reduction -> reparameterized latent draws, on the tape."""
-    hp = model.hp
-    store = model.store
-    x = tape.const(xb)
-    if hp.variant == "maw-diagonal-cov":
-        mu1, mu2, s1, s2 = nets.mlp_forward(tape, store, "enc", model.specs["enc"], x, train)
-        s1 = tape.hadamard(s1, tape.const(linalg.truncation_mask(hp.d)))
-        m1 = tape.rows_to_diag_blocks(s1)
-        m2 = tape.rows_to_diag_blocks(s2)
-    else:
-        mu01, mu02, s01, s02 = nets.mlp_forward(tape, store, "enc", model.specs["enc"], x, train)
-        a = tape.param(store.params["A"], "A")
-        mu1 = tape.matmul(mu01, a)
-        mu2 = tape.matmul(mu02, a)
-        m1 = tape.batch_diag_sandwich(a, s01)
-        m2 = tape.batch_diag_sandwich(a, s02)
-        if hp.variant != "maw-same-rank":
-            m1 = tape.spectral_truncate(m1, hp.d)
+    """Encoder -> posterior (_modes) -> reparameterized latent draws, on the tape."""
+    enc = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb), train)
+    (mu1, mu2), (m1, m2) = _modes(tape, model, enc)
     return tape.mixture_sample(mu1, mu2, m1, m2, labels, point_idx, eps1, eps2)
 
 
@@ -438,45 +455,17 @@ def train(features, hp: Hyperparams, seed: int):
 
 
 def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
-    """Per-point inlier-mode mean and covariance factor for scoring.
-
-    Returns (mu (n, d), factors (n, d, d)).  The single Gaussian ablation
-    scores with its only (full covariance) mode; the plain VAE's factor is
-    diag(sigma).
-    """
+    """Per-point inlier-mode mean (n, d) and covariance factor (n, d, d) for
+    scoring: _modes' mode 1 on plain arrays, or the single Gaussian ablation's
+    only mode 2.  The plain VAE's factor is diag(sigma)."""
     hp = model.hp
-    store = model.store
-    n = y_rows.shape[0]
-    d = hp.d
+    enc = nets.mlp_apply(model.store, "enc", model.specs["enc"], y_rows)
     if hp.variant == "vae":
-        feats = nets.mlp_apply(store, "enc", model.specs["enc"], y_rows)
-        head = feats @ store.params["head.W"] + store.params["head.b"]
-        mu, logvar = head[:, :d], head[:, d:]
-        factors = np.zeros((n, d, d))
-        idx = np.arange(d)
-        factors[:, idx, idx] = np.exp(0.5 * logvar)
-        return mu, factors
-    if hp.variant == "maw-diagonal-cov":
-        mu1, _, s1, _ = nets.mlp_apply(store, "enc", model.specs["enc"], y_rows)
-        factors = np.zeros((n, d, d))
-        idx = np.arange(d)
-        factors[:, idx, idx] = s1 * linalg.truncation_mask(d)
-        return mu1, factors
-
-    mu01, mu02, s01, s02 = nets.mlp_apply(store, "enc", model.specs["enc"], y_rows)
-    a = store.params["A"]
-    if hp.variant == "maw-single-gaussian":
-        mu = mu02 @ a
-        s_rows = s02
-        truncate = False
-    else:
-        mu = mu01 @ a
-        s_rows = s01
-        truncate = hp.variant != "maw-same-rank"
-    blocks = np.einsum("pk,lp,pq->lkq", a, s_rows, a)
-    if truncate:
-        blocks = linalg.spectral_truncate(blocks)[0]
-    return mu, blocks
+        head = enc @ model.store.params["head.W"] + model.store.params["head.b"]
+        return head[:, :hp.d], linalg.diag_blocks(np.exp(0.5 * head[:, hp.d:]))
+    (mu,), (factors,) = _modes(ARRAY_OPS, model, enc,
+                               (2 if hp.variant == "maw-single-gaussian" else 1,))
+    return mu, factors
 
 
 def _prepare_rows(model: MawModel, y_rows, samples: int | None):

@@ -255,6 +255,23 @@ def test_score_non_finite_csv_cell_exits_3(tmp_path, capsys):
         assert "row 2" in detail and "'f3'" in detail
 
 
+def test_score_scaled_rows_score_like_the_row(tmp_path):
+    # rows are unit-normalized; at 1e+-200 the plain sum of squares overflows or underflows
+    cfg = small_config(tmp_path)
+    ckpt = _trained_checkpoint(cfg)
+    out = os.path.join(json.loads(open(cfg).read())["output_dir"], "scores.csv")
+    row = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 0.1])
+    data = tmp_path / "row.csv"
+    scores = []
+    for scale in (1.0, 1e200, 1e-200):
+        cells = ",".join(repr(float(v)) for v in row * scale)
+        data.write_text(f"f1,f2,f3,f4,f5,f6\n{cells}\n")
+        assert run(["--config", cfg, "score", "--checkpoint", ckpt, "--data", str(data)]) == 0
+        scores.append(float(open(out).read().splitlines()[2].split(",")[1]))
+    assert scores[0] != 0.0
+    np.testing.assert_allclose(scores, scores[0], rtol=0.0, atol=1e-12)
+
+
 def test_score_csv_of_wrong_width_exits_3(tmp_path, capsys):
     cfg = small_config(tmp_path)
     ckpt = _trained_checkpoint(cfg)

@@ -199,3 +199,39 @@ def test_sym_eig_batch_rejects_non_finite():
         linalg.sym_eig_batch(np.full((1, 3, 3), np.inf))
     with pytest.raises(ShapeError):
         linalg.sym_eig_batch(np.ones((2, 2, 3)))
+
+
+def test_normalize_rows_keeps_ordinary_rows_bits():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((50, 7)) * 10.0 ** rng.integers(-150, 150, (50, 1))
+    x[3] = 0.0
+    x[4, 0] = 1e-170  # its square underflows harmlessly: the row is still ordinary
+    want = x / np.where(np.linalg.norm(x, axis=1, keepdims=True) > 0.0,
+                        np.linalg.norm(x, axis=1, keepdims=True), 1.0)
+    assert np.array_equal(linalg.normalize_rows(x), want)
+    for empty in (np.zeros((0, 3)), np.zeros((2, 0))):
+        assert np.array_equal(linalg.normalize_rows(empty), empty)
+
+
+def test_normalize_rows_rescales_rows_that_overflow_or_underflow():
+    # the plain sum of squares is inf at 1e200 and 0 at 1e-200: such rows used to be zeroed
+    row = np.array([3.0, -4.0, 12.0, 0.5])
+    ordinary = np.array([[0.25, 1.0, -2.0, 0.0], np.zeros(4)])
+    x = np.vstack([row, row * 1e200, row * 1e-200, row * 1e-160, -row * 1e300, ordinary])
+    out = linalg.normalize_rows(x)  # pytest turns any RuntimeWarning into an error
+    for scaled in out[1:4]:
+        np.testing.assert_allclose(scaled, out[0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(out[4], -out[0], rtol=0.0, atol=1e-15)
+    assert np.array_equal(out[5:], linalg.normalize_rows(ordinary))
+    assert np.array_equal(out[6], np.zeros(4))
+
+
+def test_diag_kernels():
+    rng = np.random.default_rng(1)
+    a, s = rng.standard_normal((5, 3)), rng.standard_normal((4, 5))
+    blocks = linalg.diag_blocks(s)
+    assert blocks.shape == (4, 5, 5)
+    for l in range(4):
+        assert np.array_equal(blocks[l], np.diag(s[l]))
+        np.testing.assert_allclose(linalg.diag_sandwich(a, s)[l], a.T @ np.diag(s[l]) @ a,
+                                   rtol=1e-13, atol=1e-13)

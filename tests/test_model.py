@@ -559,6 +559,41 @@ def test_scoring_folds_each_network_once(monkeypatch):
     assert len(folds) == 2 and set(folds) == {model.specs["enc"], model.specs["dec"]}
 
 
+@pytest.mark.parametrize("variant", [v for v in M.VARIANTS if v != "vae"])
+def test_modes_on_tape_and_arrays_agree_bit_for_bit(variant):
+    # training samples the tape's modes and scoring reads the arrays' inlier mode
+    hp = tiny_hp(d=4, dprime=6, variant=variant)
+    model = M.init_model(hp, 4, np.random.default_rng(0))
+    width = hp.d if variant == "maw-diagonal-cov" else hp.dprime
+    enc = tuple(np.random.default_rng(1).standard_normal((4, 5, width)))
+    tape = Tape()
+    means, blocks = M._modes(tape, model, [tape.const(e) for e in enc])
+    both = M._modes(M.ARRAY_OPS, model, enc)
+    for j in (1, 2):
+        (mu,), (factors,) = M._modes(M.ARRAY_OPS, model, enc, (j,))
+        for got in (mu, both[0][j - 1]):
+            assert np.array_equal(got, means[j - 1].value)
+        for got in (factors, both[1][j - 1]):
+            assert np.array_equal(got.reshape(-1, hp.d), blocks[j - 1].value)
+    ranks = np.linalg.matrix_rank(blocks[0].value.reshape(-1, hp.d, hp.d))
+    assert (ranks <= hp.d // 2).all() == (variant != "maw-same-rank")  # mode 1 is truncated
+
+
+def test_scoring_builds_no_tape(monkeypatch):
+    # scoring on a throwaway tape was tried: it added ~15% to one-row score
+    x = line_data(8, 4, seed=9)
+    models = [M.init_model(tiny_hp(variant=v), 4, np.random.default_rng(0)) for v in M.VARIANTS]
+
+    def no_tape():
+        raise AssertionError("scoring built a Tape")
+
+    monkeypatch.setattr(M, "Tape", no_tape)
+    monkeypatch.setattr(nets, "Tape", no_tape)
+    for model in models:
+        assert np.isfinite(M.score_batch(model, x)).all()
+        assert np.isfinite(M.score(model, x[0]))
+
+
 def test_score_samples_must_be_an_int():
     model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
     rows = line_data(3, 4, seed=1)
