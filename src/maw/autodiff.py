@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over the op set the model needs.
 
 A Tape records nodes in topological (insertion) order; each node stores its
-value and vjp closures that push its adjoint into the parents that need one.
-The first push allocates a node's adjoint; backward skips nodes none reached.
-A tape runs one backward pass; build a new tape for the next one.  Sampling
-noise enters as constant leaves so the reparameterized gradients flow only
-into distribution parameters.
+value, its parents and one vjp that maps its adjoint to one adjoint per
+parent.  backward calls each reached node's vjp once and pushes the results
+into the parents that need a gradient; the first push allocates a parent's
+adjoint, and nodes no push reached are skipped.  A tape runs one backward
+pass; build a new tape for the next one.  Sampling noise enters as constant
+leaves so the reparameterized gradients flow only into distribution
+parameters.
 
 Ops on blocks take a whole minibatch as one node: a batch of L dxd matrices
 is stored row-stacked as an (L*d) x d matrix.
@@ -45,13 +47,19 @@ def _scatter_rows(idx, rows, nrows: int) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("value", "adjoint", "parents", "needs_grad", "tag")
+    """A value, its parents and vjp(g), which returns one adjoint per parent
+    (it may give None for a parent that needs no gradient).  A node needs a
+    gradient when a parent does; vjp is None for leaves and for nodes no
+    parameter feeds."""
 
-    def __init__(self, value, parents=(), needs_grad=False, tag=""):
+    __slots__ = ("value", "adjoint", "parents", "vjp", "needs_grad", "tag")
+
+    def __init__(self, value, parents=(), vjp=None, tag=""):
         self.value = value
         self.adjoint = None  # set by the first push in backward
         self.parents = parents
-        self.needs_grad = needs_grad
+        self.needs_grad = any(p.needs_grad for p in parents)
+        self.vjp = vjp if self.needs_grad else None
         self.tag = tag
 
 
@@ -80,24 +88,21 @@ class Tape:
     def param(self, value, name: str) -> Node:
         if name in self.params:
             raise DomainError(f"duplicate parameter name on tape: {name}")
-        node = self._make(np.asarray(value, dtype=np.float64), (), True, "param")
+        node = self._record(value, (), None, "param")
+        node.needs_grad = True
         self.params[name] = node
         return node
 
     def const(self, value) -> Node:
-        return self._make(np.asarray(value, dtype=np.float64), (), False, "const")
-
-    def _make(self, value, parents, needs_grad, tag):
-        node = Node(value, parents, needs_grad, tag)
-        self.nodes.append(node)
-        return node
+        return self._record(value, (), None, "const")
 
     def _as_node(self, x) -> Node:
         return x if isinstance(x, Node) else self.const(x)
 
-    def _record(self, value, parent_vjps, tag=""):
-        kept = tuple((p, vjp) for p, vjp in parent_vjps if p.needs_grad)
-        return self._make(np.asarray(value, dtype=np.float64), kept, bool(kept), tag)
+    def _record(self, value, parents, vjp, tag, kind=Node):
+        node = kind(np.asarray(value, dtype=np.float64), parents, vjp, tag)
+        self.nodes.append(node)
+        return node
 
     # -- backward ----------------------------------------------------------
 
@@ -114,12 +119,11 @@ class Tape:
         self._consumed = True
         root.adjoint = np.ones_like(root.value)
         for node in reversed(self.nodes):
-            a = node.adjoint
-            if a is None or not node.parents:
+            if node.adjoint is None or node.vjp is None:
                 continue
-            for parent, vjp in node.parents:
-                g = vjp(a)
-                parent.adjoint = g if parent.adjoint is None else parent.adjoint + g
+            for parent, g in zip(node.parents, node.vjp(node.adjoint)):
+                if parent.needs_grad:
+                    parent.adjoint = g if parent.adjoint is None else parent.adjoint + g
         return {
             name: np.zeros_like(n.value) if n.adjoint is None else n.adjoint.copy()
             for name, n in self.params.items()
@@ -131,16 +135,12 @@ class Tape:
         a, b = self._as_node(a), self._as_node(b)
         if a.value.shape != b.value.shape:
             raise ShapeError(f"add shapes differ: {a.value.shape} vs {b.value.shape}")
-        return self._record(
-            a.value + b.value,
-            [(a, lambda g: g), (b, lambda g: g)],
-            "add",
-        )
+        return self._record(a.value + b.value, (a, b), lambda g: (g, g), "add")
 
     def scale(self, x, c: float) -> Node:
         x = self._as_node(x)
         c = float(c)
-        return self._record(c * x.value, [(x, lambda g: c * g)], "scale")
+        return self._record(c * x.value, (x,), lambda g: (c * g,), "scale")
 
     def hadamard(self, x, y) -> Node:
         """Elementwise product; y has x's shape or is a constant that broadcasts to it."""
@@ -149,36 +149,31 @@ class Tape:
         out = xv * yv
         if out.shape != xv.shape or (y.needs_grad and yv.shape != xv.shape):
             raise ShapeError(f"hadamard shapes {xv.shape} and {yv.shape} do not match")
-        return self._record(out, [(x, lambda g: g * yv), (y, lambda g: g * xv)], "hadamard")
+        return self._record(out, (x, y), lambda g: (g * yv, g * xv if y.needs_grad else None),
+                            "hadamard")
 
     def exp(self, x) -> Node:
         x = self._as_node(x)
         out = np.exp(x.value)
-        return self._record(out, [(x, lambda g: g * out)], "exp")
+        return self._record(out, (x,), lambda g: (g * out,), "exp")
 
     def softplus(self, x) -> Node:
         x = self._as_node(x)
         v = x.value
         out = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
         sig = 1.0 / (1.0 + np.exp(-v))
-        return self._record(out, [(x, lambda g: g * sig)], "softplus")
+        return self._record(out, (x,), lambda g: (g * sig,), "softplus")
 
     def mean_all(self, x) -> Node:
         x = self._as_node(x)
         size = x.value.size
-        return self._record(
-            np.asarray(x.value.mean()),
-            [(x, lambda g: np.full_like(x.value, float(g) / size))],
-            "mean_all",
-        )
+        return self._record(np.asarray(x.value.mean()), (x,),
+                            lambda g: (np.full_like(x.value, float(g) / size),), "mean_all")
 
     def sum_all(self, x) -> Node:
         x = self._as_node(x)
-        return self._record(
-            np.asarray(x.value.sum()),
-            [(x, lambda g: np.full_like(x.value, float(g)))],
-            "sum_all",
-        )
+        return self._record(np.asarray(x.value.sum()), (x,),
+                            lambda g: (np.full_like(x.value, float(g)),), "sum_all")
 
     # -- linear maps ---------------------------------------------------------
 
@@ -190,8 +185,7 @@ class Tape:
         W.shape[1].  Train mode needs L >= 2, uses the batch statistics (biased
         variance) and updates the running arrays in place (momentum 0.9), if
         they are not both None; eval mode uses the running statistics.  act is
-        one of ACTIVATIONS; leaky_relu has slope LEAKY_SLOPE below zero.  One
-        backward call yields every parent's adjoint.
+        one of ACTIVATIONS; leaky_relu has slope LEAKY_SLOPE below zero.
         """
         if (b is None) == (norm is None):
             raise DomainError("dense takes a bias exactly when it has no batch norm")
@@ -207,7 +201,6 @@ class Tape:
         if act not in ACTIVATIONS:
             raise DomainError(f"dense activation must be among {ACTIVATIONS}, got {act!r}")
         pre = xv @ wv
-        parents = [x, w, *shift]
         if norm is None:
             pre += shift[0].value
         else:
@@ -242,40 +235,27 @@ class Tape:
             slope = (pre > 0.0).astype(np.float64)
             np.maximum(slope, LEAKY_SLOPE, out=slope)
             out = pre * slope
-        kept = [p for p in parents if p.needs_grad]
 
-        def backward(g):
+        def vjp(g):  # adjoints of (x, W, b) or (x, W, gamma, beta)
             if slope is not None:
                 g = g * slope
-            grads = {}
-            if norm is not None:
-                dgamma = grads[gamma] = np.einsum("ij,ij->j", g, xhat)
-                dbeta = grads[beta] = g.sum(axis=0)
+            if norm is None:
+                shift_grads = (g.sum(axis=0) if shift[0].needs_grad else None,)
+            else:
+                dgamma = np.einsum("ij,ij->j", g, xhat)
+                dbeta = g.sum(axis=0)
+                shift_grads = (dgamma, dbeta)
                 if train:  # the batch statistics' closed form, through dgamma and dbeta
                     g = g - dbeta / nrows
                     g -= xhat * (dgamma / nrows)
                     g *= gamma.value * inv
                 else:
                     g = g * gamma.value * inv
-            elif shift[0].needs_grad:
-                grads[shift[0]] = g.sum(axis=0)
-            grads[x] = g @ wv.T if x.needs_grad else None
-            grads[w] = xv.T @ g if w.needs_grad else None
-            return [grads[p] for p in kept]
+            return (g @ wv.T if x.needs_grad else None, xv.T @ g if w.needs_grad else None,
+                    *shift_grads)
 
-        memo = {}
-
-        def vjp_of(i):
-            def vjp(g):
-                if memo.get("g") is not g:
-                    memo.update(g=g, grads=backward(g))
-                return memo["grads"][i]
-            return vjp
-
-        node = DenseNode(out, tuple((p, vjp_of(i)) for i, p in enumerate(kept)), bool(kept),
-                         "dense")
+        node = self._record(out, (x, w, *shift), vjp, "dense", DenseNode)
         node.act, node.pre = act, pre
-        self.nodes.append(node)
         return node
 
     def matmul(self, a, b) -> Node:
@@ -283,18 +263,14 @@ class Tape:
         av, bv = a.value, b.value
         if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
             raise ShapeError(f"matmul shapes {av.shape} x {bv.shape} do not chain")
-        return self._record(
-            av @ bv,
-            [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)],
-            "matmul",
-        )
+        return self._record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g), "matmul")
 
     def gather_rows(self, x, idx) -> Node:
         """Row gather X[idx]; backward scatter-adds."""
         x = self._as_node(x)
         nrows = x.value.shape[0]
         idx = _row_indices(idx, nrows)
-        return self._record(x.value[idx], [(x, lambda g: _scatter_rows(idx, g, nrows))],
+        return self._record(x.value[idx], (x,), lambda g: (_scatter_rows(idx, g, nrows),),
                             "gather_rows")
 
     def col_block(self, x, start: int, stop: int) -> Node:
@@ -305,9 +281,9 @@ class Tape:
         def vjp(g):
             out = np.zeros_like(x.value)
             out[:, start:stop] = g
-            return out
+            return (out,)
 
-        return self._record(x.value[:, start:stop], [(x, vjp)], "col_block")
+        return self._record(x.value[:, start:stop], (x,), vjp, "col_block")
 
     # -- norms and normalization ----------------------------------------------
 
@@ -333,26 +309,28 @@ class Tape:
             def base(g):
                 return (float(g) / nrows) * unit
 
-        return self._record(
-            np.asarray(out),
-            [(a, base), (b, lambda g: -base(g))],
-            "mean_rowwise_norm_diff",
-        )
+        def vjp(g):
+            ga = base(g)
+            return ga, -ga if b.needs_grad else None
+
+        return self._record(np.asarray(out), (a, b), vjp, "mean_rowwise_norm_diff")
 
     def normalize_rows(self, x) -> Node:
-        """Unit-normalize each row of a matrix; zero rows stay zero."""
+        """Unit-normalize each row of a matrix; zero rows stay zero.  The rows
+        and their lengths come from linalg.scaled_rows, so a row whose sum of
+        squares overflows or underflows is normalized too."""
         x = self._as_node(x)
         if x.value.ndim != 2:
             raise ShapeError("normalize_rows expects a matrix")
-        norms = np.linalg.norm(x.value, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        y = np.where(norms[:, None] > 0.0, x.value / safe[:, None], 0.0)
+        scaled, length, scale = linalg.scaled_rows(x.value)
+        y = np.divide(scaled, length, out=np.zeros_like(scaled), where=length > 0.0)
+        length = length * scale  # each row's own length; a scale of 1 keeps the bits
 
         def vjp(g):
             dots = np.sum(y * g, axis=1, keepdims=True)
-            return np.where(norms[:, None] > 0.0, (g - y * dots) / safe[:, None], 0.0)
+            return (np.divide(g - y * dots, length, out=np.zeros_like(g), where=length > 0.0),)
 
-        return self._record(y, [(x, vjp)], "normalize_rows")
+        return self._record(y, (x,), vjp, "normalize_rows")
 
     # -- quadratic forms and spectra ------------------------------------------
 
@@ -367,18 +345,14 @@ class Tape:
         nblocks, d = sv.shape[0], av.shape[1]
         blocks = linalg.diag_sandwich(av, sv)
 
-        def vjp_a(g):
+        def vjp(g):
             g3 = g.reshape(nblocks, d, d)
             sym = g3 + np.transpose(g3, (0, 2, 1))
-            return np.einsum("lp,pk,lkq->pq", sv, av, sym)
+            return (np.einsum("lp,pk,lkq->pq", sv, av, sym),
+                    np.einsum("pk,lqk,pq->lp", av, g3, av))
 
-        def vjp_s(g):
-            g3 = g.reshape(nblocks, d, d)
-            return np.einsum("pk,lqk,pq->lp", av, g3, av)
-
-        return self._record(
-            blocks.reshape(nblocks * d, d), [(a, vjp_a), (s_rows, vjp_s)], "batch_diag_sandwich"
-        )
+        return self._record(blocks.reshape(nblocks * d, d), (a, s_rows), vjp,
+                            "batch_diag_sandwich")
 
     def spectral_truncate(self, mblocks, d: int) -> SpectralNode:
         """Rank-d/2 truncation U diag(w * mask) U^T of each symmetric d x d block.
@@ -408,13 +382,11 @@ class Tape:
             g3 = g.reshape(nblocks, d, d)
             ut = np.swapaxes(us, 1, 2)
             inner = ut @ (0.5 * (g3 + np.swapaxes(g3, 1, 2))) @ us
-            return (us @ (f * inner) @ ut).reshape(nblocks * d, d)
+            return ((us @ (f * inner) @ ut).reshape(nblocks * d, d),)
 
-        parents = ((mblocks, vjp),) if mblocks.needs_grad else ()
-        node = SpectralNode(out.reshape(nblocks * d, d), parents, bool(parents),
-                            "spectral_truncate")
+        node = self._record(out.reshape(nblocks * d, d), (mblocks,), vjp, "spectral_truncate",
+                            SpectralNode)
         node.eigenvalues = ws
-        self.nodes.append(node)
         return node
 
     def rows_to_diag_blocks(self, s_rows) -> Node:
@@ -425,8 +397,8 @@ class Tape:
             raise ShapeError("rows_to_diag_blocks expects a matrix of diagonal rows")
         nblocks, d = sv.shape
         idx = np.arange(d)
-        return self._record(linalg.diag_blocks(sv).reshape(nblocks * d, d),
-                            [(s_rows, lambda g: g.reshape(nblocks, d, d)[:, idx, idx])],
+        return self._record(linalg.diag_blocks(sv).reshape(nblocks * d, d), (s_rows,),
+                            lambda g: (g.reshape(nblocks, d, d)[:, idx, idx],),
                             "rows_to_diag_blocks")
 
     def mixture_sample(self, mu1, mu2, m1blocks, m2blocks, labels, point_idx, eps1, eps2) -> Node:
@@ -450,27 +422,18 @@ class Tape:
         m1 = m1blocks.value.reshape(nrows, d, d)
         m2 = m2blocks.value.reshape(nrows, d, d)
         pick1 = labels == 1
+        picks = (pick1, ~pick1)
         msel = np.where(pick1[:, None, None], m1[point_idx], m2[point_idx])
         musel = np.where(pick1[:, None], mu1.value[point_idx], mu2.value[point_idx])
         out = musel + np.einsum("kde,ke->kd", msel, eps1) + eps2
 
-        def vjp_mu(g, mask):
-            return _scatter_rows(point_idx[mask], g[mask], nrows)
+        def vjp(g):  # adjoints of (mu1, mu2, m1blocks, m2blocks)
+            means = [_scatter_rows(point_idx[p], g[p], nrows) for p in picks]
+            blocks = [_scatter_rows(point_idx[p], g[p, :, None] * eps1[p, None, :], nrows)
+                      .reshape(nrows * d, d) for p in picks]
+            return (*means, *blocks)
 
-        def vjp_m(g, mask):
-            outer = g[mask, :, None] * eps1[mask, None, :]
-            return _scatter_rows(point_idx[mask], outer, nrows).reshape(nrows * d, d)
-
-        return self._record(
-            out,
-            [
-                (mu1, lambda g: vjp_mu(g, pick1)),
-                (mu2, lambda g: vjp_mu(g, ~pick1)),
-                (m1blocks, lambda g: vjp_m(g, pick1)),
-                (m2blocks, lambda g: vjp_m(g, ~pick1)),
-            ],
-            "mixture_sample",
-        )
+        return self._record(out, (mu1, mu2, m1blocks, m2blocks), vjp, "mixture_sample")
 
     def vae_kl_diag(self, mu_rows, logvar_rows) -> Node:
         """Batch-mean KL(N(mu, diag(e^logvar)) || N(0, I)) for row-wise params."""
@@ -481,12 +444,8 @@ class Tape:
         nrows = mv.shape[0]
         var = np.exp(lv)
         kl = 0.5 * float(np.sum(mv * mv + var - lv - 1.0)) / nrows
-        return self._record(
-            np.asarray(kl),
-            [
-                (mu_rows, lambda g: (float(g) / nrows) * mv),
-                (logvar_rows, lambda g: (0.5 * float(g) / nrows) * (var - 1.0)),
-            ],
-            "vae_kl_diag",
-        )
+        return self._record(np.asarray(kl), (mu_rows, logvar_rows),
+                            lambda g: ((float(g) / nrows) * mv,
+                                       (0.5 * float(g) / nrows) * (var - 1.0)),
+                            "vae_kl_diag")
 

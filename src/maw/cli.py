@@ -21,6 +21,8 @@ from . import model as model_mod
 from . import theory
 from .errors import ConfigError, DataError, MawError, MetricError, NumericalError
 
+_MODEL_DEFAULTS = model_mod.Hyperparams().to_dict()
+
 DEFAULT_CONFIG = {
     "data": {
         "source": "synthetic",  # synthetic | csv
@@ -30,20 +32,8 @@ DEFAULT_CONFIG = {
         "noise": 0.1,
         "family_seed": 0,
     },
-    "model": {
-        "d": 2,
-        "dprime": 128,
-        "eta": 5.0 / 6.0,
-        "samples": 5,
-        "epochs": 100,
-        "batch_size": 128,
-        "lr_vae": 5e-5,
-        "lr_critic": 5e-4,
-        "encoder_widths": [32, 64, 128],
-        "decoder_widths": [128, 64, 32],
-        "critic_widths": [32, 64, 128],
-    },
-    "variant": "maw",
+    "model": {k: v for k, v in _MODEL_DEFAULTS.items() if k != "variant"},
+    "variant": _MODEL_DEFAULTS["variant"],
     "split": {
         "n_train": 500,
         "c": 0.2,
@@ -174,11 +164,7 @@ def _resolve_train_set(config, seed: int) -> evalx.Dataset:
             raise ConfigError("data.path is required for data.source = csv")
         return evalx.load_csv(data["path"])
     split = _split(config)
-    family = _family(config)
-    return family.sample(
-        split.n_train, split.n_train_outliers,
-        sample_seed=evalx._train_seed(split.seed, seed),
-    )
+    return evalx.draw_train(_family(config), split, seed)
 
 
 # --------------------------------------------------------------- output writers
@@ -247,11 +233,7 @@ def _csv_cell(value):
 def cmd_gen_data(config) -> int:
     seed = config["seeds"][0]
     split = _split(config)
-    family = _family(config)
-    dataset = family.sample(
-        split.n_train, split.n_train_outliers,
-        sample_seed=evalx._train_seed(split.seed, seed),
-    )
+    dataset = evalx.draw_train(_family(config), split, seed)
     _ensure_dir(config["output_dir"])
     out = os.path.join(config["output_dir"], "dataset.csv")
     _write_dataset_csv(out, dataset, config, seed)
@@ -296,11 +278,7 @@ def cmd_score(config, args) -> int:
             raise DataError(f"{args.data} has {width} feature columns, not {model.feature_dim}")
     else:
         split = _split(config)
-        family = _family(config)
-        dataset = family.sample(
-            split.n_test, split.n_test_outliers(split.c_tests[0]),
-            sample_seed=evalx._test_seed(split.seed, seed, 0),
-        )
+        dataset = evalx.draw_test(_family(config), split, seed, 0)
     scores = model_mod.score_batch(model, dataset.features, seed=seed)
     _ensure_dir(config["output_dir"])
     out = os.path.join(config["output_dir"], "scores.csv")

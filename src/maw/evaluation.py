@@ -258,27 +258,29 @@ class MetricReport:
         }
 
 
+def draw_train(family, split: SplitSpec, seed: int) -> Dataset:
+    """The contaminated train split of one seed."""
+    sample_seed = np.random.SeedSequence((split.seed, seed, 0x7E5)).generate_state(1)[0]
+    return family.sample(split.n_train, split.n_train_outliers, sample_seed=int(sample_seed))
+
+
+def draw_test(family, split: SplitSpec, seed: int, j: int) -> Dataset:
+    """Test split j of one seed, contaminated at split.c_tests[j]."""
+    sample_seed = np.random.SeedSequence((split.seed, seed, 0x7E57, j)).generate_state(1)[0]
+    return family.sample(split.n_test, split.n_test_outliers(split.c_tests[j]),
+                         sample_seed=int(sample_seed))
+
+
 def evaluate_split(model, family: SyntheticFamily, split: SplitSpec, seed: int):
     """Score the test splits of one trained model; returns mean AUC/AP over c_test."""
     aucs, aps = [], []
-    for j, c_test in enumerate(split.c_tests):
-        test = family.sample(
-            split.n_test, split.n_test_outliers(c_test),
-            sample_seed=_test_seed(split.seed, seed, j),
-        )
+    for j in range(len(split.c_tests)):
+        test = draw_test(family, split, seed, j)
         normality = model_mod.score_batch(model, test.features, seed=_score_seed(split.seed, seed, j))
         outlierness = -normality
         aucs.append(auc(outlierness, test.labels))
         aps.append(ap(outlierness, test.labels))
     return float(np.mean(aucs)), float(np.mean(aps))
-
-
-def _train_seed(split_seed: int, seed: int) -> int:
-    return int(np.random.SeedSequence((split_seed, seed, 0x7E5)).generate_state(1)[0])
-
-
-def _test_seed(split_seed: int, seed: int, j: int) -> int:
-    return int(np.random.SeedSequence((split_seed, seed, 0x7E57, j)).generate_state(1)[0])
 
 
 def _score_seed(split_seed: int, seed: int, j: int) -> int:
@@ -299,10 +301,7 @@ def run_experiment(family: SyntheticFamily, splits, variants, seeds,
             entries = []
             for seed in seeds:
                 hp_cell = model_mod.Hyperparams(**{**hp.to_dict(), "variant": variant})
-                train_set = family.sample(
-                    split.n_train, split.n_train_outliers,
-                    sample_seed=_train_seed(split.seed, seed),
-                )
+                train_set = draw_train(family, split, seed)
                 model, _ = model_mod.train(train_set.features, hp_cell, seed=seed)
                 auc_val, ap_val = evaluate_split(model, family, split, seed)
                 entries.append({"seed": seed, "auc": auc_val, "ap": ap_val})

@@ -81,24 +81,32 @@ def require_symmetric(m) -> np.ndarray:
     return m
 
 
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row of x to unit L2 norm; zero rows stay zero.
+def scaled_rows(x: np.ndarray):
+    """(x / s, the row lengths of x / s, s), per row with s of shape (..., 1).
 
-    A nonzero row whose sum of squares overflows or falls below the smallest
-    normal float (entries beyond about 1e+-154) is first divided by its
-    largest |entry|; every other row keeps the plain formula's bits.
+    s is 1 except for a nonzero row whose sum of squares overflows or falls
+    below the smallest normal float (entries beyond about 1e+-154), where it
+    is the row's largest |entry|; it is the float 1.0 when no row needs it.
+    A row with s = 1 gets the plain formula's bits.
     """
     try:  # the floating-point flags are a cheaper test than scanning the sums
         with np.errstate(over="raise", under="raise"):
             sq = np.add.reduce(x * x, axis=-1, keepdims=True)  # np.linalg.norm's arithmetic
+        scale = 1.0
     except FloatingPointError:
         with np.errstate(over="ignore"):
             sq = np.add.reduce(x * x, axis=-1, keepdims=True)
         peak = np.max(np.abs(x), axis=-1, keepdims=True)
-        x = x / np.where(((sq >= TINY) & (sq < np.inf)) | (peak == 0.0), 1.0, peak)
+        scale = np.where(((sq >= TINY) & (sq < np.inf)) | (peak == 0.0), 1.0, peak)
+        x = x / scale
         sq = np.add.reduce(x * x, axis=-1, keepdims=True)
-    norms = np.sqrt(sq)
-    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
+    return x, np.sqrt(sq), scale
+
+
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row of x to unit L2 norm (through scaled_rows); zero rows stay zero."""
+    x, length, _ = scaled_rows(x)
+    return np.divide(x, length, out=np.zeros_like(x), where=length > 0.0)
 
 
 def diag_blocks(rows: np.ndarray) -> np.ndarray:

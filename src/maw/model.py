@@ -256,16 +256,10 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
         vae_names = store.names("enc.") + store.names("head.") + store.names("dec.")
     else:
         vae_names = gen_names + store.names("dec.")
-    optimizers = {
-        "vae": nets.Optimizer(nets.OptimizerConfig("adam", hp.lr_vae), vae_names, store)
-    }
+    optimizers = {"vae": nets.Optimizer("adam", hp.lr_vae, vae_names, store)}
     if "cri" in specs:
-        optimizers["critic"] = nets.Optimizer(
-            nets.OptimizerConfig("rmsprop", hp.lr_critic), store.names("cri."), store
-        )
-        optimizers["gen"] = nets.Optimizer(
-            nets.OptimizerConfig("adam", hp.lr_vae), gen_names, store
-        )
+        optimizers["critic"] = nets.Optimizer("rmsprop", hp.lr_critic, store.names("cri."), store)
+        optimizers["gen"] = nets.Optimizer("adam", hp.lr_vae, gen_names, store)
     return MawModel(hp, feature_dim, store, specs, optimizers)
 
 

@@ -208,92 +208,63 @@ def mlp_apply(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray):
 # ----------------------------------------------------------------- optimizers
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: str  # "adam" | "rmsprop"
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    rho: float = 0.9
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("adam", "rmsprop"):
-            raise ConfigError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning rate must be positive")
-
-
-def adam_step(params, grads, slots, cfg: OptimizerConfig):
-    """One bias-corrected Adam update over a dict of named tensors; m and v change in place."""
-    slots["step"] = int(slots["step"]) + 1
-    t = slots["step"]
-    correct1, correct2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
-    for name, theta in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for parameter {name}")
-        m, v = slots["m"][name], slots["v"][name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        gg = (1.0 - cfg.beta2) * g
-        gg *= g
-        v *= cfg.beta2
-        v += gg
-        step = m / correct1
-        step *= cfg.learning_rate
-        denom = np.sqrt(v / correct2)
-        denom += cfg.eps
-        step /= denom
-        params[name] = theta - step
-    return params
-
-
-def rmsprop_step(params, grads, slots, cfg: OptimizerConfig):
-    """v <- rho v + (1 - rho) g^2 in place; theta <- theta - lr g / (sqrt(v) + eps)."""
-    slots["step"] = int(slots["step"]) + 1
-    for name, theta in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for parameter {name}")
-        v = slots["v"][name]
-        gg = (1.0 - cfg.rho) * g
-        gg *= g
-        v *= cfg.rho
-        v += gg
-        denom = np.sqrt(v)
-        denom += cfg.eps
-        step = cfg.learning_rate * g
-        step /= denom
-        params[name] = theta - step
-    return params
-
-
+BETA1, BETA2 = 0.9, 0.999  # Adam's moment decays
+RHO = 0.9  # RMSprop's second-moment decay
+EPS = 1e-8  # both kinds' denominator floor
 MOMENTS = {"adam": ("m", "v"), "rmsprop": ("v",)}  # the slots each optimizer kind keeps
 
 
 class Optimizer:
-    """A step count and its kind's MOMENTS for a fixed set of parameter names."""
+    """Adam (bias-corrected) or RMSprop over a fixed set of parameter names:
+    a step count and its kind's MOMENTS, which step updates in place."""
 
-    def __init__(self, cfg: OptimizerConfig, names: list[str], store: ParamStore):
-        self.cfg = cfg
-        self.names = list(names)
+    def __init__(self, kind: str, learning_rate: float, names: list[str], store: ParamStore):
+        if kind not in MOMENTS:
+            raise ConfigError(f"unknown optimizer kind {kind!r}")
+        if learning_rate <= 0.0:
+            raise ConfigError("learning rate must be positive")
+        self.kind, self.learning_rate, self.names = kind, learning_rate, list(names)
         for name in self.names:
             if name not in store.params:
                 raise ConfigError(f"optimizer refers to unknown parameter {name}")
         self.slots = {"step": 0}
-        for moment in MOMENTS[cfg.kind]:
+        for moment in MOMENTS[kind]:
             self.slots[moment] = {n: np.zeros_like(store.params[n]) for n in self.names}
 
     def step(self, store: ParamStore, grads: dict[str, np.ndarray]):
-        params = {n: store.params[n] for n in self.names}
-        sub = {n: grads[n] for n in self.names}
-        if self.cfg.kind == "adam":
-            adam_step(params, sub, self.slots, self.cfg)
-        else:
-            rmsprop_step(params, sub, self.slots, self.cfg)
-        for n in self.names:
-            store.params[n] = params[n]
+        """One update: Adam's m <- beta1 m + (1 - beta1) g, v <- beta2 v +
+        (1 - beta2) g^2, theta <- theta - lr m^ / (sqrt(v^) + eps); RMSprop's
+        v <- rho v + (1 - rho) g^2, theta <- theta - lr g / (sqrt(v) + eps).
+        Each named store.params entry is rebound to a new array."""
+        self.slots["step"] = t = int(self.slots["step"]) + 1
+        adam, lr = self.kind == "adam", self.learning_rate
+        correct1, correct2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+        for name in self.names:
+            g = grads[name]
+            if not np.isfinite(g).all():
+                raise NumericalError(f"non-finite gradient for parameter {name}")
+            v = self.slots["v"][name]
+            if adam:
+                m = self.slots["m"][name]
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                gg = (1.0 - BETA2) * g
+                gg *= g
+                v *= BETA2
+                v += gg
+                step = m / correct1
+                step *= lr
+                denom = np.sqrt(v / correct2)
+            else:
+                gg = (1.0 - RHO) * g
+                gg *= g
+                v *= RHO
+                v += gg
+                step = lr * g
+                denom = np.sqrt(v)
+            denom += EPS
+            step /= denom
+            store.params[name] = store.params[name] - step
 
 
 def clip_weights(store: ParamStore, names: list[str], lo: float = -1.0, hi: float = 1.0):

@@ -283,8 +283,6 @@ def solve_shared_cov(problem: TheoryProblem) -> TheorySolution:
     """
     if problem.constraint != "shared":
         raise DomainError("solve_shared_cov handles the shared-covariance case only")
-    if problem.eta <= 0.5:
-        raise DomainError("mixture weight must exceed 1/2")
     k, eps, eta = problem.k, problem.epsilon, problem.eta
     sigma = problem.sigma0
     if problem.regularizer in ("wp", "w2"):

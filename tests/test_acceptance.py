@@ -228,7 +228,7 @@ def _instance_is_clean(tape, model, xb, point_idx):
             if np.min(node.eigenvalues[:, keep - 1] - node.eigenvalues[:, keep]) < 0.05:
                 return False
         if node.tag == "mean_rowwise_norm_diff" and node.parents:
-            decoded = node.parents[0][0].value
+            decoded = node.parents[0].value
             if np.min(np.linalg.norm(decoded - xb[point_idx], axis=1)) < 1e-2:
                 return False
     assert seen == kinked_layers, f"kink filter saw {seen} of {kinked_layers} relu layers"

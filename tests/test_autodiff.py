@@ -298,6 +298,57 @@ def test_backward_accumulation_is_linear():
     assert np.allclose(gc, 2.5 * gf - 1.5 * gg, atol=1e-12)
 
 
+def test_backward_calls_each_reached_node_once():
+    # one vjp per node: a reached node's vjp runs once, however many parents
+    # it has; a branch fed only by constants, or off the root's path, never runs
+    rng = np.random.default_rng(6)
+    t = Tape()
+    norm = (t.param(np.ones(4), "gamma"), t.param(np.zeros(4), "beta"), None, None)
+    h = t.dense(t.const(rng.standard_normal((4, 3))), t.param(rng.standard_normal((3, 4)), "W"),
+                None, "relu", norm)
+    a = t.param(rng.standard_normal((4, 2)), "A")
+    s_rows = t.exp(h)
+    blocks = t.batch_diag_sandwich(a, s_rows)
+    mu1, mu2, truncated = t.matmul(h, a), t.matmul(h, a), t.spectral_truncate(blocks, 2)
+    z = t.mixture_sample(mu1, mu2, truncated, blocks, [1, 2, 1, 2, 1, 2, 1, 1],
+                         np.repeat(np.arange(4), 2), rng.standard_normal((8, 2)),
+                         rng.standard_normal((8, 2)))
+    scaled = t.scale(t.const(rng.standard_normal((8, 2))), 2.0)
+    constant_branch = t.exp(scaled)
+    unreached = t.exp(a)
+    total = t.add(z, constant_branch)
+    root = t.sum_all(total)
+    calls = {}
+    for node in t.nodes:
+        if node.vjp is not None:
+            def counted(g, node=node, vjp=node.vjp):
+                calls[node] = calls.get(node, 0) + 1
+                return vjp(g)
+            node.vjp = counted
+    t.backward(root)
+    once = [h, s_rows, blocks, mu1, mu2, truncated, z, total, root]
+    assert [calls.get(node, 0) for node in once] == [1] * len(once)
+    assert [calls.get(node, 0) for node in (scaled, constant_branch, unreached)] == [0, 0, 0]
+    assert sum(calls.values()) == len(once)
+
+
+def test_normalize_rows_scales_extreme_rows():
+    # rows whose sum of squares overflows or underflows still come out unit,
+    # with the adjoint at [3, 4] divided by the row's length ratio to [3, 4]
+    weights = np.array([[0.3, -1.1], [-0.7, 0.2]])
+
+    def value_and_adjoint(rows):
+        t = Tape()
+        y = t.normalize_rows(t.param(rows, "x"))
+        return y.value, t.backward(t.sum_all(t.hadamard(y, weights)))["x"]
+
+    y, grad = value_and_adjoint(np.array([[3e200, 4e200], [3e-200, 4e-200]]))
+    _, ref = value_and_adjoint(np.array([[3.0, 4.0], [3.0, 4.0]]))
+    assert np.allclose(y, [[0.6, 0.8], [0.6, 0.8]], rtol=1e-15, atol=0.0)
+    assert np.allclose(grad[0], ref[0] * 1e-200, rtol=1e-12, atol=0.0)
+    assert np.allclose(grad[1], ref[1] * 1e200, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------- spectral truncation
 
 

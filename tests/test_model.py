@@ -509,8 +509,8 @@ def test_batch_update_matches_fully_attached_tapes(variant):
     for key, opt in ref.optimizers.items():
         slots = model.optimizers[key].slots
         assert slots["step"] == opt.slots["step"] == 2
-        assert slots.keys() == opt.slots.keys() == {"step", *nets.MOMENTS[opt.cfg.kind]}
-        for moment in nets.MOMENTS[opt.cfg.kind]:
+        assert slots.keys() == opt.slots.keys() == {"step", *nets.MOMENTS[opt.kind]}
+        for moment in nets.MOMENTS[opt.kind]:
             for name, value in opt.slots[moment].items():
                 assert np.array_equal(slots[moment][name], value), (key, moment, name)
 
@@ -758,6 +758,6 @@ def test_every_stepped_tensor_gets_a_gradient(variant):
                 assert np.max(np.abs(g)) > 1e-8, (key, name)
     assert not [name for name in model.store.state if name.startswith("cri.")]
     for opt in model.optimizers.values():
-        assert set(opt.slots) == {"step", "v"} | ({"m"} if opt.cfg.kind == "adam" else set())
+        assert set(opt.slots) == {"step", "v"} | ({"m"} if opt.kind == "adam" else set())
     if variant != "vae":
-        assert model.optimizers["critic"].cfg.kind == "rmsprop"
+        assert model.optimizers["critic"].kind == "rmsprop"

@@ -39,77 +39,72 @@ def _scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return out
 
 
+def _scalar_optimizer(kind, lr, value, name="w", **moments):
+    """An optimizer over one scalar parameter, its moment slots set to moments."""
+    store = nets.ParamStore()
+    store.add(name, np.array(value))
+    opt = nets.Optimizer(kind, lr, [name], store)
+    for moment, start in moments.items():
+        opt.slots[moment][name][...] = start
+    return store, opt
+
+
 def test_adam_first_step():
-    cfg = nets.OptimizerConfig("adam", 1e-3)
-    params = {"w": np.array(0.0)}
-    slots = {"step": 0, "m": {"w": np.array(0.0)}, "v": {"w": np.array(0.0)}}
-    nets.adam_step(params, {"w": np.array(1.0)}, slots, cfg)
-    assert params["w"] == pytest.approx(-1e-3, rel=1e-6)
+    store, opt = _scalar_optimizer("adam", 1e-3, 0.0)
+    opt.step(store, {"w": np.array(1.0)})
+    assert store.params["w"] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_zero_gradient_keeps_params():
-    cfg = nets.OptimizerConfig("adam", 1e-3)
-    params = {"w": np.array(1.5)}
-    slots = {"step": 0, "m": {"w": np.array(0.2)}, "v": {"w": np.array(0.3)}}
-    nets.adam_step(params, {"w": np.array(0.0)}, slots, cfg)
-    assert params["w"] != 1.5 or slots["m"]["w"] == 0.0  # moments decay
+    store, opt = _scalar_optimizer("adam", 1e-3, 1.5, m=0.2, v=0.3)
+    opt.step(store, {"w": np.array(0.0)})
+    assert store.params["w"] != 1.5 or opt.slots["m"]["w"] == 0.0  # moments decay
     # with zero moments the parameter is exactly unchanged
-    params = {"w": np.array(1.5)}
-    slots = {"step": 0, "m": {"w": np.array(0.0)}, "v": {"w": np.array(0.0)}}
-    nets.adam_step(params, {"w": np.array(0.0)}, slots, cfg)
-    assert params["w"] == 1.5
+    store, opt = _scalar_optimizer("adam", 1e-3, 1.5)
+    opt.step(store, {"w": np.array(0.0)})
+    assert store.params["w"] == 1.5
 
 
 def test_adam_matches_scalar_oracle():
-    cfg = nets.OptimizerConfig("adam", 1e-3)
-    params = {"w": np.array(0.0)}
-    slots = {"step": 0, "m": {"w": np.array(0.0)}, "v": {"w": np.array(0.0)}}
+    store, opt = _scalar_optimizer("adam", 1e-3, 0.0)
     seen = []
     for _ in range(5):
-        nets.adam_step(params, {"w": np.array(1.0)}, slots, cfg)
-        seen.append(float(params["w"]))
+        opt.step(store, {"w": np.array(1.0)})
+        seen.append(float(store.params["w"]))
     oracle = _scalar_adam_oracle([1.0] * 5, 1e-3)
     assert np.allclose(seen, oracle, rtol=1e-12)
     assert all(b < a for a, b in zip(seen, seen[1:]))  # decreasing
 
 
 def test_rmsprop_first_step():
-    cfg = nets.OptimizerConfig("rmsprop", 0.0005)
-    params = {"w": np.array(0.0)}
-    slots = {"step": 0, "v": {"w": np.array(0.0)}}
-    nets.rmsprop_step(params, {"w": np.array(1.0)}, slots, cfg)
-    assert params["w"] == pytest.approx(-0.0005 / (np.sqrt(0.1) + 1e-8), rel=1e-9)
+    store, opt = _scalar_optimizer("rmsprop", 0.0005, 0.0)
+    opt.step(store, {"w": np.array(1.0)})
+    assert store.params["w"] == pytest.approx(-0.0005 / (np.sqrt(0.1) + 1e-8), rel=1e-9)
 
 
 def test_rmsprop_zero_gradient():
-    cfg = nets.OptimizerConfig("rmsprop", 0.0005)
-    params = {"w": np.array(2.0)}
-    slots = {"step": 0, "v": {"w": np.array(0.5)}}
-    nets.rmsprop_step(params, {"w": np.array(0.0)}, slots, cfg)
-    assert params["w"] == 2.0
+    store, opt = _scalar_optimizer("rmsprop", 0.0005, 2.0, v=0.5)
+    opt.step(store, {"w": np.array(0.0)})
+    assert store.params["w"] == 2.0
 
 
 def test_rmsprop_update_magnitude_approaches_lr():
-    cfg = nets.OptimizerConfig("rmsprop", 0.0005)
-    params = {"w": np.array(0.0)}
-    slots = {"step": 0, "v": {"w": np.array(0.0)}}
+    store, opt = _scalar_optimizer("rmsprop", 0.0005, 0.0)
     deltas = []
     prev = 0.0
     for _ in range(200):
-        nets.rmsprop_step(params, {"w": np.array(1.0)}, slots, cfg)
-        deltas.append(abs(float(params["w"]) - prev))
-        prev = float(params["w"])
+        opt.step(store, {"w": np.array(1.0)})
+        deltas.append(abs(float(store.params["w"]) - prev))
+        prev = float(store.params["w"])
     # v -> g^2 so |update| -> lr
     assert deltas[-1] == pytest.approx(0.0005, rel=1e-3)
     assert deltas[0] > deltas[-1]
 
 
 def test_nan_gradient_raises_with_name():
-    cfg = nets.OptimizerConfig("adam", 1e-3)
-    params = {"enc.w": np.array(0.0)}
-    slots = {"step": 0, "m": {"enc.w": np.array(0.0)}, "v": {"enc.w": np.array(0.0)}}
+    store, opt = _scalar_optimizer("adam", 1e-3, 0.0, name="enc.w")
     with pytest.raises(NumericalError, match="enc.w"):
-        nets.adam_step(params, {"enc.w": np.array(np.nan)}, slots, cfg)
+        opt.step(store, {"enc.w": np.array(np.nan)})
 
 
 def test_clip_weights():
@@ -212,7 +207,7 @@ def _fresh_apply(store, prefix, spec, x):
 
 
 def _adam_step(store, spec, rng):
-    opt = nets.Optimizer(nets.OptimizerConfig("adam", 1e-2), store.names("net."), store)
+    opt = nets.Optimizer("adam", 1e-2, store.names("net."), store)
     opt.step(store, {k: rng.standard_normal(v.shape) for k, v in store.params.items()})
 
 
@@ -272,7 +267,7 @@ def test_optimizer_steps_are_deterministic():
     for _ in range(2):
         store = nets.ParamStore()
         nets.build_mlp_params(store, "n", spec, np.random.default_rng(7))
-        opt = nets.Optimizer(nets.OptimizerConfig("adam", 1e-3), store.names("n"), store)
+        opt = nets.Optimizer("adam", 1e-3, store.names("n"), store)
         grads = {k: np.ones_like(v) for k, v in store.params.items()}
         for _ in range(3):
             opt.step(store, grads)
@@ -281,39 +276,38 @@ def test_optimizer_steps_are_deterministic():
         assert np.array_equal(results[0][k], results[1][k])
 
 
-def _reference_step(kind, theta, g, m, v, t, cfg):
+def _reference_step(kind, theta, g, m, v, t, lr):
     """The out-of-place update formulas; returns (theta, m, v)."""
     if kind == "adam":
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        mhat = m / (1.0 - cfg.beta1**t)
-        vhat = v / (1.0 - cfg.beta2**t)
-        return theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps), m, v
-    v = cfg.rho * v + (1.0 - cfg.rho) * g * g
-    return theta - cfg.learning_rate * g / (np.sqrt(v) + cfg.eps), m, v
+        m = nets.BETA1 * m + (1.0 - nets.BETA1) * g
+        v = nets.BETA2 * v + (1.0 - nets.BETA2) * g * g
+        mhat = m / (1.0 - nets.BETA1**t)
+        vhat = v / (1.0 - nets.BETA2**t)
+        return theta - lr * mhat / (np.sqrt(vhat) + nets.EPS), m, v
+    v = nets.RHO * v + (1.0 - nets.RHO) * g * g
+    return theta - lr * g / (np.sqrt(v) + nets.EPS), m, v
 
 
 @pytest.mark.parametrize("kind", ["adam", "rmsprop"])
 def test_in_place_optimizer_matches_out_of_place_formulas(kind):
     rng = np.random.default_rng(8)
     shapes = {"s": (), "b": (7,), "W": (4, 3)}
-    cfg = nets.OptimizerConfig(kind, 1e-2)
-    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
-    slots = {"step": 0}
-    for moment in nets.MOMENTS[kind]:
-        slots[moment] = {k: np.zeros(s) for k, s in shapes.items()}
-    ref = {k: (params[k].copy(), np.zeros(s), np.zeros(s)) for k, s in shapes.items()}
-    step = nets.adam_step if kind == "adam" else nets.rmsprop_step
+    store = nets.ParamStore()
+    for k, s in shapes.items():
+        store.add(k, rng.standard_normal(s))
+    opt = nets.Optimizer(kind, 1e-2, list(shapes), store)
+    slots = opt.slots
+    ref = {k: (store.params[k].copy(), np.zeros(s), np.zeros(s)) for k, s in shapes.items()}
     for t in range(1, 4):
         grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
         before = {k: g.copy() for k, g in grads.items()}
-        step(params, grads, slots, cfg)
+        opt.step(store, grads)
         assert grads.keys() == before.keys()
         for k in shapes:
             assert np.array_equal(grads[k], before[k])
             theta, m, v = ref[k]
-            ref[k] = _reference_step(kind, theta, grads[k], m, v, t, cfg)
-            assert np.array_equal(params[k], ref[k][0])
+            ref[k] = _reference_step(kind, theta, grads[k], m, v, t, 1e-2)
+            assert np.array_equal(store.params[k], ref[k][0])
             assert np.array_equal(slots["v"][k], ref[k][2])
             if kind == "adam":
                 assert np.array_equal(slots["m"][k], ref[k][1])
@@ -333,7 +327,7 @@ def test_optimizer_slots_survive_a_checkpoint_round_trip():
     for name, opt in model.optimizers.items():
         again = loaded.optimizers[name].slots
         assert again["step"] == opt.slots["step"] == 3
-        assert again.keys() == opt.slots.keys() == {"step", *nets.MOMENTS[opt.cfg.kind]}
-        for slot in nets.MOMENTS[opt.cfg.kind]:
+        assert again.keys() == opt.slots.keys() == {"step", *nets.MOMENTS[opt.kind]}
+        for slot in nets.MOMENTS[opt.kind]:
             for k, value in opt.slots[slot].items():
                 assert np.array_equal(again[slot][k], value)
