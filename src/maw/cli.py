@@ -153,7 +153,7 @@ def _split(config) -> evalx.SplitSpec:
     s = config["split"]
     return evalx.SplitSpec(
         n_train=s["n_train"], c=s["c"], n_test=s["n_test"],
-        c_tests=tuple(s["c_tests"]), seed=s["seed"],
+        c_tests=s["c_tests"], seed=s["seed"],
     )
 
 

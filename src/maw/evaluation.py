@@ -211,7 +211,12 @@ def ap(scores, labels) -> float:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Contaminated train/test split sizes and ratios for one experiment cell."""
+    """Contaminated train/test split sizes and ratios for one experiment cell.
+
+    n_train and n_test are ints (an integral float counts, a bool does not), c
+    a finite number and c_tests a nonempty list or tuple of them; anything else
+    raises DomainError.
+    """
 
     n_train: int
     c: float
@@ -220,7 +225,14 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "c_tests", tuple(float(c) for c in self.c_tests))
+        for key in ("n_train", "n_test"):
+            object.__setattr__(self, key, linalg.as_int(getattr(self, key), key, DomainError))
+        object.__setattr__(self, "c", linalg.as_float(self.c, "c", DomainError))
+        if not isinstance(self.c_tests, (list, tuple)) or not self.c_tests:
+            raise DomainError(f"c_tests must be a nonempty list, got {self.c_tests!r}")
+        object.__setattr__(self, "c_tests", tuple(
+            linalg.as_float(c, "c_tests entry", DomainError) for c in self.c_tests
+        ))
         if self.n_train < 2 or self.n_test < 1:
             raise DomainError("split sizes too small")
         if not 0.0 <= self.c <= 1.0 or any(not 0.0 <= c <= 1.0 for c in self.c_tests):

@@ -20,7 +20,10 @@ Inputs are checked once, where they enter: the public distances,
 mixture_objective, TheoryProblem and every seed (a non-negative int, else
 DomainError).  The oracle builds its candidates from a validated problem,
 factors the prior once per solve and calls the unchecked kernel objective on
-its whole grid as one stack, then on each Nelder-Mead candidate.
+its whole grid as one stack, then on each Nelder-Mead candidate.  In the
+shared-covariance KL oracle every mode has the prior's covariance, so KL's
+covariance terms are computed once per solve too, and each evaluation computes
+only the Mahalanobis terms: two eigendecompositions per solve.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ CONSTRAINTS = ("shared", "low-rank-inlier")
 # matrix of a stack gets the checks a single one gets; single operands give a
 # float, a stack a (G,) array.  Each is a checked entry: _operands validates,
 # then its kernel (_wp, _w2, _kl) computes on (1 or G, k) means and (1 or G,
-# k, k) covariances, checking only the spectra it computes.  _kl takes the
-# reference covariance factored by _kl_prior, so a fixed prior is factored once.
+# k, k) covariances, checking only the spectra it computes.  _kl takes S0
+# factored by _kl_prior and S1's terms from _kl_mode, so a fixed covariance is
+# factored once.
 
 
 def _operands(name: str, means, covariances=()):
@@ -123,7 +127,8 @@ def kl_gaussian(mu1, sigma1, mu0, sigma0):
     entry of a stack).
     """
     (mu1, mu0), (s1, s0), single = _operands("kl_gaussian", (mu1, mu0), (sigma1, sigma0))
-    return _result(_kl(mu1, s1, mu0, _kl_prior(s0)), single)
+    prior = _kl_prior(s0)
+    return _result(_kl(mu1, _kl_mode(s1, prior), mu0, prior), single)
 
 
 def _kl_prior(s0):
@@ -135,18 +140,29 @@ def _kl_prior(s0):
     return (q0 / w0[:, None, :]) @ np.swapaxes(q0, 1, 2), np.sum(np.log(w0), axis=1)
 
 
-def _kl(mu1, s1, mu0, prior):
+def _kl_mode(s1, prior):
+    """KL's covariance terms of each matrix of a (1 or G, k, k) stack against a
+    prior factored by _kl_prior: (log det S0 / det S1, tr(S0^{-1} S1), whether
+    S1 is singular), from one sym_eig_batch call; DomainError unless every S1
+    is positive semidefinite."""
     inv0, log_det0 = prior
-    k = mu1.shape[1]
     w1 = linalg.sym_eig_batch(s1)[0]
     if np.any(w1[:, -1] < -1e-9 * np.maximum(1.0, np.max(np.abs(w1), axis=1))):
         raise DomainError("sigma1 is not positive semidefinite")
     singular = w1[:, -1] <= KL_SINGULAR_REL_TOL * np.maximum(1.0, w1[:, 0])
-    w1 = np.where(singular[:, None], 1.0, w1)  # their entries are +inf below
+    w1 = np.where(singular[:, None], 1.0, w1)  # their entries are +inf in _kl
     log_det = log_det0 - np.sum(np.log(w1), axis=1)
     trace = np.sum(inv0 * np.swapaxes(s1, 1, 2), axis=(1, 2))
+    return log_det, trace, singular
+
+
+def _kl(mu1, mode, mu0, prior):
+    """KL of (1 or G, k) means whose covariance terms _kl_mode computed: only
+    the Mahalanobis term is computed here."""
+    log_det, trace, singular = mode
+    k = mu1.shape[1]
     dmu = mu1 - mu0
-    mahalanobis = np.sum(dmu[:, :, None] * inv0 * dmu[:, None, :], axis=(1, 2))
+    mahalanobis = np.sum(dmu[:, :, None] * prior[0] * dmu[:, None, :], axis=(1, 2))
     val = 0.5 * (log_det - k + trace + mahalanobis)
     return np.where(singular, math.inf, val)
 
@@ -247,15 +263,24 @@ def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2):
     return _result(_objective(problem)(means, *covs), not stacks)
 
 
-def _objective(problem: TheoryProblem):
+def _objective(problem: TheoryProblem, fixed=None):
     """mixture_objective's kernel for one problem, with the prior factored here,
     once: a function of checked (2G, k) means, mode 1's G candidates first, and
     (but for W_p) a checked (1 or 2G, k, k) covariance stack, giving the (G,)
-    objective values."""
+    objective values.  A solve whose modes all have one covariance passes it as
+    fixed, (1, k, k), and then calls the function with the means alone; KL's
+    covariance terms of fixed are computed here, once, so each call computes
+    only the Mahalanobis terms."""
     mu0, sigma0, eta = problem.mu0[None], problem.sigma0[None], problem.eta
     prior = _kl_prior(sigma0) if problem.regularizer == "kl" else None
 
+    def covariance(cov):
+        return cov if prior is None or cov is None else _kl_mode(cov, prior)
+
+    fixed = covariance(fixed)
+
     def objective(means, cov=None):
+        cov = fixed if cov is None else covariance(cov)
         if problem.regularizer == "wp":
             r = _wp(means, mu0)
         elif problem.regularizer == "w2":
@@ -383,8 +408,12 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
     free inlier root diagonal, outlier root diagonal induced by the coupling),
     which is the family the closed-form minimizer lives in.  The KL +
     low-rank combination is rejected as ill-posed (the objective is
-    identically infinite), and only W2 supports free covariances.
+    identically infinite), and only W2 supports free covariances.  grid_points
+    is an int >= 1 (an integral float counts, a bool does not), else DomainError.
     """
+    grid_points = linalg.as_int(grid_points, "grid_points", DomainError)
+    if grid_points < 1:
+        raise DomainError(f"grid_points must be >= 1, got {grid_points}")
     k, eps = problem.k, problem.epsilon
     e1 = np.zeros(k)
     e1[0] = 1.0
@@ -395,7 +424,7 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
         ):
             # the fixed-axis reduction is only exhaustive for isotropic priors
             raise DomainError("the KL oracle requires an isotropic shared covariance")
-        objective = _objective(problem)
+        objective = _objective(problem, sigma[None])
 
         def modes(offsets):
             # a candidate per offset, all with the prior's covariance
@@ -403,7 +432,7 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
             return mu1, mu1 - eps * e1
 
         def evaluate(offsets):
-            return objective(np.concatenate(modes(offsets)), sigma[None])
+            return objective(np.concatenate(modes(offsets)))
 
         grid = np.linspace(-2.0 * eps, 2.0 * eps, grid_points)
         x0 = [grid[int(np.argmin(evaluate(grid)))]]

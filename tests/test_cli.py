@@ -364,6 +364,22 @@ def test_train_non_finite_float_hyperparameter_exits_2(tmp_path, capsys, key, va
     assert err["kind"] == "config" and key in err["detail"]
 
 
+@pytest.mark.parametrize("value", [
+    "split.c_tests=[]", 'split.c_tests=["a"]', "split.c_tests=0.5", 'split.c="x"',
+    "split.n_train=24.5", 'split.n_test="30"', "split.n_test=true", "split.c=true",
+])
+def test_eval_bad_split_value_exits_2(tmp_path, capsys, value):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", value, "eval", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "config" and value.split("=")[0].split(".")[1] in error["detail"]
+    out_dir = json.loads(open(cfg).read())["output_dir"]
+    assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+
 def test_train_on_one_row_csv_exits_3(tmp_path, capsys):
     data = tmp_path / "one.csv"
     data.write_text("f1,f2,f3\n1,0,0\n")
@@ -394,3 +410,12 @@ def test_theory_command_reports_all_pass(tmp_path):
     for section in report["sections"].values():
         assert section["instances"]
         assert all("pass" in inst for inst in section["instances"])
+
+
+def test_theory_report_is_byte_identical_across_runs(tmp_path):
+    out_dir = tmp_path / "run"  # the report embeds the resolved config
+    blobs = []
+    for _ in range(2):
+        assert run(["--output-dir", str(out_dir), "--seed", "0", "theory"]) == 0
+        blobs.append((out_dir / "theory_report.json").read_bytes())
+    assert blobs[0] == blobs[1]

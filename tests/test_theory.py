@@ -264,8 +264,8 @@ def test_each_objective_evaluation_makes_one_distance_call(monkeypatch, problem)
     evaluations = []
     make_objective = theory._objective
 
-    def counted(problem):
-        objective = make_objective(problem)
+    def counted(problem, *fixed):
+        objective = make_objective(problem, *fixed)
 
         def evaluate(*args):
             evaluations.append(args)
@@ -297,10 +297,34 @@ def test_shared_kl_solve_factors_the_prior_once(monkeypatch):
     problem = theory.TheoryProblem(k=5, epsilon=1.0, eta=5.0 / 6.0, regularizer="kl")
     calls = _spy(monkeypatch, linalg, "sym_eig_batch")
     priors = _spy(monkeypatch, theory, "_kl_prior")
+    modes = _spy(monkeypatch, theory, "_kl_mode")
     theory.brute_force_minimizer(problem, grid_points=801)
-    sizes = [len(args[0]) for args in calls]
-    assert len(priors) == 1
-    assert len(sizes) > 2 and max(sizes) == 1  # the prior, the grid and every Nelder-Mead step
+    assert len(priors) == len(modes) == 1
+    assert [len(args[0]) for args in calls] == [1, 1]  # the prior, then the mode covariance
+
+
+SHARED_KL_GRID = [
+    dict(k=k, epsilon=eps, eta=eta, regularizer="kl")
+    for eta in theory.SHARED_GRID_ETAS
+    for eps in theory.SHARED_GRID_EPSILONS
+    for k in theory.SHARED_GRID_DIMS
+]
+
+
+@pytest.mark.parametrize("problem", SHARED_KL_GRID,
+                         ids=lambda p: f"k{p['k']}-eps{p['epsilon']}-eta{p['eta']:.3f}")
+def test_shared_kl_oracle_objective_is_the_mixture_objective_bit_for_bit(problem):
+    problem = theory.TheoryProblem(**problem)
+    sol = theory.brute_force_minimizer(problem)
+    sigma = problem.sigma0
+    assert sol.objective == theory.mixture_objective(problem, sol.mu1, sol.mu2, sigma, sigma)
+
+
+@pytest.mark.parametrize("grid_points", [0, -3, 2.5, True, "801", None])
+def test_brute_force_minimizer_rejects_a_bad_grid_size(grid_points):
+    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
+    with pytest.raises(DomainError, match="grid_points"):
+        theory.brute_force_minimizer(problem, grid_points=grid_points)
 
 
 BAD_MODE_COVARIANCES = {  # (covariance, the message of the error for w2 and for kl)
