@@ -177,15 +177,18 @@ class Tape:
 
     # -- linear maps ---------------------------------------------------------
 
-    def dense(self, x, w, b=None, act: str = "linear", norm=None, train: bool = True) -> Node:
+    def dense(self, x, w, b=None, act: str = "linear", norm=None, train: bool = True,
+              stat_steps: int = 1) -> Node:
         """act(X @ W + b), or act(batch_norm(X @ W)) when norm is given (beta is
         then the shift, and b is None), for a batch matrix X (L, n), as one node.
 
         norm is (gamma, beta, running_mean, running_var), all of width
         W.shape[1].  Train mode needs L >= 2, uses the batch statistics (biased
-        variance) and updates the running arrays in place (momentum 0.9), if
-        they are not both None; eval mode uses the running statistics.  act is
-        one of ACTIVATIONS; leaky_relu has slope LEAKY_SLOPE below zero.
+        variance) and updates the running arrays in place, if they are not both
+        None: stat_steps momentum-0.9 steps toward the batch statistics, the
+        bits of as many forwards over the same batch.  Eval mode uses the
+        running statistics.  act is one of ACTIVATIONS; leaky_relu has slope
+        LEAKY_SLOPE below zero.
         """
         if (b is None) == (norm is None):
             raise DomainError("dense takes a bias exactly when it has no batch norm")
@@ -215,8 +218,9 @@ class Tape:
                 sq = xhat * xhat
                 var = sq.sum(axis=0) / nrows
                 for running, batch in zip(stats, (mean, var)):
-                    running *= BN_MOMENTUM
-                    running += (1.0 - BN_MOMENTUM) * batch
+                    for _ in range(stat_steps):
+                        running *= BN_MOMENTUM
+                        running += (1.0 - BN_MOMENTUM) * batch
             elif stats:
                 xhat -= stats[0]
                 var = stats[1]

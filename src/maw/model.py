@@ -4,6 +4,9 @@ Training alternates three updates per batch: an Adam step on the least
 absolute deviation reconstruction loss (encoder, reduction matrix, decoder),
 an RMSprop step on the clipped critic's Wasserstein-1 surrogate, and an Adam
 step pushing the generator (encoder + reduction matrix) against the critic.
+The generator forward runs twice per batch: once for the reconstruction step,
+and once shared by the critic step (its draws as constants, on a tape of its
+own) and the generator step (the updated critic, frozen, on its tape).
 Scoring draws from the inlier mode only and averages cosine similarity
 between a test point and its decodes.  _modes is the one posterior after the
 encoder: training runs it on the tape, scoring on plain arrays (ARRAY_OPS).
@@ -294,9 +297,11 @@ ARRAY_OPS = SimpleNamespace(
 
 
 def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
-                       labels, point_idx, eps1, eps2, train: bool):
-    """Encoder -> posterior (_modes) -> reparameterized latent draws, on the tape."""
-    enc = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb), train)
+                       labels, point_idx, eps1, eps2, train: bool, stat_steps: int = 1):
+    """Encoder -> posterior (_modes) -> reparameterized latent draws, on the tape.
+    The encoder's running statistics take stat_steps steps (nets.mlp_forward)."""
+    enc = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb), train,
+                           _stat_steps=stat_steps)
     (mu1, mu2), (m1, m2) = _modes(tape, model, enc)
     return tape.mixture_sample(mu1, mu2, m1, m2, labels, point_idx, eps1, eps2)
 
@@ -338,26 +343,32 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     grads = tape.backward(l_vae)
     model.optimizers["vae"].step(model.store, grads)
 
-    # critic step on fresh draws, as constants, from the updated generator
+    # one forward of the updated generator serves the critic and generator
+    # steps: the critic step changes neither enc.* nor A, and train-mode batch
+    # norm reads no running statistics.  The encoder's running statistics take
+    # the two steps that two forwards over the same batch statistics took.
     tape = Tape()
-    z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True)
-    d_gen = _critic(tape, model, tape.const(z.value), True)
-    d_hyp = _critic(tape, model, tape.const(z_hyp), True)
+    z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True, stat_steps=2)
+
+    # critic step on its own tape, the draws as constants
+    cri_tape = Tape()
+    d_gen = _critic(cri_tape, model, cri_tape.const(z.value), True)
+    d_hyp = _critic(cri_tape, model, cri_tape.const(z_hyp), True)
     if bce:
-        l_cri = tape.add(
-            tape.mean_all(tape.softplus(tape.scale(d_hyp, -1.0))),
-            tape.mean_all(tape.softplus(d_gen)),
+        l_cri = cri_tape.add(
+            cri_tape.mean_all(cri_tape.softplus(cri_tape.scale(d_hyp, -1.0))),
+            cri_tape.mean_all(cri_tape.softplus(d_gen)),
         )
     else:
-        l_cri = tape.add(tape.mean_all(d_gen), tape.scale(tape.mean_all(d_hyp), -1.0))
-    grads = tape.backward(l_cri)
+        l_cri = cri_tape.add(cri_tape.mean_all(d_gen),
+                             cri_tape.scale(cri_tape.mean_all(d_hyp), -1.0))
+    grads = cri_tape.backward(l_cri)
     model.optimizers["critic"].step(model.store, grads)
     if not bce:
         nets.clip_weights(model.store, model.store.names("cri."))
 
-    # generator step against the updated critic, its weights bound as constants
-    tape = Tape()
-    z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True)
+    # generator step: the updated critic, its weights bound as constants, on
+    # the shared forward's draws
     d_gen = nets.mlp_forward(tape, model.store, "cri", model.specs["cri"], z, True, _frozen=True)
     if bce:
         l_gen = tape.mean_all(tape.softplus(tape.scale(d_gen, -1.0)))

@@ -118,10 +118,12 @@ def _bind(tape: Tape, store: ParamStore, name: str, frozen: bool) -> Node:
 
 
 def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, train: bool,
-                _frozen: bool = False):
+                _frozen: bool = False, _stat_steps: int = 1):
     """Run the MLP on the tape, one dense node per layer; returns a node or a
-    4-tuple for split4.  _frozen binds the weights as constants (no gradients).
-    A network stored without running statistics runs in train mode only."""
+    4-tuple for split4.  _frozen binds the weights as constants (no gradients);
+    _stat_steps is the running-statistics steps each train-mode layer takes
+    (Tape.dense's stat_steps).  A network stored without running statistics
+    runs in train mode only."""
     if train:  # Tape.dense updates the running statistics in place
         store.folded.clear()
     h = tape._as_node(x)
@@ -133,7 +135,7 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, tr
                     _bind(tape, store, f"{layer}.beta", _frozen),
                     store.state.get(f"{layer}.running_mean"),
                     store.state.get(f"{layer}.running_var"))
-            h = tape.dense(h, w, None, act, norm, train)
+            h = tape.dense(h, w, None, act, norm, train, _stat_steps)
         else:
             h = tape.dense(h, w, _bind(tape, store, f"{layer}.b", _frozen), act)
     if spec.final_transform == "unit_normalize":
