@@ -352,7 +352,9 @@ class Tape:
         def vjp(g):
             g3 = g.reshape(nblocks, d, d)
             sym = g3 + np.transpose(g3, (0, 2, 1))
-            return (np.einsum("lp,pk,lkq->pq", sv, av, sym),
+            # A's adjoint sum_l S[l, p] (A sym_l)[p, q]: the sum over blocks is one GEMM
+            s_sym = (sv.T @ sym.reshape(nblocks, d * d)).reshape(-1, d, d)
+            return (np.einsum("pk,pkq->pq", av, s_sym),
                     np.einsum("pk,lqk,pq->lp", av, g3, av))
 
         return self._record(blocks.reshape(nblocks * d, d), (a, s_rows), vjp,

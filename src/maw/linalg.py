@@ -164,7 +164,8 @@ def spectral_truncate(m3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     an (L, n, n) symmetric stack; returns (truncated stack, w, q) with w and q
     from sym_eig_batch."""
     w, q = sym_eig_batch(m3)
-    return np.einsum("lik,lk,ljk->lij", q, w * truncation_mask(w.shape[1]), q), w, q
+    kept = q * (w * truncation_mask(w.shape[1]))[:, None, :]
+    return kept @ np.swapaxes(q, 1, 2), w, q
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -269,7 +269,8 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
 def _modes(ops, model: MawModel, enc, modes=(1, 2)):
     """([mean], [factor blocks]) of the ascending modes from the encoder's four
     outputs, on ops: a Tape in training, ARRAY_OPS in scoring.  The tape's node
-    order (means, blocks, truncation) fixes the summation order of A's adjoint."""
+    order (means, blocks, truncation) fixes the order in which A's adjoint adds
+    its parts; each block node's part sums over the batch rows in one GEMM."""
     hp = model.hp
     means, rows = [enc[j - 1] for j in modes], [enc[j + 1] for j in modes]
     truncate = modes[0] == 1 and hp.variant != "maw-same-rank"
