@@ -315,10 +315,10 @@ def cmd_sweep(config) -> int:
     values = config["sweep"]["values"]
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}")
-    if not values:
-        raise ConfigError("sweep.values must be nonempty")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.values must be a nonempty list, got {values!r}")
     family = _family(config)
-    rows = []
+    cells = []  # every cell is built and checked before the first one trains
     for value in values:
         cell = copy.deepcopy(config)
         if axis == "variant":
@@ -327,10 +327,10 @@ def cmd_sweep(config) -> int:
             cell["split"]["c"] = value
         else:
             cell["model"][axis] = value
-        hp = _hyperparams(cell)
-        reports = evalx.run_experiment(
-            family, [_split(cell)], [cell["variant"]], cell["seeds"], hp
-        )
+        cells.append((value, cell, _hyperparams(cell), _split(cell)))
+    rows = []
+    for value, cell, hp, split in cells:
+        reports = evalx.run_experiment(family, [split], [cell["variant"]], cell["seeds"], hp)
         for rep in reports:
             row = rep.to_dict()
             row["axis"] = axis

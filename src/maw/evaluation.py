@@ -47,10 +47,15 @@ class SyntheticFamily:
     Inliers are x = Q s + sigma e with a fixed orthonormal frame Q (D x r) and
     s ~ N(0, I_r); outliers are isotropic Gaussians scaled to a comparable
     norm.  All rows are unit-normalized.  The frame is derived from the family
-    seed so train and test splits share the same structure.
+    seed so train and test splits share the same structure.  dim and rank are
+    ints and seed a non-negative int (an integral float counts, a bool does
+    not), noise a finite number; anything else raises DomainError.
     """
 
     def __init__(self, dim: int, rank: int, noise: float = 0.1, seed: int = 0):
+        dim = linalg.as_int(dim, "dim", DomainError)
+        rank = linalg.as_int(rank, "rank", DomainError)
+        noise = linalg.as_float(noise, "noise", DomainError)
         if not 1 <= rank < dim:
             raise DomainError("need 1 <= rank < dim")
         if noise < 0.0:
@@ -58,7 +63,7 @@ class SyntheticFamily:
         self.dim = dim
         self.rank = rank
         self.noise = noise
-        self.seed = int(seed)
+        self.seed = linalg.as_seed(seed, "seed", DomainError)
         frame_rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0xF8A)))
         basis = frame_rng.standard_normal((dim, rank))
         q, _ = np.linalg.qr(basis)

@@ -70,6 +70,33 @@ def test_batch_norm_updates_running_stats():
     assert np.allclose(rv, [0.9 * 1.0 + 0.1 * 1.0])
 
 
+def test_batch_norm_stat_steps_equal_as_many_forwards():
+    rng = np.random.default_rng(11)
+    x, w = rng.standard_normal((6, 3)), rng.standard_normal((3, 4))
+    gamma, beta = rng.uniform(0.5, 2.0, 4), rng.standard_normal(4)
+    once = [rng.uniform(0.5, 2.0, 4) for _ in range(2)]
+    twice = [a.copy() for a in once]
+    for _ in range(2):
+        Tape().dense(x, w, norm=(gamma, beta, *once), act="relu")
+    Tape().dense(x, w, norm=(gamma, beta, *twice), act="relu", stat_steps=2)
+    for a, b in zip(once, twice):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_diag_sandwich_a_gradient_matches_its_einsum(d):
+    # the vjp sums over blocks with a GEMM; the definition sums in one einsum
+    rng = np.random.default_rng(d)
+    nblocks, p = 32, 16
+    a, s = rng.standard_normal((p, d)), rng.standard_normal((nblocks, p))
+    g = rng.standard_normal((nblocks, d, d))
+    t = Tape()
+    out = t.batch_diag_sandwich(t.param(a, "a"), t.const(s))
+    grads = t.backward(t.sum_all(t.hadamard(out, t.const(g.reshape(nblocks * d, d)))))
+    ref = np.einsum("lp,pk,lkq->pq", s, a, g + np.swapaxes(g, 1, 2))
+    np.testing.assert_allclose(grads["a"], ref, rtol=1e-12, atol=1e-12)
+
+
 def test_diag_sandwich_value():
     t = Tape()
     a = t.const(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))

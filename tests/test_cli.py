@@ -149,6 +149,46 @@ def test_sweep_over_d_emits_one_row_per_value(tmp_path):
     assert [r["value"] for r in report["reports"]] == [2, 4]
 
 
+def _one_config_error(capsys) -> str:
+    """The detail of the single JSON config error line on stderr."""
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == 2 and error["kind"] == "config"
+    return error["detail"]
+
+
+@pytest.mark.parametrize("values", [5, "ab", [], {"maw": 1}, None])
+def test_sweep_values_must_be_a_nonempty_list(tmp_path, capsys, values):
+    cfg = small_config(tmp_path, sweep={"axis": "variant", "values": values})
+    assert run(["--config", cfg, "sweep"]) == 2
+    assert "sweep.values" in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("variant", ["maw", "nope"]), ("d", [2, 3]), ("eta", [0.8, 1.5]), ("c", [0.2, 2.0]),
+    ("d", [2, "4"]),
+])
+def test_sweep_checks_every_cell_before_any_trains(tmp_path, capsys, monkeypatch, axis, values):
+    trained = []
+    monkeypatch.setattr(cli.evalx, "run_experiment", lambda *args: trained.append(args))
+    cfg = small_config(tmp_path, sweep={"axis": axis, "values": values})
+    assert run(["--config", cfg, "sweep"]) == 2
+    _one_config_error(capsys)
+    assert trained == []
+    assert not os.path.exists(json.loads(open(cfg).read())["output_dir"])
+
+
+@pytest.mark.parametrize("assignment, name", [
+    ('data.features="abc"', "dim"), ("data.rank=1.5", "rank"), ('data.noise="x"', "noise"),
+])
+def test_synthetic_family_values_of_the_wrong_type_exit_2(tmp_path, capsys, assignment, name):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", assignment, "eval"]) == 2
+    assert _one_config_error(capsys).startswith(name)
+
+
 def test_maw_seed_env_override(tmp_path, monkeypatch):
     cfg = small_config(tmp_path)
     monkeypatch.setenv("MAW_SEED", "7")

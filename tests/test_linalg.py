@@ -191,6 +191,17 @@ def test_sym_eig_batch_conventions():
     assert np.array_equal(linalg.sym_eig_batch(np.eye(3)[None])[1][0], np.eye(3))
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_spectral_truncate_matches_its_einsum(d):
+    # the reconstruction is a batched matmul; the definition sums in one einsum
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((32, d, d))
+    out, w, q = linalg.spectral_truncate(m + np.swapaxes(m, 1, 2))
+    kept = w * (np.arange(d) < d // 2)
+    np.testing.assert_allclose(out, np.einsum("lik,lk,ljk->lij", q, kept, q),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_sym_eig_batch_rejects_non_finite():
     m3 = np.stack([np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
     with pytest.raises(NumericalError):

@@ -7,7 +7,7 @@ import pytest
 
 from maw import model as M
 from maw import nets
-from maw.autodiff import Tape
+from maw.autodiff import BN_EPS, Tape
 from maw.errors import ConfigError, DataError, DomainError, ShapeError
 
 
@@ -513,6 +513,68 @@ def test_batch_update_matches_fully_attached_tapes(variant):
         for moment in nets.MOMENTS[opt.kind]:
             for name, value in opt.slots[moment].items():
                 assert np.array_equal(slots[moment][name], value), (key, moment, name)
+
+
+MAW_FAMILY = [v for v in M.VARIANTS if v != "vae"]
+
+
+@pytest.mark.parametrize("variant", MAW_FAMILY)
+def test_batch_update_runs_the_encoder_twice(variant, monkeypatch):
+    # structural guard for the shared generator forward: the reconstruction
+    # step's forward, and one that the critic and generator steps share
+    model, xb, noise = loss_model_and_noise(np.random.default_rng(63), variant)
+    prefixes = []
+    inner = nets.mlp_forward
+
+    def counted(tape, store, prefix, *args, **kwargs):
+        prefixes.append(prefix)
+        return inner(tape, store, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(nets, "mlp_forward", counted)
+    M._maw_batch_update(model, xb, noise)
+    assert prefixes.count("enc") == 2
+    assert prefixes.count("dec") == 1
+
+
+def _encoder_batch_statistics(params, spec, xb):
+    """(mean, biased variance) of each batch-normed encoder layer's
+    pre-activation, from the textbook train-mode forward."""
+    h, stats = xb, []
+    for k, act in enumerate(spec.activations[:-1]):
+        pre = h @ params[f"enc.l{k}.W"]
+        mean, var = pre.mean(axis=0), pre.var(axis=0)
+        stats.append((mean, var))
+        h = (pre - mean) / np.sqrt(var + BN_EPS) * params[f"enc.l{k}.gamma"]
+        h = h + params[f"enc.l{k}.beta"]
+        assert act == "relu"
+        h = np.maximum(h, 0.0)
+    return stats
+
+
+@pytest.mark.parametrize("variant", MAW_FAMILY)
+def test_encoder_running_statistics_take_three_steps_per_batch(variant):
+    # one momentum step from the batch statistics before the reconstruction
+    # step, then two from those after it (the critic and generator steps')
+    model, xb, noise = loss_model_and_noise(np.random.default_rng(64), variant)
+    spec = model.specs["enc"]
+    before = _encoder_batch_statistics(model.store.params, spec, xb)
+    running = {k: v.copy() for k, v in model.store.state.items()}
+    vae = model.optimizers["vae"]
+    after = []
+
+    def step(store, grads, inner=vae.step):
+        inner(store, grads)
+        after.extend(_encoder_batch_statistics(store.params, spec, xb))
+
+    vae.step = step
+    M._maw_batch_update(model, xb, noise)
+    for k, stats in enumerate(zip(before, after)):
+        for j, key in enumerate(("running_mean", "running_var")):
+            ref = running[f"enc.l{k}.{key}"]
+            for batch in (stats[0][j], stats[1][j], stats[1][j]):
+                ref = 0.9 * ref + 0.1 * batch
+            np.testing.assert_allclose(model.store.state[f"enc.l{k}.{key}"], ref,
+                                       rtol=1e-12, atol=1e-14)
 
 
 def test_checkpoint_roundtrip():
