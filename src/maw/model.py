@@ -348,34 +348,34 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     # steps: the critic step changes neither enc.* nor A, and train-mode batch
     # norm reads no running statistics.  The encoder's running statistics take
     # the two steps that two forwards over the same batch statistics took.
-    tape = Tape()
-    z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True, stat_steps=2)
+    gen_tape = Tape()
+    z = _forward_generated(gen_tape, model, xb, labels, point_idx, eps1, eps2, True, stat_steps=2)
 
     # critic step on its own tape, the draws as constants
-    cri_tape = Tape()
-    d_gen = _critic(cri_tape, model, cri_tape.const(z.value), True)
-    d_hyp = _critic(cri_tape, model, cri_tape.const(z_hyp), True)
+    tape = Tape()
+    d_gen = _critic(tape, model, tape.const(z.value), True)
+    d_hyp = _critic(tape, model, tape.const(z_hyp), True)
     if bce:
-        l_cri = cri_tape.add(
-            cri_tape.mean_all(cri_tape.softplus(cri_tape.scale(d_hyp, -1.0))),
-            cri_tape.mean_all(cri_tape.softplus(d_gen)),
+        l_cri = tape.add(
+            tape.mean_all(tape.softplus(tape.scale(d_hyp, -1.0))),
+            tape.mean_all(tape.softplus(d_gen)),
         )
     else:
-        l_cri = cri_tape.add(cri_tape.mean_all(d_gen),
-                             cri_tape.scale(cri_tape.mean_all(d_hyp), -1.0))
-    grads = cri_tape.backward(l_cri)
+        l_cri = tape.add(tape.mean_all(d_gen), tape.scale(tape.mean_all(d_hyp), -1.0))
+    grads = tape.backward(l_cri)
     model.optimizers["critic"].step(model.store, grads)
     if not bce:
         nets.clip_weights(model.store, model.store.names("cri."))
 
     # generator step: the updated critic, its weights bound as constants, on
     # the shared forward's draws
-    d_gen = nets.mlp_forward(tape, model.store, "cri", model.specs["cri"], z, True, _frozen=True)
+    d_gen = nets.mlp_forward(gen_tape, model.store, "cri", model.specs["cri"], z, True,
+                             _frozen=True)
     if bce:
-        l_gen = tape.mean_all(tape.softplus(tape.scale(d_gen, -1.0)))
+        l_gen = gen_tape.mean_all(gen_tape.softplus(gen_tape.scale(d_gen, -1.0)))
     else:
-        l_gen = tape.scale(tape.mean_all(d_gen), -1.0)
-    grads = tape.backward(l_gen)
+        l_gen = gen_tape.scale(gen_tape.mean_all(d_gen), -1.0)
+    grads = gen_tape.backward(l_gen)
     model.optimizers["gen"].step(model.store, grads)
 
     return float(l_vae.value), float(l_cri.value), float(l_gen.value)

@@ -539,15 +539,14 @@ def test_batch_update_runs_the_encoder_twice(variant, monkeypatch):
 def _encoder_batch_statistics(params, spec, xb):
     """(mean, biased variance) of each batch-normed encoder layer's
     pre-activation, from the textbook train-mode forward."""
+    assert set(spec.activations[:-1]) == {"relu"}
     h, stats = xb, []
-    for k, act in enumerate(spec.activations[:-1]):
+    for k in range(len(spec.widths) - 1):
         pre = h @ params[f"enc.l{k}.W"]
         mean, var = pre.mean(axis=0), pre.var(axis=0)
         stats.append((mean, var))
         h = (pre - mean) / np.sqrt(var + BN_EPS) * params[f"enc.l{k}.gamma"]
-        h = h + params[f"enc.l{k}.beta"]
-        assert act == "relu"
-        h = np.maximum(h, 0.0)
+        h = np.maximum(h + params[f"enc.l{k}.beta"], 0.0)
     return stats
 
 
