@@ -27,16 +27,17 @@ print("\n=== gradients flow through a batch-normalized layer ===")
 tape = Tape()
 xb = tape.param(np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 1.5]]), "batch")
 # one dense node: identity weights (no bias: beta is the shift), then batch
-# norm (train mode), then relu
+# norm on the batch statistics, then relu
 layer = tape.dense(
     xb, tape.const(np.eye(2)), None, act="relu",
-    norm=(tape.const(np.ones(2)), tape.const(np.zeros(2)), np.zeros(2), np.ones(2)),
-    train=True,
+    norm=(tape.const(np.ones(2)), tape.const(np.zeros(2))),
 )
 head = tape.mean_all(layer)
 grads = tape.backward(head)
 print("column sums of the gradient:", np.round(grads["batch"].sum(axis=0), 12))
 print("(each column sums to ~0: standardization removes the batch mean direction)")
+mean, var = layer.batch_stats
+print("the layer's batch mean and variance:", np.round(mean, 6), np.round(var, 6))
 
 print("\n=== differentiating through spectral truncation ===")
 rng = np.random.default_rng(0)

@@ -22,7 +22,6 @@ from .errors import DomainError, ShapeError
 
 EIG_GAP_CLAMP = 1e-6
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.9
 LEAKY_SLOPE = 0.2
 ACTIVATIONS = ("relu", "leaky_relu", "linear")
 
@@ -64,9 +63,10 @@ class Node:
 
 
 class DenseNode(Node):
-    """A dense layer's node: its activation name and its pre-activation."""
+    """A dense layer's node: its activation name, its pre-activation and, with
+    batch norm, its batch statistics (mean, var); else batch_stats is None."""
 
-    __slots__ = ("act", "pre")
+    __slots__ = ("act", "pre", "batch_stats")
 
 
 class SpectralNode(Node):
@@ -177,28 +177,24 @@ class Tape:
 
     # -- linear maps ---------------------------------------------------------
 
-    def dense(self, x, w, b=None, act: str = "linear", norm=None, train: bool = True,
-              stat_steps: int = 1) -> Node:
-        """act(X @ W + b), or act(batch_norm(X @ W)) when norm is given (beta is
-        then the shift, and b is None), for a batch matrix X (L, n), as one node.
+    def dense(self, x, w, b=None, act: str = "linear", norm=None) -> DenseNode:
+        """act(X @ W + b), or act(batch_norm(X @ W)) when norm = (gamma, beta) is
+        given (beta is then the shift, and b is None), for a batch matrix X (L, n),
+        as one node.
 
-        norm is (gamma, beta, running_mean, running_var), all of width
-        W.shape[1].  Train mode needs L >= 2, uses the batch statistics (biased
-        variance) and updates the running arrays in place, if they are not both
-        None: stat_steps momentum-0.9 steps toward the batch statistics, the
-        bits of as many forwards over the same batch.  Eval mode uses the
-        running statistics.  act is one of ACTIVATIONS; leaky_relu has slope
+        Batch norm needs L >= 2 and uses the batch statistics (biased variance),
+        which the node keeps as batch_stats = (mean, var); the layer writes to
+        none of its operands.  act is one of ACTIVATIONS; leaky_relu has slope
         LEAKY_SLOPE below zero.
         """
         if (b is None) == (norm is None):
             raise DomainError("dense takes a bias exactly when it has no batch norm")
         x, w = self._as_node(x), self._as_node(w)
-        shift = [self._as_node(p) for p in ((b,) if norm is None else norm[:2])]
-        stats = () if norm is None or (norm[2] is None and norm[3] is None) else norm[2:]
+        shift = [self._as_node(p) for p in ((b,) if norm is None else norm)]
         xv, wv = x.value, w.value
-        shapes = [np.shape(a) for a in [p.value for p in shift] + list(stats)]
+        shapes = [p.value.shape for p in shift]
         if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
-                or any(s != wv.shape[1:] for s in shapes)):
+                or shapes != [wv.shape[1:]] * (1 if norm is None else 2)):
             raise ShapeError(f"dense shapes x{xv.shape} W{wv.shape}, bias or batch norm {shapes} "
                              "incompatible")
         if act not in ACTIVATIONS:
@@ -208,24 +204,14 @@ class Tape:
             pre += shift[0].value
         else:
             gamma, beta = shift
-            nrows, xhat, sq = pre.shape[0], pre, None
-            if train:
-                if nrows < 2:
-                    raise DomainError("batch norm in train mode needs a batch of >= 2")
-                # np.mean and np.var's own arithmetic, sharing the centred batch
-                mean = pre.sum(axis=0) / nrows
-                xhat -= mean
-                sq = xhat * xhat
-                var = sq.sum(axis=0) / nrows
-                for running, batch in zip(stats, (mean, var)):
-                    for _ in range(stat_steps):
-                        running *= BN_MOMENTUM
-                        running += (1.0 - BN_MOMENTUM) * batch
-            elif stats:
-                xhat -= stats[0]
-                var = stats[1]
-            else:
-                raise DomainError("batch norm in eval mode needs running statistics")
+            nrows, xhat = pre.shape[0], pre
+            if nrows < 2:
+                raise DomainError("batch norm needs a batch of >= 2")
+            # np.mean and np.var's own arithmetic, sharing the centred batch
+            mean = pre.sum(axis=0) / nrows
+            xhat -= mean
+            sq = xhat * xhat
+            var = sq.sum(axis=0) / nrows
             inv = 1.0 / np.sqrt(var + BN_EPS)
             xhat *= inv
             pre = np.multiply(xhat, gamma.value, out=sq)
@@ -249,17 +235,15 @@ class Tape:
                 dgamma = np.einsum("ij,ij->j", g, xhat)
                 dbeta = g.sum(axis=0)
                 shift_grads = (dgamma, dbeta)
-                if train:  # the batch statistics' closed form, through dgamma and dbeta
-                    g = g - dbeta / nrows
-                    g -= xhat * (dgamma / nrows)
-                    g *= gamma.value * inv
-                else:
-                    g = g * gamma.value * inv
+                # the batch statistics' closed form, through dgamma and dbeta
+                g = g - dbeta / nrows
+                g -= xhat * (dgamma / nrows)
+                g *= gamma.value * inv
             return (g @ wv.T if x.needs_grad else None, xv.T @ g if w.needs_grad else None,
                     *shift_grads)
 
         node = self._record(out, (x, w, *shift), vjp, "dense", DenseNode)
-        node.act, node.pre = act, pre
+        node.act, node.pre, node.batch_stats = act, pre, None if norm is None else (mean, var)
         return node
 
     def matmul(self, a, b) -> Node:

@@ -7,9 +7,11 @@ step pushing the generator (encoder + reduction matrix) against the critic.
 The generator forward runs twice per batch: once for the reconstruction step,
 and once shared by the critic step (its draws as constants, on a tape of its
 own) and the generator step (the updated critic, frozen, on its tape).
-Scoring draws from the inlier mode only and averages cosine similarity
-between a test point and its decodes.  _modes is the one posterior after the
-encoder: training runs it on the tape, scoring on plain arrays (ARRAY_OPS).
+Training's batch norm uses batch statistics, scoring's the running statistics
+that each training forward steps.  Scoring draws from the inlier mode only and
+averages cosine similarity between a test point and its decodes.  _modes is
+the one posterior after the encoder: training runs it on the tape, scoring on
+plain arrays (ARRAY_OPS).
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
         store.add("head.W", nets.glorot_init(4 * hp.dprime, 2 * hp.d, rng))
         store.add("head.b", np.zeros(2 * hp.d))
     nets.build_mlp_params(store, "dec", specs["dec"], rng)
-    if "cri" in specs:  # the critic runs in train mode only: no running statistics
+    if "cri" in specs:  # the critic is never scored: no running statistics
         nets.build_mlp_params(store, "cri", specs["cri"], rng, running_stats=False)
 
     gen_names = store.names("enc.") + (["A"] if uses_reduction else [])
@@ -298,21 +300,21 @@ ARRAY_OPS = SimpleNamespace(
 
 
 def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
-                       labels, point_idx, eps1, eps2, train: bool, stat_steps: int = 1):
+                       labels, point_idx, eps1, eps2, stat_steps: int = 1):
     """Encoder -> posterior (_modes) -> reparameterized latent draws, on the tape.
     The encoder's running statistics take stat_steps steps (nets.mlp_forward)."""
-    enc = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb), train,
+    enc = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb),
                            _stat_steps=stat_steps)
     (mu1, mu2), (m1, m2) = _modes(tape, model, enc)
     return tape.mixture_sample(mu1, mu2, m1, m2, labels, point_idx, eps1, eps2)
 
 
-def _decode(tape: Tape, model: MawModel, z, train: bool):
-    return nets.mlp_forward(tape, model.store, "dec", model.specs["dec"], z, train)
+def _decode(tape: Tape, model: MawModel, z):
+    return nets.mlp_forward(tape, model.store, "dec", model.specs["dec"], z)
 
 
-def _critic(tape: Tape, model: MawModel, z, train: bool):
-    return nets.mlp_forward(tape, model.store, "cri", model.specs["cri"], z, train)
+def _critic(tape: Tape, model: MawModel, z):
+    return nets.mlp_forward(tape, model.store, "cri", model.specs["cri"], z)
 
 
 def _draw_batch_noise(hp: Hyperparams, rng: np.random.Generator, batch_rows: int):
@@ -338,23 +340,22 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
 
     # reconstruction step: encoder, reduction matrix, decoder
     tape = Tape()
-    z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True)
-    decoded = _decode(tape, model, z, True)
+    z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2)
+    decoded = _decode(tape, model, z)
     l_vae = tape.mean_rowwise_norm_diff(decoded, tape.const(x_rep), squared=squared)
     grads = tape.backward(l_vae)
     model.optimizers["vae"].step(model.store, grads)
 
     # one forward of the updated generator serves the critic and generator
-    # steps: the critic step changes neither enc.* nor A, and train-mode batch
-    # norm reads no running statistics.  The encoder's running statistics take
-    # the two steps that two forwards over the same batch statistics took.
+    # steps, as the critic step changes neither enc.* nor A; the encoder's
+    # running statistics take the two steps that two forwards took.
     gen_tape = Tape()
-    z = _forward_generated(gen_tape, model, xb, labels, point_idx, eps1, eps2, True, stat_steps=2)
+    z = _forward_generated(gen_tape, model, xb, labels, point_idx, eps1, eps2, stat_steps=2)
 
     # critic step on its own tape, the draws as constants
     tape = Tape()
-    d_gen = _critic(tape, model, tape.const(z.value), True)
-    d_hyp = _critic(tape, model, tape.const(z_hyp), True)
+    d_gen = _critic(tape, model, tape.const(z.value))
+    d_hyp = _critic(tape, model, tape.const(z_hyp))
     if bce:
         l_cri = tape.add(
             tape.mean_all(tape.softplus(tape.scale(d_hyp, -1.0))),
@@ -369,8 +370,7 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
 
     # generator step: the updated critic, its weights bound as constants, on
     # the shared forward's draws
-    d_gen = nets.mlp_forward(gen_tape, model.store, "cri", model.specs["cri"], z, True,
-                             _frozen=True)
+    d_gen = nets.mlp_forward(gen_tape, model.store, "cri", model.specs["cri"], z, _frozen=True)
     if bce:
         l_gen = gen_tape.mean_all(gen_tape.softplus(gen_tape.scale(d_gen, -1.0)))
     else:
@@ -387,7 +387,7 @@ def _vae_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     x_rep = xb[point_idx]
 
     tape = Tape()
-    feats = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb), True)
+    feats = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb))
     head = tape.dense(
         feats,
         tape.param(model.store.params["head.W"], "head.W"),
@@ -400,7 +400,7 @@ def _vae_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
         tape.gather_rows(mu, point_idx),
         tape.hadamard(tape.gather_rows(sigma, point_idx), tape.const(eps1)),
     )
-    decoded = _decode(tape, model, z, True)
+    decoded = _decode(tape, model, z)
     recon = tape.mean_rowwise_norm_diff(decoded, tape.const(x_rep), squared=True)
     kl = tape.vae_kl_diag(mu, logvar)
     total = tape.add(recon, kl)

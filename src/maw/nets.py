@@ -3,8 +3,9 @@
 Every hidden layer is affine without bias -> batch norm (beta shifts) ->
 activation; output layers are affine with a bias (batch norm on an output layer
 would re-center the produced distribution parameters, so the flag covers hidden
-layers).  The critic keeps batch norm too, deliberately, and runs in train mode
-only, so it keeps no running statistics.  Each layer is one `Tape.dense` node.
+layers).  The critic keeps batch norm too, deliberately.  On the tape each layer
+is one `Tape.dense` node on the batch statistics; mlp_forward steps the running
+statistics that mlp_apply folds in for scoring, and the critic keeps none.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .autodiff import ACTIVATIONS, BN_EPS, LEAKY_SLOPE, Tape, Node
 from .errors import ConfigError, DomainError, NumericalError
 
 FINAL_TRANSFORMS = ("none", "unit_normalize", "split4")
+BN_MOMENTUM = 0.9  # a running statistic r steps to BN_MOMENTUM r + (1 - BN_MOMENTUM) batch
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class ParamStore:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
-        self.folded: dict = {}  # _eval_layers' memo of each network's eval-mode layers
+        self.folded: dict = {}  # _eval_layers' memo of each network's folded scoring layers
 
     def add(self, name: str, value: np.ndarray):
         if name in self.params:
@@ -94,7 +96,7 @@ def build_mlp_params(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.rand
                      running_stats: bool = True):
     """Glorot weights; a zero bias where no batch norm follows, else unit/zero
     gamma/beta, plus running statistics unless running_stats is False (a
-    network that only ever runs in train mode)."""
+    network that is never scored)."""
     fan_in = spec.in_dim
     for k, width in enumerate(spec.widths):
         store.add(f"{prefix}.l{k}.W", glorot_init(fan_in, width, rng))
@@ -117,25 +119,26 @@ def _bind(tape: Tape, store: ParamStore, name: str, frozen: bool) -> Node:
     return tape.param(store.params[name], name)
 
 
-def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, train: bool,
+def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x,
                 _frozen: bool = False, _stat_steps: int = 1):
     """Run the MLP on the tape, one dense node per layer; returns a node or a
-    4-tuple for split4.  _frozen binds the weights as constants (no gradients);
-    _stat_steps is the running-statistics steps each train-mode layer takes
-    (Tape.dense's stat_steps).  A network stored without running statistics
-    runs in train mode only."""
-    if train:  # Tape.dense updates the running statistics in place
-        store.folded.clear()
+    4-tuple for split4.  _frozen binds the weights as constants (no gradients).
+    Each stored running statistic is replaced by a new array, _stat_steps
+    momentum steps toward its batch statistic: the bits of as many forwards."""
     h = tape._as_node(x)
     for k, act in enumerate(spec.activations):
         layer = f"{prefix}.l{k}"
         w = _bind(tape, store, f"{layer}.W", _frozen)
         if _normed(spec, k):
             norm = (_bind(tape, store, f"{layer}.gamma", _frozen),
-                    _bind(tape, store, f"{layer}.beta", _frozen),
-                    store.state.get(f"{layer}.running_mean"),
-                    store.state.get(f"{layer}.running_var"))
-            h = tape.dense(h, w, None, act, norm, train, _stat_steps)
+                    _bind(tape, store, f"{layer}.beta", _frozen))
+            h = tape.dense(h, w, None, act, norm)
+            names = (f"{layer}.running_mean", f"{layer}.running_var")
+            for name, batch in zip(names, h.batch_stats if names[0] in store.state else ()):
+                running = store.state[name]
+                for _ in range(_stat_steps):
+                    running = running * BN_MOMENTUM + (1.0 - BN_MOMENTUM) * batch
+                store.state[name] = running
         else:
             h = tape.dense(h, w, _bind(tape, store, f"{layer}.b", _frozen), act)
     if spec.final_transform == "unit_normalize":
@@ -150,8 +153,8 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x, tr
 
 def _eval_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> list:
     """Each layer's (W', b', activation), memoized in store.folded under (prefix,
-    spec) until an array the fold reads is replaced (optimizer steps, checkpoint
-    loads, assignment); train-mode mlp_forward and clip_weights edit in place and clear it."""
+    spec) until an array the fold reads is replaced (optimizer steps, mlp_forward,
+    checkpoint loads, assignment); clip_weights edits in place and clears it."""
     sources = []
     for k in range(len(spec.widths)):
         layer = f"{prefix}.l{k}"
@@ -185,11 +188,11 @@ def _fold_layers(sources: list, spec: MlpSpec) -> list:
 
 
 def mlp_apply(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray):
-    """Evaluation-mode forward pass in plain numpy (running statistics).
+    """Scoring forward pass in plain numpy, batch norm on the running statistics.
 
     Runs _eval_layers' folded layers: h @ W', h += b', the activation in
-    place.  The fold is memoized on the store, so outside training replace
-    arrays instead of editing them in place, which the memo does not see.
+    place.  The fold is memoized on the store, so replace arrays instead of
+    editing them in place, which the memo does not see (clip_weights clears it).
     """
     h = np.asarray(x, dtype=np.float64)
     for w, b, act in _eval_layers(store, prefix, spec):

@@ -110,31 +110,43 @@ def symmetric_fd_check(build, m, grad_m, tol=FD_TOL, h=FD_H):
     return worst
 
 
-def dense_case(rng, act, norm):
+def dense_case(rng, act, batch_norm=False):
     """(build, arrays) for an FD check of one Tape.dense layer (5, 3) -> (5, 4).
 
-    norm is "train", "eval" or None.  The arrays are x, W and then the bias b
-    without batch norm, or gamma and beta with it (the layer has no bias
-    then).  For relu/leaky_relu, instances whose pre-activation lies within
-    5e-2 of the kink are redrawn.
+    The arrays are x, W and then the bias b without batch norm, or gamma and
+    beta with it (the layer has no bias then).  For relu/leaky_relu, instances
+    whose pre-activation lies within 5e-2 of the kink are redrawn.
     """
     rows, margin = 5, 5e-2
     while True:
         arrays = [rng.uniform(-2.0, 2.0, size=(rows, 3)), rng.uniform(-2.0, 2.0, size=(3, 4))]
-        if norm is None:
-            arrays.append(rng.uniform(-2.0, 2.0, size=4))
-        else:
+        if batch_norm:
             arrays += [rng.uniform(0.5, 1.5, size=4), rng.uniform(-2.0, 2.0, size=4)]
-        running_mean = rng.uniform(-2.0, 2.0, size=4)
-        running_var = rng.uniform(0.5, 2.0, size=4)
+        else:
+            arrays.append(rng.uniform(-2.0, 2.0, size=4))
         proj = rng.uniform(-1.0, 1.0, size=(rows, 4))
 
         def layer(tape, x, w, *rest):
-            if norm is None:
-                return tape.dense(x, w, rest[0], act)
-            stats = (*rest, running_mean.copy(), running_var.copy())
-            return tape.dense(x, w, None, act, stats, norm == "train")
+            if batch_norm:
+                return tape.dense(x, w, None, act, rest)
+            return tape.dense(x, w, rest[0], act)
 
         if act == "linear" or np.min(np.abs(layer(Tape(), *arrays).pre)) >= margin:
             return (lambda tape, *nodes: random_projection_head(tape, layer(tape, *nodes), proj),
                     arrays)
+
+
+def textbook_batch_norm(z, gamma, beta, mean, var, act):
+    """(xhat, pre, act(pre)) of batch norm written out unfolded (Ioffe & Szegedy,
+    Alg. 1): xhat = (z - mean) / sqrt(var + 1e-5), pre = gamma xhat + beta.  With
+    the batch's own mean and biased variance it is the training layer; with the
+    running statistics, the layer scoring folds."""
+    xhat = (z - mean) / np.sqrt(var + 1e-5)
+    pre = gamma * xhat + beta
+    return xhat, pre, pre * activation_slope(pre, act)
+
+
+def activation_slope(pre, act):
+    """The activation's slope at each pre-activation (0.2 below zero for leaky_relu)."""
+    return {"relu": (pre > 0.0) * 1.0, "leaky_relu": np.where(pre > 0.0, 1.0, 0.2),
+            "linear": np.ones_like(pre)}[act]

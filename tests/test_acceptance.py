@@ -113,8 +113,9 @@ def _op_cases(rng):
         ("sum_all", lambda t, a: t.sum_all(t.hadamard(a, p34)), [y34]),
     ]
     for act in ACTIVATIONS:
-        for norm in ("train", "eval", None):
-            cases.append((f"dense_{act}_{norm or 'plain'}", *dense_case(rng, act, norm)))
+        for batch_norm in (True, False):
+            cases.append((f"dense_{act}_{'batch_norm' if batch_norm else 'plain'}",
+                          *dense_case(rng, act, batch_norm)))
     a43 = _mk(rng, 4, 3)
     b32 = _mk(rng, 3, 2)
     p42 = rng.uniform(-1, 1, size=(4, 2))

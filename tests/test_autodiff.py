@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from _gradcheck import (
+    activation_slope,
     check_grads,
     dense_case,
     random_projection_head,
     random_symmetric,
     rel_err,
     symmetric_fd_check,
+    textbook_batch_norm,
 )
 from maw.autodiff import ACTIVATIONS, Tape
 from maw.errors import DomainError, NumericalError, ShapeError
@@ -18,12 +20,12 @@ N_QUICK = 8  # instances per op here; the acceptance suite reruns with >= 50
 # ---------------------------------------------------------------- forward values
 
 
-def _unit_layer(t, x, act="linear", norm=None, train=True):
+def _unit_layer(t, x, act="linear", norm=None):
     """Tape.dense with an identity weight (and a zero bias when there is no batch
     norm), so x is the affine output."""
     width = np.shape(x)[1]
     bias = None if norm is not None else t.const(np.zeros(width))
-    return t.dense(t.const(x), t.const(np.eye(width)), bias, act, norm, train)
+    return t.dense(t.const(x), t.const(np.eye(width)), bias, act, norm)
 
 
 def test_relu_value():
@@ -44,43 +46,39 @@ def test_dense_rejects_unknown_activation():
 
 def test_batch_norm_train_value():
     # batch {1, 3}: mean 2, std 1 -> roughly {-1, +1} (eps = 1e-5)
-    norm = (np.array([1.0]), np.array([0.0]), np.zeros(1), np.ones(1))
-    out = _unit_layer(Tape(), [[1.0], [3.0]], norm=norm)
+    out = _unit_layer(Tape(), [[1.0], [3.0]], norm=(np.array([1.0]), np.array([0.0])))
     assert np.allclose(out.value, [[-1.0], [1.0]], atol=1e-4)
 
 
 def test_batch_norm_matches_numpy_statistics_exactly():
-    # the train-mode statistics use np.mean / np.var's own arithmetic
+    # the batch statistics use np.mean / np.var's own arithmetic, and the node keeps them
     x = np.random.default_rng(3).standard_normal((7, 5))
-    norm = (np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))
-    out = _unit_layer(Tape(), x, norm=norm)
+    out = _unit_layer(Tape(), x, norm=(np.ones(5), np.zeros(5)))
     assert np.array_equal(out.value, (x - x.mean(axis=0)) * (1.0 / np.sqrt(x.var(axis=0) + 1e-5)))
+    mean, var = out.batch_stats
+    assert np.array_equal(mean, x.mean(axis=0)) and np.array_equal(var, x.var(axis=0))
+    assert _unit_layer(Tape(), x).batch_stats is None
 
 
 def test_batch_norm_batch_of_one_rejected():
-    norm = (np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
     with pytest.raises(DomainError):
-        _unit_layer(Tape(), np.ones((1, 2)), norm=norm)
+        _unit_layer(Tape(), np.ones((1, 2)), norm=(np.ones(2), np.zeros(2)))
 
 
-def test_batch_norm_updates_running_stats():
-    rm, rv = np.zeros(1), np.ones(1)
-    _unit_layer(Tape(), [[1.0], [3.0]], norm=(np.array([1.0]), np.array([0.0]), rm, rv))
-    assert np.allclose(rm, [0.1 * 2.0])
-    assert np.allclose(rv, [0.9 * 1.0 + 0.1 * 1.0])
-
-
-def test_batch_norm_stat_steps_equal_as_many_forwards():
-    rng = np.random.default_rng(11)
-    x, w = rng.standard_normal((6, 3)), rng.standard_normal((3, 4))
-    gamma, beta = rng.uniform(0.5, 2.0, 4), rng.standard_normal(4)
-    once = [rng.uniform(0.5, 2.0, 4) for _ in range(2)]
-    twice = [a.copy() for a in once]
-    for _ in range(2):
-        Tape().dense(x, w, norm=(gamma, beta, *once), act="relu")
-    Tape().dense(x, w, norm=(gamma, beta, *twice), act="relu", stat_steps=2)
-    for a, b in zip(once, twice):
-        assert np.array_equal(a, b)
+@pytest.mark.parametrize("batch_norm", [True, False])
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_dense_writes_to_no_operand(act, batch_norm):
+    # forward and backward leave x, W and gamma, beta (or b) bit-unchanged
+    rng = np.random.default_rng(12)
+    names = ("x", "W", "gamma", "beta") if batch_norm else ("x", "W", "b")
+    arrays = {n: rng.standard_normal(shape) for n, shape in zip(names, ((6, 3), (3, 4), 4, 4))}
+    before = {n: a.copy() for n, a in arrays.items()}
+    t = Tape()
+    x, w, *shift = [t.param(a, n) for n, a in arrays.items()]
+    out = t.dense(x, w, None, act, shift) if batch_norm else t.dense(x, w, shift[0], act)
+    t.backward(t.sum_all(t.hadamard(out, rng.standard_normal((6, 4)))))
+    for n in names:
+        assert np.array_equal(arrays[n], before[n]), n
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -119,18 +117,17 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         t.dense(t.const(np.ones((2, 3))), t.const(np.ones((3, 2))), t.const(np.ones(3)))
     with pytest.raises(ShapeError):
-        t.dense(t.const(np.ones(2)), t.const(np.eye(2)), None, "relu",
-                (np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)), False)
+        t.dense(t.const(np.ones(2)), t.const(np.eye(2)), None, "relu", (np.ones(2), np.zeros(2)))
     with pytest.raises(ShapeError):
         t.spectral_truncate(t.const(np.ones((5, 2))), 2)
-    for bad in range(4):  # every batch-norm array must have the layer's width
-        norm = [np.ones(5), np.zeros(5), np.zeros(5), np.ones(5)]
+    for bad in range(2):  # gamma and beta must have the layer's width
+        norm = [np.ones(5), np.zeros(5)]
         norm[bad] = np.ones(1)
         with pytest.raises(ShapeError):
             t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), None, "relu", tuple(norm))
-    with pytest.raises(ShapeError):  # running statistics come as a pair or not at all
+    with pytest.raises(ShapeError):  # batch norm takes (gamma, beta) and nothing else
         t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), None, "relu",
-                (np.ones(5), np.zeros(5), np.zeros(5), None))
+                (np.ones(5), np.zeros(5), np.zeros(5), np.ones(5)))
     eps = np.zeros((2, 2))
     for idx in ([0, 2], [-1, 0]):  # row indices outside [0, 2)
         with pytest.raises(ShapeError):
@@ -143,51 +140,38 @@ def test_shape_errors():
 # ------------------------------------------------------ batch-norm backward, scatter
 
 
-def _textbook_dense_adjoints(x, w, gamma, beta, running, dy, act, train):
+def _textbook_dense_adjoints(x, w, gamma, beta, dy, act):
     """Adjoints of act(batch_norm(x @ w)) under the upstream adjoint dy,
     step by step through the batch statistics (Ioffe & Szegedy, Alg. 1)."""
     z = x @ w
     nrows = z.shape[0]
-    if train:
-        mu = z.mean(axis=0)
-        var = ((z - mu) ** 2).mean(axis=0)
-        xhat = (z - mu) / np.sqrt(var + 1e-5)
-    else:
-        var = running[1]
-        xhat = (z - running[0]) / np.sqrt(var + 1e-5)
-    pre = gamma * xhat + beta
-    slope = {"relu": (pre > 0.0) * 1.0, "leaky_relu": np.where(pre > 0.0, 1.0, 0.2),
-             "linear": np.ones_like(pre)}[act]
-    dpre = dy * slope
+    mu = z.mean(axis=0)
+    var = ((z - mu) ** 2).mean(axis=0)
+    xhat, pre, _ = textbook_batch_norm(z, gamma, beta, mu, var, act)
+    dpre = dy * activation_slope(pre, act)
     dgamma = np.sum(dpre * xhat, axis=0)
     dbeta = np.sum(dpre, axis=0)
     dxhat = dpre * gamma
-    if train:
-        dvar = np.sum(dxhat * (z - mu), axis=0) * -0.5 * (var + 1e-5) ** -1.5
-        dmu = -np.sum(dxhat, axis=0) / np.sqrt(var + 1e-5) + dvar * np.mean(-2.0 * (z - mu), axis=0)
-        dz = dxhat / np.sqrt(var + 1e-5) + dvar * 2.0 * (z - mu) / nrows + dmu / nrows
-    else:
-        dz = dxhat / np.sqrt(var + 1e-5)
+    dvar = np.sum(dxhat * (z - mu), axis=0) * -0.5 * (var + 1e-5) ** -1.5
+    dmu = -np.sum(dxhat, axis=0) / np.sqrt(var + 1e-5) + dvar * np.mean(-2.0 * (z - mu), axis=0)
+    dz = dxhat / np.sqrt(var + 1e-5) + dvar * 2.0 * (z - mu) / nrows + dmu / nrows
     return {"x": dz @ w.T, "w": x.T @ dz, "gamma": dgamma, "beta": dbeta}
 
 
-@pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("act", ACTIVATIONS)
 @pytest.mark.parametrize("rows", [2, 160])
-def test_batch_norm_backward_matches_textbook(rows, act, train):
+def test_batch_norm_backward_matches_textbook(rows, act):
     rng = np.random.default_rng(rows)
     x, w = rng.standard_normal((rows, 6)), rng.standard_normal((6, 5))
     beta = rng.standard_normal(5)
     gamma = rng.uniform(0.5, 2.0, 5)  # gamma != 1
-    running = (rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
     dy = rng.standard_normal((rows, 5))
     t = Tape()
     names = ("x", "w", "gamma", "beta")
     nodes = [t.param(v, n) for v, n in zip((x, w, gamma, beta), names)]
-    norm = (nodes[2], nodes[3], running[0].copy(), running[1].copy())
-    out = t.dense(nodes[0], nodes[1], None, act, norm, train)
+    out = t.dense(nodes[0], nodes[1], None, act, (nodes[2], nodes[3]))
     grads = t.backward(t.sum_all(t.hadamard(out, dy)))
-    want = _textbook_dense_adjoints(x, w, gamma, beta, running, dy, act, train)
+    want = _textbook_dense_adjoints(x, w, gamma, beta, dy, act)
     for name in names:
         np.testing.assert_allclose(grads[name], want[name], rtol=0.0, atol=1e-12, err_msg=name)
 
@@ -195,33 +179,10 @@ def test_batch_norm_backward_matches_textbook(rows, act, train):
 def test_dense_takes_a_bias_exactly_without_batch_norm():
     t = Tape()
     x, w = t.const(np.ones((3, 2))), t.const(np.ones((2, 4)))
-    norm = (np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
     with pytest.raises(DomainError, match="bias"):
-        t.dense(x, w, t.const(np.zeros(4)), "relu", norm)
+        t.dense(x, w, t.const(np.zeros(4)), "relu", (np.ones(4), np.zeros(4)))
     with pytest.raises(DomainError, match="bias"):
         t.dense(x, w, None, "relu")
-
-
-@pytest.mark.parametrize("act", ACTIVATIONS)
-def test_train_batch_norm_without_running_statistics(act):
-    # a network that only trains (the critic) keeps no running statistics: the
-    # layer's value and adjoints are those of a layer that keeps them
-    rng = np.random.default_rng(6)
-    x, w = rng.standard_normal((9, 3)), rng.standard_normal((3, 4))
-    gamma, beta = rng.uniform(0.5, 2.0, 4), rng.standard_normal(4)
-    dy = rng.standard_normal((9, 4))
-    results = []
-    for running in ((np.zeros(4), np.ones(4)), (None, None)):
-        t = Tape()
-        nodes = [t.param(v, n) for v, n in zip((x, w, gamma, beta), ("x", "w", "gamma", "beta"))]
-        out = t.dense(nodes[0], nodes[1], None, act, (nodes[2], nodes[3], *running))
-        results.append((out.value, t.backward(t.sum_all(t.hadamard(out, dy)))))
-    (value, grads), (bare_value, bare_grads) = results
-    assert np.array_equal(bare_value, value)
-    for name in grads:
-        assert np.array_equal(bare_grads[name], grads[name]), name
-    with pytest.raises(DomainError, match="running statistics"):
-        Tape().dense(x, w, None, act, (gamma, beta, None, None), train=False)
 
 
 @pytest.mark.parametrize("layout", ["shuffled", "repeated", "empty_rows"])
@@ -330,7 +291,7 @@ def test_backward_calls_each_reached_node_once():
     # it has; a branch fed only by constants, or off the root's path, never runs
     rng = np.random.default_rng(6)
     t = Tape()
-    norm = (t.param(np.ones(4), "gamma"), t.param(np.zeros(4), "beta"), None, None)
+    norm = (t.param(np.ones(4), "gamma"), t.param(np.zeros(4), "beta"))
     h = t.dense(t.const(rng.standard_normal((4, 3))), t.param(rng.standard_normal((3, 4)), "W"),
                 None, "relu", norm)
     a = t.param(rng.standard_normal((4, 2)), "A")
@@ -440,8 +401,8 @@ def test_fd_elementwise_and_reductions():
         proj = rng.uniform(-1.0, 1.0, size=(3, 4))
         x = _away_from_kinks(rng, 3, 4)
         y = _mat(rng, 3, 4)
-        check_grads(*dense_case(rng, "relu", None))
-        check_grads(*dense_case(rng, "leaky_relu", None))
+        check_grads(*dense_case(rng, "relu"))
+        check_grads(*dense_case(rng, "leaky_relu"))
         check_grads(lambda t, a: random_projection_head(t, t.softplus(a), proj), [x])
         check_grads(lambda t, a: random_projection_head(t, t.exp(t.scale(a, 0.3)), proj), [x])
         check_grads(lambda t, a, b: random_projection_head(t, t.add(a, b), proj), [x, y])
@@ -465,7 +426,7 @@ def test_fd_hadamard_broadcast_mask():
 def test_fd_linear_maps():
     rng = np.random.default_rng(13)
     for _ in range(N_QUICK):
-        check_grads(*dense_case(rng, "linear", None))
+        check_grads(*dense_case(rng, "linear"))
         a = _mat(rng, 4, 3)
         bmat = _mat(rng, 3, 2)
         projm = rng.uniform(-1.0, 1.0, size=(4, 2))
@@ -512,12 +473,11 @@ def test_fd_norm_ops():
 
 
 def test_fd_batch_norm():
-    # every activation after train- and eval-mode batch norm, all in one dense node
+    # every activation after batch norm, all in one dense node
     rng = np.random.default_rng(16)
     for _ in range(N_QUICK):
         for act in ACTIVATIONS:
-            for norm in ("train", "eval"):
-                check_grads(*dense_case(rng, act, norm))
+            check_grads(*dense_case(rng, act, batch_norm=True))
 
 
 def test_fd_diag_sandwich():

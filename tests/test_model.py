@@ -63,11 +63,14 @@ def inlier_mode(model):
 
 
 def draw_latents(model, seed):
-    """hp.samples training draws for one row: (z, labels, eps2)."""
+    """hp.samples training draws for one row: (z, labels, eps2).  Batch norm
+    needs two rows; the row twice normalizes to zero, and the pinned last
+    layer's zero weights keep its bias's bits."""
     labels, point_idx, eps1, eps2, _ = M._draw_batch_noise(
         model.hp, np.random.default_rng(seed), 1
     )
-    z = M._forward_generated(Tape(), model, PINNED_INPUT, labels, point_idx, eps1, eps2, False)
+    z = M._forward_generated(Tape(), model, np.repeat(PINNED_INPUT, 2, axis=0), labels,
+                             point_idx, eps1, eps2)
     return z.value, labels, eps2
 
 
@@ -416,9 +419,9 @@ def test_zero_critic_gives_zero_w1_and_zero_generator_gradient():
     labels, point_idx, eps1, eps2, z_hyp = noise
 
     tape = Tape()
-    z = M._forward_generated(tape, model, x, labels, point_idx, eps1, eps2, True)
-    d_gen = M._critic(tape, model, z, True)
-    d_hyp = M._critic(tape, model, tape.const(z_hyp), True)
+    z = M._forward_generated(tape, model, x, labels, point_idx, eps1, eps2)
+    d_gen = M._critic(tape, model, z)
+    d_hyp = M._critic(tape, model, tape.const(z_hyp))
     l_w1 = tape.add(tape.mean_all(d_gen), tape.scale(tape.mean_all(d_hyp), -1.0))
     assert float(l_w1.value) == 0.0
     l_gen = tape.scale(tape.mean_all(d_gen), -1.0)
@@ -459,15 +462,15 @@ def loss_value(model, xb, noise, which):
     labels, point_idx, eps1, eps2, z_hyp = noise
     variant = model.hp.variant
     tape = Tape()
-    z = M._forward_generated(tape, model, xb, labels, point_idx, eps1, eps2, True)
+    z = M._forward_generated(tape, model, xb, labels, point_idx, eps1, eps2)
     if which == "vae":
-        decoded = M._decode(tape, model, z, True)
+        decoded = M._decode(tape, model, z)
         root = tape.mean_rowwise_norm_diff(
             decoded, tape.const(xb[point_idx]), squared=variant == "maw-mse"
         )
     elif which == "critic":
-        d_gen = M._critic(tape, model, z, True)
-        d_hyp = M._critic(tape, model, tape.const(z_hyp), True)
+        d_gen = M._critic(tape, model, z)
+        d_hyp = M._critic(tape, model, tape.const(z_hyp))
         if variant == "maw-kl":
             root = tape.add(
                 tape.mean_all(tape.softplus(tape.scale(d_hyp, -1.0))),
@@ -476,7 +479,7 @@ def loss_value(model, xb, noise, which):
         else:
             root = tape.add(tape.mean_all(d_gen), tape.scale(tape.mean_all(d_hyp), -1.0))
     else:
-        d_gen = M._critic(tape, model, z, True)
+        d_gen = M._critic(tape, model, z)
         if variant == "maw-kl":
             root = tape.mean_all(tape.softplus(tape.scale(d_gen, -1.0)))
         else:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from _gradcheck import textbook_batch_norm
 from maw import model as M
 from maw import nets
 from maw.autodiff import Tape
@@ -143,8 +144,43 @@ def test_batch_normed_layers_have_no_bias(running_stats):
     stats = {f"net.l{k}.{s}" for k in (0, 1) for s in ("running_mean", "running_var")}
     assert set(store.state) == (stats if running_stats else set())
     tape = Tape()
-    out = nets.mlp_forward(tape, store, "net", spec, tape.const(np.ones((4, 3))), train=True)
+    out = nets.mlp_forward(tape, store, "net", spec, tape.const(np.ones((4, 3))))
     assert out.value.shape == (4, 4)
+
+
+def test_mlp_forward_updates_running_stats():
+    # one momentum-0.9 step toward the batch {1, 3}: mean 2, biased variance 1
+    spec = nets.MlpSpec(1, (1, 1), ("linear", "linear"))
+    store = nets.ParamStore()
+    nets.build_mlp_params(store, "net", spec, np.random.default_rng(0))
+    store.params["net.l0.W"] = np.ones((1, 1))
+    tape = Tape()
+    nets.mlp_forward(tape, store, "net", spec, tape.const([[1.0], [3.0]]))
+    assert np.allclose(store.state["net.l0.running_mean"], [0.1 * 2.0])
+    assert np.allclose(store.state["net.l0.running_var"], [0.9 * 1.0 + 0.1 * 1.0])
+
+
+def test_mlp_forward_stat_steps_equal_as_many_forwards():
+    # _stat_steps=k gives the bits of k forwards over the batch, and the stored
+    # running statistics are replaced by new arrays, never edited
+    rng = np.random.default_rng(11)
+    spec = nets.mlp(3, (4, 5, 2), "relu")
+    once = nets.ParamStore()
+    nets.build_mlp_params(once, "net", spec, rng)
+    once.state = {k: rng.uniform(0.5, 2.0, v.shape) for k, v in once.state.items()}
+    twice = nets.ParamStore()
+    twice.params, twice.state = dict(once.params), {k: v.copy() for k, v in once.state.items()}
+    x = rng.standard_normal((6, 3))
+    for steps in (3, 1):
+        for _ in range(steps):
+            tape = Tape()
+            nets.mlp_forward(tape, once, "net", spec, tape.const(x))
+        old = {k: (v, v.copy()) for k, v in twice.state.items()}
+        tape = Tape()
+        nets.mlp_forward(tape, twice, "net", spec, tape.const(x), _stat_steps=steps)
+        for name, (array, copy) in old.items():
+            assert twice.state[name] is not array and np.array_equal(array, copy), name
+            assert np.array_equal(twice.state[name], once.state[name]), name
 
 
 def test_split4_is_a_bijection_on_the_output():
@@ -177,8 +213,25 @@ def test_unit_normalize_transform():
     assert np.all(norms[~nonzero] == 0.0)
 
 
-def test_tape_and_numpy_forward_agree_in_eval_mode():
-    # mlp_apply folds each batch norm into its layer; the tape keeps it unfolded
+def _textbook_scoring_forward(store, prefix, spec, x):
+    """Layer by layer, unfolded: act(gamma (h W - running_mean) /
+    sqrt(running_var + 1e-5) + beta) after batch norm, else act(h W + b); then
+    unit-length rows."""
+    h = x
+    for k, act in enumerate(spec.activations):
+        layer = f"{prefix}.l{k}"
+        z = h @ store.params[f"{layer}.W"]
+        if k < len(spec.widths) - 1:
+            _, _, h = textbook_batch_norm(
+                z, store.params[f"{layer}.gamma"], store.params[f"{layer}.beta"],
+                store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"], act)
+        else:
+            h = z + store.params[f"{layer}.b"]
+    return h / np.linalg.norm(h, axis=1, keepdims=True)
+
+
+def test_folded_forward_matches_textbook_batch_norm():
+    # mlp_apply folds each batch norm into its layer; the reference keeps it unfolded
     rng = np.random.default_rng(4)
     for act in ("relu", "leaky_relu"):
         spec = nets.mlp(3, (5, 6, 4), act, final_transform="unit_normalize")
@@ -192,10 +245,8 @@ def test_tape_and_numpy_forward_agree_in_eval_mode():
             store.params[f"net.l{k}.gamma"] *= rng.uniform(0.5, 2.0, width)
             store.params[f"net.l{k}.beta"] += rng.normal(0.0, 0.5, width)
         x = rng.standard_normal((5, 3))
-        tape = Tape()
-        out_tape = nets.mlp_forward(tape, store, "net", spec, tape.const(x), train=False)
-        out_np = nets.mlp_apply(store, "net", spec, x)
-        assert np.allclose(out_tape.value, out_np, rtol=0.0, atol=1e-12)
+        want = _textbook_scoring_forward(store, "net", spec, x)
+        assert np.allclose(nets.mlp_apply(store, "net", spec, x), want, rtol=0.0, atol=1e-12)
 
 
 def _fresh_apply(store, prefix, spec, x):
@@ -213,7 +264,7 @@ def _adam_step(store, spec, rng):
 
 def _train_forward(store, spec, rng):
     tape = Tape()
-    nets.mlp_forward(tape, store, "net", spec, tape.const(rng.standard_normal((6, 3))), train=True)
+    nets.mlp_forward(tape, store, "net", spec, tape.const(rng.standard_normal((6, 3))))
 
 
 def _clip(store, spec, rng):
