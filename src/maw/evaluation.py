@@ -49,7 +49,8 @@ class SyntheticFamily:
     norm.  All rows are unit-normalized.  The frame is derived from the family
     seed so train and test splits share the same structure.  dim and rank are
     ints and seed a non-negative int (an integral float counts, a bool does
-    not), noise a finite number; anything else raises DomainError.
+    not), noise a finite number, and sample's counts and sample_seed
+    non-negative ints; anything else raises DomainError.
     """
 
     def __init__(self, dim: int, rank: int, noise: float = 0.1, seed: int = 0):
@@ -70,7 +71,8 @@ class SyntheticFamily:
         self.frame = q[:, :rank]
 
     def sample(self, n_inliers: int, n_outliers: int, sample_seed: int) -> Dataset:
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x5A7, int(sample_seed))))
+        n_inliers, n_outliers, sample_seed = _sample_args(n_inliers, n_outliers, sample_seed)
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x5A7, sample_seed)))
         coords = rng.standard_normal((n_inliers, self.rank))
         inliers = coords @ self.frame.T
         inliers += self.noise * rng.standard_normal((n_inliers, self.dim))
@@ -81,11 +83,21 @@ class SyntheticFamily:
         return Dataset(features, labels, provenance="synthetic")
 
 
+def _sample_args(n_inliers, n_outliers, sample_seed) -> list[int]:
+    """A family's sample arguments as non-negative ints (linalg.as_int), else DomainError."""
+    args = [linalg.as_int(v, what, DomainError) for v, what in zip(
+        (n_inliers, n_outliers, sample_seed), ("n_inliers", "n_outliers", "sample_seed"))]
+    if min(args) < 0:
+        raise DomainError(f"sample's counts and seed must be >= 0, got {args}")
+    return args
+
+
 def gen_synthetic(dim: int, rank: int, n_inliers: int, outlier_ratio: float,
                   noise: float, seed: int) -> Dataset:
     """One synthetic dataset with round(n * c) outliers appended."""
     family = SyntheticFamily(dim, rank, noise, seed)
-    n_out = int(round(n_inliers * outlier_ratio))
+    n_inliers = linalg.as_int(n_inliers, "n_inliers", DomainError)
+    n_out = round(n_inliers * linalg.as_float(outlier_ratio, "outlier_ratio", DomainError))
     return family.sample(n_inliers, n_out, sample_seed=0)
 
 
@@ -93,22 +105,24 @@ class PoolFamily:
     """Contaminated splits drawn without replacement from a labeled pool.
 
     Mirrors the sampling protocol on a fixed dataset: each split takes a fresh
-    uniform subsample of inliers and of outliers.
+    uniform subsample of inliers and of outliers.  seed and sample's arguments
+    are checked as SyntheticFamily's are.
     """
 
     def __init__(self, dataset: Dataset, seed: int = 0):
         self.dataset = dataset
-        self.seed = int(seed)
+        self.seed = linalg.as_seed(seed, "seed", DomainError)
         self._inliers = np.flatnonzero(dataset.labels == 0)
         self._outliers = np.flatnonzero(dataset.labels == 1)
 
     def sample(self, n_inliers: int, n_outliers: int, sample_seed: int) -> Dataset:
+        n_inliers, n_outliers, sample_seed = _sample_args(n_inliers, n_outliers, sample_seed)
         if n_inliers > len(self._inliers) or n_outliers > len(self._outliers):
             raise DataError(
                 f"pool has {len(self._inliers)} inliers / {len(self._outliers)} outliers; "
                 f"requested {n_inliers} / {n_outliers}"
             )
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x9001, int(sample_seed))))
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x9001, sample_seed)))
         pick_in = rng.choice(self._inliers, size=n_inliers, replace=False)
         pick_out = rng.choice(self._outliers, size=n_outliers, replace=False)
         idx = np.concatenate([pick_in, pick_out])
@@ -305,7 +319,7 @@ def _score_seed(split_seed: int, seed: int, j: int) -> int:
 
 
 def run_experiment(family: SyntheticFamily, splits, variants, seeds,
-                   hp: "model_mod.Hyperparams", progress=None) -> list[MetricReport]:
+                   hp: "model_mod.Hyperparams") -> list[MetricReport]:
     """Train and evaluate every (variant, split, seed) cell.
 
     Per cell: train on the contaminated train split, score every test split,
@@ -322,8 +336,6 @@ def run_experiment(family: SyntheticFamily, splits, variants, seeds,
                 model, _ = model_mod.train(train_set.features, hp_cell, seed=seed)
                 auc_val, ap_val = evaluate_split(model, family, split, seed)
                 entries.append({"seed": seed, "auc": auc_val, "ap": ap_val})
-                if progress is not None:
-                    progress(variant, split.c, seed, auc_val, ap_val)
             aucs = np.array([e["auc"] for e in entries])
             aps = np.array([e["ap"] for e in entries])
             reports.append(MetricReport(

@@ -49,6 +49,30 @@ def test_gen_synthetic_rejects_bad_rank():
         E.gen_synthetic(4, 4, 10, 0.1, noise=0.1, seed=0)
 
 
+BAD_SAMPLE_ARGS = [  # (n_inliers, n_outliers, sample_seed), one bad value each
+    (-1, 2, 0), (4, -2, 0), (2.5, 2, 0), (4, "2", 0), (True, 2, 0), (4, 2, -3), (4, 2, 1.5),
+    (4, 2, True),
+]
+
+
+@pytest.mark.parametrize("args", BAD_SAMPLE_ARGS)
+def test_sample_checks_its_arguments(args):
+    for family in (E.SyntheticFamily(6, 2, seed=0), E.PoolFamily(_pool(), seed=0)):
+        with pytest.raises(DomainError, match="n_inliers|n_outliers|sample"):
+            family.sample(*args)
+
+
+def test_gen_synthetic_checks_its_counts_and_outlier_ratio():
+    with pytest.raises(DomainError, match="counts and seed must be >= 0"):
+        E.gen_synthetic(6, 2, 40, -0.5, noise=0.1, seed=0)
+    for n_inliers in (2.5, "40"):
+        with pytest.raises(DomainError, match="n_inliers"):
+            E.gen_synthetic(6, 2, n_inliers, 0.2, noise=0.1, seed=0)
+    for ratio in ("x", float("nan"), float("inf"), True):
+        with pytest.raises(DomainError, match="outlier_ratio"):
+            E.gen_synthetic(6, 2, 40, ratio, noise=0.1, seed=0)
+
+
 # ------------------------------------------------------------ pooled splits
 
 
@@ -82,6 +106,12 @@ def test_pool_family_is_seeded():
     assert np.array_equal(first, _pool_rows(E.PoolFamily(_pool(), seed=1).sample(6, 2, 0)))
     assert not np.array_equal(first, _pool_rows(family.sample(6, 2, sample_seed=1)))
     assert not np.array_equal(first, _pool_rows(E.PoolFamily(_pool(), seed=2).sample(6, 2, 0)))
+
+
+@pytest.mark.parametrize("seed", ["7", True, 1.5, -1])
+def test_pool_family_checks_its_seed(seed):
+    with pytest.raises(DomainError, match="seed must be"):
+        E.PoolFamily(_pool(), seed=seed)
 
 
 def test_pool_family_rejects_oversized_requests():
