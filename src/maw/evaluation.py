@@ -292,14 +292,14 @@ class MetricReport:
 def draw_train(family, split: SplitSpec, seed: int) -> Dataset:
     """The contaminated train split of one seed."""
     sample_seed = np.random.SeedSequence((split.seed, seed, 0x7E5)).generate_state(1)[0]
-    return family.sample(split.n_train, split.n_train_outliers, sample_seed=int(sample_seed))
+    return family.sample(split.n_train, split.n_train_outliers, sample_seed=sample_seed)
 
 
 def draw_test(family, split: SplitSpec, seed: int, j: int) -> Dataset:
     """Test split j of one seed, contaminated at split.c_tests[j]."""
     sample_seed = np.random.SeedSequence((split.seed, seed, 0x7E57, j)).generate_state(1)[0]
     return family.sample(split.n_test, split.n_test_outliers(split.c_tests[j]),
-                         sample_seed=int(sample_seed))
+                         sample_seed=sample_seed)
 
 
 def evaluate_split(model, family: SyntheticFamily, split: SplitSpec, seed: int):

@@ -31,8 +31,18 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _python_scalar(value):
+    """The Python number a numpy scalar holds (np.bool_ gives a bool); numpy's
+    times, whose item() can be an int, and every other value come back as is."""
+    if isinstance(value, np.generic) and not isinstance(value, (np.datetime64, np.timedelta64)):
+        return value.item()
+    return value
+
+
 def as_int(value, what: str, error: type) -> int:
-    """An int or integral float as an int; a bool, fraction or other type raises error."""
+    """An int or integral float, Python's or numpy's, as an int; a bool (numpy's
+    too), fraction or other type raises error."""
+    value = _python_scalar(value)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -41,7 +51,9 @@ def as_int(value, what: str, error: type) -> int:
 
 
 def as_float(value, what: str, error: type) -> float:
-    """A finite int or float as a float; a bool, other type, nan or inf raises error."""
+    """A finite int or float, Python's or numpy's, as a float; a bool (numpy's
+    too), other type, nan or inf raises error."""
+    value = _python_scalar(value)  # numpy would cast the bound below to the scalar's dtype
     # the bound also rejects nan and ints too large for a float
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):

@@ -416,7 +416,9 @@ def train(features, hp: Hyperparams, seed: int):
     is fully determined by (features, hp, seed).  Trace entries are dicts with
     the per-epoch means of the three loss streams; for the plain-VAE variant
     the critic column carries the KL term and the generator column is zero.
+    seed is a non-negative int (linalg.as_seed), else DomainError.
     """
+    seed = linalg.as_seed(seed, "seed", DomainError)
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeError("training data must be an (n >= 2, D) matrix")
@@ -514,10 +516,11 @@ def score_batch(model: MawModel, y_rows, samples: int | None = None, seed: int =
     Any other slice gets other draws, and so other scores.  Rows are scored
     SCORE_CHUNK at a time, each chunk drawing its rows of the block from the
     same generator in order (the same bits as one draw), so memory is
-    bounded by the chunk, not n.
+    bounded by the chunk, not n.  seed is a non-negative int (linalg.as_seed),
+    else DomainError.
     """
     y, (n, k, t, d) = _prepare_rows(model, y_rows, samples)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(linalg.as_seed(seed, "seed", DomainError))
     scores = np.empty(n)
     for start in range(0, n, SCORE_CHUNK):
         rows = y[start:start + SCORE_CHUNK]

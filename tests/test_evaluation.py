@@ -44,6 +44,16 @@ def test_family_shares_frame_across_splits():
     assert not np.array_equal(train.features, test.features)
 
 
+def test_family_takes_numpy_scalars_as_python_numbers():
+    plain = E.SyntheticFamily(6, 2, noise=0.25, seed=4).sample(5, 1, sample_seed=3)
+    family = E.SyntheticFamily(np.int64(6), np.int64(2), noise=np.float32(0.25), seed=np.uint32(4))
+    split = family.sample(np.int64(5), np.int64(1), np.uint32(3))
+    assert np.array_equal(split.features, plain.features)
+    assert np.array_equal(split.labels, plain.labels)
+    with pytest.raises(DomainError, match="rank"):
+        E.SyntheticFamily(6, np.bool_(True))
+
+
 def test_gen_synthetic_rejects_bad_rank():
     with pytest.raises(DomainError):
         E.gen_synthetic(4, 4, 10, 0.1, noise=0.1, seed=0)

@@ -20,20 +20,33 @@ def _eig(m):
     return w[0], q[0]
 
 
+def test_as_int_rule():
+    for bad in (2.5, True, np.bool_(True), np.bool_(False), np.float32(1.5), np.nan, "3",
+                np.str_("3"), np.timedelta64(3), np.datetime64(5, "ns"), None, np.array([3])):
+        with pytest.raises(DomainError, match="width must be an int"):
+            linalg.as_int(bad, "width", DomainError)
+    for good, want in ((3, 3), (-2, -2), (4.0, 4), (np.int64(6), 6), (np.uint32(3), 3),
+                       (np.float32(2.0), 2), (np.float64(5.0), 5)):
+        value = linalg.as_int(good, "width", DomainError)
+        assert value == want and type(value) is int
+
+
 def test_as_float_rule():
-    for bad in ("0.7", True, np.nan, np.inf, -np.inf, None, 10**400, [1.0]):
+    for bad in ("0.7", True, np.bool_(True), np.nan, np.inf, -np.inf, np.float32(np.inf),
+                np.float32(np.nan), np.timedelta64(3), None, 10**400, [1.0]):
         with pytest.raises(DomainError, match="rate must be a finite number"):
             linalg.as_float(bad, "rate", DomainError)
-    for good, want in ((0.7, 0.7), (3, 3.0), (np.float64(-2.5), -2.5)):
+    for good, want in ((0.7, 0.7), (3, 3.0), (np.float64(-2.5), -2.5), (np.float32(0.5), 0.5),
+                       (np.int64(3), 3.0), (np.uint32(2), 2.0)):
         value = linalg.as_float(good, "rate", DomainError)
         assert value == want and type(value) is float
 
 
 def test_as_seed_rule():
-    for bad in (-1, 1.5, True, "1", None, np.nan, np.inf):
+    for bad in (-1, 1.5, True, np.bool_(True), np.int64(-1), "1", None, np.nan, np.inf):
         with pytest.raises(DomainError, match="seed"):
             linalg.as_seed(bad, "seed", DomainError)
-    for good, want in ((0, 0), (7, 7), (3.0, 3)):
+    for good, want in ((0, 0), (7, 7), (3.0, 3), (np.uint32(3), 3), (np.int64(2**40), 2**40)):
         value = linalg.as_seed(good, "seed", DomainError)
         assert value == want and type(value) is int
 

@@ -232,21 +232,24 @@ def test_hyperparams_validation():
 
 @pytest.mark.parametrize("key", M.INT_KEYS)
 def test_hyperparams_int_fields(key):
-    for bad in (2.5, True, "4", None):
+    for bad in (2.5, True, np.bool_(True), "4", None):
         with pytest.raises(ConfigError, match=key):
             tiny_hp(**{key: bad})
-    value = getattr(tiny_hp(**{key: 4.0}), key)
-    assert value == 4 and type(value) is int
+    for good in (4.0, np.int64(4), np.uint32(4)):
+        value = getattr(tiny_hp(**{key: good}), key)
+        assert value == 4 and type(value) is int
 
 
 @pytest.mark.parametrize("key", M.FLOAT_KEYS)
 def test_hyperparams_float_fields(key):
-    for bad in (True, float("nan"), float("inf"), -float("inf"), "x", "0.7", None, 10**400):
+    for bad in (True, np.bool_(False), float("nan"), float("inf"), -float("inf"),
+                np.float32("inf"), "x", "0.7", None, 10**400):
         with pytest.raises(ConfigError, match=key):
             tiny_hp(**{key: bad})
     if key != "eta":  # an int learning rate is taken as its float
-        value = getattr(tiny_hp(**{key: 1}), key)
-        assert value == 1.0 and type(value) is float
+        for good in (1, np.int64(1), np.float32(1.0)):
+            value = getattr(tiny_hp(**{key: good}), key)
+            assert value == 1.0 and type(value) is float
 
 
 @pytest.mark.parametrize("widths", ["ab", (), (8, 0), (8, True), (8, 2.0), 8, None])
@@ -295,6 +298,25 @@ def test_train_is_deterministic():
     assert t1 == t2  # bit-identical floats
     for k in m1.store.params:
         assert np.array_equal(m1.store.params[k], m2.store.params[k])
+
+
+BAD_SEEDS = [None, True, np.bool_(True), -1, 1.5, "1", np.int64(-2)]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_train_checks_its_seed(seed):
+    with pytest.raises(DomainError, match="seed must be"):
+        M.train(line_data(8, 4, seed=0), tiny_hp(epochs=1), seed=seed)
+
+
+def test_train_takes_a_numpy_or_integral_float_seed_as_its_int():
+    hp = tiny_hp(epochs=2)
+    x = line_data(10, 4, seed=3)
+    m1, t1 = M.train(x, hp, seed=7)
+    for seed in (np.uint32(7), np.int64(7), 7.0):
+        m2, t2 = M.train(x, hp, seed=seed)
+        assert t1 == t2
+        assert json.dumps(m1.to_payload()) == json.dumps(m2.to_payload())
 
 
 def test_train_keeps_critic_weights_clipped():
@@ -354,6 +376,21 @@ def test_score_batch_deterministic_and_prefix_invariant():
     for k in (1, 3, 5):
         s_prefix = M.score_batch(model, x[:k], seed=3)
         assert np.allclose(s_prefix, s_all[:k], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_score_batch_checks_its_seed(seed):
+    model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="seed must be"):
+        M.score_batch(model, line_data(3, 4, seed=1), seed=seed)
+
+
+def test_score_batch_takes_a_numpy_seed_as_its_int():
+    model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
+    rows = line_data(3, 4, seed=1)
+    want = M.score_batch(model, rows, seed=3)
+    for seed in (np.uint32(3), np.int64(3), 3.0):
+        assert np.array_equal(M.score_batch(model, rows, seed=seed), want)
 
 
 @pytest.mark.parametrize("variant", M.VARIANTS)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from maw import linalg, theory
@@ -361,7 +362,7 @@ def test_a_non_finite_simplex_candidate_ends_in_a_numerical_error(monkeypatch, p
         x = np.full(np.shape(x0), math.nan)
         return OptimizeResult(x=x, fun=float(fun(x)), status=0, nit=1, message="")
 
-    monkeypatch.setattr(theory, "minimize", diverged)
+    monkeypatch.setattr(scipy.optimize, "minimize", diverged)
     with pytest.raises(NumericalError):
         theory.brute_force_minimizer(theory.TheoryProblem(**problem))
 
@@ -610,7 +611,7 @@ def test_refine_rejects_a_run_that_did_not_converge(monkeypatch, status, nit):
         return OptimizeResult(x=x, fun=float(fun(x)), status=status, nit=nit,
                               message="stopped early")
 
-    monkeypatch.setattr(theory, "minimize", stopped)
+    monkeypatch.setattr(scipy.optimize, "minimize", stopped)
     problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
     with pytest.raises(NumericalError):
         theory.brute_force_minimizer(problem)
