@@ -331,15 +331,14 @@ class Tape:
                 f"batch_diag_sandwich shapes A{av.shape} S{sv.shape} incompatible"
             )
         nblocks, d = sv.shape[0], av.shape[1]
-        blocks = linalg.diag_sandwich(av, sv)
+        blocks, aa = linalg.diag_sandwich(av, sv)
 
         def vjp(g):
             g3 = g.reshape(nblocks, d, d)
             sym = g3 + np.transpose(g3, (0, 2, 1))
             # A's adjoint sum_l S[l, p] (A sym_l)[p, q]: the sum over blocks is one GEMM
             s_sym = (sv.T @ sym.reshape(nblocks, d * d)).reshape(-1, d, d)
-            return (np.einsum("pk,pkq->pq", av, s_sym),
-                    np.einsum("pk,lqk,pq->lp", av, g3, av))
+            return (np.einsum("pk,pkq->pq", av, s_sym), g.reshape(nblocks, d * d) @ aa.T)
 
         return self._record(blocks.reshape(nblocks * d, d), (a, s_rows), vjp,
                             "batch_diag_sandwich")
@@ -391,37 +390,35 @@ class Tape:
                             lambda g: (g.reshape(nblocks, d, d)[:, idx, idx],),
                             "rows_to_diag_blocks")
 
-    def mixture_sample(self, mu1, mu2, m1blocks, m2blocks, labels, point_idx, eps1, eps2) -> Node:
+    def mixture_sample(self, mu1, mu2, m1blocks, m2blocks, labels, eps1, eps2) -> Node:
         """Reparameterized mixture draws z_k = mu_j[i] + M_j[i] eps1_k + eps2_k.
 
-        labels (values in {1, 2}) pick the mode per draw, point_idx maps each
-        draw to its batch row; eps1/eps2 are fixed standard-normal constants so
-        the covariance of each mode is exactly M M^T + I.
+        The draws come grouped per batch row, t = ndraws / nrows at a time
+        (draw k belongs to row k // t), else ShapeError; labels (values in
+        {1, 2}) pick the mode per draw.  eps1/eps2 are fixed standard-normal
+        constants so the covariance of each mode is exactly M M^T + I.
         """
         mu1, mu2 = self._as_node(mu1), self._as_node(mu2)
         m1blocks, m2blocks = self._as_node(m1blocks), self._as_node(m2blocks)
         labels = np.asarray(labels, dtype=np.intp)
-        point_idx = np.asarray(point_idx, dtype=np.intp)
         eps1 = np.asarray(eps1, dtype=np.float64)
         eps2 = np.asarray(eps2, dtype=np.float64)
         nrows, d = mu1.value.shape
         ndraws = labels.shape[0]
-        if point_idx.shape != (ndraws,) or eps1.shape != (ndraws, d) or eps2.shape != (ndraws, d):
-            raise ShapeError("mixture_sample draw arrays are inconsistent")
-        _row_indices(point_idx, nrows)
-        m1 = m1blocks.value.reshape(nrows, d, d)
-        m2 = m2blocks.value.reshape(nrows, d, d)
-        pick1 = labels == 1
-        picks = (pick1, ~pick1)
-        msel = np.where(pick1[:, None, None], m1[point_idx], m2[point_idx])
-        musel = np.where(pick1[:, None], mu1.value[point_idx], mu2.value[point_idx])
-        out = musel + np.einsum("kde,ke->kd", msel, eps1) + eps2
+        if eps1.shape != (ndraws, d) or eps2.shape != (ndraws, d) or not nrows or ndraws % nrows:
+            raise ShapeError(f"mixture_sample needs draws grouped per row: {ndraws} draws "
+                             f"for {nrows} rows, eps shapes {eps1.shape} and {eps2.shape}")
+        e3 = eps1.reshape(nrows, -1, d)
+        pick1 = (labels == 1).reshape(nrows, -1, 1)
+        masks = (pick1, ~pick1)
+        draws = [mu.value[:, None, :] + e3 @ np.swapaxes(m.value.reshape(nrows, d, d), 1, 2)
+                 for mu, m in ((mu1, m1blocks), (mu2, m2blocks))]
+        out = np.where(pick1, *draws).reshape(ndraws, d) + eps2
 
         def vjp(g):  # adjoints of (mu1, mu2, m1blocks, m2blocks)
-            means = [_scatter_rows(point_idx[p], g[p], nrows) for p in picks]
-            blocks = [_scatter_rows(point_idx[p], g[p, :, None] * eps1[p, None, :], nrows)
-                      .reshape(nrows * d, d) for p in picks]
-            return (*means, *blocks)
+            parts = [g.reshape(nrows, -1, d) * mask for mask in masks]
+            return (*(p.sum(axis=1) for p in parts),
+                    *((np.swapaxes(p, 1, 2) @ e3).reshape(nrows * d, d) for p in parts))
 
         return self._record(out, (mu1, mu2, m1blocks, m2blocks), vjp, "mixture_sample")
 

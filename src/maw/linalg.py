@@ -129,9 +129,13 @@ def diag_blocks(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def diag_sandwich(a: np.ndarray, s_rows: np.ndarray) -> np.ndarray:
-    """Blocks A^T diag(s_l) A for each row s_l of s_rows (L, p), with A (p, d): (L, d, d)."""
-    return np.einsum("pk,lp,pq->lkq", a, s_rows, a)
+def diag_sandwich(a: np.ndarray, s_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks A^T diag(s_l) A for each row s_l of s_rows (L, p), with A (p, d), as
+    one GEMM s_rows @ AA; returns (blocks (L, d, d), AA (p, d*d)), whose row p
+    is the flattened outer product a_p a_p^T."""
+    p, d = a.shape
+    aa = (a[:, :, None] * a[:, None, :]).reshape(p, d * d)
+    return (s_rows @ aa).reshape(-1, d, d), aa
 
 
 def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
@@ -173,11 +177,12 @@ def truncation_mask(n: int) -> np.ndarray:
 
 def spectral_truncate(m3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-n/2 truncation q diag(w * truncation_mask(n)) q^T of each block of
-    an (L, n, n) symmetric stack; returns (truncated stack, w, q) with w and q
-    from sym_eig_batch."""
+    an (L, n, n) symmetric stack, built from the n/2 kept columns of q only;
+    returns (truncated stack, w, q) with w and q from sym_eig_batch."""
     w, q = sym_eig_batch(m3)
-    kept = q * (w * truncation_mask(w.shape[1]))[:, None, :]
-    return kept @ np.swapaxes(q, 1, 2), w, q
+    keep = w.shape[1] // 2
+    kept = q[:, :, :keep]
+    return (kept * w[:, None, :keep]) @ np.swapaxes(kept, 1, 2), w, q
 
 
 def psd_sqrt(m) -> np.ndarray:

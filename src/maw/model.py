@@ -9,7 +9,8 @@ and once shared by the critic step (its draws as constants, on a tape of its
 own) and the generator step (the updated critic, frozen, on its tape).
 Training's batch norm uses batch statistics, scoring's the running statistics
 that each training forward steps.  Scoring draws from the inlier mode only and
-averages cosine similarity between a test point and its decodes.  _modes is
+averages cosine similarity between a test point and its decodes: the mean dot
+product of unit (or zero) rows, clipped to [-1, 1].  _modes is
 the one posterior after the encoder: training runs it on the tape, scoring on
 plain arrays (ARRAY_OPS).
 """
@@ -100,18 +101,15 @@ class Hyperparams:
 
 
 def cosine_score(y, decodes):
-    """Mean cosine similarity between y and each of its decodes; zero vectors score 0.
+    """Mean cosine similarity between y and each of its decodes, for rows that
+    are unit length or zero (a zero row scores 0): their mean dot product,
+    clipped to [-1, 1] against rounding.
 
     y is (..., D) and decodes (..., T, D); the result has shape y.shape[:-1].
     """
-    y = np.asarray(y, dtype=np.float64)
     decodes = np.asarray(decodes, dtype=np.float64)
-    denom = (np.sqrt(np.add.reduce(decodes * decodes, axis=-1))  # np.linalg.norm's arithmetic
-             * np.sqrt(np.add.reduce(y * y, axis=-1))[..., None])
-    dots = np.einsum("...td,...d->...t", decodes, y)
-    positive = denom > 0.0
-    cos = np.where(positive, dots / np.where(positive, denom, 1.0), 0.0)
-    return np.mean(cos, axis=-1)
+    total = np.einsum("...td,...d->...", decodes, np.asarray(y, dtype=np.float64))
+    return np.clip(total / decodes.shape[-2], -1.0, 1.0)
 
 
 # --------------------------------------------------------------------- model
@@ -293,20 +291,20 @@ ARRAY_OPS = SimpleNamespace(
     param=lambda value, name: value,
     matmul=np.matmul,
     hadamard=np.multiply,
-    batch_diag_sandwich=linalg.diag_sandwich,
+    batch_diag_sandwich=lambda a, s_rows: linalg.diag_sandwich(a, s_rows)[0],
     rows_to_diag_blocks=linalg.diag_blocks,
     spectral_truncate=lambda blocks, d: linalg.spectral_truncate(blocks)[0],
 )
 
 
 def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
-                       labels, point_idx, eps1, eps2, stat_steps: int = 1):
+                       labels, eps1, eps2, stat_steps: int = 1):
     """Encoder -> posterior (_modes) -> reparameterized latent draws, on the tape.
     The encoder's running statistics take stat_steps steps (nets.mlp_forward)."""
     enc = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb),
                            _stat_steps=stat_steps)
     (mu1, mu2), (m1, m2) = _modes(tape, model, enc)
-    return tape.mixture_sample(mu1, mu2, m1, m2, labels, point_idx, eps1, eps2)
+    return tape.mixture_sample(mu1, mu2, m1, m2, labels, eps1, eps2)
 
 
 def _decode(tape: Tape, model: MawModel, z):
@@ -318,7 +316,9 @@ def _critic(tape: Tape, model: MawModel, z):
 
 
 def _draw_batch_noise(hp: Hyperparams, rng: np.random.Generator, batch_rows: int):
-    """Per-batch noise in a fixed order: labels, eps1, eps2, prior draws."""
+    """Per-batch noise in a fixed order: labels, eps1, eps2, prior draws, each
+    hp.samples draws at a time per batch row (Tape.mixture_sample's grouping);
+    returns them with point_idx, each draw's row."""
     total = batch_rows * hp.samples
     if hp.variant == "maw-single-gaussian":
         labels = np.full(total, 2, dtype=int)
@@ -340,7 +340,7 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
 
     # reconstruction step: encoder, reduction matrix, decoder
     tape = Tape()
-    z = _forward_generated(tape, model, xb, labels, point_idx, eps1, eps2)
+    z = _forward_generated(tape, model, xb, labels, eps1, eps2)
     decoded = _decode(tape, model, z)
     l_vae = tape.mean_rowwise_norm_diff(decoded, tape.const(x_rep), squared=squared)
     grads = tape.backward(l_vae)
@@ -350,7 +350,7 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     # steps, as the critic step changes neither enc.* nor A; the encoder's
     # running statistics take the two steps that two forwards took.
     gen_tape = Tape()
-    z = _forward_generated(gen_tape, model, xb, labels, point_idx, eps1, eps2, stat_steps=2)
+    z = _forward_generated(gen_tape, model, xb, labels, eps1, eps2, stat_steps=2)
 
     # critic step on its own tape, the draws as constants
     tape = Tape()
@@ -499,7 +499,7 @@ def _score_rows(model: MawModel, y: np.ndarray, noise: np.ndarray) -> np.ndarray
     n, k, t, d = noise.shape
     y = linalg.normalize_rows(y)
     mu, factors = _inlier_mode_factors(model, y)
-    z = mu[:, None, :] + np.einsum("lde,lte->ltd", factors, noise[:, 0])
+    z = mu[:, None, :] + noise[:, 0] @ np.swapaxes(factors, 1, 2)
     if k == 2:
         z = z + noise[:, 1]
     decoded = nets.mlp_apply(model.store, "dec", model.specs["dec"], z.reshape(n * t, d))

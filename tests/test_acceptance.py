@@ -152,14 +152,13 @@ def _op_cases(rng):
     cases.append(("spectral_truncate", lambda t, aa, ss: random_projection_head(
         t, t.spectral_truncate(t.batch_diag_sandwich(aa, ss), 2), p62), [a_eig, s_eig]))
 
-    nrows, dd, ndraws = 3, 2, 8
+    nrows, dd, ndraws = 3, 2, 9  # three draws per row, grouped
     labels = rng.integers(1, 3, size=ndraws)
-    pidx = rng.integers(0, nrows, size=ndraws)
     e1 = rng.standard_normal((ndraws, dd))
     e2 = rng.standard_normal((ndraws, dd))
-    p82 = rng.uniform(-1, 1, size=(ndraws, dd))
+    p92 = rng.uniform(-1, 1, size=(ndraws, dd))
     cases.append(("mixture_sample", lambda t, m1, m2_, f1, f2: random_projection_head(
-        t, t.mixture_sample(m1, m2_, f1, f2, labels, pidx, e1, e2), p82),
+        t, t.mixture_sample(m1, m2_, f1, f2, labels, e1, e2), p92),
         [_mk(rng, 3, 2), _mk(rng, 3, 2), _mk(rng, 6, 2), _mk(rng, 6, 2)]))
     s32 = _mk(rng, 3, 2)
     cases.append(("rows_to_diag_blocks", lambda t, ss: random_projection_head(

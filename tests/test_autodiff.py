@@ -95,6 +95,20 @@ def test_diag_sandwich_a_gradient_matches_its_einsum(d):
     np.testing.assert_allclose(grads["a"], ref, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("nblocks", [1, 32, 1024])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_diag_sandwich_s_gradient_matches_its_einsum(d, nblocks):
+    # the vjp is one GEMM against the node's A kron A; the definition sums in one einsum
+    rng = np.random.default_rng(d * nblocks)
+    a, s = rng.standard_normal((16, d)), rng.standard_normal((nblocks, 16))
+    g = rng.standard_normal((nblocks, d, d))
+    t = Tape()
+    out = t.batch_diag_sandwich(t.const(a), t.param(s, "s"))
+    grads = t.backward(t.sum_all(t.hadamard(out, t.const(g.reshape(nblocks * d, d)))))
+    np.testing.assert_allclose(grads["s"], np.einsum("pk,lqk,pq->lp", a, g, a),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_diag_sandwich_value():
     t = Tape()
     a = t.const(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
@@ -128,11 +142,12 @@ def test_shape_errors():
     with pytest.raises(ShapeError):  # batch norm takes (gamma, beta) and nothing else
         t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), None, "relu",
                 (np.ones(5), np.zeros(5), np.zeros(5), np.ones(5)))
-    eps = np.zeros((2, 2))
-    for idx in ([0, 2], [-1, 0]):  # row indices outside [0, 2)
-        with pytest.raises(ShapeError):
+    for ndraws in (3, 5):  # draws must come a whole number per row of the 2
+        eps = np.zeros((ndraws, 2))
+        with pytest.raises(ShapeError, match="grouped"):
             t.mixture_sample(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((4, 2)),
-                             np.zeros((4, 2)), [1, 2], idx, eps, eps)
+                             np.zeros((4, 2)), np.ones(ndraws), eps, eps)
+    for idx in ([0, 2], [-1, 0]):  # row indices outside [0, 2)
         with pytest.raises(ShapeError):
             t.gather_rows(np.zeros((2, 2)), idx)
 
@@ -187,6 +202,8 @@ def test_dense_takes_a_bias_exactly_without_batch_norm():
 
 @pytest.mark.parametrize("layout", ["shuffled", "repeated", "empty_rows"])
 def test_scatter_matches_add_at(layout):
+    # gather_rows scatters any row layout; mixture_sample's draws come grouped
+    # per row, and its masked sums match np.add.at over the grouped rows
     rng = np.random.default_rng(5)
     nrows, d, ndraws = 6, 3, 30
     point_idx = {
@@ -194,29 +211,33 @@ def test_scatter_matches_add_at(layout):
         "repeated": rng.integers(0, nrows, ndraws),
         "empty_rows": rng.choice([1, 4], ndraws),
     }[layout]
+    grouped = np.repeat(np.arange(nrows), ndraws // nrows)
     labels = rng.integers(1, 3, ndraws)
+    if layout == "empty_rows":  # mode 1 draws only for rows 1 and 4
+        labels[~np.isin(grouped, [1, 4])] = 2
     eps1, eps2 = rng.standard_normal((ndraws, d)), rng.standard_normal((ndraws, d))
-    dz = rng.standard_normal((ndraws, d))
+    dz, dx = rng.standard_normal((ndraws, d)), rng.standard_normal((ndraws, d))
     t = Tape()
+    x = t.param(rng.standard_normal((nrows, d)), "x")
     mu1, mu2 = t.param(rng.standard_normal((nrows, d)), "mu1"), t.param(np.zeros((nrows, d)), "mu2")
     m1 = t.param(rng.standard_normal((nrows * d, d)), "m1")
     m2 = t.param(rng.standard_normal((nrows * d, d)), "m2")
-    z = t.mixture_sample(mu1, mu2, m1, m2, labels, point_idx, eps1, eps2)
-    gathered = t.gather_rows(mu1, point_idx)
-    root = t.add(t.sum_all(t.hadamard(z, dz)), t.sum_all(t.hadamard(gathered, dz)))
+    z = t.mixture_sample(mu1, mu2, m1, m2, labels, eps1, eps2)
+    gathered = t.gather_rows(x, point_idx)
+    root = t.add(t.sum_all(t.hadamard(z, dz)), t.sum_all(t.hadamard(gathered, dx)))
     grads = t.backward(root)
-    want = {k: np.zeros((nrows, d)) for k in ("mu1", "mu2")}
+    want = {k: np.zeros((nrows, d)) for k in ("x", "mu1", "mu2")}
     want.update({k: np.zeros((nrows, d, d)) for k in ("m1", "m2")})
     for mode, mask in ((1, labels == 1), (2, labels == 2)):
-        np.add.at(want[f"mu{mode}"], point_idx[mask], dz[mask])
-        np.add.at(want[f"m{mode}"], point_idx[mask], dz[mask, :, None] * eps1[mask, None, :])
-    np.add.at(want["mu1"], point_idx, dz)  # the gather's scatter
+        np.add.at(want[f"mu{mode}"], grouped[mask], dz[mask])
+        np.add.at(want[f"m{mode}"], grouped[mask], dz[mask, :, None] * eps1[mask, None, :])
+    np.add.at(want["x"], point_idx, dx)  # the gather's scatter
     for name in want:
         np.testing.assert_allclose(grads[name].reshape(want[name].shape), want[name],
                                    rtol=0.0, atol=1e-13, err_msg=name)
     if layout == "empty_rows":
         untouched = np.setdiff1d(np.arange(nrows), point_idx)
-        for name in want:
+        for name in ("x", "mu1", "m1"):
             assert not grads[name].reshape(want[name].shape)[untouched].any()
 
 
@@ -299,8 +320,7 @@ def test_backward_calls_each_reached_node_once():
     blocks = t.batch_diag_sandwich(a, s_rows)
     mu1, mu2, truncated = t.matmul(h, a), t.matmul(h, a), t.spectral_truncate(blocks, 2)
     z = t.mixture_sample(mu1, mu2, truncated, blocks, [1, 2, 1, 2, 1, 2, 1, 1],
-                         np.repeat(np.arange(4), 2), rng.standard_normal((8, 2)),
-                         rng.standard_normal((8, 2)))
+                         rng.standard_normal((8, 2)), rng.standard_normal((8, 2)))
     scaled = t.scale(t.const(rng.standard_normal((8, 2))), 2.0)
     constant_branch = t.exp(scaled)
     unreached = t.exp(a)
@@ -521,19 +541,18 @@ def test_fd_spectral_truncation_chain():
 def test_fd_mixture_sample():
     rng = np.random.default_rng(20)
     for _ in range(N_QUICK):
-        nrows, d, ndraws = 3, 2, 8
+        nrows, d, ndraws = 3, 2, 9
         mu1 = _mat(rng, nrows, d)
         mu2 = _mat(rng, nrows, d)
         m1 = _mat(rng, nrows * d, d)
         m2 = _mat(rng, nrows * d, d)
         labels = rng.integers(1, 3, size=ndraws)
-        point_idx = rng.integers(0, nrows, size=ndraws)
         eps1 = rng.standard_normal((ndraws, d))
         eps2 = rng.standard_normal((ndraws, d))
         proj = rng.uniform(-1.0, 1.0, size=(ndraws, d))
 
         def build(t, a, b, c, e):
-            out = t.mixture_sample(a, b, c, e, labels, point_idx, eps1, eps2)
+            out = t.mixture_sample(a, b, c, e, labels, eps1, eps2)
             return random_projection_head(t, out, proj)
 
         check_grads(build, [mu1, mu2, m1, m2])
@@ -556,6 +575,6 @@ def test_mixture_sample_value_covariance_structure():
     z = t.mixture_sample(
         t.const(np.zeros((nrows, d))), t.const(np.zeros((nrows, d))),
         t.const(np.zeros((nrows * d, d))), t.const(np.zeros((nrows * d, d))),
-        np.array([1, 2, 1, 2, 1, 2]), np.array([0, 0, 1, 1, 0, 1]), eps1, eps2,
+        np.array([1, 2, 1, 2, 1, 2]), eps1, eps2,
     )
     assert np.allclose(z.value, eps2)

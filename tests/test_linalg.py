@@ -206,13 +206,18 @@ def test_sym_eig_batch_conventions():
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_spectral_truncate_matches_its_einsum(d):
-    # the reconstruction is a batched matmul; the definition sums in one einsum
+    # the reconstruction is a batched matmul over the kept columns; it has the
+    # bits of the product over all columns with the dropped ones masked to 0,
+    # and the definition sums in one einsum
     rng = np.random.default_rng(d)
     m = rng.standard_normal((32, d, d))
-    out, w, q = linalg.spectral_truncate(m + np.swapaxes(m, 1, 2))
-    kept = w * (np.arange(d) < d // 2)
-    np.testing.assert_allclose(out, np.einsum("lik,lk,ljk->lij", q, kept, q),
-                               rtol=1e-12, atol=1e-12)
+    tied = np.diag(np.repeat([2.0, 1.0], d // 2))[None]
+    for stack in (m + np.swapaxes(m, 1, 2), np.eye(d)[None], tied):
+        out, w, q = linalg.spectral_truncate(stack)
+        kept = w * linalg.truncation_mask(d)
+        assert np.array_equal(out, (q * kept[:, None, :]) @ np.swapaxes(q, 1, 2))
+        np.testing.assert_allclose(out, np.einsum("lik,lk,ljk->lij", q, kept, q),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_sym_eig_batch_rejects_non_finite():
@@ -257,5 +262,17 @@ def test_diag_kernels():
     assert blocks.shape == (4, 5, 5)
     for l in range(4):
         assert np.array_equal(blocks[l], np.diag(s[l]))
-        np.testing.assert_allclose(linalg.diag_sandwich(a, s)[l], a.T @ np.diag(s[l]) @ a,
+        np.testing.assert_allclose(linalg.diag_sandwich(a, s)[0][l], a.T @ np.diag(s[l]) @ a,
                                    rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("nblocks", [1, 32, 1024])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_diag_sandwich_matches_its_einsum(d, nblocks):
+    # the kernel is one GEMM against A kron A; the definition sums in one einsum
+    rng = np.random.default_rng(d * nblocks)
+    a, s = rng.standard_normal((16, d)), rng.standard_normal((nblocks, 16))
+    blocks, aa = linalg.diag_sandwich(a, s)
+    assert aa.shape == (16, d * d)
+    np.testing.assert_allclose(blocks, np.einsum("pk,lp,pq->lkq", a, s, a),
+                               rtol=1e-12, atol=1e-12)
