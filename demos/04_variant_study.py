@@ -15,16 +15,15 @@ VARIANTS = ["maw", "maw-mse", "maw-same-rank", "vae"]
 
 family = SyntheticFamily(dim=20, rank=1, noise=0.1, seed=0)
 split = SplitSpec(n_train=200, c=0.2, n_test=100, c_tests=(0.3, 0.5), seed=0)
-hp = Hyperparams(
-    d=2, dprime=16, samples=5, epochs=25, batch_size=32,
-    lr_vae=5e-5, lr_critic=5e-4,
-)
 
 print(f"{'variant':<16} {'AUC':>8} {'AP':>8} {'secs':>6}")
 for variant in VARIANTS:
     t0 = time.time()
-    reports = run_experiment(family, [split], [variant], seeds=[0], hp=hp)
-    rep = reports[0]
+    hp = Hyperparams(
+        d=2, dprime=16, samples=5, epochs=25, batch_size=32,
+        lr_vae=5e-5, lr_critic=5e-4, variant=variant,
+    )
+    rep = run_experiment(family, split, seeds=[0], hp=hp)
     print(f"{variant:<16} {rep.auc_mean:>8.4f} {rep.ap_mean:>8.4f} {time.time() - t0:>6.1f}")
 
 print("\nmetrics average over the c_test grid; rerun with more seeds/epochs for")

@@ -16,7 +16,6 @@ from .evaluation import (
     SyntheticFamily,
     ap,
     auc,
-    gen_synthetic,
     load_csv,
     run_experiment,
 )
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "PoolFamily", "SplitSpec", "SyntheticFamily", "ap", "auc",
-    "gen_synthetic", "load_csv", "run_experiment",
+    "load_csv", "run_experiment",
     "Hyperparams", "MawModel", "VARIANTS", "score", "score_batch", "train",
     "TheoryProblem", "TheorySolution", "brute_force_minimizer",
     "colinearity_minimizer", "colinearity_objective", "empirical_w1",

@@ -3,8 +3,11 @@
 Subcommands: gen-data, train, score, eval, sweep, theory.  Runs are driven by
 a JSON config (unknown keys are rejected with their path); flags override the
 file, the MAW_SEED environment variable overrides the file's seeds, and a
---seed flag overrides both.  Every output file embeds the resolved config and
-seed.  Exit codes: 0 ok, 2 bad config, 3 data error, 4 numerical abort.
+--seed flag overrides both.  eval and sweep share one run-and-write path: a
+cell is a (Hyperparams, SplitSpec) pair trained and scored over the seeds;
+eval runs the config's one cell and sweep one cell per value of sweep.axis.
+Every output file embeds the resolved config and seed.  Exit codes: 0 ok,
+2 bad config, 3 data error, 4 numerical abort.
 """
 
 from __future__ import annotations
@@ -128,6 +131,13 @@ def load_config(args) -> dict:
     config["seeds"] = [linalg.as_seed(s, "seeds entry", ConfigError) for s in config["seeds"]]
     for section, key in (("data", "family_seed"), ("split", "seed")):
         config[section][key] = linalg.as_seed(config[section][key], f"{section}.{key}", ConfigError)
+    if not isinstance(config["output_dir"], str) or not config["output_dir"]:
+        raise ConfigError(f"output_dir must be a nonempty string, got {config['output_dir']!r}")
+    path = config["data"]["path"]
+    if not (path is None or isinstance(path, str)) or (config["data"]["source"] == "csv" and not path):
+        raise ConfigError(
+            f"data.path must be a string or null, nonempty for data.source = csv; got {path!r}"
+        )
     return config
 
 
@@ -143,8 +153,6 @@ def _family(config):
             noise=data["noise"], seed=data["family_seed"],
         )
     if data["source"] == "csv":
-        if not data["path"]:
-            raise ConfigError("data.path is required for data.source = csv")
         return evalx.PoolFamily(evalx.load_csv(data["path"]), seed=data["family_seed"])
     raise ConfigError(f"data.source must be synthetic or csv, got {data['source']!r}")
 
@@ -158,11 +166,8 @@ def _split(config) -> evalx.SplitSpec:
 
 
 def _resolve_train_set(config, seed: int) -> evalx.Dataset:
-    data = config["data"]
-    if data["source"] == "csv":
-        if not data["path"]:
-            raise ConfigError("data.path is required for data.source = csv")
-        return evalx.load_csv(data["path"])
+    if config["data"]["source"] == "csv":
+        return _family(config).dataset
     split = _split(config)
     return evalx.draw_train(_family(config), split, seed)
 
@@ -288,66 +293,55 @@ def cmd_score(config, args) -> int:
 
 
 def cmd_eval(config) -> int:
-    hp = _hyperparams(config)
-    family = _family(config)
-    split = _split(config)
-    reports = evalx.run_experiment(family, [split], [config["variant"]], config["seeds"], hp)
-    rows = [r.to_dict() for r in reports]
-    _ensure_dir(config["output_dir"])
-    seed = config["seeds"][0]
-    payload = {"config": config, "seed": seed, "reports": rows}
-    _write_json(os.path.join(config["output_dir"], "report.json"), payload)
-    _write_report_csv(os.path.join(config["output_dir"], "report.csv"), rows, config, seed)
-    for row in rows:
-        print(
-            f"variant={row['variant']} c={row['c']} "
-            f"auc={row['auc_mean']:.4f}+-{row['auc_std']:.4f} "
-            f"ap={row['ap_mean']:.4f}+-{row['ap_std']:.4f}"
-        )
-    return 0
+    return _run_cells(config, [((), config)], "report")
 
 
-SWEEP_AXES = ("variant", "d", "eta", "c")
+# each sweep axis and the config section that holds it (None: the top level)
+SWEEP_AXES = {"variant": None, "c": "split", "d": "model", "eta": "model"}
 
 
 def cmd_sweep(config) -> int:
     axis = config["sweep"]["axis"]
     values = config["sweep"]["values"]
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}")
+    if not isinstance(axis, str) or axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep.axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not isinstance(values, list) or not values:
         raise ConfigError(f"sweep.values must be a nonempty list, got {values!r}")
-    family = _family(config)
-    cells = []  # every cell is built and checked before the first one trains
+    section = SWEEP_AXES[axis]
+    cells = []
     for value in values:
         cell = copy.deepcopy(config)
-        if axis == "variant":
-            cell["variant"] = value
-        elif axis == "c":
-            cell["split"]["c"] = value
-        else:
-            cell["model"][axis] = value
-        cells.append((value, cell, _hyperparams(cell), _split(cell)))
+        (cell[section] if section else cell)[axis] = value
+        cells.append(((axis, value), cell))
+    return _run_cells(config, cells, "sweep_report", ("axis", "value"))
+
+
+def _run_cells(config, cells, stem, extra_cols=()) -> int:
+    """Train and score each cell over config's seeds; write <stem>.json and <stem>.csv.
+
+    cells are (extra, cell_config) pairs, where extra holds the row's values of
+    extra_cols.  Every cell's Hyperparams and SplitSpec, then the family, are
+    built and checked before the first cell trains.
+    """
+    built = [(extra, _hyperparams(cell), _split(cell)) for extra, cell in cells]
+    family = _family(config)
     rows = []
-    for value, cell, hp, split in cells:
-        reports = evalx.run_experiment(family, [split], [cell["variant"]], cell["seeds"], hp)
-        for rep in reports:
-            row = rep.to_dict()
-            row["axis"] = axis
-            row["value"] = value
-            rows.append(row)
+    for extra, hp, split in built:
+        report = evalx.run_experiment(family, split, config["seeds"], hp)
+        rows.append({**dict(zip(extra_cols, extra)), **report.to_dict()})
     _ensure_dir(config["output_dir"])
     seed = config["seeds"][0]
     payload = {"config": config, "seed": seed, "reports": rows}
-    _write_json(os.path.join(config["output_dir"], "sweep_report.json"), payload)
+    _write_json(os.path.join(config["output_dir"], f"{stem}.json"), payload)
     _write_report_csv(
-        os.path.join(config["output_dir"], "sweep_report.csv"), rows, config, seed,
-        extra_cols=("axis", "value"),
+        os.path.join(config["output_dir"], f"{stem}.csv"), rows, config, seed, extra_cols
     )
     for row in rows:
+        prefix = f"{row['axis']}={row['value']} " if "axis" in row else ""
         print(
-            f"{axis}={row['value']} variant={row['variant']} c={row['c']} "
-            f"auc={row['auc_mean']:.4f}+-{row['auc_std']:.4f}"
+            f"{prefix}variant={row['variant']} c={row['c']} "
+            f"auc={row['auc_mean']:.4f}+-{row['auc_std']:.4f} "
+            f"ap={row['ap_mean']:.4f}+-{row['ap_std']:.4f}"
         )
     return 0
 

@@ -1,11 +1,13 @@
-"""Datasets, contaminated splits, threshold-free metrics, experiment driver.
+"""Datasets, contaminated splits, threshold-free metrics, one-cell experiment driver.
 
 Synthetic data puts inliers on a low-dimensional linear structure plus noise
 and outliers on the isotropic sphere; every ingested feature row is unit-L2
 normalized.  AUC uses the rank (Mann-Whitney) form with half credit for ties;
 AP is the step-wise precision sum with stable index tie-breaks.  The detector
 emits normality scores, so the driver negates them before computing metrics
-(outliers count as positives).
+(outliers count as positives).  The driver, run_experiment, trains and scores
+one cell, a Hyperparams whose variant names the variant and a SplitSpec, over
+seeds; the CLI's eval and sweep run lists of such cells.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,15 +92,6 @@ def _sample_args(n_inliers, n_outliers, sample_seed) -> list[int]:
     if min(args) < 0:
         raise DomainError(f"sample's counts and seed must be >= 0, got {args}")
     return args
-
-
-def gen_synthetic(dim: int, rank: int, n_inliers: int, outlier_ratio: float,
-                  noise: float, seed: int) -> Dataset:
-    """One synthetic dataset with round(n * c) outliers appended."""
-    family = SyntheticFamily(dim, rank, noise, seed)
-    n_inliers = linalg.as_int(n_inliers, "n_inliers", DomainError)
-    n_out = round(n_inliers * linalg.as_float(outlier_ratio, "outlier_ratio", DomainError))
-    return family.sample(n_inliers, n_out, sample_seed=0)
 
 
 class PoolFamily:
@@ -278,15 +271,7 @@ class MetricReport:
     per_seed: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "variant": self.variant,
-            "c": self.c,
-            "auc_mean": self.auc_mean,
-            "auc_std": self.auc_std,
-            "ap_mean": self.ap_mean,
-            "ap_std": self.ap_std,
-            "per_seed": self.per_seed,
-        }
+        return asdict(self)
 
 
 def draw_train(family, split: SplitSpec, seed: int) -> Dataset:
@@ -302,7 +287,7 @@ def draw_test(family, split: SplitSpec, seed: int, j: int) -> Dataset:
                          sample_seed=sample_seed)
 
 
-def evaluate_split(model, family: SyntheticFamily, split: SplitSpec, seed: int):
+def evaluate_split(model, family: "SyntheticFamily | PoolFamily", split: SplitSpec, seed: int):
     """Score the test splits of one trained model; returns mean AUC/AP over c_test."""
     aucs, aps = [], []
     for j in range(len(split.c_tests)):
@@ -318,30 +303,25 @@ def _score_seed(split_seed: int, seed: int, j: int) -> int:
     return int(np.random.SeedSequence((split_seed, seed, 0x5C0, j)).generate_state(1)[0])
 
 
-def run_experiment(family: SyntheticFamily, splits, variants, seeds,
-                   hp: "model_mod.Hyperparams") -> list[MetricReport]:
-    """Train and evaluate every (variant, split, seed) cell.
+def run_experiment(family: "SyntheticFamily | PoolFamily", split: SplitSpec, seeds,
+                   hp: "model_mod.Hyperparams") -> MetricReport:
+    """Train and evaluate one cell, the variant hp.variant on split, over the seeds.
 
-    Per cell: train on the contaminated train split, score every test split,
-    average AUC/AP over c_test per seed, and report the across-seed mean and
+    Per seed: train on the contaminated train split, score every test split and
+    average AUC/AP over c_test; the report holds the across-seed mean and
     population standard deviation.  Fully deterministic given the seeds.
     """
-    reports = []
-    for variant in variants:
-        for split in splits:
-            entries = []
-            for seed in seeds:
-                hp_cell = model_mod.Hyperparams(**{**hp.to_dict(), "variant": variant})
-                train_set = draw_train(family, split, seed)
-                model, _ = model_mod.train(train_set.features, hp_cell, seed=seed)
-                auc_val, ap_val = evaluate_split(model, family, split, seed)
-                entries.append({"seed": seed, "auc": auc_val, "ap": ap_val})
-            aucs = np.array([e["auc"] for e in entries])
-            aps = np.array([e["ap"] for e in entries])
-            reports.append(MetricReport(
-                variant=variant, c=split.c,
-                auc_mean=float(aucs.mean()), auc_std=float(aucs.std()),
-                ap_mean=float(aps.mean()), ap_std=float(aps.std()),
-                per_seed=entries,
-            ))
-    return reports
+    entries = []
+    for seed in seeds:
+        train_set = draw_train(family, split, seed)
+        model, _ = model_mod.train(train_set.features, hp, seed=seed)
+        auc_val, ap_val = evaluate_split(model, family, split, seed)
+        entries.append({"seed": seed, "auc": auc_val, "ap": ap_val})
+    aucs = np.array([e["auc"] for e in entries])
+    aps = np.array([e["ap"] for e in entries])
+    return MetricReport(
+        variant=hp.variant, c=split.c,
+        auc_mean=float(aucs.mean()), auc_std=float(aucs.std()),
+        ap_mean=float(aps.mean()), ap_std=float(aps.std()),
+        per_seed=entries,
+    )

@@ -355,13 +355,9 @@ def test_criterion_9_end_to_end_benchmark():
     t0 = time.time()
     family = _bench_family()
     split = E.SplitSpec(**BENCH_SPLIT)
-    reports = E.run_experiment(
-        family, [split], ["maw", "vae"], [0, 1, 2], _bench_hp("maw")
-    )
+    maw_auc = E.run_experiment(family, split, [0, 1, 2], _bench_hp("maw")).auc_mean
+    vae_auc = E.run_experiment(family, split, [0, 1, 2], _bench_hp("vae")).auc_mean
     elapsed = time.time() - t0
-    by_variant = {r.variant: r for r in reports}
-    maw_auc = by_variant["maw"].auc_mean
-    vae_auc = by_variant["vae"].auc_mean
     ok = maw_auc >= 0.85 and maw_auc > vae_auc and elapsed <= 600.0
     _report(9, f"benchmark AUC maw={maw_auc:.4f} (>=0.85) vs vae={vae_auc:.4f} "
                f"in {elapsed:.0f}s (<=600s)", ok)
@@ -377,8 +373,7 @@ def test_criterion_10_ablations_run_to_completion():
     split = E.SplitSpec(**BENCH_SPLIT)
     results = {}
     for variant in ABLATIONS:
-        reports = E.run_experiment(family, [split], [variant], [0], _bench_hp(variant))
-        rep = reports[0]
+        rep = E.run_experiment(family, split, [0], _bench_hp(variant))
         assert np.isfinite(rep.auc_mean) and np.isfinite(rep.ap_mean)
         assert 0.0 <= rep.auc_mean <= 1.0
         results[variant] = rep.auc_mean

@@ -149,6 +149,28 @@ def test_sweep_over_d_emits_one_row_per_value(tmp_path):
     assert [r["value"] for r in report["reports"]] == [2, 4]
 
 
+def test_sweep_over_c_sets_each_row_c(tmp_path):
+    cfg = small_config(tmp_path, sweep={"axis": "c", "values": [0.25, 0.5]})
+    assert run(["--config", cfg, "sweep"]) == 0
+    out_dir = json.loads(open(cfg).read())["output_dir"]
+    report = json.load(open(os.path.join(out_dir, "sweep_report.json")))
+    assert [(r["value"], r["c"]) for r in report["reports"]] == [(0.25, 0.25), (0.5, 0.5)]
+
+
+def test_eval_is_the_one_cell_sweep(tmp_path, capsys):
+    cfg = small_config(tmp_path, sweep={"axis": "variant", "values": ["maw"]})
+    out_dir = json.loads(open(cfg).read())["output_dir"]
+    assert run(["--config", cfg, "eval"]) == 0
+    eval_line = capsys.readouterr().out.strip()
+    assert run(["--config", cfg, "sweep"]) == 0
+    assert capsys.readouterr().out.strip() == "variant=maw " + eval_line
+    assert eval_line.startswith("variant=maw c=0.25 auc=") and " ap=" in eval_line
+    (eval_row,) = json.load(open(os.path.join(out_dir, "report.json")))["reports"]
+    (sweep_row,) = json.load(open(os.path.join(out_dir, "sweep_report.json")))["reports"]
+    assert (sweep_row.pop("axis"), sweep_row.pop("value")) == ("variant", "maw")
+    assert sweep_row == eval_row
+
+
 def _one_config_error(capsys) -> str:
     """The detail of the single JSON config error line on stderr."""
     out, err = capsys.readouterr()
@@ -168,7 +190,7 @@ def test_sweep_values_must_be_a_nonempty_list(tmp_path, capsys, values):
 
 @pytest.mark.parametrize("axis, values", [
     ("variant", ["maw", "nope"]), ("d", [2, 3]), ("eta", [0.8, 1.5]), ("c", [0.2, 2.0]),
-    ("d", [2, "4"]),
+    ("d", [2, "4"]), ("zz", ["maw"]), ([1], ["maw"]), ({"a": 1}, ["maw"]), (None, ["maw"]),
 ])
 def test_sweep_checks_every_cell_before_any_trains(tmp_path, capsys, monkeypatch, axis, values):
     trained = []
@@ -187,6 +209,26 @@ def test_synthetic_family_values_of_the_wrong_type_exit_2(tmp_path, capsys, assi
     cfg = small_config(tmp_path)
     assert run(["--config", cfg, "--set", assignment, "eval"]) == 2
     assert _one_config_error(capsys).startswith(name)
+
+
+@pytest.mark.parametrize("assignments, name", [
+    (['data.source="csv"', "data.path=[1]"], "data.path"),
+    (['data.source="csv"', 'data.path={"a":1}'], "data.path"),
+    (['data.source="csv"', "data.path=true"], "data.path"),
+    (['data.source="csv"', "data.path=5"], "data.path"),
+    (['data.source="csv"', "data.path=null"], "data.path"),
+    (['data.source="csv"', 'data.path=""'], "data.path"),
+    (["data.path=[1]"], "data.path"),
+    (["output_dir=[1]"], "output_dir"),
+    (["output_dir=null"], "output_dir"),
+    (['output_dir=""'], "output_dir"),
+])
+def test_bad_path_or_output_dir_exits_2(tmp_path, capsys, assignments, name):
+    cfg = small_config(tmp_path)
+    sets = [arg for a in assignments for arg in ("--set", a)]
+    assert run(["--config", cfg, *sets, "eval"]) == 2
+    assert _one_config_error(capsys).startswith(name)
+    assert not os.path.exists(json.loads(open(cfg).read())["output_dir"])
 
 
 def test_maw_seed_env_override(tmp_path, monkeypatch):

@@ -11,8 +11,8 @@ from maw.errors import DataError, DomainError, MetricError
 # ------------------------------------------------------------ synthetic data
 
 
-def test_gen_synthetic_counts_and_labels():
-    ds = E.gen_synthetic(6, 2, 100, 0.2, noise=0.1, seed=0)
+def test_synthetic_sample_counts_and_labels():
+    ds = E.SyntheticFamily(6, 2, noise=0.1, seed=0).sample(100, 20, sample_seed=0)
     assert ds.features.shape == (120, 6)
     assert ds.n_outliers == 20
     assert np.all(ds.labels[:100] == 0)
@@ -20,16 +20,16 @@ def test_gen_synthetic_counts_and_labels():
     assert np.allclose(np.linalg.norm(ds.features, axis=1), 1.0)
 
 
-def test_gen_synthetic_rank_one_no_noise():
-    ds = E.gen_synthetic(5, 1, 50, 0.0, noise=0.0, seed=1)
+def test_synthetic_sample_rank_one_no_noise():
+    ds = E.SyntheticFamily(5, 1, noise=0.0, seed=1).sample(50, 0, sample_seed=0)
     q = ds.features[0]
     dots = np.abs(ds.features @ q)
     assert np.allclose(dots, 1.0, atol=1e-9)  # all rows are +-q
 
 
-def test_gen_synthetic_deterministic():
-    a = E.gen_synthetic(6, 2, 40, 0.25, noise=0.05, seed=3)
-    b = E.gen_synthetic(6, 2, 40, 0.25, noise=0.05, seed=3)
+def test_synthetic_sample_deterministic():
+    a = E.SyntheticFamily(6, 2, noise=0.05, seed=3).sample(40, 10, sample_seed=0)
+    b = E.SyntheticFamily(6, 2, noise=0.05, seed=3).sample(40, 10, sample_seed=0)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
@@ -54,9 +54,9 @@ def test_family_takes_numpy_scalars_as_python_numbers():
         E.SyntheticFamily(6, np.bool_(True))
 
 
-def test_gen_synthetic_rejects_bad_rank():
+def test_synthetic_family_rejects_bad_rank():
     with pytest.raises(DomainError):
-        E.gen_synthetic(4, 4, 10, 0.1, noise=0.1, seed=0)
+        E.SyntheticFamily(4, 4, noise=0.1, seed=0)
 
 
 BAD_SAMPLE_ARGS = [  # (n_inliers, n_outliers, sample_seed), one bad value each
@@ -70,17 +70,6 @@ def test_sample_checks_its_arguments(args):
     for family in (E.SyntheticFamily(6, 2, seed=0), E.PoolFamily(_pool(), seed=0)):
         with pytest.raises(DomainError, match="n_inliers|n_outliers|sample"):
             family.sample(*args)
-
-
-def test_gen_synthetic_checks_its_counts_and_outlier_ratio():
-    with pytest.raises(DomainError, match="counts and seed must be >= 0"):
-        E.gen_synthetic(6, 2, 40, -0.5, noise=0.1, seed=0)
-    for n_inliers in (2.5, "40"):
-        with pytest.raises(DomainError, match="n_inliers"):
-            E.gen_synthetic(6, 2, n_inliers, 0.2, noise=0.1, seed=0)
-    for ratio in ("x", float("nan"), float("inf"), True):
-        with pytest.raises(DomainError, match="outlier_ratio"):
-            E.gen_synthetic(6, 2, 40, ratio, noise=0.1, seed=0)
 
 
 # ------------------------------------------------------------ pooled splits
@@ -317,9 +306,8 @@ def _tiny_hp():
 def test_run_experiment_single_cell():
     family = E.SyntheticFamily(6, 1, noise=0.1, seed=0)
     split = E.SplitSpec(n_train=24, c=0.25, n_test=16, c_tests=(0.5,), seed=0)
-    reports = E.run_experiment(family, [split], ["maw"], [0], _tiny_hp())
-    assert len(reports) == 1
-    rep = reports[0]
+    rep = E.run_experiment(family, split, [0], _tiny_hp())
+    assert rep.variant == "maw" and rep.c == 0.25
     assert rep.auc_std == 0.0 and rep.ap_std == 0.0
     assert 0.0 <= rep.auc_mean <= 1.0
     assert len(rep.per_seed) == 1
@@ -328,28 +316,15 @@ def test_run_experiment_single_cell():
 def test_run_experiment_std_is_population_std():
     family = E.SyntheticFamily(6, 1, noise=0.1, seed=1)
     split = E.SplitSpec(n_train=24, c=0.25, n_test=16, c_tests=(0.5,), seed=0)
-    reports = E.run_experiment(family, [split], ["maw"], [0, 1, 2], _tiny_hp())
-    rep = reports[0]
+    rep = E.run_experiment(family, split, [0, 1, 2], _tiny_hp())
     vals = np.array([e["auc"] for e in rep.per_seed])
     assert rep.auc_mean == pytest.approx(vals.mean())
     assert rep.auc_std == pytest.approx(vals.std())  # ddof=0
 
 
-def test_run_experiment_grid_shape():
-    family = E.SyntheticFamily(6, 1, noise=0.1, seed=2)
-    splits = [
-        E.SplitSpec(n_train=20, c=c, n_test=12, c_tests=(0.5,), seed=0)
-        for c in (0.1, 0.2)
-    ]
-    reports = E.run_experiment(family, splits, ["maw", "vae"], [0], _tiny_hp())
-    assert [(r.variant, r.c) for r in reports] == [
-        ("maw", 0.1), ("maw", 0.2), ("vae", 0.1), ("vae", 0.2),
-    ]
-
-
 def test_run_experiment_deterministic():
     family = E.SyntheticFamily(6, 1, noise=0.1, seed=3)
     split = E.SplitSpec(n_train=20, c=0.2, n_test=12, c_tests=(0.3,), seed=0)
-    r1 = E.run_experiment(family, [split], ["maw"], [0], _tiny_hp())
-    r2 = E.run_experiment(family, [split], ["maw"], [0], _tiny_hp())
-    assert r1[0].to_dict() == r2[0].to_dict()
+    r1 = E.run_experiment(family, split, [0], _tiny_hp())
+    r2 = E.run_experiment(family, split, [0], _tiny_hp())
+    assert r1.to_dict() == r2.to_dict()
