@@ -10,7 +10,10 @@ leaves so the reparameterized gradients flow only into distribution
 parameters.
 
 Ops on blocks take a whole minibatch as one node: a batch of L dxd matrices
-is stored row-stacked as an (L*d) x d matrix.
+is stored row-stacked as an (L*d) x d matrix.  A node keeps its operands'
+dtype (training's tapes are float32, the gradient checks' float64), but the
+spectral truncation's eigensolve and backward and the sums behind scalar
+losses run in float64.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ def _scatter_rows(idx, rows, nrows: int) -> np.ndarray:
     """out[i] = sum of rows[k] over k with idx[k] == i, for nrows output rows.
 
     One np.bincount over flat element indices: it adds in k order, as
-    np.add.at does, so the sums have the same bits.  Rows no index names are 0.
+    np.add.at does, so float64 sums have the same bits; float32 rows are summed
+    in float64 and rounded once.  Rows no index names are 0.
     """
     width = int(np.prod(rows.shape[1:]))
     flat = (idx[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, rows.ravel(), nrows * width).reshape((nrows, *rows.shape[1:]))
+    out = np.bincount(flat, rows.ravel(), nrows * width).astype(rows.dtype, copy=False)
+    return out.reshape((nrows, *rows.shape[1:]))
 
 
 class Node:
@@ -100,7 +105,7 @@ class Tape:
         return x if isinstance(x, Node) else self.const(x)
 
     def _record(self, value, parents, vjp, tag, kind=Node):
-        node = kind(np.asarray(value, dtype=np.float64), parents, vjp, tag)
+        node = kind(np.asarray(value), parents, vjp, tag)
         self.nodes.append(node)
         return node
 
@@ -167,12 +172,12 @@ class Tape:
     def mean_all(self, x) -> Node:
         x = self._as_node(x)
         size = x.value.size
-        return self._record(np.asarray(x.value.mean()), (x,),
+        return self._record(np.asarray(x.value.mean(dtype=np.float64)), (x,),
                             lambda g: (np.full_like(x.value, float(g) / size),), "mean_all")
 
     def sum_all(self, x) -> Node:
         x = self._as_node(x)
-        return self._record(np.asarray(x.value.sum()), (x,),
+        return self._record(np.asarray(x.value.sum(dtype=np.float64)), (x,),
                             lambda g: (np.full_like(x.value, float(g)),), "sum_all")
 
     # -- linear maps ---------------------------------------------------------
@@ -220,9 +225,9 @@ class Tape:
         # slower here, and a product with a bool mask ~2x slower than with floats
         out, slope = pre, None
         if act == "relu":
-            out, slope = np.maximum(pre, 0.0), (pre > 0.0).astype(np.float64)
+            out, slope = np.maximum(pre, 0.0), (pre > 0.0).astype(pre.dtype)
         elif act == "leaky_relu":
-            slope = (pre > 0.0).astype(np.float64)
+            slope = (pre > 0.0).astype(pre.dtype)
             np.maximum(slope, LEAKY_SLOPE, out=slope)
             out = pre * slope
 
@@ -284,13 +289,13 @@ class Tape:
         norms = np.linalg.norm(diff, axis=1)
         nrows = diff.shape[0]
         if squared:
-            out = float(np.mean(norms**2))
+            out = float(np.mean(norms**2, dtype=np.float64))
 
             def base(g):
                 return (2.0 * float(g) / nrows) * diff
 
         else:
-            out = float(np.mean(norms))
+            out = float(np.mean(norms, dtype=np.float64))
             safe = np.where(norms > 0.0, norms, 1.0)
             unit = np.where(norms[:, None] > 0.0, diff / safe[:, None], 0.0)
 
@@ -311,7 +316,7 @@ class Tape:
         if x.value.ndim != 2:
             raise ShapeError("normalize_rows expects a matrix")
         scaled, length, scale = linalg.scaled_rows(x.value)
-        y = np.divide(scaled, length, out=np.zeros_like(scaled), where=length > 0.0)
+        y = scaled / np.where(length > 0.0, length, 1.0)  # linalg.normalize_rows' bits
         length = length * scale  # each row's own length; a scale of 1 keeps the bits
 
         def vjp(g):
@@ -371,10 +376,10 @@ class Tape:
             g3 = g.reshape(nblocks, d, d)
             ut = np.swapaxes(us, 1, 2)
             inner = ut @ (0.5 * (g3 + np.swapaxes(g3, 1, 2))) @ us
-            return ((us @ (f * inner) @ ut).reshape(nblocks * d, d),)
+            return ((us @ (f * inner) @ ut).reshape(nblocks * d, d).astype(mv.dtype),)
 
-        node = self._record(out.reshape(nblocks * d, d), (mblocks,), vjp, "spectral_truncate",
-                            SpectralNode)
+        node = self._record(out.reshape(nblocks * d, d).astype(mv.dtype), (mblocks,), vjp,
+                            "spectral_truncate", SpectralNode)
         node.eigenvalues = ws
         return node
 
@@ -401,8 +406,7 @@ class Tape:
         mu1, mu2 = self._as_node(mu1), self._as_node(mu2)
         m1blocks, m2blocks = self._as_node(m1blocks), self._as_node(m2blocks)
         labels = np.asarray(labels, dtype=np.intp)
-        eps1 = np.asarray(eps1, dtype=np.float64)
-        eps2 = np.asarray(eps2, dtype=np.float64)
+        eps1, eps2 = np.asarray(eps1), np.asarray(eps2)
         nrows, d = mu1.value.shape
         ndraws = labels.shape[0]
         if eps1.shape != (ndraws, d) or eps2.shape != (ndraws, d) or not nrows or ndraws % nrows:
@@ -430,7 +434,7 @@ class Tape:
             raise ShapeError("vae_kl_diag expects matching (L, d) matrices")
         nrows = mv.shape[0]
         var = np.exp(lv)
-        kl = 0.5 * float(np.sum(mv * mv + var - lv - 1.0)) / nrows
+        kl = 0.5 * float(np.sum(mv * mv + var - lv - 1.0, dtype=np.float64)) / nrows
         return self._record(np.asarray(kl), (mu_rows, logvar_rows),
                             lambda g: ((float(g) / nrows) * mv,
                                        (0.5 * float(g) / nrows) * (var - 1.0)),

@@ -98,16 +98,22 @@ def _apply_set(config, assignment: str):
     node[leaf] = value
 
 
+def _read_json(path, what: str, error: type):
+    """The JSON document in the file at path; a missing, unreadable (a
+    directory, say) or malformed file raises error naming what it is."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:  # its text names the path
+        raise error(f"{what} cannot be read: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(args) -> dict:
     user = {}
     if args.config is not None:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        user = _read_json(args.config, "config file", ConfigError)
     _check_keys(user, DEFAULT_CONFIG)
     config = _deep_merge(DEFAULT_CONFIG, user)
     for assignment in args.set or []:
@@ -176,7 +182,10 @@ def _resolve_train_set(config, seed: int) -> evalx.Dataset:
 
 
 def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # a file in the way, say; its text names the path
+        raise ConfigError(f"output_dir cannot be created: {exc}") from exc
 
 
 def _config_comment(config, seed) -> str:
@@ -268,13 +277,7 @@ def cmd_train(config) -> int:
 
 def cmd_score(config, args) -> int:
     seed = config["seeds"][0]
-    if not os.path.exists(args.checkpoint):
-        raise DataError(f"checkpoint not found: {args.checkpoint}")
-    with open(args.checkpoint) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"checkpoint is not valid JSON: {exc}") from exc
+    payload = _read_json(args.checkpoint, "checkpoint", DataError)
     model = model_mod.MawModel.from_payload(payload)
     if args.data is not None:
         dataset = evalx.load_csv(args.data)

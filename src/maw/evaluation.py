@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -130,12 +129,14 @@ def load_csv(path) -> Dataset:
 
     Rows are unit-normalized; a missing label column means all inliers.
     Comment lines starting with '#' are skipped.  Malformed or non-finite
-    (nan, inf) cells raise DataError with their (1-based) row and column.
+    (nan, inf) cells raise DataError with their (1-based) row and column, and
+    a missing or unreadable file (a directory, say) raises DataError naming it.
     """
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        content = [line for line in fh if not line.startswith("#")]
+    try:
+        with open(path, newline="") as fh:
+            content = [line for line in fh if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:  # OSError's text names the path
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not content:
         raise DataError(f"empty file: {path}")
     reader = csv.reader(io.StringIO("".join(content)))

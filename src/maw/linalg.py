@@ -1,7 +1,6 @@
-"""Dense double-precision linear algebra kernels.
-
-Vectors are 1-d float64 arrays, matrices are 2-d float64 arrays (row major)
-and stacks of matrices are (..., n, n) arrays.
+"""Dense linear algebra kernels: float64 vectors (1-d), matrices (2-d, row
+major) and stacks of matrices (..., n, n), except that the row and block
+kernels keep their input's dtype (float32 in training).
 The symmetric eigensolver is one batched LAPACK call (np.linalg.eigh) with a
 fixed order and sign convention; everything downstream (PSD square roots,
 spectral truncation and its gradient, closed-form Gaussian distances) is built
@@ -18,7 +17,6 @@ from .errors import DomainError, NotPSDError, NumericalError, ShapeError
 
 SYM_REL_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
-TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 def as_vector(x) -> np.ndarray:
@@ -97,8 +95,8 @@ def scaled_rows(x: np.ndarray):
     """(x / s, the row lengths of x / s, s), per row with s of shape (..., 1).
 
     s is 1 except for a nonzero row whose sum of squares overflows or falls
-    below the smallest normal float (entries beyond about 1e+-154), where it
-    is the row's largest |entry|; it is the float 1.0 when no row needs it.
+    below the smallest normal float of x's dtype (float64 entries beyond about
+    1e+-154), where it is the row's largest |entry|; it is 1.0 when no row needs it.
     A row with s = 1 gets the plain formula's bits.
     """
     try:  # the floating-point flags are a cheaper test than scanning the sums
@@ -109,22 +107,24 @@ def scaled_rows(x: np.ndarray):
         with np.errstate(over="ignore"):
             sq = np.add.reduce(x * x, axis=-1, keepdims=True)
         peak = np.max(np.abs(x), axis=-1, keepdims=True)
-        scale = np.where(((sq >= TINY) & (sq < np.inf)) | (peak == 0.0), 1.0, peak)
+        normal = (sq >= np.finfo(sq.dtype).tiny) & (sq < np.inf)
+        scale = np.where(normal | (peak == 0.0), 1.0, peak)
         x = x / scale
         sq = np.add.reduce(x * x, axis=-1, keepdims=True)
     return x, np.sqrt(sq), scale
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row of x to unit L2 norm (through scaled_rows); zero rows stay zero."""
+    """Scale each row of x to unit L2 norm (through scaled_rows); zero rows stay
+    zero (divided by 1: a masked divide's bits in under half its time)."""
     x, length, _ = scaled_rows(x)
-    return np.divide(x, length, out=np.zeros_like(x), where=length > 0.0)
+    return x / np.where(length > 0.0, length, 1.0)
 
 
 def diag_blocks(rows: np.ndarray) -> np.ndarray:
     """Each row of an (L, d) array as the diagonal of a d x d block: (L, d, d)."""
     idx = np.arange(rows.shape[1])
-    out = np.zeros((rows.shape[0], idx.size, idx.size))
+    out = np.zeros((rows.shape[0], idx.size, idx.size), dtype=rows.dtype)
     out[:, idx, idx] = rows
     return out
 
@@ -169,10 +169,10 @@ def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
     return w, np.swapaxes(qt, 1, 2)
 
 
-def truncation_mask(n: int) -> np.ndarray:
-    """Keep the n/2 largest (by signed value) of n descending eigenvalues."""
-    keep = n // 2
-    return np.concatenate([np.ones(keep), np.zeros(n - keep)])
+def truncation_mask(n: int, dtype=np.float64) -> np.ndarray:
+    """Keep the n/2 largest (by signed value) of n descending eigenvalues: n//2
+    ones, then zeros, of the given dtype."""
+    return (np.arange(n) < n // 2).astype(dtype)
 
 
 def spectral_truncate(m3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

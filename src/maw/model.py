@@ -8,11 +8,14 @@ The generator forward runs twice per batch: once for the reconstruction step,
 and once shared by the critic step (its draws as constants, on a tape of its
 own) and the generator step (the updated critic, frozen, on its tape).
 Training's batch norm uses batch statistics, scoring's the running statistics
-that each training forward steps.  Scoring draws from the inlier mode only and
-averages cosine similarity between a test point and its decodes: the mean dot
-product of unit (or zero) rows, clipped to [-1, 1].  _modes is
-the one posterior after the encoder: training runs it on the tape, scoring on
-plain arrays (ARRAY_OPS).
+that each training forward steps.  Training's arrays are TRAIN_DTYPE, cast from
+float64 draws so that the RNG streams do not move; scoring casts the weights up
+to float64, where a prefix scored alone keeps its bits (float32 GEMMs round a
+row differently as the row count changes).  Scoring draws from the inlier mode
+only and averages cosine similarity between a test point and its decodes: the
+mean dot product of unit (or zero) rows, clipped to [-1, 1].  _modes is the one
+posterior after the encoder: training runs it on the tape, scoring on plain
+arrays (ARRAY_OPS).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ WIDTH_KEYS = ("encoder_widths", "decoder_widths", "critic_widths")
 INT_KEYS = ("d", "dprime", "samples", "epochs", "batch_size")
 FLOAT_KEYS = ("eta", "lr_vae", "lr_critic")
 CHECKPOINT_VERSION = 2
+TRAIN_DTYPE = np.float32  # training's arrays; scoring and theory stay float64
 
 
 @dataclass
@@ -253,6 +257,8 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
     nets.build_mlp_params(store, "dec", specs["dec"], rng)
     if "cri" in specs:  # the critic is never scored: no running statistics
         nets.build_mlp_params(store, "cri", specs["cri"], rng, running_stats=False)
+    store.params = {k: v.astype(TRAIN_DTYPE) for k, v in store.params.items()}
+    store.state = {k: v.astype(TRAIN_DTYPE) for k, v in store.state.items()}
 
     gen_names = store.names("enc.") + (["A"] if uses_reduction else [])
     if hp.variant == "vae":
@@ -276,7 +282,8 @@ def _modes(ops, model: MawModel, enc, modes=(1, 2)):
     truncate = modes[0] == 1 and hp.variant != "maw-same-rank"
     if hp.variant == "maw-diagonal-cov":
         if truncate:
-            rows[0] = ops.hadamard(rows[0], linalg.truncation_mask(hp.d))
+            dtype = getattr(rows[0], "value", rows[0]).dtype  # a tape node's or an array's
+            rows[0] = ops.hadamard(rows[0], linalg.truncation_mask(hp.d, dtype))
         return means, [ops.rows_to_diag_blocks(s) for s in rows]
     a = ops.param(model.store.params["A"], "A")
     means = [ops.matmul(mu, a) for mu in means]
@@ -288,7 +295,7 @@ def _modes(ops, model: MawModel, enc, modes=(1, 2)):
 
 # The Tape methods _modes calls, on plain arrays: blocks are (L, d, d), not (L*d, d).
 ARRAY_OPS = SimpleNamespace(
-    param=lambda value, name: value,
+    param=lambda value, name: np.asarray(value, dtype=np.float64),
     matmul=np.matmul,
     hadamard=np.multiply,
     batch_diag_sandwich=lambda a, s_rows: linalg.diag_sandwich(a, s_rows)[0],
@@ -316,17 +323,16 @@ def _critic(tape: Tape, model: MawModel, z):
 
 
 def _draw_batch_noise(hp: Hyperparams, rng: np.random.Generator, batch_rows: int):
-    """Per-batch noise in a fixed order: labels, eps1, eps2, prior draws, each
-    hp.samples draws at a time per batch row (Tape.mixture_sample's grouping);
-    returns them with point_idx, each draw's row."""
+    """Per-batch noise in a fixed order: labels, eps1, eps2, prior draws (float64
+    draws cast to TRAIN_DTYPE), each hp.samples draws at a time per batch row
+    (Tape.mixture_sample's grouping); returns them with point_idx, each draw's row."""
     total = batch_rows * hp.samples
     if hp.variant == "maw-single-gaussian":
         labels = np.full(total, 2, dtype=int)
     else:
         labels = np.where(rng.random(total) < hp.eta, 1, 2)
-    eps1 = rng.standard_normal((total, hp.d))
-    eps2 = rng.standard_normal((total, hp.d))
-    z_hyp = rng.standard_normal((total, hp.d))
+    eps1, eps2, z_hyp = (rng.standard_normal((total, hp.d)).astype(TRAIN_DTYPE)
+                         for _ in range(3))
     point_idx = np.repeat(np.arange(batch_rows), hp.samples)
     return labels, point_idx, eps1, eps2, z_hyp
 
@@ -412,7 +418,8 @@ def _vae_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
 def train(features, hp: Hyperparams, seed: int):
     """Train a detector; returns (model, per-epoch loss trace).
 
-    features is an (n, D) array (rows are unit-normalized on entry).  The run
+    features is an (n, D) array (rows are unit-normalized, then cast to
+    TRAIN_DTYPE).  The run
     is fully determined by (features, hp, seed).  Trace entries are dicts with
     the per-epoch means of the three loss streams; for the plain-VAE variant
     the critic column carries the KL term and the generator column is zero.
@@ -424,7 +431,7 @@ def train(features, hp: Hyperparams, seed: int):
         raise ShapeError("training data must be an (n >= 2, D) matrix")
     if not np.all(np.isfinite(x)):
         raise DomainError("training data must be finite")
-    x = linalg.normalize_rows(x)
+    x = linalg.normalize_rows(x).astype(TRAIN_DTYPE)
 
     rng = np.random.default_rng(seed)
     model = init_model(hp, x.shape[1], rng)

@@ -173,8 +173,9 @@ def _eval_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> list:
 def _fold_layers(sources: list, spec: MlpSpec) -> list:
     """Fold each hidden batch norm of _eval_layers' sources into its bias-free
     layer, with s = gamma / sqrt(running_var + BN_EPS): W' = W s and
-    b' = beta - running_mean s.  Layers without batch norm keep their W and b."""
-    arrays, layers = iter(sources), []
+    b' = beta - running_mean s.  Layers without batch norm keep their W and b.
+    The sources are cast up to float64: scoring does not depend on their dtype."""
+    arrays, layers = (np.asarray(a, dtype=np.float64) for a in sources), []
     for k, act in enumerate(spec.activations):
         w = next(arrays)
         if _normed(spec, k):

@@ -8,6 +8,12 @@ FD_H = 1e-5
 FD_TOL = 1e-4
 
 
+def assert_float64(tape):
+    """Finite differences at h = 1e-5 need every node of the tape in float64."""
+    dtypes = {node.value.dtype for node in tape.nodes}
+    assert dtypes == {np.dtype(np.float64)}, f"tape dtypes {dtypes}, expected float64 only"
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -47,6 +53,7 @@ def check_grads(build, arrays, tol=FD_TOL, h=FD_H):
     tape = Tape()
     nodes = [tape.param(a.copy(), f"p{i}") for i, a in enumerate(arrays)]
     root = build(tape, *nodes)
+    assert_float64(tape)
     grads = tape.backward(root)
 
     worst = 0.0
@@ -89,7 +96,9 @@ def symmetric_fd_check(build, m, grad_m, tol=FD_TOL, h=FD_H):
     def value_at(x):
         tape = Tape()
         node = tape.param(x, "m")
-        return float(build(tape, node).value)
+        value = float(build(tape, node).value)
+        assert_float64(tape)
+        return value
 
     n = m.shape[0]
     worst = 0.0

@@ -231,6 +231,58 @@ def test_bad_path_or_output_dir_exits_2(tmp_path, capsys, assignments, name):
     assert not os.path.exists(json.loads(open(cfg).read())["output_dir"])
 
 
+def _one_error(capsys, code, kind, path) -> str:
+    """The detail of the single JSON error line on stderr, which names path."""
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    error = json.loads(lines[0])["error"]
+    assert (error["code"], error["kind"]) == (code, kind) and str(path) in error["detail"]
+    return error["detail"]
+
+
+def test_output_dir_naming_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    assert run(["--config", cfg, "--output-dir", str(blocker), "train"]) == 2
+    _one_error(capsys, 2, "config", blocker)
+
+
+def test_score_checkpoint_naming_a_directory_exits_3(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "score", "--checkpoint", str(tmp_path)]) == 3
+    _one_error(capsys, 3, "data", tmp_path)
+
+
+def test_config_file_naming_a_directory_exits_2(tmp_path, capsys):
+    assert run(["--config", str(tmp_path), "train"]) == 2
+    _one_error(capsys, 2, "config", tmp_path)
+
+
+def test_data_path_naming_a_directory_exits_3(tmp_path, capsys):
+    cfg = small_config(tmp_path, data={"source": "csv", "path": str(tmp_path)})
+    assert run(["--config", cfg, "eval"]) == 3
+    _one_error(capsys, 3, "data", tmp_path)
+    assert not os.path.exists(json.loads(open(cfg).read())["output_dir"])
+
+
+@pytest.mark.parametrize("which, code", [("config", 2), ("checkpoint", 3), ("csv", 3)])
+def test_input_that_is_not_text_exits_with_one_json_line(tmp_path, capsys, which, code):
+    # json.load and the CSV reader raised UnicodeDecodeError, a traceback
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    cfg = small_config(tmp_path, data={"source": "csv", "path": str(binary)})
+    argv = {"config": ["--config", str(binary), "train"],
+            "checkpoint": ["--config", cfg, "score", "--checkpoint", str(binary)],
+            "csv": ["--config", cfg, "eval"]}[which]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"]["code"] == code
+
+
 def test_maw_seed_env_override(tmp_path, monkeypatch):
     cfg = small_config(tmp_path)
     monkeypatch.setenv("MAW_SEED", "7")

@@ -44,7 +44,7 @@ def pinned_model(mu01, mu02, s01, s02, a=A_EMBED, **hp_kw):
     """
     a = np.asarray(a, dtype=np.float64)
     hp = tiny_hp(dprime=a.shape[0], d=a.shape[1], **hp_kw)
-    model = M.init_model(hp, 4, np.random.default_rng(0))
+    model = as_float64(M.init_model(hp, 4, np.random.default_rng(0)))
     last = len(hp.encoder_widths)
     model.store.params[f"enc.l{last}.W"][:] = 0.0
     model.store.params[f"enc.l{last}.b"] = np.concatenate(
@@ -62,11 +62,29 @@ def inlier_mode(model):
     return mu[0], factors[0]
 
 
+def as_float64(model):
+    """model with its parameters, state and optimizer slots cast up to float64,
+    so that its tapes run in float64 (the finite-difference checks' dtype)."""
+    store = model.store
+    store.params = {k: v.astype(np.float64) for k, v in store.params.items()}
+    store.state = {k: v.astype(np.float64) for k, v in store.state.items()}
+    for opt in model.optimizers.values():
+        for moment in nets.MOMENTS[opt.kind]:
+            opt.slots[moment] = {k: v.astype(np.float64) for k, v in opt.slots[moment].items()}
+    return model
+
+
+def float64_noise(hp, rng, batch_rows):
+    """M._draw_batch_noise with its draws cast back up to float64."""
+    labels, point_idx, *draws = M._draw_batch_noise(hp, rng, batch_rows)
+    return (labels, point_idx, *(e.astype(np.float64) for e in draws))
+
+
 def draw_latents(model, seed):
     """hp.samples training draws for one row: (z, labels, eps2).  Batch norm
     needs two rows; the row twice normalizes to zero, and the pinned last
     layer's zero weights keep its bias's bits."""
-    labels, _, eps1, eps2, _ = M._draw_batch_noise(model.hp, np.random.default_rng(seed), 1)
+    labels, _, eps1, eps2, _ = float64_noise(model.hp, np.random.default_rng(seed), 1)
     z = M._forward_generated(Tape(), model, np.repeat(PINNED_INPUT, 2, axis=0), labels,
                              eps1, eps2)
     return z.value, labels, eps2
@@ -457,7 +475,7 @@ def test_score_rejects_bad_rows():
 
 def test_zero_critic_gives_zero_w1_and_zero_generator_gradient():
     hp = tiny_hp()
-    x = line_data(8, 4, seed=8)
+    x = line_data(8, 4, seed=8).astype(M.TRAIN_DTYPE)
     model = M.init_model(hp, 4, np.random.default_rng(0))
     for name in model.store.names("cri."):
         model.store.params[name][:] = 0.0
@@ -480,22 +498,22 @@ def test_zero_critic_gives_zero_w1_and_zero_generator_gradient():
 
 
 def loss_model_and_noise(rng, variant="maw"):
-    """A tiny model with jittered weights, a 3-row unit batch and its draws."""
+    """A tiny float64 model with jittered weights, a 3-row unit batch and its
+    float64 draws."""
     hp = M.Hyperparams(
         d=2, dprime=3, samples=2, epochs=1, batch_size=4,
         encoder_widths=(5, 4), decoder_widths=(4, 5), critic_widths=(4, 3),
         lr_vae=1e-3, lr_critic=1e-3, variant=variant,
     )
     feature_dim = 4
-    model = M.init_model(hp, feature_dim, rng)
+    model = as_float64(M.init_model(hp, feature_dim, rng))
     for name in model.store.params:
         model.store.params[name] = model.store.params[name] + 0.05 * rng.standard_normal(
             model.store.params[name].shape
         )
     xb = rng.standard_normal((3, feature_dim))
     xb = xb / np.linalg.norm(xb, axis=1, keepdims=True)
-    noise = M._draw_batch_noise(hp, rng, 3)
-    return model, xb, noise
+    return model, xb, float64_noise(hp, rng, 3)
 
 
 def loss_value(model, xb, noise, which):
@@ -503,7 +521,8 @@ def loss_value(model, xb, noise, which):
 
     Every draw and every weight keeps its gradient, so backward reaches all
     parameters the loss depends on.  The variant picks the loss forms
-    (maw-mse: squared reconstruction; maw-kl: the standard-GAN pair).
+    (maw-mse: squared reconstruction; maw-kl: the standard-GAN pair).  Every
+    node must be float64, the dtype the finite-difference checks need.
     """
     labels, point_idx, eps1, eps2, z_hyp = noise
     variant = model.hp.variant
@@ -530,6 +549,7 @@ def loss_value(model, xb, noise, which):
             root = tape.mean_all(tape.softplus(tape.scale(d_gen, -1.0)))
         else:
             root = tape.scale(tape.mean_all(d_gen), -1.0)
+    assert {node.value.dtype for node in tape.nodes} == {np.dtype(np.float64)}
     return tape, root
 
 
@@ -550,7 +570,7 @@ def test_batch_update_matches_fully_attached_tapes(variant):
                 nets.clip_weights(ref.store, ref.store.names("cri."))
             ref_losses.append(float(root.value))
         assert losses == tuple(ref_losses)
-        noise = M._draw_batch_noise(model.hp, rng, 3)
+        noise = float64_noise(model.hp, rng, 3)
     for name, value in ref.store.params.items():
         assert np.array_equal(model.store.params[name], value), name
     for name, value in ref.store.state.items():
@@ -637,6 +657,35 @@ def test_checkpoint_roundtrip():
     assert clone.optimizers["vae"].slots["step"] == model.optimizers["vae"].slots["step"]
 
 
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_float32_checkpoint_round_trips_exactly(variant):
+    # float32 values are exact in JSON's float64, and scoring casts the weights
+    # up to float64, so the reloaded float64 arrays score with the same bits
+    x = line_data(8, 4, seed=9)
+    model, _ = M.train(x, tiny_hp(epochs=2, variant=variant), seed=0)
+    payload = model.to_payload()
+    clone = M.MawModel.from_payload(payload)
+    assert json.dumps(clone.to_payload()) == json.dumps(payload)
+    assert np.array_equal(M.score_batch(clone, x, seed=5), M.score_batch(model, x, seed=5))
+
+
+def test_float64_checkpoint_loads_and_scores_in_float64():
+    # a checkpoint of arbitrary float64 values, as float64 training wrote them,
+    # keeps every digit and scores as the same weights set in the store do
+    x = line_data(8, 4, seed=9)
+    model = as_float64(M.train(x, tiny_hp(epochs=2), seed=0)[0])
+    rng = np.random.default_rng(3)
+    for arrays in (model.store.params, model.store.state):
+        for name, value in arrays.items():
+            arrays[name] = value + 1e-9 * rng.random(value.shape)
+    payload = model.to_payload()
+    clone = M.MawModel.from_payload(payload)
+    loaded = [*clone.store.params.values(), *clone.store.state.values()]
+    assert {a.dtype for a in loaded} == {np.dtype(np.float64)}
+    assert json.dumps(clone.to_payload()) == json.dumps(payload)
+    assert np.array_equal(M.score_batch(clone, x, seed=5), M.score_batch(model, x, seed=5))
+
+
 def test_reloaded_arrays_are_refolded():
     # _load_arrays rebinds every array, so a store that has scored refolds
     x = line_data(8, 4, seed=9)
@@ -672,8 +721,9 @@ def test_scoring_folds_each_network_once(monkeypatch):
 @pytest.mark.parametrize("variant", [v for v in M.VARIANTS if v != "vae"])
 def test_modes_on_tape_and_arrays_agree_bit_for_bit(variant):
     # training samples the tape's modes and scoring reads the arrays' inlier mode
+    # on a float64 model, as scoring casts its weights up to float64
     hp = tiny_hp(d=4, dprime=6, variant=variant)
-    model = M.init_model(hp, 4, np.random.default_rng(0))
+    model = as_float64(M.init_model(hp, 4, np.random.default_rng(0)))
     width = hp.d if variant == "maw-diagonal-cov" else hp.dprime
     enc = tuple(np.random.default_rng(1).standard_normal((4, 5, width)))
     tape = Tape()
@@ -831,6 +881,28 @@ def test_non_checkpoint_payload_is_data_error(payload):
         M.MawModel.from_payload(payload)
 
 
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_training_runs_in_float32(variant, monkeypatch):
+    # one float64 operand promotes the rest of its tape: maw-diagonal-cov's
+    # truncation mask once did.  Scalar losses may be float64 (their sums are)
+    dtypes = {}
+    record = Tape._record
+
+    def recorded(self, value, *args):
+        node = record(self, value, *args)
+        if node.value.ndim:
+            dtypes.setdefault(node.value.dtype, set()).add(node.tag)
+        return node
+
+    monkeypatch.setattr(Tape, "_record", recorded)
+    model, _ = M.train(line_data(8, 4, seed=0), tiny_hp(epochs=1, variant=variant), seed=0)
+    assert dtypes.keys() == {np.dtype(np.float32)}, dtypes
+    slots = [a for opt in model.optimizers.values() for moment in nets.MOMENTS[opt.kind]
+             for a in opt.slots[moment].values()]
+    arrays = [*model.store.params.values(), *model.store.state.values(), *slots]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+
 # ------------------------------------------------------------ no dead state
 
 
@@ -857,6 +929,8 @@ def test_every_stepped_tensor_gets_a_gradient(variant):
     rng = np.random.default_rng(1)
     xb = rng.standard_normal((32, 20))
     xb /= np.linalg.norm(xb, axis=1, keepdims=True)
+    # a float64 batch would promote the tape and give the dead bias ~1e-7
+    xb = xb.astype(M.TRAIN_DTYPE)
     grads = _optimizer_gradients(model, xb, M._draw_batch_noise(hp, rng, 32))
     w1_shift = f"cri.l{len(hp.critic_widths)}.b" if variant not in ("maw-kl", "vae") else None
     for key, opt in model.optimizers.items():
