@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import os
 import sys
@@ -193,46 +194,46 @@ def _config_comment(config, seed) -> str:
     return f"# {body}\n"
 
 
+def _write(path, lines):
+    """Write the text lines to path; an OSError (say, a directory there) raises ConfigError."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
+
+
+def _write_csv(path, config, seed, header, rows):
+    """The config comment, the header cells, then each row's cells, comma-separated."""
+    lines = (",".join(cells) + "\n" for cells in itertools.chain([header], rows))
+    _write(path, itertools.chain([_config_comment(config, seed)], lines))
 
 
 def _write_dataset_csv(path, dataset, config, seed):
-    dim = dataset.features.shape[1]
-    with open(path, "w") as fh:
-        fh.write(_config_comment(config, seed))
-        fh.write(",".join(f"f{i + 1}" for i in range(dim)) + ",label\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+    header = [f"f{i + 1}" for i in range(dataset.features.shape[1])] + ["label"]
+    rows = zip(dataset.features, dataset.labels)
+    _write_csv(path, config, seed, header,
+               ([repr(float(v)) for v in row] + [str(int(label))] for row, label in rows))
 
 
 def _write_trace_csv(path, trace, config, seed):
-    with open(path, "w") as fh:
-        fh.write(_config_comment(config, seed))
-        fh.write("epoch,loss_vae,loss_critic,loss_gen\n")
-        for row in trace:
-            fh.write(
-                f"{row['epoch']},{row['loss_vae']!r},{row['loss_critic']!r},{row['loss_gen']!r}\n"
-            )
+    cols = ("epoch", "loss_vae", "loss_critic", "loss_gen")
+    _write_csv(path, config, seed, cols, ([str(row["epoch"])] + [repr(row[c]) for c in cols[1:]]
+                                          for row in trace))
 
 
 def _write_scores_csv(path, scores, labels, config, seed):
-    with open(path, "w") as fh:
-        fh.write(_config_comment(config, seed))
-        fh.write("index,score,label\n")
-        for i, score in enumerate(scores):
-            fh.write(f"{i},{float(score)!r},{int(labels[i])}\n")
+    _write_csv(path, config, seed, ("index", "score", "label"),
+               ((str(i), repr(float(s)), str(int(labels[i]))) for i, s in enumerate(scores)))
 
 
 def _write_report_csv(path, rows, config, seed, extra_cols=()):
     cols = list(extra_cols) + ["variant", "c", "auc_mean", "auc_std", "ap_mean", "ap_std"]
-    with open(path, "w") as fh:
-        fh.write(_config_comment(config, seed))
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
+    _write_csv(path, config, seed, cols, ([_csv_cell(row[c]) for c in cols] for row in rows))
 
 
 def _csv_cell(value):

@@ -149,6 +149,15 @@ def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
     to repeated eigenvalues.  Non-finite input and LAPACK failures raise
     NumericalError.
     """
+    w, qt = _sorted_eig(m3)
+    lead = np.take_along_axis(qt, np.argmax(np.abs(qt), axis=2)[:, :, None], axis=2)
+    qt *= np.copysign(1.0, lead)
+    return w, np.swapaxes(qt, 1, 2)
+
+
+def _sorted_eig(m3) -> tuple[np.ndarray, np.ndarray]:
+    """sym_eig_batch without its sign rule: (w, qt), qt[l, j] being eigenvector
+    j of block l as a row, with the sign LAPACK gave it."""
     m3 = np.asarray(m3, dtype=np.float64)
     if m3.ndim != 3 or m3.shape[1] != m3.shape[2]:
         raise ShapeError(f"expected a stack of square matrices, got shape {m3.shape}")
@@ -159,14 +168,8 @@ def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     rows = np.arange(m3.shape[0])[:, None]
-    cols = np.arange(m3.shape[1])
     order = np.argsort(-w, axis=1, kind="stable")
-    w = w[rows, order]
-    # qt[l, j] is eigenvector j of block l, as a row
-    qt = np.swapaxes(q, 1, 2)[rows, order]
-    lead = qt[rows, cols, np.argmax(np.abs(qt), axis=2)]
-    qt *= np.copysign(1.0, lead)[:, :, None]
-    return w, np.swapaxes(qt, 1, 2)
+    return w[rows, order], np.swapaxes(q, 1, 2)[rows, order]
 
 
 def truncation_mask(n: int, dtype=np.float64) -> np.ndarray:
@@ -178,9 +181,11 @@ def truncation_mask(n: int, dtype=np.float64) -> np.ndarray:
 def spectral_truncate(m3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-n/2 truncation q diag(w * truncation_mask(n)) q^T of each block of
     an (L, n, n) symmetric stack, built from the n/2 kept columns of q only;
-    returns (truncated stack, w, q) with w and q from sym_eig_batch."""
-    w, q = sym_eig_batch(m3)
-    keep = w.shape[1] // 2
+    returns (truncated stack, w, q) with w and q as sym_eig_batch's, save that
+    q's columns keep LAPACK's signs: a column's sign cancels bit for bit in
+    q diag(.) q^T and in the tape's Daleckii-Krein backward."""
+    w, qt = _sorted_eig(m3)
+    q, keep = np.swapaxes(qt, 1, 2), w.shape[1] // 2
     kept = q[:, :, :keep]
     return (kept * w[:, None, :keep]) @ np.swapaxes(kept, 1, 2), w, q
 

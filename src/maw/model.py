@@ -13,14 +13,15 @@ float64 draws so that the RNG streams do not move; scoring casts the weights up
 to float64, where a prefix scored alone keeps its bits (float32 GEMMs round a
 row differently as the row count changes).  Scoring draws from the inlier mode
 only and averages cosine similarity between a test point and its decodes: the
-mean dot product of unit (or zero) rows, clipped to [-1, 1].  _modes is the one
-posterior after the encoder: training runs it on the tape, scoring on plain
-arrays (ARRAY_OPS).
+mean dot product of unit (or zero) rows, clipped to [-1, 1], from a plan
+built once per set of weights (_scoring_plan).  _modes is the one posterior
+after the encoder: training runs it on the tape, scoring on plain arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -274,7 +275,8 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
 
 def _modes(ops, model: MawModel, enc, modes=(1, 2)):
     """([mean], [factor blocks]) of the ascending modes from the encoder's four
-    outputs, on ops: a Tape in training, ARRAY_OPS in scoring.  The tape's node
+    outputs (enc[j - 1] and enc[j + 1] of mode j), on ops: a Tape in training,
+    the scoring plan's ops on plain arrays in scoring.  The tape's node
     order (means, blocks, truncation) fixes the order in which A's adjoint adds
     its parts; each block node's part sums over the batch rows in one GEMM."""
     hp = model.hp
@@ -291,17 +293,6 @@ def _modes(ops, model: MawModel, enc, modes=(1, 2)):
     if truncate:
         blocks[0] = ops.spectral_truncate(blocks[0], hp.d)
     return means, blocks
-
-
-# The Tape methods _modes calls, on plain arrays: blocks are (L, d, d), not (L*d, d).
-ARRAY_OPS = SimpleNamespace(
-    param=lambda value, name: np.asarray(value, dtype=np.float64),
-    matmul=np.matmul,
-    hadamard=np.multiply,
-    batch_diag_sandwich=lambda a, s_rows: linalg.diag_sandwich(a, s_rows)[0],
-    rows_to_diag_blocks=linalg.diag_blocks,
-    spectral_truncate=lambda blocks, d: linalg.spectral_truncate(blocks)[0],
-)
 
 
 def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
@@ -469,17 +460,55 @@ def train(features, hp: Hyperparams, seed: int):
 # --------------------------------------------------------------------- scoring
 
 
-def _inlier_mode_factors(model: MawModel, y_rows: np.ndarray):
+def _scoring_plan(model: MawModel) -> SimpleNamespace:
+    """What scoring reads, memoized in model.store.folded while each source
+    array (keys: (section, name)) is the same object; clip_weights, which edits
+    arrays in place, clears it.  enc and dec are the folded networks
+    (nets.fold_layers); mean and diag slice enc's output for the inlier mode;
+    ops are the Tape methods _modes calls, on plain arrays, bound to A in
+    float64 and its A-outer-A rows.  Where A reduces the quarters, enc's last
+    layer keeps the mode's two: a GEMM's column keeps its bits then (on
+    OpenBLAS, for quarters of a multiple of 4 columns)."""
+    store, hp = model.store, model.hp
+    plan = store.folded.get("plan")
+    if plan is not None and all(map(operator.is_, [getattr(store, section)[name] for
+                                                   section, name in plan.keys], plan.sources)):
+        return plan
+    keys, enc = nets.fold_layers(store, "enc", model.specs["enc"])
+    dec_keys, dec = nets.fold_layers(store, "dec", model.specs["dec"])
+    j = 2 if hp.variant == "maw-single-gaussian" else 1  # the inlier mode
+    w, b, act = enc[-1]
+    q = w.shape[1] // 4
+    mean, diag = slice((j - 1) * q, j * q), slice((j + 1) * q, (j + 2) * q)
+    ops = SimpleNamespace(matmul=np.matmul, hadamard=np.multiply,
+                          rows_to_diag_blocks=linalg.diag_blocks,
+                          spectral_truncate=lambda blocks, d: linalg.spectral_truncate(blocks)[0])
+    if "A" in store.params:
+        keys.append(("params", "A"))
+        cols = np.r_[mean, diag]
+        enc[-1] = (w.take(cols, axis=1), b[cols], act)  # C order, as w: GEMM's path
+        mean, diag = slice(0, q), slice(q, 2 * q)
+        a = np.asarray(store.params["A"], dtype=np.float64)
+        _, aa = linalg.diag_sandwich(a, np.empty((0, a.shape[0])))  # the blocks of no rows
+        ops.param = lambda value, name: a
+        ops.batch_diag_sandwich = lambda _, s_rows: (s_rows @ aa).reshape(-1, hp.d, hp.d)
+    keys += dec_keys
+    sources = [getattr(store, section)[name] for section, name in keys]
+    plan = store.folded["plan"] = SimpleNamespace(keys=keys, sources=sources, enc=enc, mean=mean,
+                                                  diag=diag, mode=j, dec=dec, ops=ops)
+    return plan
+
+
+def _inlier_mode_factors(model: MawModel, plan: SimpleNamespace, y_rows: np.ndarray):
     """Per-point inlier-mode mean (n, d) and covariance factor (n, d, d) for
-    scoring: _modes' mode 1 on plain arrays, or the single Gaussian ablation's
-    only mode 2.  The plain VAE's factor is diag(sigma)."""
-    hp = model.hp
-    enc = nets.mlp_apply(model.store, "enc", model.specs["enc"], y_rows)
+    scoring: _modes on the plan.  The plain VAE's factor is diag(sigma)."""
+    hp, enc = model.hp, nets.mlp_apply(plan.enc, y_rows)
     if hp.variant == "vae":
         head = enc @ model.store.params["head.W"] + model.store.params["head.b"]
         return head[:, :hp.d], linalg.diag_blocks(np.exp(0.5 * head[:, hp.d:]))
-    (mu,), (factors,) = _modes(ARRAY_OPS, model, enc,
-                               (2 if hp.variant == "maw-single-gaussian" else 1,))
+    # _modes reads mode j's mean as enc[j - 1] and its diagonal as enc[j + 1]
+    mean, diag = enc[:, plan.mean], enc[:, plan.diag]
+    (mu,), (factors,) = _modes(plan.ops, model, (mean, mean, diag, diag), (plan.mode,))
     return mu, factors
 
 
@@ -505,11 +534,12 @@ def _score_rows(model: MawModel, y: np.ndarray, noise: np.ndarray) -> np.ndarray
     """Scores of rows y (n, D), unit-normalized here, row j decoding the draws from noise[j]."""
     n, k, t, d = noise.shape
     y = linalg.normalize_rows(y)
-    mu, factors = _inlier_mode_factors(model, y)
+    plan = _scoring_plan(model)
+    mu, factors = _inlier_mode_factors(model, plan, y)
     z = mu[:, None, :] + noise[:, 0] @ np.swapaxes(factors, 1, 2)
     if k == 2:
         z = z + noise[:, 1]
-    decoded = nets.mlp_apply(model.store, "dec", model.specs["dec"], z.reshape(n * t, d))
+    decoded = linalg.normalize_rows(nets.mlp_apply(plan.dec, z.reshape(n * t, d)))
     return cosine_score(y, decoded.reshape(n, t, -1))
 
 

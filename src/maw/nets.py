@@ -5,7 +5,8 @@ activation; output layers are affine with a bias (batch norm on an output layer
 would re-center the produced distribution parameters, so the flag covers hidden
 layers).  The critic keeps batch norm too, deliberately.  On the tape each layer
 is one `Tape.dense` node on the batch statistics; mlp_forward steps the running
-statistics that mlp_apply folds in for scoring, and the critic keeps none.
+statistics that fold_layers folds into each layer for scoring, and the critic
+keeps none.  mlp_apply runs the folded layers; model memoizes them per model.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .autodiff import ACTIVATIONS, BN_EPS, LEAKY_SLOPE, Tape, Node
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -63,7 +63,7 @@ class ParamStore:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
-        self.folded: dict = {}  # _eval_layers' memo of each network's folded scoring layers
+        self.folded: dict = {}  # model._scoring_plan's memo; clip_weights clears it
 
     def add(self, name: str, value: np.ndarray):
         if name in self.params:
@@ -151,63 +151,42 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x,
     return h
 
 
-def _eval_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> list:
-    """Each layer's (W', b', activation), memoized in store.folded under (prefix,
-    spec) until an array the fold reads is replaced (optimizer steps, mlp_forward,
-    checkpoint loads, assignment); clip_weights edits in place and clears it."""
-    sources = []
-    for k in range(len(spec.widths)):
-        layer = f"{prefix}.l{k}"
-        sources.append(store.params[f"{layer}.W"])
-        if _normed(spec, k):
-            sources += [store.params[f"{layer}.gamma"], store.params[f"{layer}.beta"],
-                        store.state[f"{layer}.running_mean"], store.state[f"{layer}.running_var"]]
-        else:
-            sources.append(store.params[f"{layer}.b"])
-    hit = store.folded.get((prefix, spec))
-    if hit is None or any(a is not b for a, b in zip(hit[0], sources)):
-        hit = store.folded[prefix, spec] = (sources, _fold_layers(sources, spec))
-    return hit[1]
-
-
-def _fold_layers(sources: list, spec: MlpSpec) -> list:
-    """Fold each hidden batch norm of _eval_layers' sources into its bias-free
-    layer, with s = gamma / sqrt(running_var + BN_EPS): W' = W s and
-    b' = beta - running_mean s.  Layers without batch norm keep their W and b.
-    The sources are cast up to float64: scoring does not depend on their dtype."""
-    arrays, layers = (np.asarray(a, dtype=np.float64) for a in sources), []
+def fold_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> tuple[list, list]:
+    """(keys, layers): the (section, name) of each store array the scoring
+    forward reads, and each layer's (W', b', activation) in float64 (scoring
+    does not depend on the stored dtype).  A hidden batch norm folds into its
+    bias-free layer, with s = gamma / sqrt(running_var + BN_EPS): W' = W s and
+    b' = beta - running_mean s; other layers keep their W and b."""
+    keys, layers = [], []
     for k, act in enumerate(spec.activations):
-        w = next(arrays)
-        if _normed(spec, k):
-            gamma, beta, mean, var = (next(arrays) for _ in range(4))
+        layer, normed = f"{prefix}.l{k}", _normed(spec, k)
+        names = [("params", f"{layer}.{n}")
+                 for n in (("W", "gamma", "beta") if normed else ("W", "b"))]
+        names += [("state", f"{layer}.running_{n}") for n in ("mean", "var") if normed]
+        arrays = [np.asarray(getattr(store, section)[name], dtype=np.float64)
+                  for section, name in names]
+        if normed:
+            w, gamma, beta, mean, var = arrays
             s = gamma / np.sqrt(var + BN_EPS)
             w, b = w * s, beta - mean * s
         else:
-            b = next(arrays)
+            w, b = arrays
+        keys += names
         layers.append((w, b, act))
-    return layers
+    return keys, layers
 
 
-def mlp_apply(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray):
-    """Scoring forward pass in plain numpy, batch norm on the running statistics.
-
-    Runs _eval_layers' folded layers: h @ W', h += b', the activation in
-    place.  The fold is memoized on the store, so replace arrays instead of
-    editing them in place, which the memo does not see (clip_weights clears it).
-    """
-    h = np.asarray(x, dtype=np.float64)
-    for w, b, act in _eval_layers(store, prefix, spec):
+def mlp_apply(layers: list, x: np.ndarray) -> np.ndarray:
+    """Scoring forward pass over fold_layers' layers (batch norm on the running
+    statistics): h @ W', h += b', the activation in place; no final transform."""
+    h = x
+    for w, b, act in layers:
         h = h @ w
         h += b
         if act == "relu":
             np.maximum(h, 0.0, out=h)
         elif act == "leaky_relu":  # max(h, a h) for a slope 0 < a < 1
             np.maximum(h, LEAKY_SLOPE * h, out=h)
-    if spec.final_transform == "unit_normalize":
-        h = linalg.normalize_rows(h)
-    elif spec.final_transform == "split4":
-        quarter = spec.widths[-1] // 4
-        return tuple(h[..., i * quarter:(i + 1) * quarter] for i in range(4))
     return h
 
 

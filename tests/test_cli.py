@@ -249,6 +249,21 @@ def test_output_dir_naming_a_file_exits_2(tmp_path, capsys):
     _one_error(capsys, 2, "config", blocker)
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("train", "checkpoint.json"), ("score", "scores.csv"), ("eval", "report.json"),
+])
+def test_output_file_naming_a_directory_exits_2(tmp_path, capsys, command, blocked):
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    args = ["--config", cfg, command]
+    if command == "score":
+        args += ["--checkpoint", _trained_checkpoint(cfg)]
+    path = tmp_path / "out" / blocked
+    path.mkdir(parents=True)
+    capsys.readouterr()
+    assert run(args) == 2
+    _one_error(capsys, 2, "config", path)
+
+
 def test_score_checkpoint_naming_a_directory_exits_3(tmp_path, capsys):
     cfg = small_config(tmp_path)
     assert run(["--config", cfg, "score", "--checkpoint", str(tmp_path)]) == 3

@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ PINNED_INPUT = np.full((1, 4), 0.5)
 
 
 def inlier_mode(model):
-    mu, factors = M._inlier_mode_factors(model, PINNED_INPUT)
+    mu, factors = M._inlier_mode_factors(model, M._scoring_plan(model), PINNED_INPUT)
     return mu[0], factors[0]
 
 
@@ -686,36 +687,129 @@ def test_float64_checkpoint_loads_and_scores_in_float64():
     assert np.array_equal(M.score_batch(clone, x, seed=5), M.score_batch(model, x, seed=5))
 
 
-def test_reloaded_arrays_are_refolded():
-    # _load_arrays rebinds every array, so a store that has scored refolds
-    x = line_data(8, 4, seed=9)
-    model, _ = M.train(x, tiny_hp(epochs=1), seed=0)
-    other, _ = M.train(x, tiny_hp(epochs=2), seed=1)
-    before = M.score_batch(model, x, seed=5)
-    payload = other.to_payload()
+def _fresh_copy(model):
+    """A model that has never scored, holding copies of model's arrays."""
+    fresh = M.init_model(model.hp, model.feature_dim, np.random.default_rng(0))
+    fresh.store.params = {k: v.copy() for k, v in model.store.params.items()}
+    fresh.store.state = {k: v.copy() for k, v in model.store.state.items()}
+    return fresh
+
+
+def _optimizer_step(model, rng):
+    opt = model.optimizers["vae"]  # the encoder, A or the head, and the decoder
+    opt.step(model.store, {n: rng.standard_normal(model.store.params[n].shape).astype(M.TRAIN_DTYPE)
+                           for n in opt.names})
+
+
+def _running_stats(model, rng):
+    tape = Tape()
+    z = rng.standard_normal((6, model.hp.d)).astype(M.TRAIN_DTYPE)
+    nets.mlp_forward(tape, model.store, "dec", model.specs["dec"], tape.const(z))
+
+
+def _clip(model, rng):
+    nets.clip_weights(model.store, model.store.names("enc.") + model.store.names("dec."),
+                      -0.05, 0.05)
+
+
+def _assign(model, rng):
+    name = "head.W" if "head.W" in model.store.params else "A"  # read outside the networks
+    model.store.params[name] = rng.standard_normal(model.store.params[name].shape)
+
+
+def _load(model, rng):
+    payload = M.train(line_data(8, 4, seed=9), model.hp, seed=1)[0].to_payload()
     M._load_arrays(model.store.params, payload["params"], "params")
     M._load_arrays(model.store.state, payload["state"], "state")
+
+
+@pytest.mark.parametrize("variant", ["maw", "vae"])
+@pytest.mark.parametrize("writer", [_optimizer_step, _running_stats, _clip, _assign, _load])
+def test_scoring_plan_follows_every_writer(writer, variant):
+    # scoring memoizes its plan on the store: after each writer it must score
+    # as a model that never scored does with the same arrays
+    x = line_data(8, 4, seed=9)
+    model, _ = M.train(x, tiny_hp(epochs=1, variant=variant), seed=0)
+    before = M.score_batch(model, x, seed=5)
+    assert np.array_equal(before, M.score_batch(_fresh_copy(model), x, seed=5))
+    writer(model, np.random.default_rng(8))
     after = M.score_batch(model, x, seed=5)
     assert not np.array_equal(after, before)
-    assert np.array_equal(after, M.score_batch(M.MawModel.from_payload(payload), x, seed=5))
+    assert np.array_equal(after, M.score_batch(_fresh_copy(model), x, seed=5))
 
 
 def test_scoring_folds_each_network_once(monkeypatch):
-    # guards the memoized fold by counting folds, not by timing scores
+    # guards the memoized plan by counting, not by timing scores: 50 one-row
+    # scores fold each network and build A-outer-A once, and every posterior
+    # reads the same float64 A, cast once from the trained float32 A
     x = line_data(8, 4, seed=9)
     model, _ = M.train(x, tiny_hp(epochs=1), seed=0)
-    model = M.MawModel.from_payload(json.loads(json.dumps(model.to_payload())))
-    folds = []
-    fold = nets._fold_layers
+    assert model.store.params["A"].dtype == M.TRAIN_DTYPE
+    calls, seen = [], []
+    fold, sandwich, modes = nets.fold_layers, linalg.diag_sandwich, M._modes
 
-    def counted(sources, spec):
-        folds.append(spec)
-        return fold(sources, spec)
+    def counted_fold(store, prefix, spec):
+        calls.append(prefix)
+        return fold(store, prefix, spec)
 
-    monkeypatch.setattr(nets, "_fold_layers", counted)
+    def counted_sandwich(a, s_rows):
+        calls.append("sandwich")
+        return sandwich(a, s_rows)
+
+    def watched_modes(ops, model, enc, wanted):
+        seen.append(ops.param(model.store.params["A"], "A"))
+        return modes(ops, model, enc, wanted)
+
+    monkeypatch.setattr(nets, "fold_layers", counted_fold)
+    monkeypatch.setattr(linalg, "diag_sandwich", counted_sandwich)
+    monkeypatch.setattr(M, "_modes", watched_modes)
     for i in range(50):
         M.score(model, x[i % 8], rng=np.random.default_rng(i))
-    assert len(folds) == 2 and set(folds) == {model.specs["enc"], model.specs["dec"]}
+    assert sorted(calls) == ["dec", "enc", "sandwich"]
+    assert len(seen) == 50 and all(a is seen[0] for a in seen)
+    assert seen[0].dtype == np.float64 and np.array_equal(seen[0], model.store.params["A"])
+
+
+def _unplanned_scores(model, y, seed):
+    """score_batch's scores the long way, nothing memoized: the whole encoder
+    split in four quarters, and A cast and sandwiched on every call."""
+    hp, store, specs = model.hp, model.store, model.specs
+    k = 1 if hp.variant == "vae" else 2
+    noise = np.random.default_rng(seed).standard_normal((len(y), k, hp.samples, hp.d))
+    y = linalg.normalize_rows(y)
+    enc = nets.mlp_apply(nets.fold_layers(store, "enc", specs["enc"])[1], y)
+    if hp.variant == "vae":
+        head = enc @ store.params["head.W"] + store.params["head.b"]
+        mu, factors = head[:, :hp.d], linalg.diag_blocks(np.exp(0.5 * head[:, hp.d:]))
+    else:
+        ops = SimpleNamespace(
+            param=lambda value, name: np.asarray(value, dtype=np.float64), matmul=np.matmul,
+            hadamard=np.multiply, rows_to_diag_blocks=linalg.diag_blocks,
+            batch_diag_sandwich=lambda a, s_rows: linalg.diag_sandwich(a, s_rows)[0],
+            spectral_truncate=lambda blocks, d: linalg.spectral_truncate(blocks)[0])
+        mode = 2 if hp.variant == "maw-single-gaussian" else 1
+        (mu,), (factors,) = M._modes(ops, model, np.hsplit(enc, 4), (mode,))
+    z = mu[:, None, :] + noise[:, 0] @ np.swapaxes(factors, 1, 2)
+    if k == 2:
+        z = z + noise[:, 1]
+    decoded = nets.mlp_apply(nets.fold_layers(store, "dec", specs["dec"])[1], z.reshape(-1, hp.d))
+    return M.cosine_score(y, linalg.normalize_rows(decoded).reshape(len(y), hp.samples, -1))
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_scoring_plan_scores_as_the_unplanned_forward(variant):
+    # pins the encoder's column cut and the cached A-outer-A bit for bit, on a
+    # round-tripped checkpoint; the cut keeps a GEMM's bits here because the
+    # quarters are 8 columns wide (a multiple of OpenBLAS's column blocks)
+    x = line_data(40, 4, seed=9)
+    model, _ = M.train(x, tiny_hp(d=4, dprime=8, epochs=1, variant=variant), seed=0)
+    model = M.MawModel.from_payload(json.loads(json.dumps(model.to_payload())))
+    for rows in (1, 3, 32):
+        want = _unplanned_scores(model, x[:rows], seed=rows)
+        for _ in range(2):  # the first call builds the plan, the second reuses it
+            assert np.array_equal(M.score_batch(model, x[:rows], seed=rows), want)
+    one = M.score(model, x[0], rng=np.random.default_rng(1))
+    assert one == _unplanned_scores(model, x[:1], seed=1)[0]
 
 
 @pytest.mark.parametrize("variant", [v for v in M.VARIANTS if v != "vae"])
@@ -728,9 +822,10 @@ def test_modes_on_tape_and_arrays_agree_bit_for_bit(variant):
     enc = tuple(np.random.default_rng(1).standard_normal((4, 5, width)))
     tape = Tape()
     means, blocks = M._modes(tape, model, [tape.const(e) for e in enc])
-    both = M._modes(M.ARRAY_OPS, model, enc)
+    ops = M._scoring_plan(model).ops
+    both = M._modes(ops, model, enc)
     for j in (1, 2):
-        (mu,), (factors,) = M._modes(M.ARRAY_OPS, model, enc, (j,))
+        (mu,), (factors,) = M._modes(ops, model, enc, (j,))
         for got in (mu, both[0][j - 1]):
             assert np.array_equal(got, means[j - 1].value)
         for got in (factors, both[1][j - 1]):

@@ -5,7 +5,7 @@ import pytest
 
 from _gradcheck import textbook_batch_norm
 from maw import model as M
-from maw import nets
+from maw import linalg, nets
 from maw.autodiff import Tape
 from maw.errors import ConfigError, DomainError, NumericalError
 
@@ -190,11 +190,11 @@ def test_split4_is_a_bijection_on_the_output():
     nets.build_mlp_params(store, "enc", spec, rng)
     x = rng.standard_normal((4, 3))
     full_spec = nets.MlpSpec(3, (5, 8), ("relu", "linear"), True, "none")
-    full = nets.mlp_apply(store, "enc", full_spec, x)
-    parts = nets.mlp_apply(store, "enc", spec, x)
+    tape = Tape()
+    full = nets.mlp_forward(tape, store, "enc", full_spec, tape.const(x))
+    parts = nets.mlp_forward(tape, store, "enc", spec, tape.const(x))
     assert len(parts) == 4
-    assert np.array_equal(np.concatenate(parts, axis=1), full)
-    assert set(store.folded) == {("enc", full_spec), ("enc", spec)}  # one entry per spec
+    assert np.array_equal(np.concatenate([p.value for p in parts], axis=1), full.value)
 
 
 def test_unit_normalize_transform():
@@ -204,8 +204,9 @@ def test_unit_normalize_transform():
     store = nets.ParamStore()
     nets.build_mlp_params(store, "dec", spec, rng)
     x = rng.standard_normal((6, 2))
-    pre = nets.mlp_apply(store, "dec", plain, x)
-    out = nets.mlp_apply(store, "dec", spec, x)
+    tape = Tape()
+    pre = nets.mlp_forward(tape, store, "dec", plain, tape.const(x)).value
+    out = nets.mlp_forward(tape, store, "dec", spec, tape.const(x)).value
     norms = np.linalg.norm(out, axis=1)
     nonzero = np.linalg.norm(pre, axis=1) > 0.0
     assert nonzero.any()
@@ -231,7 +232,7 @@ def _textbook_scoring_forward(store, prefix, spec, x):
 
 
 def test_folded_forward_matches_textbook_batch_norm():
-    # mlp_apply folds each batch norm into its layer; the reference keeps it unfolded
+    # fold_layers folds each batch norm into its layer; the reference keeps it unfolded
     rng = np.random.default_rng(4)
     for act in ("relu", "leaky_relu"):
         spec = nets.mlp(3, (5, 6, 4), act, final_transform="unit_normalize")
@@ -246,57 +247,12 @@ def test_folded_forward_matches_textbook_batch_norm():
             store.params[f"net.l{k}.beta"] += rng.normal(0.0, 0.5, width)
         x = rng.standard_normal((5, 3))
         want = _textbook_scoring_forward(store, "net", spec, x)
-        assert np.allclose(nets.mlp_apply(store, "net", spec, x), want, rtol=0.0, atol=1e-12)
-
-
-def _fresh_apply(store, prefix, spec, x):
-    """mlp_apply on a new store holding copies of store's arrays (nothing memoized)."""
-    fresh = nets.ParamStore()
-    fresh.params = {k: v.copy() for k, v in store.params.items()}
-    fresh.state = {k: v.copy() for k, v in store.state.items()}
-    return nets.mlp_apply(fresh, prefix, spec, x)
-
-
-def _adam_step(store, spec, rng):
-    opt = nets.Optimizer("adam", 1e-2, store.names("net."), store)
-    opt.step(store, {k: rng.standard_normal(v.shape) for k, v in store.params.items()})
-
-
-def _train_forward(store, spec, rng):
-    tape = Tape()
-    nets.mlp_forward(tape, store, "net", spec, tape.const(rng.standard_normal((6, 3))))
-
-
-def _clip(store, spec, rng):
-    nets.clip_weights(store, store.names("net."), -0.3, 0.3)
-
-
-def _assign(store, spec, rng):
-    store.params["net.l1.gamma"] = rng.uniform(0.5, 2.0, spec.widths[1])
-    store.state["net.l0.running_var"] = rng.uniform(0.2, 3.0, spec.widths[0])
-
-
-@pytest.mark.parametrize("writer", [_adam_step, _train_forward, _clip, _assign])
-def test_eval_fold_follows_every_writer(writer):
-    # mlp_apply memoizes its fold on the store: after each writer it must
-    # give what a store that never folded gives for the same arrays
-    rng = np.random.default_rng(8)
-    spec = nets.mlp(3, (5, 6, 4), "leaky_relu")
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "net", spec, rng)
-    for name in store.names("net."):  # weights beyond the clip, non-trivial batch norms
-        store.params[name] = 2.0 * rng.standard_normal(store.params[name].shape)
-    x = rng.standard_normal((7, 3))
-    before = nets.mlp_apply(store, "net", spec, x)
-    assert np.array_equal(before, _fresh_apply(store, "net", spec, x))
-    writer(store, spec, rng)
-    after = nets.mlp_apply(store, "net", spec, x)
-    assert not np.array_equal(after, before)
-    assert np.array_equal(after, _fresh_apply(store, "net", spec, x))
+        got = linalg.normalize_rows(nets.mlp_apply(nets.fold_layers(store, "net", spec)[1], x))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_eval_fold_is_per_spec():
-    # the same prefix under a spec without batch norm must not reuse the folded layers
+    # the same prefix under a spec without batch norm folds its W and b only
     rng = np.random.default_rng(9)
     spec = nets.mlp(3, (5, 4), "relu")
     plain = nets.mlp(3, (5, 4), "relu", batch_norm=False)
@@ -305,10 +261,13 @@ def test_eval_fold_is_per_spec():
     store.state["net.l0.running_var"] = rng.uniform(0.2, 3.0, 5)
     store.add("net.l0.b", rng.standard_normal(5))  # the bias only the plain spec reads
     x = rng.standard_normal((4, 3))
-    with_norm = nets.mlp_apply(store, "net", spec, x)
-    without = nets.mlp_apply(store, "net", plain, x)
-    assert not np.array_equal(with_norm, without)
-    assert np.array_equal(without, _fresh_apply(store, "net", plain, x))
+    keys, with_norm = nets.fold_layers(store, "net", spec)
+    plain_keys, without = nets.fold_layers(store, "net", plain)
+    assert ("state", "net.l0.running_var") in keys
+    assert plain_keys == [("params", f"net.l{k}.{n}") for k in (0, 1) for n in ("W", "b")]
+    assert not np.array_equal(nets.mlp_apply(with_norm, x), nets.mlp_apply(without, x))
+    w0, b0, w1, b1 = (store.params[f"net.l{k}.{n}"] for k in (0, 1) for n in ("W", "b"))
+    assert np.array_equal(nets.mlp_apply(without, x), np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)
 
 
 def test_optimizer_steps_are_deterministic():
