@@ -7,7 +7,8 @@ file, the MAW_SEED environment variable overrides the file's seeds, and a
 cell is a (Hyperparams, SplitSpec) pair trained and scored over the seeds;
 eval runs the config's one cell and sweep one cell per value of sweep.axis.
 Every output file embeds the resolved config and seed.  Exit codes: 0 ok,
-2 bad config, 3 data error, 4 numerical abort.
+2 bad config (also a model or split too large to allocate), 3 data error,
+4 numerical abort.
 """
 
 from __future__ import annotations
@@ -440,6 +441,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         return _fail(4, "numerical", exc)
     except MawError as exc:
+        return _fail(2, "config", exc)
+    except MemoryError as exc:  # an array of a model or split sized beyond memory
         return _fail(2, "config", exc)
 
 

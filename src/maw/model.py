@@ -1,5 +1,7 @@
 """The mixture-latent autoencoder: checkpoints, training, scoring.
 
+A variant is its INGREDIENTS entry, the paper's changes to a VAE that it
+keeps; the code reads those fields, never the name (None: the plain VAE).
 Training alternates three updates per batch: an Adam step on the least
 absolute deviation reconstruction loss (encoder, reduction matrix, decoder),
 an RMSprop step on the clipped critic's Wasserstein-1 surrogate, and an Adam
@@ -15,7 +17,8 @@ row differently as the row count changes).  Scoring draws from the inlier mode
 only and averages cosine similarity between a test point and its decodes: the
 mean dot product of unit (or zero) rows, clipped to [-1, 1], from a plan
 built once per set of weights (_scoring_plan).  _modes is the one posterior
-after the encoder: training runs it on the tape, scoring on plain arrays.
+after the encoder's four output quarters: training runs it on the tape,
+scoring on plain arrays.
 """
 
 from __future__ import annotations
@@ -31,15 +34,30 @@ from . import linalg, nets
 from .autodiff import Tape
 from .errors import ConfigError, DataError, DomainError, NumericalError, ShapeError
 
-VARIANTS = (
-    "maw",
-    "maw-mse",
-    "maw-kl",
-    "maw-same-rank",
-    "maw-single-gaussian",
-    "maw-diagonal-cov",
-    "vae",
-)
+
+@dataclass(frozen=True)
+class Ingredients:
+    """Which of the paper's four changes to a VAE a variant keeps: A, the
+    mixture (its two modes, and the inlier mode's truncation), W1 and LAD."""
+
+    reduction: bool = True
+    mixture: bool = True
+    truncation: bool = True
+    w1: bool = True
+    lad: bool = True
+
+
+# Each ablation removes one ingredient; None is the plain diagonal-Gaussian VAE.
+INGREDIENTS = {
+    "maw": Ingredients(),
+    "maw-mse": Ingredients(lad=False),
+    "maw-kl": Ingredients(w1=False),
+    "maw-same-rank": Ingredients(truncation=False),
+    "maw-single-gaussian": Ingredients(mixture=False),
+    "maw-diagonal-cov": Ingredients(reduction=False),
+    "vae": None,
+}
+VARIANTS = tuple(INGREDIENTS)
 
 DEFAULT_ETA = 5.0 / 6.0
 SCORE_CHUNK = 2048  # rows per score_batch step; bounds its working set
@@ -88,8 +106,12 @@ class Hyperparams:
             raise ConfigError("batch size must be >= 2 (batch norm)")
         if self.lr_vae <= 0.0 or self.lr_critic <= 0.0:
             raise ConfigError("learning rates must be positive")
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in INGREDIENTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+
+    @property
+    def ingredients(self) -> Ingredients | None:
+        return INGREDIENTS[self.variant]
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -222,22 +244,13 @@ def _load_arrays(target: dict, source, section: str):
 
 
 def _network_specs(hp: Hyperparams, feature_dim: int) -> dict:
-    enc_out = 4 * (hp.d if hp.variant == "maw-diagonal-cov" else hp.dprime)
+    """The networks' specs; the encoder's four quarters are d wide without A, else dprime."""
+    quarter = hp.dprime if hp.ingredients is None or hp.ingredients.reduction else hp.d
     specs = {
-        "enc": nets.mlp(
-            feature_dim,
-            hp.encoder_widths + (enc_out,),
-            "relu",
-            final_transform="none" if hp.variant == "vae" else "split4",
-        ),
-        "dec": nets.mlp(
-            hp.d,
-            hp.decoder_widths + (feature_dim,),
-            "relu",
-            final_transform="unit_normalize",
-        ),
+        "enc": nets.mlp(feature_dim, hp.encoder_widths + (4 * quarter,), "relu"),
+        "dec": nets.mlp(hp.d, hp.decoder_widths + (feature_dim,), "relu"),
     }
-    if hp.variant != "vae":
+    if hp.ingredients is not None:
         specs["cri"] = nets.mlp(hp.d, hp.critic_widths + (1,), "leaky_relu")
     return specs
 
@@ -249,10 +262,11 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
     specs = _network_specs(hp, feature_dim)
     store = nets.ParamStore()
     nets.build_mlp_params(store, "enc", specs["enc"], rng)
-    uses_reduction = hp.variant not in ("vae", "maw-diagonal-cov")
+    ing = hp.ingredients
+    uses_reduction = ing is not None and ing.reduction
     if uses_reduction:
         store.add("A", nets.glorot_init(hp.dprime, hp.d, rng))
-    if hp.variant == "vae":
+    if ing is None:
         store.add("head.W", nets.glorot_init(4 * hp.dprime, 2 * hp.d, rng))
         store.add("head.b", np.zeros(2 * hp.d))
     nets.build_mlp_params(store, "dec", specs["dec"], rng)
@@ -262,7 +276,7 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
     store.state = {k: v.astype(TRAIN_DTYPE) for k, v in store.state.items()}
 
     gen_names = store.names("enc.") + (["A"] if uses_reduction else [])
-    if hp.variant == "vae":
+    if ing is None:
         vae_names = store.names("enc.") + store.names("head.") + store.names("dec.")
     else:
         vae_names = gen_names + store.names("dec.")
@@ -279,10 +293,10 @@ def _modes(ops, model: MawModel, enc, modes=(1, 2)):
     the scoring plan's ops on plain arrays in scoring.  The tape's node
     order (means, blocks, truncation) fixes the order in which A's adjoint adds
     its parts; each block node's part sums over the batch rows in one GEMM."""
-    hp = model.hp
+    hp, ing = model.hp, model.hp.ingredients
     means, rows = [enc[j - 1] for j in modes], [enc[j + 1] for j in modes]
-    truncate = modes[0] == 1 and hp.variant != "maw-same-rank"
-    if hp.variant == "maw-diagonal-cov":
+    truncate = modes[0] == 1 and ing.truncation
+    if not ing.reduction:
         if truncate:
             dtype = getattr(rows[0], "value", rows[0]).dtype  # a tape node's or an array's
             rows[0] = ops.hadamard(rows[0], linalg.truncation_mask(hp.d, dtype))
@@ -297,16 +311,19 @@ def _modes(ops, model: MawModel, enc, modes=(1, 2)):
 
 def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
                        labels, eps1, eps2, stat_steps: int = 1):
-    """Encoder -> posterior (_modes) -> reparameterized latent draws, on the tape.
-    The encoder's running statistics take stat_steps steps (nets.mlp_forward)."""
-    enc = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb),
-                           _stat_steps=stat_steps)
+    """Encoder -> its four quarters -> posterior (_modes) -> latent draws, on the
+    tape.  The encoder's running statistics take stat_steps steps (nets.mlp_forward)."""
+    spec = model.specs["enc"]
+    h = nets.mlp_forward(tape, model.store, "enc", spec, tape.const(xb), _stat_steps=stat_steps)
+    q = spec.widths[-1] // 4
+    enc = [tape.col_block(h, i * q, (i + 1) * q) for i in range(4)]
     (mu1, mu2), (m1, m2) = _modes(tape, model, enc)
     return tape.mixture_sample(mu1, mu2, m1, m2, labels, eps1, eps2)
 
 
 def _decode(tape: Tape, model: MawModel, z):
-    return nets.mlp_forward(tape, model.store, "dec", model.specs["dec"], z)
+    """The decoder's rows, unit-normalized (zero rows stay zero)."""
+    return tape.normalize_rows(nets.mlp_forward(tape, model.store, "dec", model.specs["dec"], z))
 
 
 def _critic(tape: Tape, model: MawModel, z):
@@ -316,9 +333,11 @@ def _critic(tape: Tape, model: MawModel, z):
 def _draw_batch_noise(hp: Hyperparams, rng: np.random.Generator, batch_rows: int):
     """Per-batch noise in a fixed order: labels, eps1, eps2, prior draws (float64
     draws cast to TRAIN_DTYPE), each hp.samples draws at a time per batch row
-    (Tape.mixture_sample's grouping); returns them with point_idx, each draw's row."""
+    (Tape.mixture_sample's grouping); returns them with point_idx, each draw's row.
+    Without the mixture every draw is from mode 2, the full-rank one; the plain
+    VAE draws labels it never reads, which keeps its RNG stream."""
     total = batch_rows * hp.samples
-    if hp.variant == "maw-single-gaussian":
+    if hp.ingredients is not None and not hp.ingredients.mixture:
         labels = np.full(total, 2, dtype=int)
     else:
         labels = np.where(rng.random(total) < hp.eta, 1, 2)
@@ -329,11 +348,10 @@ def _draw_batch_noise(hp: Hyperparams, rng: np.random.Generator, batch_rows: int
 
 
 def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, float, float]:
-    hp = model.hp
+    ing = model.hp.ingredients
     labels, point_idx, eps1, eps2, z_hyp = noise
     x_rep = xb[point_idx]
-    squared = hp.variant == "maw-mse"
-    bce = hp.variant == "maw-kl"
+    squared, bce = not ing.lad, not ing.w1
 
     # reconstruction step: encoder, reduction matrix, decoder
     tape = Tape()
@@ -426,7 +444,7 @@ def train(features, hp: Hyperparams, seed: int):
 
     rng = np.random.default_rng(seed)
     model = init_model(hp, x.shape[1], rng)
-    update = _vae_batch_update if hp.variant == "vae" else _maw_batch_update
+    update = _vae_batch_update if hp.ingredients is None else _maw_batch_update
 
     trace = []
     n = x.shape[0]
@@ -476,7 +494,7 @@ def _scoring_plan(model: MawModel) -> SimpleNamespace:
         return plan
     keys, enc = nets.fold_layers(store, "enc", model.specs["enc"])
     dec_keys, dec = nets.fold_layers(store, "dec", model.specs["dec"])
-    j = 2 if hp.variant == "maw-single-gaussian" else 1  # the inlier mode
+    j = 2 if hp.ingredients is not None and not hp.ingredients.mixture else 1  # inlier mode
     w, b, act = enc[-1]
     q = w.shape[1] // 4
     mean, diag = slice((j - 1) * q, j * q), slice((j + 1) * q, (j + 2) * q)
@@ -503,7 +521,7 @@ def _inlier_mode_factors(model: MawModel, plan: SimpleNamespace, y_rows: np.ndar
     """Per-point inlier-mode mean (n, d) and covariance factor (n, d, d) for
     scoring: _modes on the plan.  The plain VAE's factor is diag(sigma)."""
     hp, enc = model.hp, nets.mlp_apply(plan.enc, y_rows)
-    if hp.variant == "vae":
+    if hp.ingredients is None:
         head = enc @ model.store.params["head.W"] + model.store.params["head.b"]
         return head[:, :hp.d], linalg.diag_blocks(np.exp(0.5 * head[:, hp.d:]))
     # _modes reads mode j's mean as enc[j - 1] and its diagonal as enc[j + 1]
@@ -526,7 +544,7 @@ def _prepare_rows(model: MawModel, y_rows, samples: int | None):
     t = model.hp.samples if samples is None else linalg.as_int(samples, "samples", DomainError)
     if t < 1:
         raise DomainError("need at least one scoring draw")
-    k = 1 if model.hp.variant == "vae" else 2
+    k = 1 if model.hp.ingredients is None else 2
     return y, (y.shape[0], k, t, model.hp.d)
 
 

@@ -7,6 +7,7 @@ layers).  The critic keeps batch norm too, deliberately.  On the tape each layer
 is one `Tape.dense` node on the batch statistics; mlp_forward steps the running
 statistics that fold_layers folds into each layer for scoring, and the critic
 keeps none.  mlp_apply runs the folded layers; model memoizes them per model.
+A network ends at its last affine layer: model cuts and normalizes its outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .autodiff import ACTIVATIONS, BN_EPS, LEAKY_SLOPE, Tape, Node
 from .errors import ConfigError, DomainError, NumericalError
 
-FINAL_TRANSFORMS = ("none", "unit_normalize", "split4")
 BN_MOMENTUM = 0.9  # a running statistic r steps to BN_MOMENTUM r + (1 - BN_MOMENTUM) batch
 
 
@@ -27,16 +27,13 @@ class MlpSpec:
     """Fully-connected network layout.
 
     widths are output channels per layer; activations must match widths
-    one-to-one ("linear" for no nonlinearity).  final_transform post-processes
-    the last layer: "unit_normalize" rescales each output row to unit length,
-    "split4" returns four equal column blocks.
+    one-to-one ("linear" for no nonlinearity).
     """
 
     in_dim: int
     widths: tuple[int, ...]
     activations: tuple[str, ...]
     batch_norm: bool = True
-    final_transform: str = "none"
 
     def __post_init__(self):
         if self.in_dim <= 0 or len(self.widths) < 1 or any(w <= 0 for w in self.widths):
@@ -45,16 +42,12 @@ class MlpSpec:
             raise ConfigError("MlpSpec needs one activation per layer")
         if any(a not in ACTIVATIONS for a in self.activations):
             raise ConfigError(f"activations must be among {ACTIVATIONS}")
-        if self.final_transform not in FINAL_TRANSFORMS:
-            raise ConfigError(f"final_transform must be among {FINAL_TRANSFORMS}")
-        if self.final_transform == "split4" and self.widths[-1] % 4 != 0:
-            raise ConfigError("split4 needs an output width divisible by 4")
 
 
-def mlp(in_dim, widths, activation, final_transform="none", batch_norm=True) -> MlpSpec:
+def mlp(in_dim, widths, activation, batch_norm=True) -> MlpSpec:
     """Spec with one hidden activation and a linear output layer."""
     acts = tuple(activation for _ in widths[:-1]) + ("linear",)
-    return MlpSpec(in_dim, tuple(widths), acts, batch_norm, final_transform)
+    return MlpSpec(in_dim, tuple(widths), acts, batch_norm)
 
 
 class ParamStore:
@@ -121,8 +114,8 @@ def _bind(tape: Tape, store: ParamStore, name: str, frozen: bool) -> Node:
 
 def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x,
                 _frozen: bool = False, _stat_steps: int = 1):
-    """Run the MLP on the tape, one dense node per layer; returns a node or a
-    4-tuple for split4.  _frozen binds the weights as constants (no gradients).
+    """Run the MLP on the tape, one dense node per layer; returns the last
+    layer's node.  _frozen binds the weights as constants (no gradients).
     Each stored running statistic is replaced by a new array, _stat_steps
     momentum steps toward its batch statistic: the bits of as many forwards."""
     h = tape._as_node(x)
@@ -141,13 +134,6 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x,
                 store.state[name] = running
         else:
             h = tape.dense(h, w, _bind(tape, store, f"{layer}.b", _frozen), act)
-    if spec.final_transform == "unit_normalize":
-        return tape.normalize_rows(h)
-    if spec.final_transform == "split4":
-        quarter = spec.widths[-1] // 4
-        return tuple(
-            tape.col_block(h, i * quarter, (i + 1) * quarter) for i in range(4)
-        )
     return h
 
 
@@ -178,7 +164,7 @@ def fold_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> tuple[list, li
 
 def mlp_apply(layers: list, x: np.ndarray) -> np.ndarray:
     """Scoring forward pass over fold_layers' layers (batch norm on the running
-    statistics): h @ W', h += b', the activation in place; no final transform."""
+    statistics): h @ W', h += b', the activation in place."""
     h = x
     for w, b, act in layers:
         h = h @ w

@@ -486,6 +486,36 @@ def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
     assert err["kind"] == "data" and "feature_dim" in err["detail"]
 
 
+# each size needs an array of 1 PiB or more, which numpy refuses before it
+# allocates anything, whatever the host's overcommit policy
+@pytest.mark.parametrize("assignment", [
+    "model.dprime=100000000000000", "model.samples=1000000000000000",
+    "split.n_train=1000000000000000",
+])
+def test_train_too_large_to_allocate_exits_2(tmp_path, capsys, assignment):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", assignment, "train"]) == 2
+    assert "PiB" in _one_config_error(capsys)
+
+
+def test_score_checkpoint_too_large_to_allocate_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    ckpt = _trained_checkpoint(cfg)
+    payload = json.loads(open(ckpt).read())
+    payload["hyperparams"]["dprime"] = 10**14
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 2
+    assert "PiB" in _one_config_error(capsys)
+
+
+def test_train_unhashable_variant_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", 'variant=["maw"]', "train"]) == 2
+    assert "variant" in _one_config_error(capsys)
+
+
 def test_train_string_widths_exit_2(tmp_path, capsys):
     cfg = small_config(tmp_path)
     assert run(["--config", cfg, "--set", 'model.encoder_widths="ab"', "train"]) == 2

@@ -129,8 +129,6 @@ def test_mlp_spec_validation():
         nets.MlpSpec(2, (3, 4), ("relu",))
     with pytest.raises(ConfigError):
         nets.MlpSpec(2, (3,), ("tanh",))
-    with pytest.raises(ConfigError):
-        nets.MlpSpec(2, (6,), ("linear",), final_transform="split4")
 
 
 @pytest.mark.parametrize("running_stats", [True, False])
@@ -183,37 +181,6 @@ def test_mlp_forward_stat_steps_equal_as_many_forwards():
             assert np.array_equal(twice.state[name], once.state[name]), name
 
 
-def test_split4_is_a_bijection_on_the_output():
-    rng = np.random.default_rng(2)
-    spec = nets.mlp(3, (5, 8), "relu", final_transform="split4")
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "enc", spec, rng)
-    x = rng.standard_normal((4, 3))
-    full_spec = nets.MlpSpec(3, (5, 8), ("relu", "linear"), True, "none")
-    tape = Tape()
-    full = nets.mlp_forward(tape, store, "enc", full_spec, tape.const(x))
-    parts = nets.mlp_forward(tape, store, "enc", spec, tape.const(x))
-    assert len(parts) == 4
-    assert np.array_equal(np.concatenate([p.value for p in parts], axis=1), full.value)
-
-
-def test_unit_normalize_transform():
-    rng = np.random.default_rng(3)
-    spec = nets.mlp(2, (4, 3), "relu", final_transform="unit_normalize")
-    plain = nets.MlpSpec(2, (4, 3), ("relu", "linear"), True, "none")
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "dec", spec, rng)
-    x = rng.standard_normal((6, 2))
-    tape = Tape()
-    pre = nets.mlp_forward(tape, store, "dec", plain, tape.const(x)).value
-    out = nets.mlp_forward(tape, store, "dec", spec, tape.const(x)).value
-    norms = np.linalg.norm(out, axis=1)
-    nonzero = np.linalg.norm(pre, axis=1) > 0.0
-    assert nonzero.any()
-    assert np.all(np.abs(norms[nonzero] - 1.0) <= 1e-9)
-    assert np.all(norms[~nonzero] == 0.0)
-
-
 def _textbook_scoring_forward(store, prefix, spec, x):
     """Layer by layer, unfolded: act(gamma (h W - running_mean) /
     sqrt(running_var + 1e-5) + beta) after batch norm, else act(h W + b); then
@@ -235,7 +202,7 @@ def test_folded_forward_matches_textbook_batch_norm():
     # fold_layers folds each batch norm into its layer; the reference keeps it unfolded
     rng = np.random.default_rng(4)
     for act in ("relu", "leaky_relu"):
-        spec = nets.mlp(3, (5, 6, 4), act, final_transform="unit_normalize")
+        spec = nets.mlp(3, (5, 6, 4), act)
         store = nets.ParamStore()
         nets.build_mlp_params(store, "net", spec, rng)
         # push every hidden layer's stats and affine off their init to make the check real
