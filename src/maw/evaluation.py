@@ -49,14 +49,14 @@ class SyntheticFamily:
     s ~ N(0, I_r); outliers are isotropic Gaussians scaled to a comparable
     norm.  All rows are unit-normalized.  The frame is derived from the family
     seed so train and test splits share the same structure.  dim and rank are
-    ints and seed a non-negative int (an integral float counts, a bool does
-    not), noise a finite number, and sample's counts and sample_seed
-    non-negative ints; anything else raises DomainError.
+    ints of at most linalg.SIZE_MAX and seed a non-negative int (an integral
+    float counts, a bool does not), noise a finite number, and sample's counts
+    and sample_seed non-negative ints; anything else raises DomainError.
     """
 
     def __init__(self, dim: int, rank: int, noise: float = 0.1, seed: int = 0):
-        dim = linalg.as_int(dim, "dim", DomainError)
-        rank = linalg.as_int(rank, "rank", DomainError)
+        dim = linalg.as_size(dim, "dim", DomainError)
+        rank = linalg.as_size(rank, "rank", DomainError)
         noise = linalg.as_float(noise, "noise", DomainError)
         if not 1 <= rank < dim:
             raise DomainError("need 1 <= rank < dim")
@@ -226,9 +226,9 @@ def ap(scores, labels) -> float:
 class SplitSpec:
     """Contaminated train/test split sizes and ratios for one experiment cell.
 
-    n_train and n_test are ints (an integral float counts, a bool does not), c
-    a finite number and c_tests a nonempty list or tuple of them; anything else
-    raises DomainError.
+    n_train and n_test are ints of at most linalg.SIZE_MAX (an integral float
+    counts, a bool does not), c a finite number and c_tests a nonempty list or
+    tuple of them; anything else raises DomainError.
     """
 
     n_train: int
@@ -239,7 +239,7 @@ class SplitSpec:
 
     def __post_init__(self):
         for key in ("n_train", "n_test"):
-            object.__setattr__(self, key, linalg.as_int(getattr(self, key), key, DomainError))
+            object.__setattr__(self, key, linalg.as_size(getattr(self, key), key, DomainError))
         object.__setattr__(self, "c", linalg.as_float(self.c, "c", DomainError))
         if not isinstance(self.c_tests, (list, tuple)) or not self.c_tests:
             raise DomainError(f"c_tests must be a nonempty list, got {self.c_tests!r}")

@@ -17,6 +17,7 @@ from .errors import DomainError, NotPSDError, NumericalError, ShapeError
 
 SYM_REL_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
+SIZE_MAX = 2**31 - 1  # the largest count or width a config or checkpoint may give
 
 
 def as_vector(x) -> np.ndarray:
@@ -57,6 +58,16 @@ def as_float(value, what: str, error: type) -> float:
             or not abs(value) <= sys.float_info.max):
         raise error(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def as_size(value, what: str, error: type) -> int:
+    """A count or width: an int as as_int takes it, at most SIZE_MAX; a larger
+    one raises error here rather than numpy's own ValueError where it sizes an
+    array."""
+    size = as_int(value, what, error)
+    if size > SIZE_MAX:
+        raise error(f"{what} must be at most {SIZE_MAX}, got {size}")
+    return size
 
 
 def as_seed(value, what: str, error: type) -> int:

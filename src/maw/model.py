@@ -87,13 +87,13 @@ class Hyperparams:
         for key in WIDTH_KEYS:
             widths = getattr(self, key)
             if (not isinstance(widths, (list, tuple)) or not widths
-                    or any(isinstance(w, bool) or not isinstance(w, int) or w < 1
-                           for w in widths)):
-                raise ConfigError(f"{key} must be a non-empty list of positive ints, "
-                                  f"got {widths!r}")
+                    or any(isinstance(w, bool) or not isinstance(w, int)
+                           or not 1 <= w <= linalg.SIZE_MAX for w in widths)):
+                raise ConfigError(f"{key} must be a non-empty list of ints in "
+                                  f"[1, {linalg.SIZE_MAX}], got {widths!r}")
             setattr(self, key, tuple(widths))
         for key in INT_KEYS:
-            setattr(self, key, linalg.as_int(getattr(self, key), key, ConfigError))
+            setattr(self, key, linalg.as_size(getattr(self, key), key, ConfigError))
         for key in FLOAT_KEYS:
             setattr(self, key, linalg.as_float(getattr(self, key), key, ConfigError))
         if self.d < 2 or self.d % 2 != 0:
@@ -190,7 +190,7 @@ class MawModel:
         if missing:
             raise DataError(f"checkpoint lacks {missing}")
         hp = Hyperparams.from_dict(payload["hyperparams"])
-        dim = linalg.as_int(payload["feature_dim"], "checkpoint feature_dim", DataError)
+        dim = linalg.as_size(payload["feature_dim"], "checkpoint feature_dim", DataError)
         if dim < 1:
             raise DataError(f"checkpoint feature_dim must be positive, got {dim}")
         model = init_model(hp, dim, np.random.default_rng(0))
@@ -541,7 +541,7 @@ def _prepare_rows(model: MawModel, y_rows, samples: int | None):
         raise ShapeError(f"expected (n, {model.feature_dim}) test matrix, got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise DomainError("rows to score must be finite")
-    t = model.hp.samples if samples is None else linalg.as_int(samples, "samples", DomainError)
+    t = model.hp.samples if samples is None else linalg.as_size(samples, "samples", DomainError)
     if t < 1:
         raise DomainError("need at least one scoring draw")
     k = 1 if model.hp.ingredients is None else 2

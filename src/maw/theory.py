@@ -13,26 +13,31 @@ KL minimizer only satisfies the barycentric identity mu0 = eta mu1 +
 closed-form minimizer driven by a scalar colinearity parameter; the KL
 problem is ill-posed because KL from a rank-deficient Gaussian is infinite.
 Each analytic fact is paired with an independent numeric oracle
-(grid search + Nelder-Mead over the reduced colinear/diagonal
-parameterization, and an exact-assignment empirical W1).
+(a grid over the reduced colinear/diagonal parameterization, refined by a
+bracket zoom or Nelder-Mead, and an exact-assignment empirical W1).
 
 Inputs are checked once, where they enter: the public distances,
 mixture_objective, TheoryProblem and every seed (a non-negative int, else
 DomainError).  The oracle builds its candidates from a validated problem,
 factors the prior once per solve and calls the unchecked kernel objective on
-its whole grid as one stack, then on each Nelder-Mead candidate.  In the
-shared-covariance KL oracle every mode has the prior's covariance, so KL's
-covariance terms are computed once per solve too, and each evaluation computes
-only the Mahalanobis terms: two eigendecompositions per solve.
+its whole grid as one stack.  A shared-covariance problem is convex in one
+scalar offset, so its oracle refines by re-gridding the bracket around the
+best point, each round one stack again; only the low-rank W2 problem steps
+Nelder-Mead one candidate at a time.  In the shared-covariance KL oracle every
+mode has the prior's covariance, so KL's covariance terms are computed once per
+solve too, and each evaluation computes only the Mahalanobis terms: two
+eigendecompositions per solve.
 
-SciPy is loaded only here, and only on first use: the oracle's Nelder-Mead
-(_refine) and empirical_w1's assignment solver import scipy.optimize when they
-run.  `import maw` (training, scoring and the CLI's data path) never loads it,
-so such a process peaks at ~28 MB resident after the import instead of ~76 MB.
+SciPy is loaded only here, and only on first use: the low-rank oracle's
+Nelder-Mead (_refine) and empirical_w1's assignment solver import
+scipy.optimize when they run.  `import maw` (training, scoring and the CLI's
+data path) and a shared-covariance solve never load it, so such a process
+peaks at ~28 MB resident after the import instead of ~76 MB.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +49,7 @@ from .errors import DomainError, NumericalError, ShapeError
 KL_SINGULAR_REL_TOL = 1e-12
 MAX_EMPIRICAL_N = 512
 NM_MAX_ITER = 10_000
+X_TOL = 1e-10  # how finely an oracle refines: the zoom's last bracket, Nelder-Mead's xatol
 
 REGULARIZERS = ("wp", "w2", "kl")
 CONSTRAINTS = ("shared", "low-rank-inlier")
@@ -162,11 +168,16 @@ def _kl_mode(s1, prior):
 
 def _kl(mu1, mode, mu0, prior):
     """KL of (1 or G, k) means whose covariance terms _kl_mode computed: only
-    the Mahalanobis term is computed here."""
+    the Mahalanobis term is computed here, as one GEMM when a single prior
+    serves the whole stack."""
     log_det, trace, singular = mode
+    inv0 = prior[0]
     k = mu1.shape[1]
     dmu = mu1 - mu0
-    mahalanobis = np.sum(dmu[:, :, None] * prior[0] * dmu[:, None, :], axis=(1, 2))
+    if len(inv0) == 1:  # one prior for the stack: a GEMM
+        mahalanobis = np.sum((dmu @ inv0[0]) * dmu, axis=1)
+    else:
+        mahalanobis = np.sum(dmu[:, :, None] * inv0 * dmu[:, None, :], axis=(1, 2))
     val = 0.5 * (log_det - k + trace + mahalanobis)
     return np.where(singular, math.inf, val)
 
@@ -397,7 +408,7 @@ def _refine(objective, x0, max_iter=NM_MAX_ITER):
 
     res = minimize(
         objective, x0, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
+        options={"xatol": X_TOL, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
     )
     if not np.all(np.isfinite(res.x)):
         raise NumericalError("simplex refinement diverged")
@@ -406,20 +417,58 @@ def _refine(objective, x0, max_iter=NM_MAX_ITER):
     return res.x, float(res.fun)
 
 
-def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> TheorySolution:
-    """Numeric minimizer over the reduced parameterization: grid + Nelder-Mead.
+def _zoom(evaluate, lo: float, hi: float, grid_points: int):
+    """Minimizer and minimum of a convex function of one scalar on [lo, hi].
 
-    Shared-covariance case: a scalar mean offset along a fixed axis.
+    evaluate maps a (G,) array of points to their (G,) values.  Each round
+    evaluates grid_points points of the bracket as one call; as the function is
+    convex, its minimizer lies between the best point's two neighbours, which
+    become the next bracket.  Of points that tie for best, the middle one is
+    taken, so the result sits mid-way in the range that rounding cannot tell
+    apart.  The rounds stop when the bracket is at most X_TOL
+    wide or no longer shrinks (floating-point resolution), and the best point is
+    evaluated alone last, as a one-point call, for the minimum.  A non-finite
+    value, or a first-round minimum on an edge of [lo, hi], raises
+    NumericalError.
+    """
+    width = math.inf
+    for rounds in itertools.count():
+        grid = np.linspace(lo, hi, grid_points)
+        values = evaluate(grid)
+        if not np.all(np.isfinite(values)):
+            raise NumericalError("a bracket zoom met a non-finite objective value")
+        ties = np.flatnonzero(values == values.min())  # rounding flattens the bottom
+        i = int(ties[len(ties) // 2])
+        if rounds == 0 and i in (0, grid_points - 1):
+            raise NumericalError("the objective's minimum is on the edge of its grid")
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid_points - 1)]
+        if hi - lo <= X_TOL or hi - lo >= width:
+            break
+        width = hi - lo
+    return float(grid[i]), float(evaluate(grid[i:i + 1])[0])
+
+
+def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> TheorySolution:
+    """Numeric minimizer over the reduced parameterization: a grid, then a
+    bracket zoom (shared covariance) or Nelder-Mead (low rank).
+
+    Shared-covariance case: a scalar mean offset x along a fixed axis, with
+    mu1 = mu0 + x e1 and mu2 = mu1 - eps e1.  The objective is convex in x:
+    W_p gives eta |x| + (1 - eta) |x - eps|, KL a quadratic in x.  So the best
+    of grid_points offsets over [-2 eps, 2 eps] brackets the minimizer between
+    its neighbours, and _zoom re-grids that bracket until it is X_TOL wide.
     Low-rank case: the colinearity-coupled family (scalar u for the means,
     free inlier root diagonal, outlier root diagonal induced by the coupling),
-    which is the family the closed-form minimizer lives in.  The KL +
-    low-rank combination is rejected as ill-posed (the objective is
-    identically infinite), and only W2 supports free covariances.  grid_points
-    is an int >= 1 (an integral float counts, a bool does not), else DomainError.
+    which is the family the closed-form minimizer lives in; Nelder-Mead refines
+    its best grid point.  The KL + low-rank combination is rejected as
+    ill-posed (the objective is identically infinite), and only W2 supports
+    free covariances.  grid_points is an int >= 4 (an integral float counts, a
+    bool does not), else DomainError: a zoom round shrinks the bracket by
+    (grid_points - 1) / 2.
     """
     grid_points = linalg.as_int(grid_points, "grid_points", DomainError)
-    if grid_points < 1:
-        raise DomainError(f"grid_points must be >= 1, got {grid_points}")
+    if grid_points < 4:
+        raise DomainError(f"grid_points must be >= 4, got {grid_points}")
     k, eps = problem.k, problem.epsilon
     e1 = np.zeros(k)
     e1[0] = 1.0
@@ -437,13 +486,9 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
             mu1 = problem.mu0 + np.multiply.outer(offsets, e1)
             return mu1, mu1 - eps * e1
 
-        def evaluate(offsets):
-            return objective(np.concatenate(modes(offsets)))
-
-        grid = np.linspace(-2.0 * eps, 2.0 * eps, grid_points)
-        x0 = [grid[int(np.argmin(evaluate(grid)))]]
-        x, fun = _refine(lambda x: evaluate(x)[0], x0)
-        mu1, mu2 = modes(x[0])
+        x, fun = _zoom(lambda x: objective(np.concatenate(modes(x))),
+                       -2.0 * eps, 2.0 * eps, grid_points)
+        mu1, mu2 = modes(x)
         return TheorySolution(mu1, mu2, sigma.copy(), sigma.copy(), fun)
 
     if problem.regularizer == "kl":

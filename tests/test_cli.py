@@ -473,7 +473,7 @@ def test_score_non_checkpoint_json_exits_3(tmp_path, capsys, text):
     assert err["kind"] == "data" and "not a model checkpoint" in err["detail"]
 
 
-@pytest.mark.parametrize("dim", ["abc", 0])
+@pytest.mark.parametrize("dim", ["abc", 0, 2**31])
 def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
     cfg = small_config(tmp_path, model={"epochs": 0})
     ckpt = _trained_checkpoint(cfg)
@@ -486,15 +486,17 @@ def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
     assert err["kind"] == "data" and "feature_dim" in err["detail"]
 
 
-# each size needs an array of 1 PiB or more, which numpy refuses before it
-# allocates anything, whatever the host's overcommit policy
-@pytest.mark.parametrize("assignment", [
-    "model.dprime=100000000000000", "model.samples=1000000000000000",
-    "split.n_train=1000000000000000",
-])
-def test_train_too_large_to_allocate_exits_2(tmp_path, capsys, assignment):
+# each sizes an array of 8 PiB or more from sizes within linalg.SIZE_MAX; numpy
+# refuses it before it allocates anything, whatever the host's overcommit
+# policy, and every array made before it is under 10 MB
+@pytest.mark.parametrize("assignments", [
+    ["model.decoder_widths=[524288,2147483647]"],
+    ["data.features=2147483647", "data.rank=4194304"],
+], ids=["widths", "data"])
+def test_train_too_large_to_allocate_exits_2(tmp_path, capsys, assignments):
     cfg = small_config(tmp_path)
-    assert run(["--config", cfg, "--set", assignment, "train"]) == 2
+    sets = [arg for a in assignments for arg in ("--set", a)]
+    assert run(["--config", cfg, *sets, "train"]) == 2
     assert "PiB" in _one_config_error(capsys)
 
 
@@ -502,12 +504,41 @@ def test_score_checkpoint_too_large_to_allocate_exits_2(tmp_path, capsys):
     cfg = small_config(tmp_path, model={"epochs": 0})
     ckpt = _trained_checkpoint(cfg)
     payload = json.loads(open(ckpt).read())
-    payload["hyperparams"]["dprime"] = 10**14
+    payload["hyperparams"]["decoder_widths"] = [524288, 2147483647]  # as in the train case
     with open(ckpt, "w") as fh:
         json.dump(payload, fh)
     capsys.readouterr()
     assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 2
     assert "PiB" in _one_config_error(capsys)
+
+
+# one past linalg.SIZE_MAX for each integer key, and sizes beyond numpy's index
+# range, which used to end in numpy's ValueError traceback
+@pytest.mark.parametrize("assignment", [
+    "model.d=2147483648", "model.dprime=2147483648", "model.samples=2147483648",
+    "model.epochs=2147483648", "model.batch_size=2147483648",
+    "model.encoder_widths=[8,2147483648]", "model.decoder_widths=[8,2147483648]",
+    "model.critic_widths=[8,2147483648]", "split.n_train=2147483648",
+    "split.n_test=2147483648", "data.features=2147483648", "data.rank=2147483648",
+    "model.dprime=1000000000000000000", "model.dprime=100000000000000000000000000000",
+    "split.n_train=100000000000000000000000000",
+])
+def test_train_oversized_integer_exits_2(tmp_path, capsys, assignment):
+    cfg = small_config(tmp_path)
+    assert run(["--config", cfg, "--set", assignment, "train"]) == 2
+    assert "2147483647" in _one_config_error(capsys)  # the bound, not the value
+
+
+def test_score_checkpoint_oversized_hyperparameter_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    ckpt = _trained_checkpoint(cfg)
+    payload = json.loads(open(ckpt).read())
+    payload["hyperparams"]["dprime"] = 10**18
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 2
+    assert "dprime must be at most" in _one_config_error(capsys)
 
 
 def test_train_unhashable_variant_exits_2(tmp_path, capsys):

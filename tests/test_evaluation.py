@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maw import evaluation as E
+from maw import linalg
 from maw import model as M
 from maw.errors import DataError, DomainError, MetricError
 
@@ -57,6 +58,19 @@ def test_family_takes_numpy_scalars_as_python_numbers():
 def test_synthetic_family_rejects_bad_rank():
     with pytest.raises(DomainError):
         E.SyntheticFamily(4, 4, noise=0.1, seed=0)
+
+
+@pytest.mark.parametrize("size", [linalg.SIZE_MAX + 1, 10**26])
+def test_family_and_split_sizes_are_bounded(size):
+    # checked before anything is allocated
+    for key, make in (("dim", lambda v: E.SyntheticFamily(v, 2)),
+                      ("rank", lambda v: E.SyntheticFamily(6, v)),
+                      ("n_train", lambda v: E.SplitSpec(n_train=v, c=0.25, n_test=12)),
+                      ("n_test", lambda v: E.SplitSpec(n_train=24, c=0.25, n_test=v))):
+        with pytest.raises(DomainError, match=f"{key} must be at most 2147483647"):
+            make(size)
+    split = E.SplitSpec(n_train=linalg.SIZE_MAX, c=0.25, n_test=linalg.SIZE_MAX)
+    assert split.n_train == split.n_test == linalg.SIZE_MAX
 
 
 BAD_SAMPLE_ARGS = [  # (n_inliers, n_outliers, sample_seed), one bad value each

@@ -1,8 +1,9 @@
-"""Training, scoring and the CLI's data path load no SciPy; the theory oracle does.
+"""Training, scoring, the CLI's data path and a shared-covariance oracle solve
+load no SciPy; the low-rank oracle does.
 
 SciPy's optimize package roughly doubles a process's resident memory, and
-only the theory oracle (Nelder-Mead) and empirical_w1 (an assignment solver)
-use it, so they import it on first call.  The check runs in a fresh
+only the low-rank theory oracle (Nelder-Mead) and empirical_w1 (an assignment
+solver) use it, so they import it on first call.  The check runs in a fresh
 interpreter, since pytest's own process has loaded SciPy long before.
 """
 
@@ -38,7 +39,12 @@ assert code == 0, code
 assert not scipy_modules(), scipy_modules()[:3]
 
 problem = maw.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
-maw.brute_force_minimizer(problem, grid_points=21)
+maw.brute_force_minimizer(problem, grid_points=21)  # a grid and a bracket zoom
+assert not scipy_modules(), scipy_modules()[:3]
+
+problem = maw.TheoryProblem(k=2, epsilon=1.0, eta=0.9, regularizer="w2",
+                            constraint="low-rank-inlier", kappa=1)
+maw.brute_force_minimizer(problem, grid_points=21)  # a grid and Nelder-Mead
 assert "scipy.optimize" in sys.modules
 print("ok")
 """

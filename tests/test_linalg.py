@@ -262,6 +262,54 @@ def test_normalize_rows_plain_divide_has_the_masked_divides_bits():
             assert out.dtype == rows.dtype and out.tobytes() == masked.tobytes()
 
 
+def _scaled_row(row):
+    """scaled_rows of one row, written out: the plain formula unless the row's sum
+    of squares is not a normal float while its entries are finite and not all 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.add.reduce(row * row)
+    peak = np.max(np.abs(row))
+    if np.isfinite(peak) and peak > 0.0 and not np.finfo(row.dtype).tiny <= sq < np.inf:
+        row = row / peak
+        return row, np.sqrt(np.add.reduce(row * row)), peak
+    return row, np.sqrt(sq), 1.0
+
+
+def _scaled_rows_cases(dtype):
+    """Named batches of rows of dtype: an entry whose square underflows in a
+    normal sum, zero rows, rows of 10^(+-big), non-finite rows and plain rows."""
+    big = 200 if dtype == np.float64 else 30
+    rng = np.random.default_rng(8)
+    plain = rng.standard_normal((3, 5))
+    cases = {
+        "entry underflows": [[10.0**-big, 3.0, -4.0, 0.0, 1.0]],
+        "zero": np.zeros((2, 5)),
+        "huge": plain * 10.0**big,
+        "tiny": plain * 10.0**-big,
+        "non-finite": [[np.nan, 1.0, 2.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0, 0.0],
+                       [-np.inf, np.nan, 0.0, 0.0, 0.0]],
+        "plain": plain,
+    }
+    cases = {name: np.asarray(rows, dtype=dtype) for name, rows in cases.items()}
+    # every finite kind in one batch, and the non-finite rows beside plain ones
+    cases["finite mix"] = np.vstack([cases[n] for n in ("entry underflows", "zero", "huge",
+                                                        "tiny", "plain")])
+    cases["non-finite mix"] = np.vstack([cases["non-finite"], cases["plain"]])
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scaled_rows_bits_are_each_rows_own(dtype):
+    for name, rows in _scaled_rows_cases(dtype).items():
+        scaled, length, scale = linalg.scaled_rows(rows)
+        assert scaled.dtype == length.dtype == dtype, name
+        scale = np.broadcast_to(scale, length.shape)
+        for i, row in enumerate(rows):
+            want = _scaled_row(row)
+            got = (scaled[i], length[i, 0], scale[i, 0])
+            for w, g in zip(want, got):
+                assert np.asarray(w, dtype).tobytes() == np.asarray(g, dtype).tobytes(), name
+
+
 def test_normalize_rows_rescales_rows_that_overflow_or_underflow():
     # the plain sum of squares is inf at 1e200 and 0 at 1e-200: such rows used to be zeroed
     row = np.array([3.0, -4.0, 12.0, 0.5])

@@ -317,6 +317,16 @@ def test_hyperparams_int_fields(key):
         assert value == 4 and type(value) is int
 
 
+@pytest.mark.parametrize("key", M.INT_KEYS + M.WIDTH_KEYS)
+def test_hyperparams_bound_every_size(key):
+    top = linalg.SIZE_MAX - (key == "d")  # d is even
+    value = (8, top) if key in M.WIDTH_KEYS else top
+    assert getattr(tiny_hp(**{key: value}), key) == value
+    for bad in (linalg.SIZE_MAX + 1, 10**18, 10**29, 2.0**64):
+        with pytest.raises(ConfigError, match=key):
+            tiny_hp(**{key: (8, bad) if key in M.WIDTH_KEYS else bad})
+
+
 @pytest.mark.parametrize("key", M.FLOAT_KEYS)
 def test_hyperparams_float_fields(key):
     for bad in (True, np.bool_(False), float("nan"), float("inf"), -float("inf"),

@@ -276,9 +276,13 @@ def test_each_objective_evaluation_makes_one_distance_call(monkeypatch, problem)
 
     monkeypatch.setattr(theory, "_objective", counted)
     distance_calls = _spy(monkeypatch, theory, "_" + problem.regularizer)  # its kernel
-    theory.brute_force_minimizer(problem)
-    assert len(evaluations) > 10  # the grid and the Nelder-Mead steps
+    theory.brute_force_minimizer(problem, grid_points=801)
     assert len(distance_calls) == len(evaluations)
+    if problem.constraint == "shared":
+        # the grid, 4 zoom rounds (the bracket is then 4 eps (2/800)^5 < X_TOL), the winner alone
+        assert [len(args[0]) for args in evaluations] == [2 * 801] * 5 + [2]
+    else:
+        assert len(evaluations) > 10  # the grid and the Nelder-Mead steps
 
 
 @pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=lambda p: p["regularizer"])
@@ -304,12 +308,14 @@ def test_shared_kl_solve_factors_the_prior_once(monkeypatch):
     assert [len(args[0]) for args in calls] == [1, 1]  # the prior, then the mode covariance
 
 
-SHARED_KL_GRID = [
-    dict(k=k, epsilon=eps, eta=eta, regularizer="kl")
+SHARED_GRID = [  # verify_shared_cov_recovery's problems
+    dict(k=k, epsilon=eps, eta=eta, regularizer=regularizer)
+    for regularizer in ("wp", "kl")
     for eta in theory.SHARED_GRID_ETAS
     for eps in theory.SHARED_GRID_EPSILONS
     for k in theory.SHARED_GRID_DIMS
 ]
+SHARED_KL_GRID = [p for p in SHARED_GRID if p["regularizer"] == "kl"]
 
 
 @pytest.mark.parametrize("problem", SHARED_KL_GRID,
@@ -321,11 +327,73 @@ def test_shared_kl_oracle_objective_is_the_mixture_objective_bit_for_bit(problem
     assert sol.objective == theory.mixture_objective(problem, sol.mu1, sol.mu2, sigma, sigma)
 
 
-@pytest.mark.parametrize("grid_points", [0, -3, 2.5, True, "801", None])
+@pytest.mark.parametrize("grid_points", [0, -3, 1, 2, 3, 2.5, True, "801", None])
 def test_brute_force_minimizer_rejects_a_bad_grid_size(grid_points):
     problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
     with pytest.raises(DomainError, match="grid_points"):
         theory.brute_force_minimizer(problem, grid_points=grid_points)
+
+
+@pytest.mark.parametrize("problem", SHARED_GRID, ids=lambda p: (
+    f"{p['regularizer']}-k{p['k']}-eps{p['epsilon']}-eta{p['eta']:.3f}"))
+def test_shared_oracle_finds_the_closed_form_offset(problem):
+    # W_p: mu1 on mu0; KL: mu1 (1 - eta) eps from mu0 along the oracle's axis
+    problem = theory.TheoryProblem(**problem)
+    sol = theory.brute_force_minimizer(problem)
+    eps, eta = problem.epsilon, problem.eta
+    offset = (1.0 - eta) * eps if problem.regularizer == "kl" else 0.0
+    assert np.all(np.abs(sol.mu1 - problem.mu0 - offset * np.eye(problem.k)[0]) <= 1e-8 * eps)
+    assert sol.separation_residual(eps) <= 1e-12 * eps
+
+
+@pytest.mark.parametrize("regularizer", ["wp", "kl"])
+@pytest.mark.parametrize("epsilon", [1e12, 1e-12])
+def test_shared_oracle_zoom_ends_at_floating_point_resolution(regularizer, epsilon):
+    # no bracket around 0.25e12 is 1e-10 wide in doubles: the zoom stops when it stops shrinking
+    problem = theory.TheoryProblem(k=3, epsilon=epsilon, eta=0.75, regularizer=regularizer)
+    sol = theory.brute_force_minimizer(problem)
+    offset = 0.25 * epsilon if regularizer == "kl" else 0.0
+    assert abs(sol.mu1[0] - offset) <= 1e-8 * epsilon
+
+
+def _shared_objective(monkeypatch, values):
+    """Make the oracle's objective values(call number, offsets of mode 1)."""
+    calls = []
+
+    def make(problem, *fixed):
+        def objective(means):
+            calls.append(len(means))
+            return values(len(calls), means[:len(means) // 2, 0])
+
+        return objective
+
+    monkeypatch.setattr(theory, "_objective", make)
+    return calls
+
+
+@pytest.mark.parametrize("bad_call", [1, 2, 3])
+def test_a_non_finite_zoom_value_is_a_numerical_error(monkeypatch, bad_call):
+    calls = _shared_objective(monkeypatch, lambda n, x: (
+        np.where(x > 0.0, math.nan, x**2) if n == bad_call else (x - 0.1)**2))
+    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
+    with pytest.raises(NumericalError, match="non-finite"):
+        theory.brute_force_minimizer(problem)
+    assert len(calls) == bad_call
+
+
+def test_the_zoom_takes_the_middle_of_tied_points():
+    # flat on [-0.25, 0.25]: the middle of the ties, not the first, so the bracket
+    # closes on the flat part's centre
+    x, fun = theory._zoom(lambda x: np.maximum(np.abs(x) - 0.25, 0.0), -1.0, 1.5, 801)
+    assert abs(x) <= 2.5 / 800 and fun == 0.0
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0])
+def test_a_minimum_on_the_grid_edge_is_a_numerical_error(monkeypatch, slope):
+    _shared_objective(monkeypatch, lambda n, x: slope * x)
+    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="wp")
+    with pytest.raises(NumericalError, match="edge"):
+        theory.brute_force_minimizer(problem)
 
 
 BAD_MODE_COVARIANCES = {  # (covariance, the message of the error for w2 and for kl)
@@ -356,8 +424,9 @@ def test_w2_overflow_is_a_numerical_error():
         theory.w2_gaussian(np.zeros(2), huge, np.zeros(2), huge)
 
 
-@pytest.mark.parametrize("problem", ORACLE_PROBLEMS[1:], ids=lambda p: p["regularizer"])
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS[2:], ids=lambda p: p["regularizer"])
 def test_a_non_finite_simplex_candidate_ends_in_a_numerical_error(monkeypatch, problem):
+    # Nelder-Mead refines the low-rank problem only
     def diverged(fun, x0, **kwargs):
         x = np.full(np.shape(x0), math.nan)
         return OptimizeResult(x=x, fun=float(fun(x)), status=0, nit=1, message="")
@@ -612,6 +681,6 @@ def test_refine_rejects_a_run_that_did_not_converge(monkeypatch, status, nit):
                               message="stopped early")
 
     monkeypatch.setattr(scipy.optimize, "minimize", stopped)
-    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
+    problem = theory.TheoryProblem(**ORACLE_PROBLEMS[2])  # Nelder-Mead's one problem
     with pytest.raises(NumericalError):
         theory.brute_force_minimizer(problem)
