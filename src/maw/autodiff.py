@@ -115,7 +115,9 @@ class Tape:
         """Seed d(root)/d(root)=1 and accumulate adjoints in reverse order.
 
         Returns a map from parameter name to adjoint; parameters never
-        reached by the sweep get zeros.
+        reached by the sweep get zeros.  The adjoints are the tape's own arrays,
+        not copies, and two names may share one: callers must not write into
+        them.
         """
         if self._consumed:
             raise DomainError("tape already ran backward; build a new tape")
@@ -130,7 +132,7 @@ class Tape:
                 if parent.needs_grad:
                     parent.adjoint = g if parent.adjoint is None else parent.adjoint + g
         return {
-            name: np.zeros_like(n.value) if n.adjoint is None else n.adjoint.copy()
+            name: np.zeros_like(n.value) if n.adjoint is None else n.adjoint
             for name, n in self.params.items()
         }
 

@@ -49,9 +49,10 @@ class SyntheticFamily:
     s ~ N(0, I_r); outliers are isotropic Gaussians scaled to a comparable
     norm.  All rows are unit-normalized.  The frame is derived from the family
     seed so train and test splits share the same structure.  dim and rank are
-    ints of at most linalg.SIZE_MAX and seed a non-negative int (an integral
-    float counts, a bool does not), noise a finite number, and sample's counts
-    and sample_seed non-negative ints; anything else raises DomainError.
+    ints whose product is at most linalg.SIZE_MAX and seed a non-negative int
+    (an integral float counts, a bool does not), noise a finite number, and
+    sample's counts and sample_seed non-negative ints; anything else raises
+    DomainError.
     """
 
     def __init__(self, dim: int, rank: int, noise: float = 0.1, seed: int = 0):
@@ -60,6 +61,8 @@ class SyntheticFamily:
         noise = linalg.as_float(noise, "noise", DomainError)
         if not 1 <= rank < dim:
             raise DomainError("need 1 <= rank < dim")
+        if dim * rank > linalg.SIZE_MAX:  # the size of the frame
+            raise DomainError(f"dim x rank must be at most {linalg.SIZE_MAX}, got {dim} x {rank}")
         if noise < 0.0:
             raise DomainError("noise level must be nonnegative")
         self.dim = dim

@@ -105,9 +105,10 @@ def require_symmetric(m) -> np.ndarray:
 def scaled_rows(x: np.ndarray):
     """(x / s, the row lengths of x / s, s), per row with s of shape (..., 1).
 
-    s is 1 except for a nonzero row whose sum of squares overflows or falls
-    below the smallest normal float of x's dtype (float64 entries beyond about
-    1e+-154), where it is the row's largest |entry|; it is 1.0 when no row needs it.
+    s is 1 except for a nonzero, finite row whose sum of squares overflows or
+    falls below the smallest normal float of x's dtype (float64 entries beyond
+    about 1e+-154), where it is the row's largest |entry|; it is 1.0 when no row
+    needs it.
     A row with s = 1 gets the plain formula's bits.
     """
     try:  # the floating-point flags are a cheaper test than scanning the sums
@@ -119,7 +120,7 @@ def scaled_rows(x: np.ndarray):
             sq = np.add.reduce(x * x, axis=-1, keepdims=True)
         peak = np.max(np.abs(x), axis=-1, keepdims=True)
         normal = (sq >= np.finfo(sq.dtype).tiny) & (sq < np.inf)
-        scale = np.where(normal | (peak == 0.0), 1.0, peak)
+        scale = np.where(normal | (peak == 0.0) | ~np.isfinite(peak), 1.0, peak)
         x = x / scale
         sq = np.add.reduce(x * x, axis=-1, keepdims=True)
     return x, np.sqrt(sq), scale

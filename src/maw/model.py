@@ -91,6 +91,9 @@ class Hyperparams:
                            or not 1 <= w <= linalg.SIZE_MAX for w in widths)):
                 raise ConfigError(f"{key} must be a non-empty list of ints in "
                                   f"[1, {linalg.SIZE_MAX}], got {widths!r}")
+            if any(a * b > linalg.SIZE_MAX for a, b in zip(widths, widths[1:])):  # a weight's size
+                raise ConfigError(f"{key}: each product of adjacent widths must be at most "
+                                  f"{linalg.SIZE_MAX}, got {widths!r}")
             setattr(self, key, tuple(widths))
         for key in INT_KEYS:
             setattr(self, key, linalg.as_size(getattr(self, key), key, ConfigError))

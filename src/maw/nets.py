@@ -8,10 +8,13 @@ is one `Tape.dense` node on the batch statistics; mlp_forward steps the running
 statistics that fold_layers folds into each layer for scoring, and the critic
 keeps none.  mlp_apply runs the folded layers; model memoizes them per model.
 A network ends at its last affine layer: model cuts and normalizes its outputs.
+An Optimizer keeps each moment as one flat buffer over its parameters and steps
+them all in one vectorized pass, rebinding each parameter to a new array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +189,12 @@ MOMENTS = {"adam": ("m", "v"), "rmsprop": ("v",)}  # the slots each optimizer ki
 
 
 class Optimizer:
-    """Adam (bias-corrected) or RMSprop over a fixed set of parameter names:
-    a step count and its kind's MOMENTS, which step updates in place."""
+    """Adam (bias-corrected) or RMSprop over a fixed, non-empty set of parameter
+    names: a step count and its kind's MOMENTS.  Each moment is one flat buffer
+    of the parameters' total size, and slots[moment][name] are reshaped views of
+    it in names order, so step updates all the moments in one vectorized pass.
+    A slot entry that a caller rebinds (a loaded checkpoint, a cast) is read
+    into new buffers, in the entries' common dtype, before step reads it."""
 
     def __init__(self, kind: str, learning_rate: float, names: list[str], store: ParamStore):
         if kind not in MOMENTS:
@@ -195,47 +202,78 @@ class Optimizer:
         if learning_rate <= 0.0:
             raise ConfigError("learning rate must be positive")
         self.kind, self.learning_rate, self.names = kind, learning_rate, list(names)
+        if not self.names:
+            raise ConfigError("an optimizer needs at least one parameter")
         for name in self.names:
             if name not in store.params:
                 raise ConfigError(f"optimizer refers to unknown parameter {name}")
+        self._spans, size = [], 0  # (name, start, stop, shape) of each parameter in a buffer
+        for name in self.names:
+            shape = np.shape(store.params[name])
+            self._spans.append((name, size, size + math.prod(shape), shape))
+            size = self._spans[-1][2]
+        dtype = np.result_type(*{store.params[n].dtype for n in self.names})
         self.slots = {"step": 0}
-        for moment in MOMENTS[kind]:
-            self.slots[moment] = {n: np.zeros_like(store.params[n]) for n in self.names}
+        self._pack([np.zeros(size, dtype) for _ in MOMENTS[kind]])
+
+    def _pack(self, buffers: list):
+        """Make buffers the flat moments, in MOMENTS order, and slots their views."""
+        self._buffers = buffers
+        for moment, flat in zip(MOMENTS[self.kind], buffers):
+            self.slots[moment] = {n: flat[a:b].reshape(shape) for n, a, b, shape in self._spans}
+        self._views = [list(self.slots[moment].values()) for moment in MOMENTS[self.kind]]
+
+    def _moments(self) -> list[np.ndarray]:
+        """The flat moments, first packed anew from slots, in the entries' common
+        dtype, if an entry is not the view it was given."""
+        entries = [[self.slots[moment][n] for n in self.names] for moment in MOMENTS[self.kind]]
+        if any(a is not view for arrays, views in zip(entries, self._views)
+               for a, view in zip(arrays, views)):
+            dtype = np.result_type(*{a.dtype for arrays in entries for a in arrays})
+            self._pack([np.concatenate(arrays, axis=None, dtype=dtype) for arrays in entries])
+        return self._buffers
 
     def step(self, store: ParamStore, grads: dict[str, np.ndarray]):
-        """One update: Adam's m <- beta1 m + (1 - beta1) g, v <- beta2 v +
-        (1 - beta2) g^2, theta <- theta - lr m^ / (sqrt(v^) + eps); RMSprop's
-        v <- rho v + (1 - rho) g^2, theta <- theta - lr g / (sqrt(v) + eps).
-        Each named store.params entry is rebound to a new array."""
+        """One update of all the parameters, in the moments' dtype: Adam's m <-
+        beta1 m + (1 - beta1) g, v <- beta2 v + (1 - beta2) g^2, theta <- theta
+        - lr m^ / (sqrt(v^) + eps); RMSprop's v <- rho v + (1 - rho) g^2, theta
+        <- theta - lr g / (sqrt(v) + eps).  grads is only read.  A non-finite
+        gradient raises NumericalError, naming the first such parameter, before
+        anything changes.  Each named store.params entry is rebound to a new
+        array."""
+        moments = self._moments()
+        g = np.concatenate([grads[n] for n in self.names], axis=None, dtype=moments[0].dtype)
+        if not np.isfinite(g).all():
+            bad = next(n for n in self.names if not np.isfinite(grads[n]).all())
+            raise NumericalError(f"non-finite gradient for parameter {bad}")
         self.slots["step"] = t = int(self.slots["step"]) + 1
-        adam, lr = self.kind == "adam", self.learning_rate
-        correct1, correct2 = 1.0 - BETA1**t, 1.0 - BETA2**t
-        for name in self.names:
-            g = grads[name]
-            if not np.isfinite(g).all():
-                raise NumericalError(f"non-finite gradient for parameter {name}")
-            v = self.slots["v"][name]
-            if adam:
-                m = self.slots["m"][name]
-                m *= BETA1
-                m += (1.0 - BETA1) * g
-                gg = (1.0 - BETA2) * g
-                gg *= g
-                v *= BETA2
-                v += gg
-                step = m / correct1
-                step *= lr
-                denom = np.sqrt(v / correct2)
-            else:
-                gg = (1.0 - RHO) * g
-                gg *= g
-                v *= RHO
-                v += gg
-                step = lr * g
-                denom = np.sqrt(v)
-            denom += EPS
-            step /= denom
-            store.params[name] = store.params[name] - step
+        lr = self.learning_rate
+        # two temporaries of the buffers' size, g and work, take every result in turn
+        if self.kind == "adam":
+            m, v = moments
+            m *= BETA1
+            work = np.multiply(1.0 - BETA1, g)
+            m += work
+            gg = np.multiply(1.0 - BETA2, g, out=work)
+            gg *= g
+            v *= BETA2
+            v += gg
+            step = np.divide(m, 1.0 - BETA1**t, out=work)
+            step *= lr
+            denom = np.sqrt(np.divide(v, 1.0 - BETA2**t, out=g), out=g)
+        else:
+            (v,) = moments
+            gg = np.multiply(1.0 - RHO, g)
+            gg *= g
+            v *= RHO
+            v += gg
+            step = np.multiply(lr, g, out=g)
+            denom = np.sqrt(v, out=gg)
+        denom += EPS
+        step /= denom
+        params = store.params
+        for name, a, b, shape in self._spans:
+            params[name] = params[name] - step[a:b].reshape(shape)
 
 
 def clip_weights(store: ParamStore, names: list[str], lo: float = -1.0, hi: float = 1.0):

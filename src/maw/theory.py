@@ -189,9 +189,9 @@ def _kl(mu1, mode, mu0, prior):
 class TheoryProblem:
     """Instance of the constrained two-mode approximation problem.
 
-    k and kappa are ints (an integral float counts, a bool does not), and
-    epsilon and eta are finite ints or floats (not bools), epsilon positive;
-    anything else raises DomainError.
+    k and kappa are ints of at most linalg.SIZE_MAX (an integral float counts,
+    a bool does not), and epsilon and eta are finite ints or floats (not
+    bools), epsilon positive; anything else raises DomainError.
     """
 
     k: int
@@ -204,11 +204,11 @@ class TheoryProblem:
     sigma0: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", linalg.as_int(self.k, "ambient dimension k", DomainError))
+        object.__setattr__(self, "k", linalg.as_size(self.k, "ambient dimension k", DomainError))
         for key, what in (("epsilon", "mean separation epsilon"), ("eta", "mixture weight eta")):
             object.__setattr__(self, key, linalg.as_float(getattr(self, key), what, DomainError))
         if self.kappa is not None:
-            object.__setattr__(self, "kappa", linalg.as_int(self.kappa, "rank kappa", DomainError))
+            object.__setattr__(self, "kappa", linalg.as_size(self.kappa, "rank kappa", DomainError))
         if self.k < 1:
             raise DomainError("ambient dimension must be >= 1")
         if self.epsilon <= 0.0:
@@ -462,11 +462,11 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
     which is the family the closed-form minimizer lives in; Nelder-Mead refines
     its best grid point.  The KL + low-rank combination is rejected as
     ill-posed (the objective is identically infinite), and only W2 supports
-    free covariances.  grid_points is an int >= 4 (an integral float counts, a
-    bool does not), else DomainError: a zoom round shrinks the bracket by
-    (grid_points - 1) / 2.
+    free covariances.  grid_points is an int in [4, linalg.SIZE_MAX] (an
+    integral float counts, a bool does not), else DomainError: a zoom round
+    shrinks the bracket by (grid_points - 1) / 2.
     """
-    grid_points = linalg.as_int(grid_points, "grid_points", DomainError)
+    grid_points = linalg.as_size(grid_points, "grid_points", DomainError)
     if grid_points < 4:
         raise DomainError(f"grid_points must be >= 4, got {grid_points}")
     k, eps = problem.k, problem.epsilon

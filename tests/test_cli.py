@@ -486,17 +486,16 @@ def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
     assert err["kind"] == "data" and "feature_dim" in err["detail"]
 
 
-# each sizes an array of 8 PiB or more from sizes within linalg.SIZE_MAX; numpy
-# refuses it before it allocates anything, whatever the host's overcommit
-# policy, and every array made before it is under 10 MB
-@pytest.mark.parametrize("assignments", [
-    ["model.decoder_widths=[524288,2147483647]"],
-    ["data.features=2147483647", "data.rank=4194304"],
-], ids=["widths", "data"])
-def test_train_too_large_to_allocate_exits_2(tmp_path, capsys, assignments):
-    cfg = small_config(tmp_path)
-    sets = [arg for a in assignments for arg in ("--set", a)]
-    assert run(["--config", cfg, *sets, "train"]) == 2
+# the encoder's last weight, 131072 x 4 dprime, is 8 PiB while every bounded size
+# and product is within linalg.SIZE_MAX; numpy refuses it before it allocates
+# anything, whatever the host's overcommit policy, and every array made before
+# it is under 10 MB
+TOO_LARGE = {"encoder_widths": [131072], "dprime": 2147483647}
+
+
+def test_train_too_large_to_allocate_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, model=TOO_LARGE)
+    assert run(["--config", cfg, "train"]) == 2
     assert "PiB" in _one_config_error(capsys)
 
 
@@ -504,12 +503,41 @@ def test_score_checkpoint_too_large_to_allocate_exits_2(tmp_path, capsys):
     cfg = small_config(tmp_path, model={"epochs": 0})
     ckpt = _trained_checkpoint(cfg)
     payload = json.loads(open(ckpt).read())
-    payload["hyperparams"]["decoder_widths"] = [524288, 2147483647]  # as in the train case
+    payload["hyperparams"].update(TOO_LARGE)
     with open(ckpt, "w") as fh:
         json.dump(payload, fh)
     capsys.readouterr()
     assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 2
     assert "PiB" in _one_config_error(capsys)
+
+
+# sizes within linalg.SIZE_MAX whose product is not: a weight or the data
+# family's frame; each used to end in numpy's "array is too big" traceback or
+# a MemoryError
+@pytest.mark.parametrize("assignments, detail", [
+    (["model.decoder_widths=[524288,2147483647]"], "adjacent widths"),
+    (["model.critic_widths=[8,65536,65536]"], "adjacent widths"),
+    (["data.features=2147483647", "data.rank=2147483646"], "dim x rank"),
+    (["data.features=2147483647", "data.rank=4194304"], "dim x rank"),
+], ids=["widths", "widths-inner", "data", "data-pib"])
+def test_train_size_product_beyond_bound_exits_2(tmp_path, capsys, assignments, detail):
+    cfg = small_config(tmp_path)
+    sets = [arg for a in assignments for arg in ("--set", a)]
+    assert run(["--config", cfg, *sets, "train"]) == 2
+    error = _one_config_error(capsys)
+    assert detail in error and "2147483647" in error
+
+
+def test_score_checkpoint_widths_product_beyond_bound_exits_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    ckpt = _trained_checkpoint(cfg)
+    payload = json.loads(open(ckpt).read())
+    payload["hyperparams"]["decoder_widths"] = [524288, 2147483647]
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 2
+    assert "adjacent widths" in _one_config_error(capsys)
 
 
 # one past linalg.SIZE_MAX for each integer key, and sizes beyond numpy's index

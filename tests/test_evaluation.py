@@ -73,6 +73,16 @@ def test_family_and_split_sizes_are_bounded(size):
     assert split.n_train == split.n_test == linalg.SIZE_MAX
 
 
+
+def test_synthetic_family_bounds_dim_times_rank():
+    # each is within linalg.SIZE_MAX, the frame they size is not
+    for dim, rank in ((linalg.SIZE_MAX, linalg.SIZE_MAX - 1), (linalg.SIZE_MAX, 4194304),
+                      (65536, 32768)):
+        with pytest.raises(DomainError, match="dim x rank must be at most 2147483647"):
+            E.SyntheticFamily(dim, rank)
+    assert E.SyntheticFamily(8, 2).frame.shape == (8, 2)
+
+
 BAD_SAMPLE_ARGS = [  # (n_inliers, n_outliers, sample_seed), one bad value each
     (-1, 2, 0), (4, -2, 0), (2.5, 2, 0), (4, "2", 0), (True, 2, 0), (4, 2, -3), (4, 2, 1.5),
     (4, 2, True),

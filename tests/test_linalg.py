@@ -294,6 +294,9 @@ def _scaled_rows_cases(dtype):
     cases["finite mix"] = np.vstack([cases[n] for n in ("entry underflows", "zero", "huge",
                                                         "tiny", "plain")])
     cases["non-finite mix"] = np.vstack([cases["non-finite"], cases["plain"]])
+    # a row that takes the rescue makes the batch take it: a non-finite row keeps its own bits
+    for rescued in ("entry underflows", "huge", "tiny"):
+        cases[f"non-finite beside {rescued}"] = np.vstack([cases["non-finite"], cases[rescued]])
     return cases
 
 

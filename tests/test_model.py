@@ -320,11 +320,22 @@ def test_hyperparams_int_fields(key):
 @pytest.mark.parametrize("key", M.INT_KEYS + M.WIDTH_KEYS)
 def test_hyperparams_bound_every_size(key):
     top = linalg.SIZE_MAX - (key == "d")  # d is even
-    value = (8, top) if key in M.WIDTH_KEYS else top
+    value = (1, top) if key in M.WIDTH_KEYS else top  # a product of adjacent widths is bounded too
     assert getattr(tiny_hp(**{key: value}), key) == value
     for bad in (linalg.SIZE_MAX + 1, 10**18, 10**29, 2.0**64):
         with pytest.raises(ConfigError, match=key):
             tiny_hp(**{key: (8, bad) if key in M.WIDTH_KEYS else bad})
+
+
+
+@pytest.mark.parametrize("key", M.WIDTH_KEYS)
+def test_hyperparams_bound_each_product_of_adjacent_widths(key):
+    # one weight of the network is that product's size
+    for good in ((46340, 46340), (1, linalg.SIZE_MAX, 1), (8, 268435455)):
+        assert getattr(tiny_hp(**{key: good}), key) == good
+    for bad in ((65536, 32768), (8, linalg.SIZE_MAX), (8, 65536, 65536, 8)):
+        with pytest.raises(ConfigError, match=f"{key}: each product of adjacent widths"):
+            tiny_hp(**{key: bad})
 
 
 @pytest.mark.parametrize("key", M.FLOAT_KEYS)

@@ -291,6 +291,148 @@ def test_in_place_optimizer_matches_out_of_place_formulas(kind):
     assert slots["step"] == 3
 
 
+def _per_parameter_step(opt, store, grads):
+    """Optimizer.step as one loop over the parameters, each moment entry
+    updated in place with the flat step's operand order: the reference the
+    flat step must match bit for bit."""
+    for name in opt.names:
+        if not np.isfinite(grads[name]).all():
+            raise NumericalError(f"non-finite gradient for parameter {name}")
+    opt.slots["step"] = t = int(opt.slots["step"]) + 1
+    for name in opt.names:
+        g, v = grads[name], opt.slots["v"][name]
+        if opt.kind == "adam":
+            m = opt.slots["m"][name]
+            m *= nets.BETA1
+            m += (1.0 - nets.BETA1) * g
+            gg = (1.0 - nets.BETA2) * g
+            gg *= g
+            v *= nets.BETA2
+            v += gg
+            step = m / (1.0 - nets.BETA1**t)
+            step *= opt.learning_rate
+            denom = np.sqrt(v / (1.0 - nets.BETA2**t))
+        else:
+            gg = (1.0 - nets.RHO) * g
+            gg *= g
+            v *= nets.RHO
+            v += gg
+            step = opt.learning_rate * g
+            denom = np.sqrt(v)
+        denom += nets.EPS
+        step /= denom
+        store.params[name] = store.params[name] - step
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_flat_step_trains_the_per_parameter_loops_bits(monkeypatch, variant):
+    hp = M.Hyperparams(d=2, dprime=4, samples=2, epochs=2, batch_size=8, encoder_widths=(8, 8),
+                       decoder_widths=(8, 8), critic_widths=(8, 8), variant=variant)
+    x = np.random.default_rng(4).standard_normal((20, 5))
+    runs = []
+    for step in (nets.Optimizer.step, _per_parameter_step):
+        monkeypatch.setattr(nets.Optimizer, "step", step)
+        model, trace = M.train(x, hp, seed=2)
+        assert next(iter(model.store.params.values())).dtype == M.TRAIN_DTYPE
+        runs.append((json.dumps(model.to_payload()), json.dumps(trace)))
+    assert runs[0] == runs[1]
+
+
+def _three_parameter_optimizer(kind, dtype=np.float32):
+    store = nets.ParamStore()
+    rng = np.random.default_rng(6)
+    for name, shape in (("a", (3, 2)), ("b", (2,)), ("c", (1,))):
+        store.add(name, rng.standard_normal(shape))
+    store.params = {k: v.astype(dtype) for k, v in store.params.items()}
+    opt = nets.Optimizer(kind, 1e-2, list(store.params), store)
+    grads = {k: rng.standard_normal(np.shape(v)).astype(dtype) for k, v in store.params.items()}
+    return store, opt, grads
+
+
+@pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_rebound_moment_entry_is_what_the_next_step_reads(kind, dtype):
+    store, opt, grads = _three_parameter_optimizer(kind)
+    opt.step(store, grads)
+    ref_store, ref, _ = _three_parameter_optimizer(kind)
+    ref_store.params = dict(store.params)
+    ref.slots = {k: v if k == "step" else {n: a.copy() for n, a in v.items()}
+                 for k, v in opt.slots.items()}
+    for slots in (opt.slots, ref.slots):  # as from_payload and as_float64 rebind them
+        for moment in nets.MOMENTS[kind]:
+            slots[moment] = {n: a.astype(dtype) for n, a in slots[moment].items()}
+        slots["v"]["a"] = np.full((3, 2), 0.25, dtype)
+    opt.step(store, grads)
+    _per_parameter_step(ref, ref_store, {k: g.astype(dtype) for k, g in grads.items()})
+    assert opt.slots["v"]["a"].dtype == dtype and opt.slots["v"]["a"][0, 0] != 0.25
+    for name in opt.names:
+        assert np.array_equal(store.params[name], ref_store.params[name]), name
+        for moment in nets.MOMENTS[kind]:
+            assert np.array_equal(opt.slots[moment][name], ref.slots[moment][name]), name
+    opt.slots["v"]["a"][...] = 0.0  # the entry is packed again: a write reaches the next step
+    opt.step(store, grads)
+    g = grads["a"].astype(dtype)
+    decay = nets.BETA2 if kind == "adam" else nets.RHO
+    assert np.array_equal(opt.slots["v"]["a"], (1.0 - decay) * g * g)
+
+
+@pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+def test_a_non_finite_gradient_changes_nothing(kind):
+    store, opt, grads = _three_parameter_optimizer(kind)
+    opt.step(store, grads)
+    before = ({k: v.copy() for k, v in store.params.items()},
+              {m: {n: a.copy() for n, a in opt.slots[m].items()} for m in nets.MOMENTS[kind]})
+    bad = dict(grads, b=np.array([1.0, np.inf], np.float32), c=np.array([np.nan], np.float32))
+    with pytest.raises(NumericalError, match="parameter b$"):
+        opt.step(store, bad)
+    assert opt.slots["step"] == 1
+    for name in opt.names:
+        assert np.array_equal(store.params[name], before[0][name])
+        for moment in nets.MOMENTS[kind]:
+            assert np.array_equal(opt.slots[moment][name], before[1][moment][name])
+
+
+def test_step_leaves_the_tapes_adjoints_unchanged():
+    store = nets.ParamStore()
+    store.add("p", np.array([1.0, -2.0]))
+    store.add("q", np.array([0.5, 3.0]))
+    tape = Tape()
+    p, q = tape.param(store.params["p"], "p"), tape.param(store.params["q"], "q")
+    s = tape.add(p, q)
+    grads = tape.backward(tape.mean_all(tape.hadamard(s, s)))
+    assert grads["p"] is grads["q"]  # backward hands out the tape's arrays, uncopied
+    before = grads["p"].copy()
+    nets.Optimizer("adam", 1e-2, ["p", "q"], store).step(store, grads)
+    assert np.array_equal(grads["p"], before) and grads["p"] is grads["q"]
+
+
+@pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+def test_one_step_makes_as_many_sqrt_and_isfinite_calls_for_3_or_30_parameters(monkeypatch,
+                                                                                 kind):
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    seen = []
+    for size in (3, 30):
+        store = nets.ParamStore()
+        for k in range(size):
+            store.add(f"p{k}", np.ones((2, k % 4 + 1)))
+        opt = nets.Optimizer(kind, 1e-3, store.names("p"), store)
+        grads = {k: np.ones_like(v) for k, v in store.params.items()}
+        counts.clear()
+        with monkeypatch.context() as patch:
+            for name in ("sqrt", "isfinite"):
+                patch.setattr(np, name, counting(name, getattr(np, name)))
+            opt.step(store, grads)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"sqrt": 1, "isfinite": 1}
+
+
 def test_optimizer_slots_survive_a_checkpoint_round_trip():
     hp = M.Hyperparams(d=2, dprime=4, samples=2, batch_size=8, encoder_widths=(8,),
                        decoder_widths=(8,), critic_widths=(8,))

@@ -653,6 +653,28 @@ def test_theory_problem_takes_integral_floats_as_ints():
     assert problem.mu0.shape == (3,)
 
 
+
+# numpy's "Maximum allowed dimension exceeded" used to escape at these sizes
+@pytest.mark.parametrize("size", [linalg.SIZE_MAX + 1, 10**19])
+def test_theory_problem_bounds_k(size):
+    with pytest.raises(DomainError, match="ambient dimension k must be at most 2147483647"):
+        theory.TheoryProblem(k=size, epsilon=1.0, eta=0.75)
+
+
+@pytest.mark.parametrize("size", [linalg.SIZE_MAX + 1, 10**19])
+def test_theory_problem_bounds_kappa(size):
+    with pytest.raises(DomainError, match="rank kappa must be at most 2147483647"):
+        theory.TheoryProblem(k=3, epsilon=1.0, eta=0.9, regularizer="w2",
+                             constraint="low-rank-inlier", kappa=size)
+
+
+@pytest.mark.parametrize("size", [linalg.SIZE_MAX + 1, 10**19])
+def test_brute_force_minimizer_bounds_grid_points(size):
+    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
+    with pytest.raises(DomainError, match="grid_points must be at most 2147483647"):
+        theory.brute_force_minimizer(problem, grid_points=size)
+
+
 SEEDED = {
     "verification_report": theory.verification_report,
     "verify_low_rank_w2": theory.verify_low_rank_w2,
