@@ -292,9 +292,8 @@ def test_in_place_optimizer_matches_out_of_place_formulas(kind):
 
 
 def _per_parameter_step(opt, store, grads):
-    """Optimizer.step as one loop over the parameters, each moment entry
-    updated in place with the flat step's operand order: the reference the
-    flat step must match bit for bit."""
+    """Optimizer.step written as one loop over the parameters, each moment
+    entry updated in place: the reference the flat step must match bit for bit."""
     for name in opt.names:
         if not np.isfinite(grads[name]).all():
             raise NumericalError(f"non-finite gradient for parameter {name}")
@@ -338,14 +337,15 @@ def test_flat_step_trains_the_per_parameter_loops_bits(monkeypatch, variant):
     assert runs[0] == runs[1]
 
 
-def _three_parameter_optimizer(kind, dtype=np.float32):
+def _three_parameter_optimizer(kind):
+    """A float32 optimizer over three parameters, and one set of their gradients."""
     store = nets.ParamStore()
     rng = np.random.default_rng(6)
     for name, shape in (("a", (3, 2)), ("b", (2,)), ("c", (1,))):
         store.add(name, rng.standard_normal(shape))
-    store.params = {k: v.astype(dtype) for k, v in store.params.items()}
+    store.params = {k: v.astype(np.float32) for k, v in store.params.items()}
     opt = nets.Optimizer(kind, 1e-2, list(store.params), store)
-    grads = {k: rng.standard_normal(np.shape(v)).astype(dtype) for k, v in store.params.items()}
+    grads = {k: rng.standard_normal(v.shape).astype(np.float32) for k, v in store.params.items()}
     return store, opt, grads
 
 
