@@ -9,6 +9,12 @@ pass; build a new tape for the next one.  Sampling noise enters as constant
 leaves so the reparameterized gradients flow only into distribution
 parameters.
 
+A whole network run is one node (Tape.mlp): its forward walks the layers on
+plain arrays, and its vjp walks them back, giving the input's adjoint and one
+adjoint per parameter name.  Network parameters are bound by name, not as
+leaves; backward adds up a name's adjoints over the runs that bind it (the
+critic runs twice on one tape), and a frozen run binds none.
+
 Ops on blocks take a whole minibatch as one node: a batch of L dxd matrices
 is stored row-stacked as an (L*d) x d matrix.  A node keeps its operands'
 dtype (training's tapes are float32, the gradient checks' float64), but the
@@ -52,11 +58,12 @@ def _scatter_rows(idx, rows, nrows: int) -> np.ndarray:
 
 class Node:
     """A value, its parents and vjp(g), which returns one adjoint per parent
-    (it may give None for a parent that needs no gradient).  A node needs a
-    gradient when a parent does; vjp is None for leaves and for nodes no
-    parameter feeds."""
+    (it may give None for a parent that needs no gradient), then one per name in
+    names.  A node needs a gradient when a parent does; vjp is None for leaves
+    and for nodes no parameter feeds."""
 
     __slots__ = ("value", "adjoint", "parents", "vjp", "needs_grad", "tag")
+    names = ()  # the parameters a node binds by name (Tape.mlp's)
 
     def __init__(self, value, parents=(), vjp=None, tag=""):
         self.value = value
@@ -67,11 +74,13 @@ class Node:
         self.tag = tag
 
 
-class DenseNode(Node):
-    """A dense layer's node: its activation name, its pre-activation and, with
-    batch norm, its batch statistics (mean, var); else batch_stats is None."""
+class MlpNode(Node):
+    """A network run's node: per layer its activation name, its pre-activation
+    and, with batch norm, its batch statistics (mean, var), else None; and its
+    parameters' names in layer order (W, then b or gamma and beta).  A frozen
+    run's vjp gives no adjoint for them."""
 
-    __slots__ = ("act", "pre", "batch_stats")
+    __slots__ = ("acts", "pres", "batch_stats", "names")
 
 
 class SpectralNode(Node):
@@ -85,13 +94,14 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.params: dict[str, Node] = {}
+        self.params: dict[str, Node] = {}  # parameter leaves
+        self.weights: dict[str, np.ndarray] = {}  # the parameters runs of mlp bind by name
         self._consumed = False
 
     # -- leaves ------------------------------------------------------------
 
     def param(self, value, name: str) -> Node:
-        if name in self.params:
+        if name in self.params or name in self.weights:
             raise DomainError(f"duplicate parameter name on tape: {name}")
         node = self._record(value, (), None, "param")
         node.needs_grad = True
@@ -114,10 +124,11 @@ class Tape:
     def backward(self, root: Node) -> dict[str, np.ndarray]:
         """Seed d(root)/d(root)=1 and accumulate adjoints in reverse order.
 
-        Returns a map from parameter name to adjoint; parameters never
-        reached by the sweep get zeros.  The adjoints are the tape's own arrays,
-        not copies, and two names may share one: callers must not write into
-        them.
+        Returns a map from parameter name to adjoint, for the parameter leaves
+        and the parameters bound by name; parameters never reached by the sweep
+        get zeros.  A name's adjoints add up in the sweep's order: a later node's
+        first.  The adjoints are the tape's own arrays, not copies, and two names
+        may share one: callers must not write into them.
         """
         if self._consumed:
             raise DomainError("tape already ran backward; build a new tape")
@@ -125,16 +136,22 @@ class Tape:
             raise DomainError("backward root must be a scalar node")
         self._consumed = True
         root.adjoint = np.ones_like(root.value)
+        named = {}
         for node in reversed(self.nodes):
             if node.adjoint is None or node.vjp is None:
                 continue
-            for parent, g in zip(node.parents, node.vjp(node.adjoint)):
+            adjoints = node.vjp(node.adjoint)
+            for parent, g in zip(node.parents, adjoints):
                 if parent.needs_grad:
                     parent.adjoint = g if parent.adjoint is None else parent.adjoint + g
-        return {
-            name: np.zeros_like(n.value) if n.adjoint is None else n.adjoint
-            for name, n in self.params.items()
-        }
+            if node.names:
+                for name, g in zip(node.names, adjoints[len(node.parents):]):
+                    named[name] = named[name] + g if name in named else g
+        grads = {name: np.zeros_like(n.value) if n.adjoint is None else n.adjoint
+                 for name, n in self.params.items()}
+        for name, value in self.weights.items():
+            grads[name] = named[name] if name in named else np.zeros_like(value)
+        return grads
 
     # -- elementwise / arithmetic -------------------------------------------
 
@@ -184,73 +201,100 @@ class Tape:
 
     # -- linear maps ---------------------------------------------------------
 
-    def dense(self, x, w, b=None, act: str = "linear", norm=None) -> DenseNode:
-        """act(X @ W + b), or act(batch_norm(X @ W)) when norm = (gamma, beta) is
-        given (beta is then the shift, and b is None), for a batch matrix X (L, n),
-        as one node.
+    def mlp(self, x, layers, frozen: bool = False) -> MlpNode:
+        """A network run on a batch matrix X (L, n) as one node: layer by layer,
+        act(H @ W + b) for a layer (act, (name, W), (name, b)), or
+        act(batch_norm(H @ W)) for (act, (name, W), (name, gamma), (name, beta)),
+        where beta is the shift.
 
-        Batch norm needs L >= 2 and uses the batch statistics (biased variance),
-        which the node keeps as batch_stats = (mean, var); the layer writes to
-        none of its operands.  act is one of ACTIVATIONS; leaky_relu has slope
-        LEAKY_SLOPE below zero.
+        Batch norm needs L >= 2 and uses the batch statistics (biased variance);
+        the node keeps each layer's activation, pre-activation and batch
+        statistics (mean, var), or None without batch norm.  act is one of
+        ACTIVATIONS; leaky_relu has slope LEAKY_SLOPE below zero.  The run writes
+        to none of its operands, and its backward to none of the adjoints it is
+        given.  The parameters are bound by name, not as leaves: backward adds up
+        each name's adjoints over the runs on the tape.  A frozen run gives its
+        input alone an adjoint.
         """
-        if (b is None) == (norm is None):
-            raise DomainError("dense takes a bias exactly when it has no batch norm")
-        x, w = self._as_node(x), self._as_node(w)
-        shift = [self._as_node(p) for p in ((b,) if norm is None else norm)]
-        xv, wv = x.value, w.value
-        shapes = [p.value.shape for p in shift]
-        if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
-                or shapes != [wv.shape[1:]] * (1 if norm is None else 2)):
-            raise ShapeError(f"dense shapes x{xv.shape} W{wv.shape}, bias or batch norm {shapes} "
-                             "incompatible")
-        if act not in ACTIVATIONS:
-            raise DomainError(f"dense activation must be among {ACTIVATIONS}, got {act!r}")
-        pre = xv @ wv
-        if norm is None:
-            pre += shift[0].value
-        else:
-            gamma, beta = shift
-            nrows, xhat = pre.shape[0], pre
-            if nrows < 2:
-                raise DomainError("batch norm needs a batch of >= 2")
-            # np.mean and np.var's own arithmetic, sharing the centred batch
-            mean = pre.sum(axis=0) / nrows
-            xhat -= mean
-            sq = xhat * xhat
-            var = sq.sum(axis=0) / nrows
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat *= inv
-            pre = np.multiply(xhat, gamma.value, out=sq)
-            pre += beta.value
-        # branch-free float slopes: np.where on a random sign pattern is ~10x
-        # slower here, and a product with a bool mask ~2x slower than with floats
-        out, slope = pre, None
-        if act == "relu":
-            out, slope = np.maximum(pre, 0.0), (pre > 0.0).astype(pre.dtype)
-        elif act == "leaky_relu":
-            slope = (pre > 0.0).astype(pre.dtype)
-            np.maximum(slope, LEAKY_SLOPE, out=slope)
-            out = pre * slope
-
-        def vjp(g):  # adjoints of (x, W, b) or (x, W, gamma, beta)
-            if slope is not None:
-                g = g * slope
-            if norm is None:
-                shift_grads = (g.sum(axis=0) if shift[0].needs_grad else None,)
+        x = self._as_node(x)
+        h = x.value
+        if h.ndim != 2:
+            raise ShapeError(f"mlp input must be a batch matrix, got shape {h.shape}")
+        acts, pres, batch_stats, bound, caches = [], [], [], [], []
+        for act, (w_name, w), *shift in layers:
+            if act not in ACTIVATIONS:
+                raise DomainError(f"mlp activation must be among {ACTIVATIONS}, got {act!r}")
+            if (w.ndim != 2 or w.shape[0] != h.shape[1] or len(shift) not in (1, 2)
+                    or any(p.shape != w.shape[1:] for _, p in shift)):
+                raise ShapeError(f"mlp layer {w_name}: input {h.shape}, W{w.shape}, bias or "
+                                 f"batch norm {[p.shape for _, p in shift]} incompatible")
+            bound += [(w_name, w), *shift]
+            pre, norm, stats = h @ w, None, None
+            if len(shift) == 1:
+                pre += shift[0][1]
             else:
-                dgamma = np.einsum("ij,ij->j", g, xhat)
-                dbeta = g.sum(axis=0)
-                shift_grads = (dgamma, dbeta)
-                # the batch statistics' closed form, through dgamma and dbeta
-                g = g - dbeta / nrows
-                g -= xhat * (dgamma / nrows)
-                g *= gamma.value * inv
-            return (g @ wv.T if x.needs_grad else None, xv.T @ g if w.needs_grad else None,
-                    *shift_grads)
+                (_, gamma), (_, beta) = shift
+                nrows, xhat = pre.shape[0], pre
+                if nrows < 2:
+                    raise DomainError("batch norm needs a batch of >= 2")
+                # np.mean and np.var's own arithmetic, sharing the centred batch
+                mean = pre.sum(axis=0) / nrows
+                xhat -= mean
+                sq = xhat * xhat
+                var = sq.sum(axis=0) / nrows
+                inv = 1.0 / np.sqrt(var + BN_EPS)
+                xhat *= inv
+                pre = np.multiply(xhat, gamma, out=sq)
+                pre += beta
+                norm, stats = (xhat, inv, gamma, nrows), (mean, var)
+            # branch-free float slopes: np.where on a random sign pattern is ~10x
+            # slower here, and a product with a bool mask ~2x slower than with floats
+            out, slope = pre, None
+            if act == "relu":
+                out, slope = np.maximum(pre, 0.0), (pre > 0.0).astype(pre.dtype)
+            elif act == "leaky_relu":
+                slope = (pre > 0.0).astype(pre.dtype)
+                np.maximum(slope, LEAKY_SLOPE, out=slope)
+                out = pre * slope
+            acts.append(act)
+            pres.append(pre)
+            batch_stats.append(stats)
+            caches.append((h, w, slope, norm))
+            h = out
 
-        node = self._record(out, (x, w, *shift), vjp, "dense", DenseNode)
-        node.act, node.pre, node.batch_stats = act, pre, None if norm is None else (mean, var)
+        def vjp(g):  # the input's adjoint, then the parameters' in names order
+            grads, own = [()] * len(caches), False  # own: g is the walk's, free to overwrite
+            for k in reversed(range(len(caches))):
+                h, w, slope, norm = caches[k]
+                if slope is not None:
+                    g, own = np.multiply(g, slope, out=g if own else None), True
+                if norm is None:
+                    shift = () if frozen else (g.sum(axis=0),)
+                else:
+                    xhat, inv, gamma, nrows = norm
+                    dgamma = np.einsum("ij,ij->j", g, xhat)
+                    dbeta = g.sum(axis=0)
+                    shift = (dgamma, dbeta)
+                    # the batch statistics' closed form, through dgamma and dbeta
+                    g, own = np.subtract(g, dbeta / nrows, out=g if own else None), True
+                    g -= xhat * (dgamma / nrows)
+                    g *= gamma * inv
+                if not frozen:
+                    grads[k] = (h.T @ g, *shift)
+                if k or x.needs_grad:
+                    g, own = g @ w.T, True
+            return (g if x.needs_grad else None, *(p for layer in grads for p in layer))
+
+        names = [name for name, _ in bound]
+        if not frozen:
+            if not self.params.keys().isdisjoint(names):
+                raise DomainError("an mlp parameter name is also a parameter leaf on the tape")
+            for name, value in bound:
+                self.weights.setdefault(name, value)
+        node = self._record(h, (x,), None, "mlp", MlpNode)
+        node.needs_grad = not frozen or x.needs_grad
+        node.vjp = vjp if node.needs_grad else None
+        node.acts, node.pres, node.batch_stats, node.names = acts, pres, batch_stats, names
         return node
 
     def matmul(self, a, b) -> Node:

@@ -178,9 +178,9 @@ class MawModel:
         Unknown hyperparameters raise ConfigError.  A payload of another
         format or version (an int) is a DataError.  feature_dim must be a
         positive integer, and every parameter, state and optimizer slot array
-        must match init_model's names and shapes and be finite, and optimizer
-        steps and second moments >= 0, else DataError: a missing entry would
-        silently keep its init value.
+        must match init_model's names and shapes and be finite in TRAIN_DTYPE,
+        the dtype it loads in, and optimizer steps and second moments >= 0,
+        else DataError: a missing entry would silently keep its init value.
         """
         if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
             raise DataError("not a model checkpoint payload")
@@ -230,7 +230,9 @@ def _check_names(names, source, section: str):
 
 
 def _load_arrays(target: dict, source, section: str):
-    """Replace each array of target by source's entry of the same name and shape."""
+    """Replace each array of target by source's entry of the same name and
+    shape, cast to TRAIN_DTYPE (a float32 value's float64 text reads back
+    exactly); an entry that is not finite after the cast is a DataError."""
     _check_names(target, source, section)
     for name, ref in target.items():
         try:
@@ -241,8 +243,11 @@ def _load_arrays(target: dict, source, section: str):
             raise DataError(
                 f"checkpoint {section} entry {name} has shape {value.shape}, expected {ref.shape}"
             )
+        with np.errstate(over="ignore"):  # beyond TRAIN_DTYPE's range: inf, rejected below
+            value = value.astype(TRAIN_DTYPE)
         if not np.all(np.isfinite(value)):
-            raise DataError(f"checkpoint {section} entry {name} is not finite")
+            raise DataError(f"checkpoint {section} entry {name} is not finite "
+                            f"in {np.dtype(TRAIN_DTYPE).name}")
         target[name] = value
 
 
@@ -322,6 +327,14 @@ def _forward_generated(tape: Tape, model: MawModel, xb: np.ndarray,
     enc = [tape.col_block(h, i * q, (i + 1) * q) for i in range(4)]
     (mu1, mu2), (m1, m2) = _modes(tape, model, enc)
     return tape.mixture_sample(mu1, mu2, m1, m2, labels, eps1, eps2)
+
+
+def _vae_head(ops, model: MawModel, feats):
+    """The plain VAE's head: one linear layer from the encoder's features to
+    its (mu, logvar) columns, run by ops.mlp (a Tape node in training, an
+    array in scoring)."""
+    params = model.store.params
+    return ops.mlp(feats, [("linear", ("head.W", params["head.W"]), ("head.b", params["head.b"]))])
 
 
 def _decode(tape: Tape, model: MawModel, z):
@@ -406,11 +419,7 @@ def _vae_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
 
     tape = Tape()
     feats = nets.mlp_forward(tape, model.store, "enc", model.specs["enc"], tape.const(xb))
-    head = tape.dense(
-        feats,
-        tape.param(model.store.params["head.W"], "head.W"),
-        tape.param(model.store.params["head.b"], "head.b"),
-    )
+    head = _vae_head(tape, model, feats)
     mu = tape.col_block(head, 0, hp.d)
     logvar = tape.col_block(head, hp.d, 2 * hp.d)
     sigma = tape.exp(tape.scale(logvar, 0.5))
@@ -503,7 +512,9 @@ def _scoring_plan(model: MawModel) -> SimpleNamespace:
     mean, diag = slice((j - 1) * q, j * q), slice((j + 1) * q, (j + 2) * q)
     ops = SimpleNamespace(matmul=np.matmul, hadamard=np.multiply,
                           rows_to_diag_blocks=linalg.diag_blocks,
-                          spectral_truncate=lambda blocks, d: linalg.spectral_truncate(blocks)[0])
+                          spectral_truncate=lambda blocks, d: linalg.spectral_truncate(blocks)[0],
+                          mlp=lambda x, layers: nets.mlp_apply(  # layers without batch norm
+                              [(w, b, act) for act, (_, w), (_, b) in layers], x))
     if "A" in store.params:
         keys.append(("params", "A"))
         cols = np.r_[mean, diag]
@@ -525,7 +536,7 @@ def _inlier_mode_factors(model: MawModel, plan: SimpleNamespace, y_rows: np.ndar
     scoring: _modes on the plan.  The plain VAE's factor is diag(sigma)."""
     hp, enc = model.hp, nets.mlp_apply(plan.enc, y_rows)
     if hp.ingredients is None:
-        head = enc @ model.store.params["head.W"] + model.store.params["head.b"]
+        head = _vae_head(plan.ops, model, enc)
         return head[:, :hp.d], linalg.diag_blocks(np.exp(0.5 * head[:, hp.d:]))
     # _modes reads mode j's mean as enc[j - 1] and its diagonal as enc[j + 1]
     mean, diag = enc[:, plan.mean], enc[:, plan.diag]

@@ -3,10 +3,11 @@
 Every hidden layer is affine without bias -> batch norm (beta shifts) ->
 activation; output layers are affine with a bias (batch norm on an output layer
 would re-center the produced distribution parameters, so the flag covers hidden
-layers).  The critic keeps batch norm too, deliberately.  On the tape each layer
-is one `Tape.dense` node on the batch statistics; mlp_forward steps the running
-statistics that fold_layers folds into each layer for scoring, and the critic
-keeps none.  mlp_apply runs the folded layers; model memoizes them per model.
+layers).  The critic keeps batch norm too, deliberately.  On the tape a network
+run is one `Tape.mlp` node on the batch statistics, its parameters bound by
+name; mlp_forward steps the running statistics that fold_layers folds into each
+layer for scoring, and the critic keeps none.  mlp_apply runs the folded layers;
+model memoizes them per model.
 A network ends at its last affine layer: model cuts and normalizes its outputs.
 An Optimizer keeps each moment as one flat buffer over its parameters and steps
 them all in one vectorized pass, rebinding each parameter to a new array.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, BN_EPS, LEAKY_SLOPE, Tape, Node
+from .autodiff import ACTIVATIONS, BN_EPS, LEAKY_SLOPE, MlpNode, Tape
 from .errors import ConfigError, DomainError, NumericalError
 
 BN_MOMENTUM = 0.9  # a running statistic r steps to BN_MOMENTUM r + (1 - BN_MOMENTUM) batch
@@ -107,37 +108,27 @@ def build_mlp_params(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.rand
         fan_in = width
 
 
-def _bind(tape: Tape, store: ParamStore, name: str, frozen: bool) -> Node:
-    if frozen:
-        return tape.const(store.params[name])
-    if name in tape.params:
-        return tape.params[name]
-    return tape.param(store.params[name], name)
-
-
 def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x,
-                _frozen: bool = False, _stat_steps: int = 1):
-    """Run the MLP on the tape, one dense node per layer; returns the last
-    layer's node.  _frozen binds the weights as constants (no gradients).
-    Each stored running statistic is replaced by a new array, _stat_steps
-    momentum steps toward its batch statistic: the bits of as many forwards."""
-    h = tape._as_node(x)
+                _frozen: bool = False, _stat_steps: int = 1) -> MlpNode:
+    """Run the MLP on the tape as one Tape.mlp node, its parameters bound by
+    their store names; returns the node.  _frozen gives them no adjoints.  Each
+    stored running statistic is replaced by a new array, _stat_steps momentum
+    steps toward its batch statistic: the bits of as many forwards."""
+    params, state, layers = store.params, store.state, []
     for k, act in enumerate(spec.activations):
-        layer = f"{prefix}.l{k}"
-        w = _bind(tape, store, f"{layer}.W", _frozen)
-        if _normed(spec, k):
-            norm = (_bind(tape, store, f"{layer}.gamma", _frozen),
-                    _bind(tape, store, f"{layer}.beta", _frozen))
-            h = tape.dense(h, w, None, act, norm)
-            names = (f"{layer}.running_mean", f"{layer}.running_var")
-            for name, batch in zip(names, h.batch_stats if names[0] in store.state else ()):
-                running = store.state[name]
+        names = [f"{prefix}.l{k}.{n}" for n in (("W", "gamma", "beta") if _normed(spec, k)
+                                                  else ("W", "b"))]
+        layers.append((act, *((name, params[name]) for name in names)))
+    node = tape.mlp(x, layers, _frozen)
+    for k, stats in enumerate(node.batch_stats):
+        names = (f"{prefix}.l{k}.running_mean", f"{prefix}.l{k}.running_var")
+        if stats is not None and names[0] in state:
+            for name, batch in zip(names, stats):
+                running = state[name]
                 for _ in range(_stat_steps):
                     running = running * BN_MOMENTUM + (1.0 - BN_MOMENTUM) * batch
-                store.state[name] = running
-        else:
-            h = tape.dense(h, w, _bind(tape, store, f"{layer}.b", _frozen), act)
-    return h
+                state[name] = running
+    return node
 
 
 def fold_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> tuple[list, list]:

@@ -37,22 +37,27 @@ def numeric_grad(f, x, h=FD_H):
     return g
 
 
-def check_grads(build, arrays, tol=FD_TOL, h=FD_H):
-    """Compare tape gradients of build(tape, *nodes) -> scalar node against FD.
+def check_grads(build, arrays, leaves=None, tol=FD_TOL, h=FD_H):
+    """Compare tape gradients of build(tape, *inputs) -> scalar node against FD.
 
     arrays is the list of differentiable inputs; build must be a pure function
-    of them (any randomness fixed by closure).  Returns the worst relative
-    error over all inputs.
+    of them (any randomness fixed by closure).  The first `leaves` of them
+    (default: all) enter as parameter leaves named p0, p1, ...; the rest as
+    (name, array) pairs, parameters that Tape.mlp binds by name.  Returns the
+    worst relative error over all inputs.
     """
+
+    def inputs(tape, values):
+        count = len(values) if leaves is None else leaves
+        return [tape.param(a.copy(), f"p{i}") if i < count else (f"p{i}", a.copy())
+                for i, a in enumerate(values)]
 
     def value_at(replaced):
         tape = Tape()
-        nodes = [tape.param(a.copy(), f"p{i}") for i, a in enumerate(replaced)]
-        return float(build(tape, *nodes).value)
+        return float(build(tape, *inputs(tape, replaced)).value)
 
     tape = Tape()
-    nodes = [tape.param(a.copy(), f"p{i}") for i, a in enumerate(arrays)]
-    root = build(tape, *nodes)
+    root = build(tape, *inputs(tape, arrays))
     assert_float64(tape)
     grads = tape.backward(root)
 
@@ -119,30 +124,39 @@ def symmetric_fd_check(build, m, grad_m, tol=FD_TOL, h=FD_H):
     return worst
 
 
-def dense_case(rng, act, batch_norm=False):
-    """(build, arrays) for an FD check of one Tape.dense layer (5, 3) -> (5, 4).
+def network_case(rng, act, batch_norm=False, depth=1, frozen=False):
+    """(build, arrays, leaves) for an FD check of one Tape.mlp run on a (5, 3)
+    batch: one layer 3 -> 4, or three layers 3 -> 4 -> 5 -> 3, each with act and
+    batch norm or a bias.
 
-    The arrays are x, W and then the bias b without batch norm, or gamma and
-    beta with it (the layer has no bias then).  For relu/leaky_relu, instances
-    whose pre-activation lies within 5e-2 of the kink are redrawn.
+    The arrays are x, then each layer's W and its bias b, or gamma and beta with
+    batch norm; x is a leaf and the rest are bound by name.  A frozen run
+    checks x alone, its parameters fixed.  For relu/leaky_relu, instances with
+    a pre-activation within 5e-2 of the kink, in any layer, are redrawn.
     """
     rows, margin = 5, 5e-2
+    widths = (3, 4) if depth == 1 else (3, 4, 5, 3)
     while True:
-        arrays = [rng.uniform(-2.0, 2.0, size=(rows, 3)), rng.uniform(-2.0, 2.0, size=(3, 4))]
-        if batch_norm:
-            arrays += [rng.uniform(0.5, 1.5, size=4), rng.uniform(-2.0, 2.0, size=4)]
-        else:
-            arrays.append(rng.uniform(-2.0, 2.0, size=4))
-        proj = rng.uniform(-1.0, 1.0, size=(rows, 4))
-
-        def layer(tape, x, w, *rest):
+        arrays = [rng.uniform(-2.0, 2.0, size=(rows, 3))]
+        for fan_in, width in zip(widths, widths[1:]):
+            arrays.append(rng.uniform(-2.0, 2.0, size=(fan_in, width)))
             if batch_norm:
-                return tape.dense(x, w, None, act, rest)
-            return tape.dense(x, w, rest[0], act)
+                arrays += [rng.uniform(0.5, 1.5, size=width), rng.uniform(-2.0, 2.0, size=width)]
+            else:
+                arrays.append(rng.uniform(-2.0, 2.0, size=width))
+        proj = rng.uniform(-1.0, 1.0, size=(rows, widths[-1]))
+        per_layer = 3 if batch_norm else 2
+        named = [(f"p{i}", a) for i, a in enumerate(arrays) if i]
 
-        if act == "linear" or np.min(np.abs(layer(Tape(), *arrays).pre)) >= margin:
-            return (lambda tape, *nodes: random_projection_head(tape, layer(tape, *nodes), proj),
-                    arrays)
+        def run(tape, x, *params):
+            params = named if frozen else params
+            layers = [(act, *params[k:k + per_layer]) for k in range(0, len(params), per_layer)]
+            return tape.mlp(x, layers, frozen)
+
+        pres = run(Tape(), arrays[0], *named).pres
+        if act == "linear" or min(np.min(np.abs(pre)) for pre in pres) >= margin:
+            return (lambda tape, *inputs: random_projection_head(tape, run(tape, *inputs), proj),
+                    arrays[:1] if frozen else arrays, 1)
 
 
 def textbook_batch_norm(z, gamma, beta, mean, var, act):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _gradcheck import check_grads, dense_case, random_projection_head, symmetric_fd_check
+from _gradcheck import check_grads, network_case, random_projection_head, symmetric_fd_check
 from test_evaluation import _brute_force_pr_ap, _brute_force_roc_auc
 from test_model import draw_latents, loss_model_and_noise, loss_value, pinned_model
 
@@ -19,7 +19,7 @@ from maw import cli
 from maw import evaluation as E
 from maw import model as M
 from maw import theory
-from maw.autodiff import ACTIVATIONS, DenseNode, SpectralNode, Tape
+from maw.autodiff import ACTIVATIONS, MlpNode, SpectralNode, Tape
 
 N_GRAD_INSTANCES = 50
 
@@ -97,7 +97,8 @@ def _kink_free(rng, *shape, margin=5e-2):
 
 
 def _op_cases(rng):
-    """One (name, build, arrays) triple per autodiff op, freshly randomized."""
+    """One (name, build, arrays[, leaves]) case per autodiff op, freshly
+    randomized; mlp has one per layout."""
     cases = []
     x34 = _kink_free(rng, 3, 4)
     y34 = _mk(rng, 3, 4)
@@ -114,8 +115,10 @@ def _op_cases(rng):
     ]
     for act in ACTIVATIONS:
         for batch_norm in (True, False):
-            cases.append((f"dense_{act}_{'batch_norm' if batch_norm else 'plain'}",
-                          *dense_case(rng, act, batch_norm)))
+            for depth in (1, 3):
+                cases.append((f"mlp{depth}_{act}_{'batch_norm' if batch_norm else 'plain'}",
+                              *network_case(rng, act, batch_norm, depth)))
+    cases.append(("mlp3_frozen", *network_case(rng, "leaky_relu", True, 3, frozen=True)))
     a43 = _mk(rng, 4, 3)
     b32 = _mk(rng, 3, 2)
     p42 = rng.uniform(-1, 1, size=(4, 2))
@@ -182,8 +185,8 @@ def test_criterion_6a_every_op_matches_finite_differences():
     for _ in range(N_GRAD_INSTANCES):
         cases = _op_cases(rng)
         names = [c[0] for c in cases]
-        for name, build, arrays in cases:
-            check_grads(build, arrays)
+        for name, *case in cases:
+            check_grads(*case)
     _report(6, f"{len(names)} ops x {N_GRAD_INSTANCES} instances match central FD", True)
 
 
@@ -218,10 +221,12 @@ def _instance_is_clean(tape, model, xb, point_idx):
     )
     seen = truncations = 0
     for node in tape.nodes:
-        if isinstance(node, DenseNode) and node.act != "linear":
-            seen += 1
-            if np.min(np.abs(node.pre)) < 1e-3:
-                return False
+        if isinstance(node, MlpNode):
+            for act, pre in zip(node.acts, node.pres):
+                if act != "linear":
+                    seen += 1
+                    if np.min(np.abs(pre)) < 1e-3:
+                        return False
         if isinstance(node, SpectralNode):
             truncations += 1
             keep = node.eigenvalues.shape[1] // 2

@@ -4,7 +4,7 @@ import pytest
 from _gradcheck import (
     activation_slope,
     check_grads,
-    dense_case,
+    network_case,
     random_projection_head,
     random_symmetric,
     rel_err,
@@ -21,17 +21,17 @@ N_QUICK = 8  # instances per op here; the acceptance suite reruns with >= 50
 
 
 def _unit_layer(t, x, act="linear", norm=None):
-    """Tape.dense with an identity weight (and a zero bias when there is no batch
-    norm), so x is the affine output."""
+    """A one-layer Tape.mlp run with an identity weight (and a zero bias when
+    there is no batch norm), so x is the affine output."""
     width = np.shape(x)[1]
-    bias = None if norm is not None else t.const(np.zeros(width))
-    return t.dense(t.const(x), t.const(np.eye(width)), bias, act, norm)
+    shift = [("b", np.zeros(width))] if norm is None else [("gamma", norm[0]), ("beta", norm[1])]
+    return t.mlp(t.const(x), [(act, ("W", np.eye(width)), *shift)])
 
 
 def test_relu_value():
     out = _unit_layer(Tape(), [[-1.0, 2.0]], "relu")
     assert np.array_equal(out.value, [[0.0, 2.0]])
-    assert np.array_equal(out.pre, [[-1.0, 2.0]])
+    assert np.array_equal(out.pres[0], [[-1.0, 2.0]]) and out.acts == ["relu"]
 
 
 def test_leaky_relu_value():
@@ -39,7 +39,7 @@ def test_leaky_relu_value():
     assert np.allclose(out.value, [[-0.2, 2.0]])
 
 
-def test_dense_rejects_unknown_activation():
+def test_mlp_rejects_unknown_activation():
     with pytest.raises(DomainError):
         _unit_layer(Tape(), [[-1.0, 2.0]], "tanh")
 
@@ -55,9 +55,9 @@ def test_batch_norm_matches_numpy_statistics_exactly():
     x = np.random.default_rng(3).standard_normal((7, 5))
     out = _unit_layer(Tape(), x, norm=(np.ones(5), np.zeros(5)))
     assert np.array_equal(out.value, (x - x.mean(axis=0)) * (1.0 / np.sqrt(x.var(axis=0) + 1e-5)))
-    mean, var = out.batch_stats
+    (mean, var), = out.batch_stats
     assert np.array_equal(mean, x.mean(axis=0)) and np.array_equal(var, x.var(axis=0))
-    assert _unit_layer(Tape(), x).batch_stats is None
+    assert _unit_layer(Tape(), x).batch_stats == [None]
 
 
 def test_batch_norm_batch_of_one_rejected():
@@ -65,20 +65,32 @@ def test_batch_norm_batch_of_one_rejected():
         _unit_layer(Tape(), np.ones((1, 2)), norm=(np.ones(2), np.zeros(2)))
 
 
+def _three_layers(rng, act, batch_norm, prefix="net"):
+    """Named layers 3 -> 4 -> 5 -> 4 for Tape.mlp, each with act and batch norm or a bias."""
+    layers = []
+    for k, (fan_in, width) in enumerate(((3, 4), (4, 5), (5, 4))):
+        shift = ("gamma", "beta") if batch_norm else ("b",)
+        layers.append((act, (f"{prefix}.l{k}.W", rng.standard_normal((fan_in, width))),
+                       *((f"{prefix}.l{k}.{n}", rng.standard_normal(width)) for n in shift)))
+    return layers
+
+
 @pytest.mark.parametrize("batch_norm", [True, False])
 @pytest.mark.parametrize("act", ACTIVATIONS)
-def test_dense_writes_to_no_operand(act, batch_norm):
-    # forward and backward leave x, W and gamma, beta (or b) bit-unchanged
+def test_mlp_writes_to_no_operand(act, batch_norm):
+    # forward and backward leave x, every W and gamma, beta (or b) bit-unchanged,
+    # and the adjoint the run is given, which an add shares with another leaf
     rng = np.random.default_rng(12)
-    names = ("x", "W", "gamma", "beta") if batch_norm else ("x", "W", "b")
-    arrays = {n: rng.standard_normal(shape) for n, shape in zip(names, ((6, 3), (3, 4), 4, 4))}
-    before = {n: a.copy() for n, a in arrays.items()}
+    x = rng.standard_normal((6, 3))
+    layers = _three_layers(rng, act, batch_norm)
+    before = [x.copy(), *(a.copy() for _, *named in layers for _, a in named)]
+    proj = rng.standard_normal((6, 4))
     t = Tape()
-    x, w, *shift = [t.param(a, n) for n, a in arrays.items()]
-    out = t.dense(x, w, None, act, shift) if batch_norm else t.dense(x, w, shift[0], act)
-    t.backward(t.sum_all(t.hadamard(out, rng.standard_normal((6, 4)))))
-    for n in names:
-        assert np.array_equal(arrays[n], before[n]), n
+    out = t.mlp(t.param(x, "x"), layers)
+    t.backward(t.sum_all(t.hadamard(t.add(out, t.param(np.zeros((6, 4)), "other")), proj)))
+    after = [x, *(a for _, *named in layers for _, a in named)]
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert np.array_equal(t.params["other"].adjoint, proj)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -124,24 +136,27 @@ def test_shape_errors():
         t.matmul(t.const(np.ones((2, 3))), t.const(np.ones((2, 3))))
     with pytest.raises(ShapeError):  # only a constant may broadcast
         t.hadamard(t.param(np.ones((2, 3)), "x"), t.param(np.ones(3), "y"))
+    def linear(w, b):
+        return ("linear", ("W", np.ones(w)), ("b", np.ones(b)))
+
     with pytest.raises(ShapeError):
-        t.dense(t.const(np.ones((2, 3))), t.const(np.ones((4, 2))), t.const(np.ones(2)))
+        t.mlp(t.const(np.ones((2, 3))), [linear((4, 2), 2)])
     with pytest.raises(ShapeError):
-        t.dense(t.const(np.ones(3)), t.const(np.ones((3, 2))), t.const(np.ones(2)))
+        t.mlp(t.const(np.ones(3)), [linear((3, 2), 2)])
     with pytest.raises(ShapeError):
-        t.dense(t.const(np.ones((2, 3))), t.const(np.ones((3, 2))), t.const(np.ones(3)))
+        t.mlp(t.const(np.ones((2, 3))), [linear((3, 2), 3)])
+    with pytest.raises(ShapeError):  # the second layer's W must take the first's width
+        t.mlp(t.const(np.ones((2, 3))), [linear((3, 2), 2), linear((3, 2), 2)])
     with pytest.raises(ShapeError):
-        t.dense(t.const(np.ones(2)), t.const(np.eye(2)), None, "relu", (np.ones(2), np.zeros(2)))
+        t.mlp(t.const(np.ones(2)), [("relu", ("W", np.eye(2)), ("g", np.ones(2)),
+                                     ("beta", np.zeros(2)))])
     with pytest.raises(ShapeError):
         t.spectral_truncate(t.const(np.ones((5, 2))), 2)
     for bad in range(2):  # gamma and beta must have the layer's width
-        norm = [np.ones(5), np.zeros(5)]
-        norm[bad] = np.ones(1)
+        norm = [("gamma", np.ones(5)), ("beta", np.zeros(5))]
+        norm[bad] = (norm[bad][0], np.ones(1))
         with pytest.raises(ShapeError):
-            t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), None, "relu", tuple(norm))
-    with pytest.raises(ShapeError):  # batch norm takes (gamma, beta) and nothing else
-        t.dense(t.const(np.ones((3, 2))), t.const(np.ones((2, 5))), None, "relu",
-                (np.ones(5), np.zeros(5), np.zeros(5), np.ones(5)))
+            t.mlp(t.const(np.ones((3, 2))), [("relu", ("W", np.ones((2, 5))), *norm)])
     for ndraws in (3, 5):  # draws must come a whole number per row of the 2
         eps = np.zeros((ndraws, 2))
         with pytest.raises(ShapeError, match="grouped"):
@@ -155,7 +170,7 @@ def test_shape_errors():
 # ------------------------------------------------------ batch-norm backward, scatter
 
 
-def _textbook_dense_adjoints(x, w, gamma, beta, dy, act):
+def _textbook_layer_adjoints(x, w, gamma, beta, dy, act):
     """Adjoints of act(batch_norm(x @ w)) under the upstream adjoint dy,
     step by step through the batch statistics (Ioffe & Szegedy, Alg. 1)."""
     z = x @ w
@@ -183,21 +198,20 @@ def test_batch_norm_backward_matches_textbook(rows, act):
     dy = rng.standard_normal((rows, 5))
     t = Tape()
     names = ("x", "w", "gamma", "beta")
-    nodes = [t.param(v, n) for v, n in zip((x, w, gamma, beta), names)]
-    out = t.dense(nodes[0], nodes[1], None, act, (nodes[2], nodes[3]))
+    out = t.mlp(t.param(x, "x"), [(act, ("w", w), ("gamma", gamma), ("beta", beta))])
     grads = t.backward(t.sum_all(t.hadamard(out, dy)))
-    want = _textbook_dense_adjoints(x, w, gamma, beta, dy, act)
+    want = _textbook_layer_adjoints(x, w, gamma, beta, dy, act)
     for name in names:
         np.testing.assert_allclose(grads[name], want[name], rtol=0.0, atol=1e-12, err_msg=name)
 
 
-def test_dense_takes_a_bias_exactly_without_batch_norm():
+def test_mlp_layer_takes_a_bias_or_gamma_and_beta():
     t = Tape()
-    x, w = t.const(np.ones((3, 2))), t.const(np.ones((2, 4)))
-    with pytest.raises(DomainError, match="bias"):
-        t.dense(x, w, t.const(np.zeros(4)), "relu", (np.ones(4), np.zeros(4)))
-    with pytest.raises(DomainError, match="bias"):
-        t.dense(x, w, None, "relu")
+    x, w = t.const(np.ones((3, 2))), ("W", np.ones((2, 4)))
+    bias, gamma, beta = ("b", np.zeros(4)), ("gamma", np.ones(4)), ("beta", np.zeros(4))
+    for shift in ((), (bias, gamma, beta), (gamma, beta, bias, bias)):
+        with pytest.raises(ShapeError, match="bias or batch norm"):
+            t.mlp(x, [("relu", w, *shift)])
 
 
 @pytest.mark.parametrize("layout", ["shuffled", "repeated", "empty_rows"])
@@ -312,9 +326,9 @@ def test_backward_calls_each_reached_node_once():
     # it has; a branch fed only by constants, or off the root's path, never runs
     rng = np.random.default_rng(6)
     t = Tape()
-    norm = (t.param(np.ones(4), "gamma"), t.param(np.zeros(4), "beta"))
-    h = t.dense(t.const(rng.standard_normal((4, 3))), t.param(rng.standard_normal((3, 4)), "W"),
-                None, "relu", norm)
+    h = t.mlp(t.const(rng.standard_normal((4, 3))),
+              [("relu", ("W", rng.standard_normal((3, 4))), ("gamma", np.ones(4)),
+                ("beta", np.zeros(4)))])
     a = t.param(rng.standard_normal((4, 2)), "A")
     s_rows = t.exp(h)
     blocks = t.batch_diag_sandwich(a, s_rows)
@@ -338,6 +352,86 @@ def test_backward_calls_each_reached_node_once():
     assert [calls.get(node, 0) for node in once] == [1] * len(once)
     assert [calls.get(node, 0) for node in (scaled, constant_branch, unreached)] == [0, 0, 0]
     assert sum(calls.values()) == len(once)
+
+
+# ------------------------------------------------- network runs: named adjoints
+
+
+def _critic_terms(tape, layers, z_gen, z_prior, terms=("gen", "prior")):
+    """The critic step's loss on one tape: mean D(z_gen) - mean D(z_prior),
+    D run on the generated draws first; terms keeps one or both of them."""
+    parts = []
+    if "gen" in terms:
+        parts.append(tape.mean_all(tape.mlp(tape.const(z_gen), layers)))
+    if "prior" in terms:
+        parts.append(tape.scale(tape.mean_all(tape.mlp(tape.const(z_prior), layers)), -1.0))
+    return parts[0] if len(parts) == 1 else tape.add(*parts)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_runs_of_one_network_add_their_adjoints(dtype):
+    # the critic step runs the critic twice on one tape: each parameter's adjoint
+    # is the prior run's plus the generated run's, bit for bit
+    rng = np.random.default_rng(30)
+    layers = [(act, *((n, a.astype(dtype)) for n, a in named))
+              for act, *named in _three_layers(rng, "leaky_relu", True, "cri")]
+    layers[-1] = ("linear", layers[-1][1], ("cri.l2.b", np.zeros(4, dtype)))
+    z_gen, z_prior = (rng.standard_normal((8, 3)).astype(dtype) for _ in range(2))
+    both = Tape()
+    grads = both.backward(_critic_terms(both, layers, z_gen, z_prior))
+    alone = {}
+    for term in ("prior", "gen"):
+        t = Tape()
+        alone[term] = t.backward(_critic_terms(t, layers, z_gen, z_prior, (term,)))
+    names = [n for _, *named in layers for n, _ in named]
+    assert list(grads) == names
+    for name in names:
+        assert grads[name].dtype == dtype
+        assert np.array_equal(grads[name], alone["prior"][name] + alone["gen"][name]), name
+
+
+def test_a_frozen_run_gives_its_input_alone_an_adjoint():
+    rng = np.random.default_rng(31)
+    layers = _three_layers(rng, "leaky_relu", True)
+    x = rng.standard_normal((6, 3))
+    proj = rng.standard_normal((6, 4))
+    seen = []
+    for frozen in (True, False):
+        t = Tape()
+        out = t.mlp(t.param(x, "x"), layers, frozen)
+        seen.append(t.backward(t.sum_all(t.hadamard(out, proj))))
+    assert list(seen[0]) == ["x"] and not Tape().mlp(x, layers, frozen=True).needs_grad
+    assert np.array_equal(seen[0]["x"], seen[1]["x"])
+    assert len(seen[1]) == 1 + 3 * 3
+
+
+def test_unreached_network_parameters_get_zeros():
+    # a run off the root's path, and a name that only a frozen run binds
+    rng = np.random.default_rng(32)
+    layers = _three_layers(rng, "relu", False)
+    t = Tape()
+    x = t.param(rng.standard_normal((4, 3)), "x")
+    t.mlp(x, layers)
+    reached = t.mlp(x, _three_layers(rng, "relu", False, "other"), frozen=True)
+    grads = t.backward(t.sum_all(reached))
+    assert set(grads) == {"x", *(n for _, *named in layers for n, _ in named)}
+    for _, *named in layers:
+        for name, value in named:
+            assert np.array_equal(grads[name], np.zeros_like(value)), name
+    assert np.any(grads["x"])
+
+
+def test_a_name_is_a_leaf_or_a_network_parameter_not_both():
+    layer = ("linear", ("W", np.eye(2)), ("b", np.zeros(2)))
+    t = Tape()
+    t.param(np.eye(2), "W")
+    with pytest.raises(DomainError, match="leaf"):
+        t.mlp(np.ones((2, 2)), [layer])
+    t.mlp(np.ones((2, 2)), [layer], frozen=True)  # binds no name
+    t = Tape()
+    t.mlp(np.ones((2, 2)), [layer])
+    with pytest.raises(DomainError, match="duplicate"):
+        t.param(np.zeros(2), "b")
 
 
 def test_normalize_rows_scales_extreme_rows():
@@ -421,8 +515,8 @@ def test_fd_elementwise_and_reductions():
         proj = rng.uniform(-1.0, 1.0, size=(3, 4))
         x = _away_from_kinks(rng, 3, 4)
         y = _mat(rng, 3, 4)
-        check_grads(*dense_case(rng, "relu"))
-        check_grads(*dense_case(rng, "leaky_relu"))
+        check_grads(*network_case(rng, "relu"))
+        check_grads(*network_case(rng, "leaky_relu"))
         check_grads(lambda t, a: random_projection_head(t, t.softplus(a), proj), [x])
         check_grads(lambda t, a: random_projection_head(t, t.exp(t.scale(a, 0.3)), proj), [x])
         check_grads(lambda t, a, b: random_projection_head(t, t.add(a, b), proj), [x, y])
@@ -446,7 +540,7 @@ def test_fd_hadamard_broadcast_mask():
 def test_fd_linear_maps():
     rng = np.random.default_rng(13)
     for _ in range(N_QUICK):
-        check_grads(*dense_case(rng, "linear"))
+        check_grads(*network_case(rng, "linear"))
         a = _mat(rng, 4, 3)
         bmat = _mat(rng, 3, 2)
         projm = rng.uniform(-1.0, 1.0, size=(4, 2))
@@ -493,11 +587,19 @@ def test_fd_norm_ops():
 
 
 def test_fd_batch_norm():
-    # every activation after batch norm, all in one dense node
+    # every activation after batch norm, one layer and three in one network node
     rng = np.random.default_rng(16)
     for _ in range(N_QUICK):
         for act in ACTIVATIONS:
-            check_grads(*dense_case(rng, act, batch_norm=True))
+            check_grads(*network_case(rng, act, batch_norm=True))
+            check_grads(*network_case(rng, act, batch_norm=True, depth=3))
+
+
+def test_fd_frozen_network():
+    # a frozen run's input adjoint, through three batch-normed leaky_relu layers
+    rng = np.random.default_rng(18)
+    for _ in range(N_QUICK):
+        check_grads(*network_case(rng, "leaky_relu", batch_norm=True, depth=3, frozen=True))
 
 
 def test_fd_diag_sandwich():

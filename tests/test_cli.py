@@ -450,6 +450,21 @@ def _one_error_line(capsys):
     return json.loads(lines[0])["error"]
 
 
+def test_score_checkpoint_value_beyond_float32_exits_3(tmp_path, capsys):
+    # a checkpoint loads in the training dtype, float32: 1e39 is finite only in float64
+    cfg = small_config(tmp_path, model={"epochs": 0})
+    ckpt = _trained_checkpoint(cfg)
+    payload = json.loads(open(ckpt).read())
+    payload["state"]["dec.l0.running_var"][0] = 1e39
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
+    err = _one_error_line(capsys)
+    assert err["kind"] == "data" and "dec.l0.running_var" in err["detail"]
+    assert "not finite in float32" in err["detail"]
+
+
 def test_score_version_1_checkpoint_exits_3(tmp_path, capsys):
     cfg = small_config(tmp_path, model={"epochs": 0})
     ckpt = _trained_checkpoint(cfg)

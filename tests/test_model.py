@@ -4,14 +4,15 @@ import dataclasses
 import inspect
 import json
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from maw import model as M
-from maw import linalg, nets
-from maw.autodiff import BN_EPS, Tape
+from maw import autodiff, linalg, nets
+from maw.autodiff import BN_EPS, MlpNode, Tape
 from maw.errors import ConfigError, DataError, DomainError, ShapeError
 
 
@@ -729,6 +730,47 @@ def test_batch_update_runs_the_encoder_twice(variant, monkeypatch):
     assert prefixes.count("dec") == 1
 
 
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_a_batch_update_records_one_node_per_network_run(variant, monkeypatch):
+    # structural guard for Tape.mlp: each network run is one node, and its
+    # weights are bound by name: no leaf holds a network array, and only A is a
+    # parameter leaf
+    model, xb, noise = loss_model_and_noise(np.random.default_rng(67), variant)
+    tapes, held = [], []
+    init, forward = Tape.__init__, nets.mlp_forward
+
+    def recorded(self):
+        init(self)
+        tapes.append(self)
+
+    def holding(tape, store, *args, **kwargs):
+        held.extend(store.params.values())  # every array a run may read, kept alive
+        return forward(tape, store, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "__init__", recorded)
+    monkeypatch.setattr(nets, "mlp_forward", holding)
+    update = M._vae_batch_update if variant == "vae" else M._maw_batch_update
+    update(model, xb, noise)
+    nodes = [node for tape in tapes for node in tape.nodes]
+    runs = Counter(node.names[0].split(".")[0] for node in nodes if isinstance(node, MlpNode))
+    assert runs == ({"enc": 1, "head": 1, "dec": 1} if variant == "vae"
+                    else {"enc": 2, "dec": 1, "cri": 3})
+    assert {name for tape in tapes for name in tape.params} <= {"A"}
+    held_ids = {id(a) for a in held}
+    assert not [node for node in nodes if node.tag == "const" and id(node.value) in held_ids]
+
+
+@pytest.mark.parametrize("module", [autodiff, nets, M])
+def test_no_per_layer_tape_op_is_left(module):
+    # one op runs a whole network; nets binds no weight as a tape leaf
+    assert not hasattr(Tape, "dense") and not hasattr(autodiff, "DenseNode")
+    leaf_calls = ("param", "const") if module is nets else ()
+    found = [node.lineno for node in ast.walk(ast.parse(inspect.getsource(module)))
+             if isinstance(node, ast.Attribute) and node.attr in ("dense", *leaf_calls)
+             or isinstance(node, ast.Name) and node.id == "DenseNode"]
+    assert found == []
+
+
 def _encoder_batch_statistics(params, spec, xb):
     """(mean, biased variance) of each batch-normed encoder layer's
     pre-activation, from the textbook train-mode forward."""
@@ -781,32 +823,51 @@ def test_checkpoint_roundtrip():
     assert clone.optimizers["vae"].slots["step"] == model.optimizers["vae"].slots["step"]
 
 
+def _stored_arrays(model):
+    """Every parameter, running statistic and optimizer moment array of model."""
+    slots = [a for opt in model.optimizers.values() for moment in nets.MOMENTS[opt.kind]
+             for a in opt.slots[moment].values()]
+    return [*model.store.params.values(), *model.store.state.values(), *slots]
+
+
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_float32_checkpoint_round_trips_exactly(variant):
-    # float32 values are exact in JSON's float64, and scoring casts the weights
-    # up to float64, so the reloaded float64 arrays score with the same bits
+    # float32 values are exact in JSON's float64 and load back in TRAIN_DTYPE:
+    # the clone scores with the same bits, and its next batch update steps in
+    # float32 to the same bits as the model's
     x = line_data(8, 4, seed=9)
-    model, _ = M.train(x, tiny_hp(epochs=2, variant=variant), seed=0)
+    hp = tiny_hp(epochs=2, variant=variant)
+    model, _ = M.train(x, hp, seed=0)
     payload = model.to_payload()
-    clone = M.MawModel.from_payload(payload)
+    clone = M.MawModel.from_payload(json.loads(json.dumps(payload)))
+    assert {a.dtype for a in _stored_arrays(clone)} == {np.dtype(M.TRAIN_DTYPE)}
     assert json.dumps(clone.to_payload()) == json.dumps(payload)
     assert np.array_equal(M.score_batch(clone, x, seed=5), M.score_batch(model, x, seed=5))
+    update = M._vae_batch_update if variant == "vae" else M._maw_batch_update
+    xb = x.astype(M.TRAIN_DTYPE)
+    for each in (model, clone):
+        update(each, xb, M._draw_batch_noise(hp, np.random.default_rng(6), len(xb)))
+    assert {a.dtype for a in _stored_arrays(clone)} == {np.dtype(M.TRAIN_DTYPE)}
+    assert json.dumps(clone.to_payload()) == json.dumps(model.to_payload())
 
 
-def test_float64_checkpoint_loads_and_scores_in_float64():
+def test_float64_checkpoint_loads_in_the_training_dtype():
     # a checkpoint of arbitrary float64 values, as float64 training wrote them,
-    # keeps every digit and scores as the same weights set in the store do
+    # loads rounded to TRAIN_DTYPE and scores as those rounded weights set in
+    # the store do
     x = line_data(8, 4, seed=9)
     model = as_float64(M.train(x, tiny_hp(epochs=2), seed=0)[0])
     rng = np.random.default_rng(3)
     for arrays in (model.store.params, model.store.state):
         for name, value in arrays.items():
             arrays[name] = value + 1e-9 * rng.random(value.shape)
-    payload = model.to_payload()
-    clone = M.MawModel.from_payload(payload)
-    loaded = [*clone.store.params.values(), *clone.store.state.values()]
-    assert {a.dtype for a in loaded} == {np.dtype(np.float64)}
-    assert json.dumps(clone.to_payload()) == json.dumps(payload)
+    clone = M.MawModel.from_payload(model.to_payload())
+    assert {a.dtype for a in _stored_arrays(clone)} == {np.dtype(M.TRAIN_DTYPE)}
+    for arrays, loaded in ((model.store.params, clone.store.params),
+                           (model.store.state, clone.store.state)):
+        for name, value in arrays.items():
+            assert np.array_equal(loaded[name], value.astype(M.TRAIN_DTYPE)), name
+            arrays[name] = value.astype(M.TRAIN_DTYPE)
     assert np.array_equal(M.score_batch(clone, x, seed=5), M.score_batch(model, x, seed=5))
 
 
@@ -1030,6 +1091,14 @@ def _misshapen_optimizer_slot(payload):
     m[next(iter(m))] = [[float("nan")]]
 
 
+def _beyond_float32_parameter(payload):
+    payload["params"]["enc.l0.gamma"][1] = 1e39  # finite in float64 only
+
+
+def _beyond_float32_optimizer_slot(payload):
+    payload["optimizers"]["vae"]["v"]["dec.l0.W"][0][0] = 4e38
+
+
 def _nan_optimizer_slot(payload):
     payload["optimizers"]["critic"]["v"]["cri.l0.W"][0][0] = float("nan")
 
@@ -1055,6 +1124,7 @@ def _missing_optimizer(payload):
         _nan_parameter, _missing_parameter, _batch_normed_bias, _critic_running_statistics,
         _rmsprop_first_moment, _unexpected_state, _misshapen_parameter,
         _misshapen_optimizer_slot, _nan_optimizer_slot, _negative_second_moment,
+        _beyond_float32_parameter, _beyond_float32_optimizer_slot,
         _negative_optimizer_step, _fractional_optimizer_step, _missing_optimizer,
     ]
 )
