@@ -289,8 +289,7 @@ class Tape:
         if not frozen:
             if not self.params.keys().isdisjoint(names):
                 raise DomainError("an mlp parameter name is also a parameter leaf on the tape")
-            for name, value in bound:
-                self.weights.setdefault(name, value)
+            self.weights.update(bound)
         node = self._record(h, (x,), None, "mlp", MlpNode)
         node.needs_grad = not frozen or x.needs_grad
         node.vjp = vjp if node.needs_grad else None

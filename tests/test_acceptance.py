@@ -187,7 +187,7 @@ def test_criterion_6a_every_op_matches_finite_differences():
         names = [c[0] for c in cases]
         for name, *case in cases:
             check_grads(*case)
-    _report(6, f"{len(names)} ops x {N_GRAD_INSTANCES} instances match central FD", True)
+    _report(6, f"{len(names)} op cases x {N_GRAD_INSTANCES} instances match central FD", True)
 
 
 @pytest.mark.parametrize("split", [0.0, 1e-7])
