@@ -12,11 +12,12 @@ own) and the generator step (the updated critic, frozen, on its tape).
 Training's batch norm uses batch statistics, scoring's the running statistics
 that each training forward steps.  Training's arrays are TRAIN_DTYPE, cast from
 float64 draws so that the RNG streams do not move; scoring casts the weights up
-to float64, where a prefix scored alone keeps its bits (float32 GEMMs round a
-row differently as the row count changes).  Scoring draws from the inlier mode
-only and averages cosine similarity between a test point and its decodes: the
-mean dot product of unit (or zero) rows, clipped to [-1, 1], from a plan
-built once per set of weights (_scoring_plan).  _modes is the one posterior
+to float64, where a GEMM's rounding of a row as the row count changes moves a
+prefix scored alone by ~1e-16 (float32 GEMMs moved it by up to 4.8e-7).
+Scoring draws from the inlier mode only and averages cosine similarity
+between a test point and its decodes: the mean dot product of unit (or zero)
+rows, clipped to [-1, 1], from a plan built once per set of weights
+(_scoring_plan).  _modes is the one posterior
 after the encoder's four output quarters: training runs it on the tape,
 scoring on plain arrays.
 """
@@ -580,13 +581,17 @@ def score_batch(model: MawModel, y_rows, samples: int | None = None, seed: int =
 
     One default_rng(seed) call draws an (n, k, t, d) block of standard
     normals and row j uses block j, so a prefix of a batch scored alone gets
-    the same scores as in the whole batch, and score(model, y,
+    the same scores as in the whole batch up to rounding, and score(model, y,
     rng=default_rng(seed)) equals score_batch(model, y[None], seed=seed)[0].
-    Any other slice gets other draws, and so other scores.  Rows are scored
-    SCORE_CHUNK at a time, each chunk drawing its rows of the block from the
-    same generator in order (the same bits as one draw), so memory is
-    bounded by the chunk, not n.  seed is a non-negative int (linalg.as_seed),
-    else DomainError.
+    The tests hold both within 1e-12, not bit for bit: OpenBLAS rounds a
+    GEMM's row differently as the number of rows changes (the decoder's
+    output layer most, ~1e-16 in a score).  Any other slice gets other
+    draws, and so other scores.  Rows are scored SCORE_CHUNK at a time, each
+    chunk drawing its rows of the block from the same generator in order
+    (the same bits as one draw), and each network runs a chunk's rows
+    nets.BLOCK_ROWS at a time through all its layers, so memory is bounded
+    by the chunk, not n.  seed is a non-negative int (linalg.as_seed), else
+    DomainError.
     """
     y, (n, k, t, d) = _prepare_rows(model, y_rows, samples)
     rng = np.random.default_rng(linalg.as_seed(seed, "seed", DomainError))

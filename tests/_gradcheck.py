@@ -169,6 +169,15 @@ def textbook_batch_norm(z, gamma, beta, mean, var, act):
     return xhat, pre, pre * activation_slope(pre, act)
 
 
+def one_pass_mlp(layers, x):
+    """The folded scoring forward written out, every row through each layer at
+    once: act(h @ W' + b') for each (W', b', activation) of nets.fold_layers."""
+    for w, b, act in layers:
+        pre = x @ w + b
+        x = pre * activation_slope(pre, act)
+    return x
+
+
 def activation_slope(pre, act):
     """The activation's slope at each pre-activation (0.2 below zero for leaky_relu)."""
     return {"relu": (pre > 0.0) * 1.0, "leaky_relu": np.where(pre > 0.0, 1.0, 0.2),

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _gradcheck import one_pass_mlp
 from maw import model as M
 from maw import autodiff, linalg, nets
 from maw.autodiff import BN_EPS, MlpNode, Tape
@@ -507,12 +508,14 @@ def test_score_batch_is_independent_of_chunk_size(variant, monkeypatch):
     model = M.init_model(tiny_hp(variant=variant), 4, np.random.default_rng(1))
     y = np.random.default_rng(2).standard_normal((20, 4))
     whole = M.score_batch(model, y, seed=5)
-    for chunk in (1, 7, 2048, len(y)):
-        monkeypatch.setattr(M, "SCORE_CHUNK", chunk)
-        chunked = M.score_batch(model, y, seed=5)
-        assert np.allclose(chunked, whole, rtol=0.0, atol=1e-12)
-        one = M.score(model, y[0], rng=np.random.default_rng(5))
-        assert one == pytest.approx(chunked[0], rel=0.0, abs=1e-12)
+    for block in (1, 3, 4, 256):  # mlp_apply's row blocks, inside each chunk
+        monkeypatch.setattr(nets, "BLOCK_ROWS", block)
+        for chunk in (1, 7, 2048, len(y)):
+            monkeypatch.setattr(M, "SCORE_CHUNK", chunk)
+            chunked = M.score_batch(model, y, seed=5)
+            assert np.allclose(chunked, whole, rtol=0.0, atol=1e-12)
+            one = M.score(model, y[0], rng=np.random.default_rng(5))
+            assert one == pytest.approx(chunked[0], rel=0.0, abs=1e-12)
 
 
 def test_score_batch_memory_is_bounded_by_the_chunk():
@@ -956,12 +959,13 @@ def test_scoring_folds_each_network_once(monkeypatch):
 
 def _unplanned_scores(model, y, seed):
     """score_batch's scores the long way, nothing memoized: the whole encoder
-    split in four quarters, and A cast and sandwiched on every call."""
+    split in four quarters, and A cast and sandwiched on every call; each
+    network runs all its rows through one layer at a time (one_pass_mlp)."""
     hp, store, specs = model.hp, model.store, model.specs
     k = 1 if hp.variant == "vae" else 2
     noise = np.random.default_rng(seed).standard_normal((len(y), k, hp.samples, hp.d))
     y = linalg.normalize_rows(y)
-    enc = nets.mlp_apply(nets.fold_layers(store, "enc", specs["enc"])[1], y)
+    enc = one_pass_mlp(nets.fold_layers(store, "enc", specs["enc"])[1], y)
     if hp.variant == "vae":
         head = enc @ store.params["head.W"] + store.params["head.b"]
         mu, factors = head[:, :hp.d], linalg.diag_blocks(np.exp(0.5 * head[:, hp.d:]))
@@ -976,7 +980,7 @@ def _unplanned_scores(model, y, seed):
     z = mu[:, None, :] + noise[:, 0] @ np.swapaxes(factors, 1, 2)
     if k == 2:
         z = z + noise[:, 1]
-    decoded = nets.mlp_apply(nets.fold_layers(store, "dec", specs["dec"])[1], z.reshape(-1, hp.d))
+    decoded = one_pass_mlp(nets.fold_layers(store, "dec", specs["dec"])[1], z.reshape(-1, hp.d))
     return M.cosine_score(y, linalg.normalize_rows(decoded).reshape(len(y), hp.samples, -1))
 
 

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _gradcheck import textbook_batch_norm
+from _gradcheck import one_pass_mlp, textbook_batch_norm
 from maw import model as M
 from maw import linalg, nets
 from maw.autodiff import Tape
@@ -235,6 +236,40 @@ def test_eval_fold_is_per_spec():
     assert not np.array_equal(nets.mlp_apply(with_norm, x), nets.mlp_apply(without, x))
     w0, b0, w1, b1 = (store.params[f"net.l{k}.{n}"] for k in (0, 1) for n in ("W", "b"))
     assert np.array_equal(nets.mlp_apply(without, x), np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)
+
+
+def _scoring_stack(rng):
+    """Folded layers 2 -> 128 -> 64 -> 32 -> 20, one of each activation."""
+    widths, acts = (2, 128, 64, 32, 20), ("relu", "leaky_relu", "linear", "linear")
+    return [(rng.standard_normal((i, o)) / np.sqrt(i), rng.normal(0.0, 0.5, o), act)
+            for i, o, act in zip(widths, widths[1:], acts)]
+
+
+def test_mlp_apply_blocks_score_as_one_pass():
+    # rows on both sides of every block boundary; up to one block mlp_apply makes
+    # the one-pass calls, so the bits are equal there
+    rng = np.random.default_rng(11)
+    layers, block = _scoring_stack(rng), nets.BLOCK_ROWS
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        x = rng.standard_normal((n, 2))
+        got, want = nets.mlp_apply(layers, x), one_pass_mlp(layers, x)
+        assert got.shape == (n, 20) and got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=0.0 if n <= block else 1e-12)
+
+
+def test_mlp_apply_working_set_is_a_block():
+    # one 20,000 x 128 float64 intermediate would take 20 MB; the output takes 3.2 MB
+    rng = np.random.default_rng(12)
+    layers = _scoring_stack(rng)
+    x = rng.standard_normal((20_000, 2))
+    tracemalloc.start()
+    try:
+        out = nets.mlp_apply(layers, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20_000, 20)
+    assert peak < out.nbytes + 4 * 2**20
 
 
 def test_optimizer_steps_are_deterministic():
