@@ -65,7 +65,7 @@ SCORE_CHUNK = 2048  # rows per score_batch step; bounds its working set
 WIDTH_KEYS = ("encoder_widths", "decoder_widths", "critic_widths")
 INT_KEYS = ("d", "dprime", "samples", "epochs", "batch_size")
 FLOAT_KEYS = ("eta", "lr_vae", "lr_critic")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 TRAIN_DTYPE = np.float32  # training's arrays; scoring and theory stay float64
 
 
@@ -165,23 +165,19 @@ class MawModel:
             "feature_dim": self.feature_dim,
             "params": {k: v.tolist() for k, v in self.store.params.items()},
             "state": {k: v.tolist() for k, v in self.store.state.items()},
-            "optimizers": {  # each optimizer's step and moment slots
-                name: {k: v if k == "step" else {n: a.tolist() for n, a in v.items()}
-                       for k, v in opt.slots.items()}
-                for name, opt in self.optimizers.items()
-            },
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MawModel":
-        """Rebuild a model from to_payload's dict.
+        """Rebuild a model, for scoring, from to_payload's dict.
 
         Unknown hyperparameters raise ConfigError.  A payload of another
         format or version (an int) is a DataError.  feature_dim must be a
-        positive integer, and every parameter, state and optimizer slot array
-        must match init_model's names and shapes and be finite in TRAIN_DTYPE,
-        the dtype it loads in, and optimizer steps and second moments >= 0,
-        else DataError: a missing entry would silently keep its init value.
+        positive integer, and every parameter and state array must match
+        init_model's names and shapes and be finite in TRAIN_DTYPE, the dtype
+        it loads in, else DataError: a missing entry would silently keep its
+        init value.  A checkpoint holds no optimizer state: the model's
+        optimizers start at step 0.
         """
         if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
             raise DataError("not a model checkpoint payload")
@@ -189,8 +185,7 @@ class MawModel:
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise DataError(f"checkpoint version {version!r} is not supported; "
                             f"expected {CHECKPOINT_VERSION}")
-        missing = [k for k in ("hyperparams", "feature_dim", "params", "state", "optimizers")
-                   if k not in payload]
+        missing = [k for k in ("hyperparams", "feature_dim", "params", "state") if k not in payload]
         if missing:
             raise DataError(f"checkpoint lacks {missing}")
         hp = Hyperparams.from_dict(payload["hyperparams"])
@@ -200,24 +195,7 @@ class MawModel:
         model = init_model(hp, dim, np.random.default_rng(0))
         _load_arrays(model.store.params, payload["params"], "params")
         _load_arrays(model.store.state, payload["state"], "state")
-        _load_optimizers(model.optimizers, payload["optimizers"])
         return model
-
-
-def _load_optimizers(optimizers: dict, source):
-    """Replace each optimizer's slots (its step and its kind's moments) by
-    source's checked entries."""
-    _check_names(optimizers, source, "optimizers")
-    for name, opt in optimizers.items():
-        _check_names(opt.slots, source[name], f"optimizers.{name}")
-        step = source[name]["step"]
-        if type(step) is not int or step < 0:
-            raise DataError(f"checkpoint optimizers.{name}.step must be an integer >= 0")
-        for moment in opt.slots.keys() - {"step"}:
-            _load_arrays(opt.slots[moment], source[name][moment], f"optimizers.{name}.{moment}")
-        if any(np.any(v < 0.0) for v in opt.slots["v"].values()):
-            raise DataError(f"checkpoint optimizers.{name}.v has a negative entry")
-        opt.slots["step"] = step
 
 
 def _check_names(names, source, section: str):
@@ -268,11 +246,15 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
     """Glorot-initialized model; parameter creation order is fixed for determinism."""
     if feature_dim < 1:
         raise ConfigError("feature dimension must be positive")
-    specs = _network_specs(hp, feature_dim)
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "enc", specs["enc"], rng)
+    specs = _network_specs(hp, feature_dim)  # each MlpSpec bounds its weights' sizes
     ing = hp.ingredients
     uses_reduction = ing is not None and ing.reduction
+    if uses_reduction:
+        nets.check_weight_size(hp.dprime, hp.d)  # A
+    if ing is None:
+        nets.check_weight_size(4 * hp.dprime, 2 * hp.d)  # the head
+    store = nets.ParamStore()
+    nets.build_mlp_params(store, "enc", specs["enc"], rng)
     if uses_reduction:
         store.add("A", nets.glorot_init(hp.dprime, hp.d, rng))
     if ing is None:

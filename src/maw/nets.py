@@ -10,8 +10,9 @@ layer for scoring, and the critic keeps none.  mlp_apply runs the folded layers
 over blocks of BLOCK_ROWS rows, each block through every layer while its
 intermediates are still in cache; model memoizes the fold per model.
 A network ends at its last affine layer: model cuts and normalizes its outputs.
-An Optimizer keeps each moment as one flat buffer over its parameters and steps
-them all in one vectorized pass, rebinding each parameter to a new array.
+An Optimizer keeps each moment as one flat buffer over its parameters, allocated
+once, and steps them all in one vectorized pass, rebinding each parameter to a
+new array.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .autodiff import ACTIVATIONS, BN_EPS, LEAKY_SLOPE, MlpNode, Tape
 from .errors import ConfigError, DomainError, NumericalError
+from .linalg import SIZE_MAX
 
 BN_MOMENTUM = 0.9  # a running statistic r steps to BN_MOMENTUM r + (1 - BN_MOMENTUM) batch
 BLOCK_ROWS = 256  # mlp_apply's rows per block: 256 KB at a 128-wide float64 layer, inside L2
@@ -33,7 +35,8 @@ class MlpSpec:
     """Fully-connected network layout.
 
     widths are output channels per layer; activations must match widths
-    one-to-one ("linear" for no nonlinearity).
+    one-to-one ("linear" for no nonlinearity).  Each layer's weight, of
+    consecutive entries of (in_dim, *widths), is bounded (check_weight_size).
     """
 
     in_dim: int
@@ -48,6 +51,16 @@ class MlpSpec:
             raise ConfigError("MlpSpec needs one activation per layer")
         if any(a not in ACTIVATIONS for a in self.activations):
             raise ConfigError(f"activations must be among {ACTIVATIONS}")
+        dims = (self.in_dim, *self.widths)
+        for rows, cols in zip(dims, dims[1:]):
+            check_weight_size(rows, cols)
+
+
+def check_weight_size(rows: int, cols: int):
+    """A rows x cols weight has at most SIZE_MAX entries, else ConfigError:
+    numpy would refuse a larger array with a ValueError, or fail to allocate it."""
+    if rows * cols > SIZE_MAX:
+        raise ConfigError(f"a {rows} x {cols} weight has more than {SIZE_MAX} entries")
 
 
 def mlp(in_dim, widths, activation, batch_norm=True) -> MlpSpec:
@@ -198,9 +211,7 @@ class Optimizer:
     """Adam (bias-corrected) or RMSprop over a fixed, non-empty set of parameter
     names: a step count and its kind's MOMENTS.  Each moment is one flat buffer
     of the parameters' total size, and slots[moment][name] are reshaped views of
-    it in names order, so step updates all the moments in one vectorized pass.
-    A slot entry that a caller rebinds (a loaded checkpoint, a cast) is read
-    into new buffers, in the entries' common dtype, before step reads it."""
+    it in names order, so step updates all the moments in one vectorized pass."""
 
     def __init__(self, kind: str, learning_rate: float, names: list[str], store: ParamStore):
         if kind not in MOMENTS:
@@ -219,25 +230,10 @@ class Optimizer:
             self._spans.append((name, size, size + math.prod(shape), shape))
             size = self._spans[-1][2]
         dtype = np.result_type(*{store.params[n].dtype for n in self.names})
+        self._buffers = [np.zeros(size, dtype) for _ in MOMENTS[kind]]  # in MOMENTS order
         self.slots = {"step": 0}
-        self._pack([np.zeros(size, dtype) for _ in MOMENTS[kind]])
-
-    def _pack(self, buffers: list):
-        """Make buffers the flat moments, in MOMENTS order, and slots their views."""
-        self._buffers = buffers
-        for moment, flat in zip(MOMENTS[self.kind], buffers):
+        for moment, flat in zip(MOMENTS[kind], self._buffers):
             self.slots[moment] = {n: flat[a:b].reshape(shape) for n, a, b, shape in self._spans}
-        self._views = [list(self.slots[moment].values()) for moment in MOMENTS[self.kind]]
-
-    def _moments(self) -> list[np.ndarray]:
-        """The flat moments, first packed anew from slots, in the entries' common
-        dtype, if an entry is not the view it was given."""
-        entries = [[self.slots[moment][n] for n in self.names] for moment in MOMENTS[self.kind]]
-        if any(a is not view for arrays, views in zip(entries, self._views)
-               for a, view in zip(arrays, views)):
-            dtype = np.result_type(*{a.dtype for arrays in entries for a in arrays})
-            self._pack([np.concatenate(arrays, axis=None, dtype=dtype) for arrays in entries])
-        return self._buffers
 
     def step(self, store: ParamStore, grads: dict[str, np.ndarray]):
         """One update of all the parameters, in the moments' dtype: Adam's m <-
@@ -247,7 +243,7 @@ class Optimizer:
         gradient raises NumericalError, naming the first such parameter, before
         anything changes.  Each named store.params entry is rebound to a new
         array."""
-        moments = self._moments()
+        moments = self._buffers
         g = np.concatenate([grads[n] for n in self.names], axis=None, dtype=moments[0].dtype)
         if not np.isfinite(g).all():
             bad = next(n for n in self.names if not np.isfinite(grads[n]).all())

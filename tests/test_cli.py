@@ -431,19 +431,6 @@ def test_score_csv_of_wrong_width_exits_3(tmp_path, capsys):
     assert err["kind"] == "data" and "3 feature columns" in err["detail"]
 
 
-def test_score_corrupt_optimizer_slot_exits_3(tmp_path, capsys):
-    cfg = small_config(tmp_path)
-    ckpt = _trained_checkpoint(cfg)
-    payload = json.loads(open(ckpt).read())
-    slot = payload["optimizers"]["vae"]
-    slot["m"][next(iter(slot["m"]))] = [[float("nan")]]
-    slot["step"] = -5
-    with open(ckpt, "w") as fh:
-        json.dump(payload, fh)
-    assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
-    assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "data"
-
-
 def _one_error_line(capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -465,17 +452,27 @@ def test_score_checkpoint_value_beyond_float32_exits_3(tmp_path, capsys):
     assert "not finite in float32" in err["detail"]
 
 
-def test_score_version_1_checkpoint_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_score_version_1_checkpoint_exits_3(tmp_path, capsys, version):
+    # a file in version 2's layout: version 3's sections plus each optimizer's
+    # step and moment slots
     cfg = small_config(tmp_path, model={"epochs": 0})
     ckpt = _trained_checkpoint(cfg)
     payload = json.loads(open(ckpt).read())
-    payload["version"] = 1
+    optimizers = M.MawModel.from_payload(payload).optimizers
+    payload["version"] = version
+    payload["optimizers"] = {
+        name: {k: v if k == "step" else {n: a.tolist() for n, a in v.items()}
+               for k, v in opt.slots.items()}
+        for name, opt in optimizers.items()
+    }
     with open(ckpt, "w") as fh:
         json.dump(payload, fh)
     capsys.readouterr()
     assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 3
     err = _one_error_line(capsys)
-    assert err["kind"] == "data" and "version 1" in err["detail"] and "expected 2" in err["detail"]
+    assert err["kind"] == "data" and f"version {version}" in err["detail"]
+    assert "expected 3" in err["detail"]
 
 
 @pytest.mark.parametrize("text", ["[]", "{}", '"maw-checkpoint"'])
@@ -501,16 +498,26 @@ def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
     assert err["kind"] == "data" and "feature_dim" in err["detail"]
 
 
-# the encoder's last weight, 131072 x 4 dprime, is 8 PiB while every bounded size
-# and product is within linalg.SIZE_MAX; numpy refuses it before it allocates
-# anything, whatever the host's overcommit policy, and every array made before
-# it is under 10 MB
+# the encoder's last weight, 131072 x 4 dprime, would be 8 PiB while every
+# hyperparameter and each product of adjacent widths is within linalg.SIZE_MAX;
+# the weight's own bound refuses it before anything is allocated
 TOO_LARGE = {"encoder_widths": [131072], "dprime": 2147483647}
+TOO_LARGE_DETAIL = "a 131072 x 8589934588 weight has more than 2147483647 entries"
 
 
 def test_train_too_large_to_allocate_exits_2(tmp_path, capsys):
     cfg = small_config(tmp_path, model=TOO_LARGE)
     assert run(["--config", cfg, "train"]) == 2
+    assert TOO_LARGE_DETAIL in _one_config_error(capsys)
+
+
+def test_train_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a model within every bound can still be too large for the host's memory
+    def no_memory(rows, cols, rng):
+        raise MemoryError(f"Unable to allocate 8.00 PiB for an array with shape ({rows}, {cols})")
+
+    monkeypatch.setattr(M.nets, "glorot_init", no_memory)
+    assert run(["--config", small_config(tmp_path), "train"]) == 2
     assert "PiB" in _one_config_error(capsys)
 
 
@@ -523,7 +530,22 @@ def test_score_checkpoint_too_large_to_allocate_exits_2(tmp_path, capsys):
         json.dump(payload, fh)
     capsys.readouterr()
     assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 2
-    assert "PiB" in _one_config_error(capsys)
+    assert TOO_LARGE_DETAIL in _one_config_error(capsys)
+
+
+def test_score_checkpoint_weight_across_sections_beyond_bound_exits_2(tmp_path, capsys):
+    # feature_dim x the first encoder width: each is within linalg.SIZE_MAX, and
+    # no one list of widths holds both; numpy's "array is too big" ValueError
+    # once escaped as a traceback
+    hp = M.Hyperparams(d=2, dprime=4, encoder_widths=(8,), decoder_widths=(8,),
+                       critic_widths=(8,))
+    payload = M.init_model(hp, 4, np.random.default_rng(0)).to_payload()
+    payload["feature_dim"] = 2147483647
+    payload["hyperparams"]["encoder_widths"] = [2147483647]
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(payload))
+    assert run(["--config", small_config(tmp_path), "score", "--checkpoint", str(ckpt)]) == 2
+    assert "a 2147483647 x 2147483647 weight" in _one_config_error(capsys)
 
 
 # sizes within linalg.SIZE_MAX whose product is not: a weight or the data
