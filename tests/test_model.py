@@ -361,6 +361,27 @@ def test_init_model_bounds_the_weights_outside_the_networks(monkeypatch, variant
         M.init_model(hp, 4, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("kw, feature_dim, detail", [
+    (dict(encoder_widths=(32768,)), 65536, "65536 x 32768"),
+    (dict(encoder_widths=(1, 65536), dprime=8192), 4, "65536 x 32768"),  # x 4 dprime
+    (dict(decoder_widths=(2**30,)), 4, "2 x 1073741824"),
+    (dict(critic_widths=(2**30,)), 4, "2 x 1073741824"),
+    (dict(decoder_widths=(1, 65536)), 32768, "65536 x 32768"),
+], ids=["feature_dim x first encoder", "last encoder x quarters", "d x first decoder",
+        "d x first critic", "last decoder x feature_dim"])
+def test_init_model_bounds_the_weights_across_sections(monkeypatch, kw, feature_dim, detail):
+    # each size and each product of adjacent widths within one list is within
+    # linalg.SIZE_MAX; the weight joining two sections is not, and its network's
+    # spec refuses it before any draw
+    def no_draw(*args):
+        raise AssertionError("a weight was drawn")
+
+    monkeypatch.setattr(nets, "glorot_init", no_draw)
+    hp = tiny_hp(**kw)
+    with pytest.raises(ConfigError, match=f"a {detail} weight has more than {linalg.SIZE_MAX}"):
+        M.init_model(hp, feature_dim, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("key", M.FLOAT_KEYS)
 def test_hyperparams_float_fields(key):
     for bad in (True, np.bool_(False), float("nan"), float("inf"), -float("inf"),
@@ -867,6 +888,36 @@ def test_float32_checkpoint_round_trips_exactly(variant):
     assert {a.dtype for a in _stored_arrays(clone)} == {np.dtype(M.TRAIN_DTYPE)}
     assert json.dumps(clone.to_payload()) == json.dumps(payload)
     assert np.array_equal(M.score_batch(clone, x, seed=5), M.score_batch(model, x, seed=5))
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_a_loaded_model_optimizers_start_at_step_0(variant):
+    # a checkpoint holds no optimizer state: the clone has the model's
+    # optimizers, kind, rate and names, at step 0 with zero moments, and its
+    # slot views read what the next step writes
+    x = line_data(8, 4, seed=9)
+    model, _ = M.train(x, tiny_hp(epochs=2, variant=variant), seed=0)
+    clone = M.MawModel.from_payload(json.loads(json.dumps(model.to_payload())))
+    assert clone.optimizers.keys() == model.optimizers.keys()
+    rng = np.random.default_rng(1)
+    for key, opt in clone.optimizers.items():
+        trained = model.optimizers[key]
+        assert trained.slots["step"] > 0 and opt.slots["step"] == 0
+        assert (opt.kind, opt.learning_rate, opt.names) == (
+            trained.kind, trained.learning_rate, trained.names)
+        assert opt.slots.keys() == {"step", *nets.MOMENTS[opt.kind]}
+        for moment in nets.MOMENTS[opt.kind]:
+            assert opt.slots[moment].keys() == set(opt.names)
+            for name, value in opt.slots[moment].items():
+                assert value.dtype == M.TRAIN_DTYPE
+                assert value.shape == clone.store.params[name].shape and not value.any()
+        grads = {n: rng.standard_normal(clone.store.params[n].shape).astype(M.TRAIN_DTYPE)
+                 for n in opt.names}
+        opt.step(clone.store, grads)
+        decay = nets.BETA2 if opt.kind == "adam" else nets.RHO
+        assert opt.slots["step"] == 1
+        for name, g in grads.items():
+            assert np.array_equal(opt.slots["v"][name], (1.0 - decay) * g * g), (key, name)
 
 
 def test_float64_checkpoint_loads_in_the_training_dtype():
