@@ -325,11 +325,14 @@ def _run_cells(config, cells, stem, extra_cols=()) -> int:
     """Train and score each cell over config's seeds; write <stem>.json and <stem>.csv.
 
     cells are (extra, cell_config) pairs, where extra holds the row's values of
-    extra_cols.  Every cell's Hyperparams and SplitSpec, then the family, are
+    extra_cols.  Every cell's Hyperparams and SplitSpec, then the family, then
+    every cell's model size at the family's width (model.network_specs) are
     built and checked before the first cell trains.
     """
     built = [(extra, _hyperparams(cell), _split(cell)) for extra, cell in cells]
     family = _family(config)
+    for _, hp, _ in built:
+        model_mod.network_specs(hp, family.dim)
     rows = []
     for extra, hp, split in built:
         report = evalx.run_experiment(family, split, config["seeds"], hp)

@@ -100,12 +100,13 @@ class PoolFamily:
     """Contaminated splits drawn without replacement from a labeled pool.
 
     Mirrors the sampling protocol on a fixed dataset: each split takes a fresh
-    uniform subsample of inliers and of outliers.  seed and sample's arguments
-    are checked as SyntheticFamily's are.
+    uniform subsample of inliers and of outliers.  dim is the pool's feature
+    width; seed and sample's arguments are checked as SyntheticFamily's are.
     """
 
     def __init__(self, dataset: Dataset, seed: int = 0):
         self.dataset = dataset
+        self.dim = dataset.features.shape[1]
         self.seed = linalg.as_seed(seed, "seed", DomainError)
         self._inliers = np.flatnonzero(dataset.labels == 0)
         self._outliers = np.flatnonzero(dataset.labels == 1)

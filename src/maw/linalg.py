@@ -1,10 +1,10 @@
 """Dense linear algebra kernels: float64 vectors (1-d), matrices (2-d, row
 major) and stacks of matrices (..., n, n), except that the row and block
 kernels keep their input's dtype (float32 in training).
-The symmetric eigensolver is one batched LAPACK call (np.linalg.eigh) with a
-fixed order and sign convention; everything downstream (PSD square roots,
+The symmetric eigensolver, sym_eig_batch, is the one batched LAPACK call
+(np.linalg.eigh) with a fixed order; everything downstream (PSD square roots,
 spectral truncation and its gradient, closed-form Gaussian distances) is built
-on top of it.
+on top of it, reading its eigenvectors in forms where their signs cancel.
 """
 
 from __future__ import annotations
@@ -156,20 +156,11 @@ def sym_eig_batch(m3) -> tuple[np.ndarray, np.ndarray]:
     m3 is (L, n, n); only its lower triangle is read.  Returns (w (L, n),
     q (L, n, n)): each row of w is sorted descending (ties keep LAPACK's
     order, so the identity gives q = I), and the columns of q[l] are the
-    matching orthonormal eigenvectors, each with its largest-magnitude entry
-    (the first one on ties) made positive, so the factorization is unique up
-    to repeated eigenvalues.  Non-finite input and LAPACK failures raise
-    NumericalError.
+    matching orthonormal eigenvectors with the signs LAPACK gave them.  A
+    column's sign cancels bit for bit in q diag(.) q^T, so a caller that reads
+    a column itself fixes its sign.  Non-finite input and LAPACK failures
+    raise NumericalError.
     """
-    w, qt = _sorted_eig(m3)
-    lead = np.take_along_axis(qt, np.argmax(np.abs(qt), axis=2)[:, :, None], axis=2)
-    qt *= np.copysign(1.0, lead)
-    return w, np.swapaxes(qt, 1, 2)
-
-
-def _sorted_eig(m3) -> tuple[np.ndarray, np.ndarray]:
-    """sym_eig_batch without its sign rule: (w, qt), qt[l, j] being eigenvector
-    j of block l as a row, with the sign LAPACK gave it."""
     m3 = np.asarray(m3, dtype=np.float64)
     if m3.ndim != 3 or m3.shape[1] != m3.shape[2]:
         raise ShapeError(f"expected a stack of square matrices, got shape {m3.shape}")
@@ -181,7 +172,7 @@ def _sorted_eig(m3) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     rows = np.arange(m3.shape[0])[:, None]
     order = np.argsort(-w, axis=1, kind="stable")
-    return w[rows, order], np.swapaxes(q, 1, 2)[rows, order]
+    return w[rows, order], np.swapaxes(q[rows, :, order], 1, 2)
 
 
 def truncation_mask(n: int, dtype=np.float64) -> np.ndarray:
@@ -193,18 +184,18 @@ def truncation_mask(n: int, dtype=np.float64) -> np.ndarray:
 def spectral_truncate(m3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-n/2 truncation q diag(w * truncation_mask(n)) q^T of each block of
     an (L, n, n) symmetric stack, built from the n/2 kept columns of q only;
-    returns (truncated stack, w, q) with w and q as sym_eig_batch's, save that
-    q's columns keep LAPACK's signs: a column's sign cancels bit for bit in
-    q diag(.) q^T and in the tape's Daleckii-Krein backward."""
-    w, qt = _sorted_eig(m3)
-    q, keep = np.swapaxes(qt, 1, 2), w.shape[1] // 2
-    kept = q[:, :, :keep]
-    return (kept * w[:, None, :keep]) @ np.swapaxes(kept, 1, 2), w, q
+    returns (truncated stack, w, q) as sym_eig_batch gives them: a column's
+    sign cancels bit for bit in the truncation and in the tape's
+    Daleckii-Krein backward."""
+    w, q = sym_eig_batch(m3)
+    kept = q[:, :, :w.shape[1] // 2]
+    return (kept * w[:, None, :kept.shape[2]]) @ np.swapaxes(kept, 1, 2), w, q
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Symmetric PSD square root of a matrix or of each matrix of a (..., n, n)
-    stack, from one sym_eig_batch call.
+    stack, q diag(sqrt(w)) q^T from one sym_eig_batch call (the eigenvectors'
+    signs cancel).
 
     Eigenvalues in [-1e-10, 0) are treated as round-off and clamped to zero;
     anything below that, in any matrix, raises NotPSDError.

@@ -92,9 +92,6 @@ class Hyperparams:
                            or not 1 <= w <= linalg.SIZE_MAX for w in widths)):
                 raise ConfigError(f"{key} must be a non-empty list of ints in "
                                   f"[1, {linalg.SIZE_MAX}], got {widths!r}")
-            if any(a * b > linalg.SIZE_MAX for a, b in zip(widths, widths[1:])):  # a weight's size
-                raise ConfigError(f"{key}: each product of adjacent widths must be at most "
-                                  f"{linalg.SIZE_MAX}, got {widths!r}")
             setattr(self, key, tuple(widths))
         for key in INT_KEYS:
             setattr(self, key, linalg.as_size(getattr(self, key), key, ConfigError))
@@ -230,15 +227,24 @@ def _load_arrays(target: dict, source, section: str):
         target[name] = value
 
 
-def _network_specs(hp: Hyperparams, feature_dim: int) -> dict:
-    """The networks' specs; the encoder's four quarters are d wide without A, else dprime."""
-    quarter = hp.dprime if hp.ingredients is None or hp.ingredients.reduction else hp.d
+def network_specs(hp: Hyperparams, feature_dim: int) -> dict:
+    """The networks' specs for feature_dim features; the encoder's four quarters
+    are d wide without A, else dprime.  This is the one bound on the model's
+    weights: each MlpSpec bounds its own, and A and the vae head are bounded
+    here, so a weight beyond linalg.SIZE_MAX entries raises ConfigError before
+    anything is allocated."""
+    ing = hp.ingredients
+    quarter = hp.dprime if ing is None or ing.reduction else hp.d
     specs = {
         "enc": nets.mlp(feature_dim, hp.encoder_widths + (4 * quarter,), "relu"),
         "dec": nets.mlp(hp.d, hp.decoder_widths + (feature_dim,), "relu"),
     }
-    if hp.ingredients is not None:
+    if ing is None:
+        nets.check_weight_size(4 * hp.dprime, 2 * hp.d)  # the head
+    else:
         specs["cri"] = nets.mlp(hp.d, hp.critic_widths + (1,), "leaky_relu")
+        if ing.reduction:
+            nets.check_weight_size(hp.dprime, hp.d)  # A
     return specs
 
 
@@ -246,13 +252,9 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
     """Glorot-initialized model; parameter creation order is fixed for determinism."""
     if feature_dim < 1:
         raise ConfigError("feature dimension must be positive")
-    specs = _network_specs(hp, feature_dim)  # each MlpSpec bounds its weights' sizes
+    specs = network_specs(hp, feature_dim)
     ing = hp.ingredients
     uses_reduction = ing is not None and ing.reduction
-    if uses_reduction:
-        nets.check_weight_size(hp.dprime, hp.d)  # A
-    if ing is None:
-        nets.check_weight_size(4 * hp.dprime, 2 * hp.d)  # the head
     store = nets.ParamStore()
     nets.build_mlp_params(store, "enc", specs["enc"], rng)
     if uses_reduction:

@@ -2,8 +2,8 @@
 
 Every hidden layer is affine without bias -> batch norm (beta shifts) ->
 activation; output layers are affine with a bias (batch norm on an output layer
-would re-center the produced distribution parameters, so the flag covers hidden
-layers).  The critic keeps batch norm too, deliberately.  On the tape a network
+would re-center the produced distribution parameters, so only hidden layers
+have it).  The critic keeps batch norm too, deliberately.  On the tape a network
 run is one `Tape.mlp` node on the batch statistics, its parameters bound by
 name; mlp_forward steps the running statistics that fold_layers folds into each
 layer for scoring, and the critic keeps none.  mlp_apply runs the folded layers
@@ -42,7 +42,6 @@ class MlpSpec:
     in_dim: int
     widths: tuple[int, ...]
     activations: tuple[str, ...]
-    batch_norm: bool = True
 
     def __post_init__(self):
         if self.in_dim <= 0 or len(self.widths) < 1 or any(w <= 0 for w in self.widths):
@@ -63,10 +62,10 @@ def check_weight_size(rows: int, cols: int):
         raise ConfigError(f"a {rows} x {cols} weight has more than {SIZE_MAX} entries")
 
 
-def mlp(in_dim, widths, activation, batch_norm=True) -> MlpSpec:
+def mlp(in_dim, widths, activation) -> MlpSpec:
     """Spec with one hidden activation and a linear output layer."""
     acts = tuple(activation for _ in widths[:-1]) + ("linear",)
-    return MlpSpec(in_dim, tuple(widths), acts, batch_norm)
+    return MlpSpec(in_dim, tuple(widths), acts)
 
 
 class ParamStore:
@@ -100,8 +99,8 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _normed(spec: MlpSpec, k: int) -> bool:
-    """Whether layer k of spec is followed by batch norm (hidden layers only)."""
-    return spec.batch_norm and k < len(spec.widths) - 1
+    """Whether layer k of spec is followed by batch norm: every layer but the last."""
+    return k < len(spec.widths) - 1
 
 
 def build_mlp_params(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.random.Generator,

@@ -16,11 +16,12 @@ Each analytic fact is paired with an independent numeric oracle
 (a grid over the reduced colinear/diagonal parameterization, refined by a
 bracket zoom or Nelder-Mead, and an exact-assignment empirical W1).
 
-Inputs are checked once, where they enter: the public distances,
-mixture_objective, TheoryProblem and every seed (a non-negative int, else
-DomainError).  The oracle builds its candidates from a validated problem,
-factors the prior once per solve and calls the unchecked kernel objective on
-its whole grid as one stack.  A shared-covariance problem is convex in one
+Inputs are checked once, where they enter: the public distances and
+mixture_objective, which take one candidate each, TheoryProblem and every seed
+(a non-negative int, else DomainError).  Only the unchecked kernels take stacks
+of candidates: the oracle builds its candidates from a validated problem,
+factors the prior once per solve and calls the kernel objective on its whole
+grid as one stack.  A shared-covariance problem is convex in one
 scalar offset, so its oracle refines by re-gridding the bracket around the
 best point, each round one stack again; only the low-rank W2 problem steps
 Nelder-Mead one candidate at a time.  In the shared-covariance KL oracle every
@@ -57,39 +58,24 @@ CONSTRAINTS = ("shared", "low-rank-inlier")
 
 # ------------------------------------------------------------ closed forms
 #
-# Each distance takes one candidate or a stack of G of them: a mean is (k,) or
-# (G, k), a covariance (k, k), shared by the whole stack, or (G, k, k).  Every
-# matrix of a stack gets the checks a single one gets; single operands give a
-# float, a stack a (G,) array.  Each is a checked entry: _operands validates,
-# then its kernel (_wp, _w2, _kl) computes on (1 or G, k) means and (1 or G,
-# k, k) covariances, checking only the spectra it computes.  _kl takes S0
-# factored by _kl_prior and S1's terms from _kl_mode, so a fixed covariance is
-# factored once.
+# Each distance is a checked entry for one candidate: a mean is (k,), a
+# covariance (k, k), and the result a float; a stacked operand is a ShapeError.
+# _operands validates, then its kernel (_wp, _w2, _kl) computes on stacks, (G,
+# k) means and (1 or G, k, k) covariances, checking only the spectra it
+# computes: the oracle calls the kernels on its whole grid through _objective.
+# _kl takes S0 factored by _kl_prior and S1's terms from _kl_mode, so a fixed
+# covariance is factored once.
 
 
 def _operands(name: str, means, covariances=()):
-    """Means as (1 or G, k) arrays, covariances as (1 or G, k, k) arrays, and
-    whether every operand was a single one."""
-    means = [np.asarray(m, dtype=np.float64) for m in means]
-    covariances = [linalg.require_symmetric(c) for c in covariances]
-    k = means[0].shape[-1] if means[0].ndim else 0
-    if (k == 0
-            or any(m.ndim not in (1, 2) or m.size == 0 or m.shape[-1] != k for m in means)
-            or any(c.ndim > 3 or c.shape[-1] != k for c in covariances)):
-        raise ShapeError(f"{name} operands have inconsistent dimensions")
-    if not all(np.all(np.isfinite(m)) for m in means):
-        raise DomainError("vector entries must be finite")
-    sizes = {m.shape[0] for m in means if m.ndim == 2}
-    sizes |= {c.shape[0] for c in covariances if c.ndim == 3}
-    if len(sizes) > 1:
-        raise ShapeError(f"{name} operands stack different numbers of candidates")
-    means = [m.reshape(-1, k) for m in means]
-    covariances = [c.reshape(-1, k, k) for c in covariances]
-    return means, covariances, not sizes
-
-
-def _result(values: np.ndarray, single: bool):
-    return float(values[0]) if single else values
+    """One candidate's means as (1, k) arrays and covariances as (1, k, k)
+    arrays, the kernels' stacks of one; ShapeError unless every mean is (k,)
+    and every covariance (k, k) for the first mean's k."""
+    means = [linalg.as_vector(m) for m in means]
+    k = len(means[0])
+    if any(len(m) != k for m in means) or any(np.shape(c) != (k, k) for c in covariances):
+        raise ShapeError(f"{name} takes one candidate: means (k,) and covariances (k, k)")
+    return [m[None] for m in means], [linalg.require_symmetric(c)[None] for c in covariances]
 
 
 def _trace(m3: np.ndarray) -> np.ndarray:
@@ -102,8 +88,8 @@ def wp_equal_cov(mu_i, mu_0):
     For equal covariances the optimal coupling is the mean shift itself, so
     the distance is ||mu_i - mu_0||_2 independently of p.
     """
-    (mu_i, mu_0), _, single = _operands("wp_equal_cov", (mu_i, mu_0))
-    return _result(_wp(mu_i, mu_0), single)
+    (mu_i, mu_0), _ = _operands("wp_equal_cov", (mu_i, mu_0))
+    return float(_wp(mu_i, mu_0)[0])
 
 
 def _wp(mu_i, mu_0):
@@ -113,11 +99,10 @@ def _wp(mu_i, mu_0):
 def w2_gaussian(mu1, sigma1, mu2, sigma2):
     """2-Wasserstein distance between Gaussians.
 
-    W2^2 = ||dmu||^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}), with both
-    PSD roots taken per candidate.
+    W2^2 = ||dmu||^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}).
     """
-    (mu1, mu2), (s1, s2), single = _operands("w2_gaussian", (mu1, mu2), (sigma1, sigma2))
-    return _result(_w2(mu1, s1, mu2, s2), single)
+    (mu1, mu2), (s1, s2) = _operands("w2_gaussian", (mu1, mu2), (sigma1, sigma2))
+    return float(_w2(mu1, s1, mu2, s2)[0])
 
 
 def _w2(mu1, s1, mu2, s2):
@@ -133,17 +118,16 @@ def kl_gaussian(mu1, sigma1, mu0, sigma0):
 
     KL = (log det S0 / det S1 - K + tr(S0^{-1} S1) + dmu^T S0^{-1} dmu) / 2.
     S0 must be positive definite; an S1 whose smallest eigenvalue is below
-    1e-12 of its largest is treated as exactly singular (+inf at its own
-    entry of a stack).
+    1e-12 of its largest is treated as exactly singular (+inf).
     """
-    (mu1, mu0), (s1, s0), single = _operands("kl_gaussian", (mu1, mu0), (sigma1, sigma0))
+    (mu1, mu0), (s1, s0) = _operands("kl_gaussian", (mu1, mu0), (sigma1, sigma0))
     prior = _kl_prior(s0)
-    return _result(_kl(mu1, _kl_mode(s1, prior), mu0, prior), single)
+    return float(_kl(mu1, _kl_mode(s1, prior), mu0, prior)[0])
 
 
 def _kl_prior(s0):
-    """(S0^{-1}, log det S0) of each matrix of a (1 or G, k, k) stack, from one
-    sym_eig_batch call; DomainError unless every one is positive definite."""
+    """(S0^{-1}, log det S0) of a (1, k, k) stack, from one sym_eig_batch call;
+    DomainError unless S0 is positive definite."""
     w0, q0 = linalg.sym_eig_batch(s0)
     if np.any(w0[:, -1] <= 0.0):
         raise DomainError("reference covariance must be positive definite")
@@ -167,18 +151,13 @@ def _kl_mode(s1, prior):
 
 
 def _kl(mu1, mode, mu0, prior):
-    """KL of (1 or G, k) means whose covariance terms _kl_mode computed: only
-    the Mahalanobis term is computed here, as one GEMM when a single prior
-    serves the whole stack."""
+    """KL of (G, k) means whose covariance terms _kl_mode computed: only the
+    Mahalanobis term is computed here, as one GEMM against the one prior."""
     log_det, trace, singular = mode
-    inv0 = prior[0]
-    k = mu1.shape[1]
     dmu = mu1 - mu0
-    if len(inv0) == 1:  # one prior for the stack: a GEMM
-        mahalanobis = np.sum((dmu @ inv0[0]) * dmu, axis=1)
-    else:
-        mahalanobis = np.sum(dmu[:, :, None] * inv0 * dmu[:, None, :], axis=(1, 2))
-    val = 0.5 * (log_det - k + trace + mahalanobis)
+    inv0 = prior[0][0]  # the one prior's S0^{-1}
+    mahalanobis = np.sum((dmu @ inv0) * dmu, axis=1)
+    val = 0.5 * (log_det - mu1.shape[1] + trace + mahalanobis)
     return np.where(singular, math.inf, val)
 
 
@@ -247,35 +226,18 @@ class TheorySolution:
         return abs(float(np.linalg.norm(self.mu1 - self.mu2)) - epsilon)
 
 
-def _mode_operand(x, g: int, tail: tuple) -> np.ndarray:
-    """One mode's operand, single (tail) or a stack (g, *tail), as a (g, *tail) stack."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape == tail:
-        return x[None].repeat(g, axis=0)
-    if x.shape != (g, *tail):
-        raise ShapeError(f"a mode operand of shape {x.shape} does not fit {tail} or {(g, *tail)}")
-    return x
-
-
-def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2):
+def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2) -> float:
     """eta R(mode1, prior) + (1 - eta) R(mode2, prior) for the problem's R.
 
-    The modes are one candidate or a stack of G of them, as for the distances,
-    and a single mode broadcasts against a stacked one.  Both modes go through
-    one distance call: mode 1's candidates, then mode 2's, as one stack of 2G,
-    with a single covariance that both modes share passed once.
+    The modes are one candidate, checked as the distances check theirs, in the
+    problem's k (W_p reads no covariance).  Both go through one kernel call, as
+    a stack of two means and, but for W_p, two covariances.
     """
-    k = problem.k
     covs = () if problem.regularizer == "wp" else (sigma1, sigma2)
-    stacks = [np.shape(m)[0] for m in (mu1, mu2) if np.ndim(m) == 2]
-    stacks += [np.shape(c)[0] for c in covs if np.ndim(c) == 3]
-    g = max(stacks, default=1)
-    means = np.concatenate([_mode_operand(m, g, (k,)) for m in (mu1, mu2)])
-    if covs:
-        shared = np.shape(sigma1) == np.shape(sigma2) == (k, k) and np.array_equal(sigma1, sigma2)
-        covs = (sigma1 if shared else np.concatenate([_mode_operand(c, g, (k, k)) for c in covs]),)
-    (means,), covs, _ = _operands("mixture_objective", (means,), covs)
-    return _result(_objective(problem)(means, *covs), not stacks)
+    # the prior's mean first, so that the modes are checked against the problem's k
+    (_, *means), covs = _operands("mixture_objective", (problem.mu0, mu1, mu2), covs)
+    cov = np.concatenate(covs) if covs else None
+    return float(_objective(problem)(np.concatenate(means), cov)[0])
 
 
 def _objective(problem: TheoryProblem, fixed=None):
@@ -319,7 +281,8 @@ def solve_shared_cov(problem: TheoryProblem) -> TheorySolution:
     (1 - eta) eps.  KL: the modes straddle the prior mean on a line through it
     with ||mu1 - mu0|| = (1 - eta) eps and ||mu2 - mu0|| = eta eps; the free
     direction is fixed to the top eigenvector of the shared covariance (any
-    axis for an isotropic prior).
+    axis for an isotropic prior), signed so that its largest-magnitude entry
+    (the first on ties) is positive.
     """
     if problem.constraint != "shared":
         raise DomainError("solve_shared_cov handles the shared-covariance case only")
@@ -332,11 +295,12 @@ def solve_shared_cov(problem: TheoryProblem) -> TheorySolution:
         mu2 = problem.mu0 + eps * direction
         objective = (1.0 - eta) * eps
     else:
-        direction = linalg.sym_eig_batch(sigma[None])[1][0, :, 0]
+        top = linalg.sym_eig_batch(sigma[None])[1][0, :, 0]
+        direction = top * np.copysign(1.0, top[np.argmax(np.abs(top))])
         mu1 = problem.mu0 + (1.0 - eta) * eps * direction
         mu2 = problem.mu0 - eta * eps * direction
         objective = mixture_objective(problem, mu1, mu2, sigma, sigma)
-    return TheorySolution(mu1, mu2, sigma.copy(), sigma.copy(), float(objective))
+    return TheorySolution(mu1, mu2, sigma.copy(), sigma.copy(), objective)
 
 
 def regime_threshold(k: int, kappa: int, epsilon: float) -> float:

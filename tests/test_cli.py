@@ -191,6 +191,7 @@ def test_sweep_values_must_be_a_nonempty_list(tmp_path, capsys, values):
 @pytest.mark.parametrize("axis, values", [
     ("variant", ["maw", "nope"]), ("d", [2, 3]), ("eta", [0.8, 1.5]), ("c", [0.2, 2.0]),
     ("d", [2, "4"]), ("zz", ["maw"]), ([1], ["maw"]), ({"a": 1}, ["maw"]), (None, ["maw"]),
+    ("d", [2, 536870912]),  # the second cell's d x 8 decoder weight has 2^32 entries
 ])
 def test_sweep_checks_every_cell_before_any_trains(tmp_path, capsys, monkeypatch, axis, values):
     trained = []
@@ -200,6 +201,19 @@ def test_sweep_checks_every_cell_before_any_trains(tmp_path, capsys, monkeypatch
     _one_config_error(capsys)
     assert trained == []
     assert not os.path.exists(json.loads(open(cfg).read())["output_dir"])
+
+
+def test_eval_bounds_the_model_at_the_csv_pool_width(tmp_path, capsys, monkeypatch):
+    # the first encoder weight is the pool's 2 feature columns x 2^30
+    trained = []
+    monkeypatch.setattr(cli.evalx, "run_experiment", lambda *args: trained.append(args))
+    data = tmp_path / "pool.csv"
+    data.write_text("f1,f2,label\n1,0,0\n0,1,0\n1,1,1\n")
+    cfg = small_config(tmp_path, data={"source": "csv", "path": str(data)},
+                       model={"encoder_widths": [2**30]})
+    assert run(["--config", cfg, "eval"]) == 2
+    assert _one_config_error(capsys).startswith("a 2 x 1073741824 weight has more than")
+    assert trained == []
 
 
 @pytest.mark.parametrize("assignment, name", [
@@ -499,8 +513,8 @@ def test_score_bad_feature_dim_exits_3(tmp_path, capsys, dim):
 
 
 # the encoder's last weight, 131072 x 4 dprime, would be 8 PiB while every
-# hyperparameter and each product of adjacent widths is within linalg.SIZE_MAX;
-# the weight's own bound refuses it before anything is allocated
+# hyperparameter is within linalg.SIZE_MAX; the weight's own bound refuses it
+# before anything is allocated
 TOO_LARGE = {"encoder_widths": [131072], "dprime": 2147483647}
 TOO_LARGE_DETAIL = "a 131072 x 8589934588 weight has more than 2147483647 entries"
 
@@ -552,8 +566,8 @@ def test_score_checkpoint_weight_across_sections_beyond_bound_exits_2(tmp_path, 
 # family's frame; each used to end in numpy's "array is too big" traceback or
 # a MemoryError
 @pytest.mark.parametrize("assignments, detail", [
-    (["model.decoder_widths=[524288,2147483647]"], "adjacent widths"),
-    (["model.critic_widths=[8,65536,65536]"], "adjacent widths"),
+    (["model.decoder_widths=[524288,2147483647]"], "a 524288 x 2147483647 weight"),
+    (["model.critic_widths=[8,65536,65536]"], "a 65536 x 65536 weight"),
     (["data.features=2147483647", "data.rank=2147483646"], "dim x rank"),
     (["data.features=2147483647", "data.rank=4194304"], "dim x rank"),
 ], ids=["widths", "widths-inner", "data", "data-pib"])
@@ -574,7 +588,7 @@ def test_score_checkpoint_widths_product_beyond_bound_exits_2(tmp_path, capsys):
         json.dump(payload, fh)
     capsys.readouterr()
     assert run(["--config", cfg, "score", "--checkpoint", ckpt]) == 2
-    assert "adjacent widths" in _one_config_error(capsys)
+    assert "a 524288 x 2147483647 weight" in _one_config_error(capsys)
 
 
 # one past linalg.SIZE_MAX for each integer key, and sizes beyond numpy's index

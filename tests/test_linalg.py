@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -199,8 +203,6 @@ def test_sym_eig_batch_conventions():
             assert np.array_equal(w, ref_w)
             assert np.array_equal(q, ref_q)
             assert np.all(np.diff(w) <= 0.0)
-            lead = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
-            assert np.all(lead > 0.0)
             assert np.allclose((q * w) @ q.T, m, atol=1e-12)
     assert np.array_equal(linalg.sym_eig_batch(np.eye(3)[None])[1][0], np.eye(3))
 
@@ -219,6 +221,17 @@ def test_spectral_truncate_matches_its_einsum(d):
         assert np.array_equal(out, (q * kept[:, None, :]) @ np.swapaxes(q, 1, 2))
         np.testing.assert_allclose(out, np.einsum("lik,lk,ljk->lij", q, kept, q),
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_one_eigensolver_call_in_the_package():
+    # every eigendecomposition goes through sym_eig_batch, so its order is defined once
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(linalg.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "eigh"
+             or isinstance(node, ast.Name) and node.id == "eigh"]
+    assert [name for name, _ in found] == ["linalg.py"]
+    assert "np.linalg.eigh(m3)" in inspect.getsource(linalg.sym_eig_batch)
 
 
 def test_sym_eig_batch_rejects_non_finite():

@@ -327,7 +327,7 @@ def test_hyperparams_int_fields(key):
 @pytest.mark.parametrize("key", M.INT_KEYS + M.WIDTH_KEYS)
 def test_hyperparams_bound_every_size(key):
     top = linalg.SIZE_MAX - (key == "d")  # d is even
-    value = (1, top) if key in M.WIDTH_KEYS else top  # a product of adjacent widths is bounded too
+    value = (1, top) if key in M.WIDTH_KEYS else top
     assert getattr(tiny_hp(**{key: value}), key) == value
     for bad in (linalg.SIZE_MAX + 1, 10**18, 10**29, 2.0**64):
         with pytest.raises(ConfigError, match=key):
@@ -336,13 +336,16 @@ def test_hyperparams_bound_every_size(key):
 
 
 @pytest.mark.parametrize("key", M.WIDTH_KEYS)
-def test_hyperparams_bound_each_product_of_adjacent_widths(key):
-    # one weight of the network is that product's size
-    for good in ((46340, 46340), (1, linalg.SIZE_MAX, 1), (8, 268435455)):
-        assert getattr(tiny_hp(**{key: good}), key) == good
-    for bad in ((65536, 32768), (8, linalg.SIZE_MAX), (8, 65536, 65536, 8)):
-        with pytest.raises(ConfigError, match=f"{key}: each product of adjacent widths"):
-            tiny_hp(**{key: bad})
+def test_network_specs_bound_each_product_of_adjacent_widths(key):
+    # one weight of the network is that product's size: Hyperparams bounds each
+    # width alone, and network_specs, the one bound on the weights, the product
+    for good in ((46340, 46340), (1, linalg.SIZE_MAX, 1)):
+        assert M.network_specs(tiny_hp(**{key: good}), 4)[key[:3]].widths[:-1] == good
+    for bad, detail in (((65536, 32768), "65536 x 32768"), ((8, linalg.SIZE_MAX), "8 x 2147483647"),
+                        ((8, 65536, 65536, 8), "65536 x 65536")):
+        hp = tiny_hp(**{key: bad})
+        with pytest.raises(ConfigError, match=f"a {detail} weight has more than {linalg.SIZE_MAX}"):
+            M.network_specs(hp, 4)
 
 
 @pytest.mark.parametrize("variant, d, detail", [
@@ -371,8 +374,8 @@ def test_init_model_bounds_the_weights_outside_the_networks(monkeypatch, variant
         "d x first critic", "last decoder x feature_dim"])
 def test_init_model_bounds_the_weights_across_sections(monkeypatch, kw, feature_dim, detail):
     # each size and each product of adjacent widths within one list is within
-    # linalg.SIZE_MAX; the weight joining two sections is not, and its network's
-    # spec refuses it before any draw
+    # linalg.SIZE_MAX; the weight joining two sections is not, and network_specs
+    # refuses it before any draw
     def no_draw(*args):
         raise AssertionError("a weight was drawn")
 

@@ -226,25 +226,6 @@ def test_folded_forward_matches_textbook_batch_norm():
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def test_eval_fold_is_per_spec():
-    # the same prefix under a spec without batch norm folds its W and b only
-    rng = np.random.default_rng(9)
-    spec = nets.mlp(3, (5, 4), "relu")
-    plain = nets.mlp(3, (5, 4), "relu", batch_norm=False)
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "net", spec, rng)
-    store.state["net.l0.running_var"] = rng.uniform(0.2, 3.0, 5)
-    store.add("net.l0.b", rng.standard_normal(5))  # the bias only the plain spec reads
-    x = rng.standard_normal((4, 3))
-    keys, with_norm = nets.fold_layers(store, "net", spec)
-    plain_keys, without = nets.fold_layers(store, "net", plain)
-    assert ("state", "net.l0.running_var") in keys
-    assert plain_keys == [("params", f"net.l{k}.{n}") for k in (0, 1) for n in ("W", "b")]
-    assert not np.array_equal(nets.mlp_apply(with_norm, x), nets.mlp_apply(without, x))
-    w0, b0, w1, b1 = (store.params[f"net.l{k}.{n}"] for k in (0, 1) for n in ("W", "b"))
-    assert np.array_equal(nets.mlp_apply(without, x), np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)
-
-
 def _scoring_stack(rng):
     """Folded layers 2 -> 128 -> 64 -> 32 -> 20, one of each activation."""
     widths, acts = (2, 128, 64, 32, 20), ("relu", "leaky_relu", "linear", "linear")

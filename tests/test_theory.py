@@ -105,7 +105,7 @@ def test_kl_nonnegative_random():
         assert theory.kl_gaussian(rng.standard_normal(k), s1, rng.standard_normal(k), s1) >= -1e-10
 
 
-# ------------------------------------------------------------ stacked candidates
+# ------------------------------------------------------------ one candidate a call
 
 
 def _spd_stack(rng, g, k):
@@ -113,130 +113,111 @@ def _spd_stack(rng, g, k):
     return b @ np.swapaxes(b, 1, 2) + 0.3 * np.eye(k)
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared-cov", "stacked-cov"])
-def test_distances_on_a_stack_equal_single_calls(shared):
-    rng = np.random.default_rng(5)
-    g, k = 9, 3
-    mu1, mu0 = rng.standard_normal((g, k)), rng.standard_normal(k)
-    s1 = _spd_stack(rng, 1 if shared else g, k)
-    s1 = s1[0] if shared else s1
-    s0 = _spd_stack(rng, 1, k)[0]
-    rows = [(mu1[i], s1 if shared else s1[i]) for i in range(g)]
-    wp, w2, kl = theory.wp_equal_cov, theory.w2_gaussian, theory.kl_gaussian
-    cases = [
-        (wp(mu1, mu0), [wp(m, mu0) for m, _ in rows]),
-        (w2(mu1, s1, mu0, s0), [w2(m, s, mu0, s0) for m, s in rows]),
-        (w2(mu0, s0, mu1, s1), [w2(mu0, s0, m, s) for m, s in rows]),
-        (kl(mu1, s1, mu0, s0), [kl(m, s, mu0, s0) for m, s in rows]),
-    ]
-    for stacked, single in cases:
-        assert isinstance(single[0], float)
-        assert stacked.shape == (g,)
-        assert np.array_equal(stacked, single)
+def _problem(rng, k, regularizer):
+    """A problem with a random prior in dimension k."""
+    return theory.TheoryProblem(k=k, epsilon=1.0, eta=0.8, regularizer=regularizer,
+                                mu0=rng.standard_normal(k), sigma0=_spd_stack(rng, 1, k)[0])
 
 
-def test_kl_stack_is_infinite_at_its_rank_deficient_member_only():
-    rng = np.random.default_rng(6)
-    g, k = 5, 3
-    s1 = _spd_stack(rng, g, k)
-    c = rng.standard_normal((k, 1))
-    s1[2] = c @ c.T
-    mu1, mu0, s0 = rng.standard_normal((g, k)), np.zeros(k), np.eye(k)
-    vals = theory.kl_gaussian(mu1, s1, mu0, s0)
-    assert np.isinf(vals).tolist() == [False, False, True, False, False]
-    assert np.array_equal(vals, [theory.kl_gaussian(mu1[i], s1[i], mu0, s0) for i in range(g)])
-    # a 1-d mean against a stacked covariance is a stack too
-    assert np.array_equal(theory.kl_gaussian(mu0, s1, mu0, s0)[[0, 2]],
-                          [theory.kl_gaussian(mu0, s1[i], mu0, s0) for i in (0, 2)])
-
-
-def test_stacks_with_one_bad_member_raise():
-    rng = np.random.default_rng(7)
-    g, k = 4, 2
-    mu = rng.standard_normal((g, k))
-    asymmetric = _spd_stack(rng, g, k)
-    asymmetric[1, 0, 1] += 0.5
-    indefinite = _spd_stack(rng, g, k)
-    indefinite[3] = [[0.0, 1.0], [1.0, 0.0]]
-    for bad in (asymmetric, indefinite):
-        with pytest.raises(DomainError):
-            theory.kl_gaussian(mu, bad, np.zeros(k), np.eye(k))
-    with pytest.raises(DomainError):
-        theory.w2_gaussian(mu, asymmetric, np.zeros(k), np.eye(k))
-    with pytest.raises(NotPSDError):
-        theory.w2_gaussian(mu, indefinite, np.zeros(k), np.eye(k))
-    with pytest.raises(ShapeError):
-        theory.kl_gaussian(mu, _spd_stack(rng, g + 1, k), np.zeros(k), np.eye(k))
-    with pytest.raises(ShapeError):
-        theory.wp_equal_cov(mu, np.zeros(k + 1))
-
-
+@pytest.mark.parametrize("covs", ["fixed", "shared", "per-candidate"])
 @pytest.mark.parametrize("regularizer", theory.REGULARIZERS)
-def test_mixture_objective_over_a_grid_equals_single_points(regularizer):
-    rng = np.random.default_rng(8)
+def test_a_kernel_evaluation_of_g_candidates_equals_g_single_calls(regularizer, covs):
+    # the oracle's path, _objective on a stack, has the bits of one public call a
+    # candidate; one covariance for every mode is passed once, fixed as a
+    # shared-covariance solve passes it, or with the means
+    rng = np.random.default_rng(11)
     g, k = 6, 3
-    problem = theory.TheoryProblem(k=k, epsilon=1.0, eta=0.75, regularizer=regularizer)
+    problem = _problem(rng, k, regularizer)
     mu1, mu2 = rng.standard_normal((g, k)), rng.standard_normal((g, k))
     s1, s2 = _spd_stack(rng, g, k), _spd_stack(rng, g, k)
-    grid = theory.mixture_objective(problem, mu1, mu2, s1, s2)
+    means = np.concatenate([mu1, mu2])
+    if covs == "per-candidate":
+        got = theory._objective(problem)(means, np.concatenate([s1, s2]))
+    elif covs == "fixed":
+        got = theory._objective(problem, s1[:1])(means)
+    else:
+        got = theory._objective(problem)(means, s1[:1])
+    if covs != "per-candidate":
+        s1 = s2 = np.broadcast_to(s1[0], (g, k, k))
     single = [theory.mixture_objective(problem, mu1[i], mu2[i], s1[i], s2[i]) for i in range(g)]
-    assert np.array_equal(grid, single)
-    shared = theory.mixture_objective(problem, mu1, mu2, s1[0], s2[0])
-    assert np.array_equal(
-        shared, [theory.mixture_objective(problem, mu1[i], mu2[i], s1[0], s2[0]) for i in range(g)]
-    )
+    assert all(type(value) is float for value in single)
+    assert got.shape == (g,) and np.array_equal(got, single)
 
 
-MODE_CASES = {  # (mu1, mu2, sigma1, sigma2) as picks from two stacks of G
-    "single": lambda m1, m2, s1, s2: (m1[0], m2[0], s1[0], s2[0]),
-    "stacks": lambda m1, m2, s1, s2: (m1, m2, s1, s2),
-    "one-shared-cov": lambda m1, m2, s1, s2: (m1, m2, s1[0], s1[0]),
-    "two-shared-covs": lambda m1, m2, s1, s2: (m1, m2, s1[0], s2[0]),
-    "single-mode-1-against-a-stack": lambda m1, m2, s1, s2: (m1[0], m2, s1[0], s2),
-    "single-mode-2-against-a-stack": lambda m1, m2, s1, s2: (m1, m2[0], s1, s2[0]),
-    "single-means-stacked-covs": lambda m1, m2, s1, s2: (m1[0], m2[0], s1, s2[1]),
-}
-
-
-@pytest.mark.parametrize("case", MODE_CASES)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-cov", "two-covs"])
 @pytest.mark.parametrize("regularizer", theory.REGULARIZERS)
-def test_mixture_objective_equals_two_single_mode_distance_calls(regularizer, case):
+def test_mixture_objective_equals_two_single_mode_distance_calls(regularizer, shared):
     rng = np.random.default_rng(11)
-    g, k = 5, 3
-    mu0, s0 = rng.standard_normal(k), _spd_stack(rng, 1, k)[0]
-    problem = theory.TheoryProblem(
-        k=k, epsilon=1.0, eta=0.8, regularizer=regularizer, mu0=mu0, sigma0=s0,
-    )
-    mu1, mu2, s1, s2 = MODE_CASES[case](
-        rng.standard_normal((g, k)), rng.standard_normal((g, k)),
-        _spd_stack(rng, g, k), _spd_stack(rng, g, k),
-    )
+    k = 3
+    problem = _problem(rng, k, regularizer)
+    mu0, s0 = problem.mu0, problem.sigma0
+    mu1, mu2 = rng.standard_normal(k), rng.standard_normal(k)
+    s1, s2 = _spd_stack(rng, 2, k)
+    s2 = s1 if shared else s2
     if regularizer == "wp":
         r1, r2 = theory.wp_equal_cov(mu1, mu0), theory.wp_equal_cov(mu2, mu0)
     else:
         distance = theory.w2_gaussian if regularizer == "w2" else theory.kl_gaussian
         r1, r2 = distance(mu1, s1, mu0, s0), distance(mu2, s2, mu0, s0)
-    expected = problem.eta * r1 + (1.0 - problem.eta) * r2
     got = theory.mixture_objective(problem, mu1, mu2, s1, s2)
-    assert type(got) is type(expected)
-    assert np.shape(got) == np.shape(expected)
-    assert np.array_equal(got, expected)
+    assert type(got) is float
+    assert got == problem.eta * r1 + (1.0 - problem.eta) * r2
 
 
-def test_mixture_objective_rejects_modes_that_do_not_stack():
+@pytest.mark.parametrize("mode", [1, 2])
+def test_kl_mixture_objective_with_a_rank_deficient_mode_is_infinite(mode):
+    rng = np.random.default_rng(6)
+    g, k = 5, 3
+    problem = _problem(rng, k, "kl")
+    mu, s = rng.standard_normal((2, g, k)), _spd_stack(rng, 2 * g, k)
+    c = rng.standard_normal((k, 1))
+    s[(mode - 1) * g + 2] = c @ c.T
+    single = [theory.mixture_objective(problem, mu[0, i], mu[1, i], s[i], s[g + i])
+              for i in range(g)]
+    assert np.isinf(single).tolist() == [False, False, True, False, False]
+    # on a stack, the kernel is infinite at that candidate only
+    assert np.array_equal(theory._objective(problem)(np.concatenate(mu), s), single)
+
+
+PUBLIC_ENTRIES = {  # each public entry and its operands' kinds: m a mean, s a covariance
+    "wp_equal_cov": (theory.wp_equal_cov, "mm"),
+    "w2_gaussian": (theory.w2_gaussian, "msms"),
+    "kl_gaussian": (theory.kl_gaussian, "msms"),
+    "mixture_objective": (lambda *operands: theory.mixture_objective(
+        theory.TheoryProblem(k=2, epsilon=1.0, eta=0.8, regularizer="kl"), *operands), "mmss"),
+}
+
+
+@pytest.mark.parametrize("entry, at", [(name, at) for name, (_, kinds) in PUBLIC_ENTRIES.items()
+                                       for at in range(len(kinds))])
+def test_public_entries_reject_a_stacked_operand(entry, at):
+    call, kinds = PUBLIC_ENTRIES[entry]
+    operands = [np.zeros(2) if kind == "m" else np.eye(2) for kind in kinds]
+    assert type(call(*operands)) is float
+    for g in (1, 3):  # a stack of one is a stack too
+        stacked = list(operands)
+        stacked[at] = np.stack([operands[at]] * g)
+        with pytest.raises(ShapeError, match="takes one candidate|expected a nonempty vector"):
+            call(*stacked)
+
+
+def test_operands_of_another_dimension_raise():
     rng = np.random.default_rng(12)
     k = 3
     problem = theory.TheoryProblem(k=k, epsilon=1.0, eta=0.8, regularizer="kl")
-    mu, s = rng.standard_normal((4, k)), _spd_stack(rng, 4, k)
+    mu, s = rng.standard_normal(k), _spd_stack(rng, 2, k)
     bad = [
-        (mu, mu[:3], s, s[:3]),  # stacks of different sizes
-        (mu[0], np.zeros(k + 1), s[0], s[1]),  # a mean of the wrong dimension
-        (mu, mu, s, s[:, :2, :2]),  # a covariance of the wrong dimension
-        (mu[:1], mu, s[0], s),  # a stack of one against a stack of four
+        (mu, np.zeros(k + 1), s[0], s[1]),  # a mean of another dimension
+        (mu, mu, s[0], s[1, :2, :2]),  # a covariance of another dimension
+        (np.zeros(k + 1), np.zeros(k + 1), np.eye(k + 1), np.eye(k + 1)),  # not the problem's k
     ]
     for operands in bad:
         with pytest.raises(ShapeError):
             theory.mixture_objective(problem, *operands)
+    with pytest.raises(ShapeError):
+        theory.wp_equal_cov(mu, np.zeros(k + 1))
+    with pytest.raises(ShapeError):
+        theory.kl_gaussian(mu, s[0], mu, np.eye(k + 1))
 
 
 def _spy(monkeypatch, owner, name):
@@ -290,9 +271,8 @@ def test_the_oracle_checks_no_operand_it_built(monkeypatch, problem):
     problem = theory.TheoryProblem(**problem)
     checks = [
         _spy(monkeypatch, owner, name)
-        for owner, name in [(theory, "_operands"), (theory, "_mode_operand"),
-                            (theory, "mixture_objective"), (linalg, "require_symmetric"),
-                            (linalg, "psd_sqrt")]
+        for owner, name in [(theory, "_operands"), (theory, "mixture_objective"),
+                            (linalg, "require_symmetric"), (linalg, "psd_sqrt")]
     ]
     theory.brute_force_minimizer(problem)
     assert [len(calls) for calls in checks] == [0] * len(checks)
@@ -403,15 +383,12 @@ BAD_MODE_COVARIANCES = {  # (covariance, the message of the error for w2 and for
 }
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
 @pytest.mark.parametrize("bad", BAD_MODE_COVARIANCES)
 @pytest.mark.parametrize("regularizer", ["w2", "kl"])
-def test_mixture_objective_rejects_a_bad_mode_covariance(regularizer, bad, stacked):
+def test_mixture_objective_rejects_a_bad_mode_covariance(regularizer, bad):
     problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.8, regularizer=regularizer)
     cov, messages = BAD_MODE_COVARIANCES[bad]
     mu, sigma2 = np.zeros(2), np.eye(2)
-    if stacked:
-        mu, sigma2 = np.zeros((3, 2)), np.stack([np.eye(2)] * 3)
     error = NotPSDError if (regularizer, bad) == ("w2", "indefinite") else DomainError
     with pytest.raises(error, match=messages[regularizer == "kl"]):
         theory.mixture_objective(problem, mu, mu, cov, sigma2)
@@ -454,6 +431,26 @@ def test_shared_cov_kl_solution():
     assert np.linalg.norm(sol.mu2) == pytest.approx(5.0 / 6.0)
     combo = problem.eta * sol.mu1 + (1 - problem.eta) * sol.mu2
     assert np.allclose(combo, problem.mu0, atol=1e-12)
+
+
+def test_shared_cov_kl_direction_is_the_signed_top_eigenvector():
+    # the one output that reads an eigenvector alone: its largest-magnitude
+    # entry is made positive, whatever sign LAPACK gave the column
+    rng = np.random.default_rng(13)
+    lapack_signs = set()
+    for _ in range(20):
+        k = int(rng.integers(2, 6))
+        sigma0 = _spd_stack(rng, 1, k)[0]
+        problem = theory.TheoryProblem(k=k, epsilon=2.0, eta=0.75, regularizer="kl",
+                                       sigma0=sigma0)
+        sol = theory.solve_shared_cov(problem)
+        direction = (sol.mu1 - problem.mu0) / ((1.0 - problem.eta) * problem.epsilon)
+        assert direction[np.argmax(np.abs(direction))] > 0.0
+        top = np.linalg.eigh(sigma0)[1][:, -1]  # with LAPACK's sign
+        sign = np.sign(top[np.argmax(np.abs(top))])
+        assert np.allclose(direction, sign * top, rtol=0.0, atol=1e-12)
+        lapack_signs.add(sign)
+    assert lapack_signs == {1.0, -1.0}  # the rule flipped some columns
 
 
 def test_eta_at_half_rejected():
