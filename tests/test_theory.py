@@ -93,6 +93,24 @@ def test_kl_rejects_singular_reference():
         theory.kl_gaussian(mu, np.eye(2), mu, np.diag([1.0, 0.0]))
 
 
+def test_kl_of_a_tiny_full_rank_covariance_is_finite():
+    # 1e-13 I is full rank: its smallest eigenvalue is all of its largest
+    k, scale = 2, 1e-13
+    value = theory.kl_gaussian(np.zeros(k), scale * np.eye(k), np.zeros(k), np.eye(k))
+    expected = 0.5 * (-k * math.log(scale) - k + k * scale)  # 28.93
+    assert math.isfinite(value)
+    assert abs(value - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e4])
+@pytest.mark.parametrize("k, rank", [(2, 1), (3, 1), (3, 2), (5, 3)])
+def test_kl_of_a_scaled_rank_deficient_covariance_is_infinite(k, rank, scale):
+    rng = np.random.default_rng(k + rank)
+    c = rng.standard_normal((k, rank))
+    value = theory.kl_gaussian(np.zeros(k), scale * (c @ c.T), np.zeros(k), np.eye(k))
+    assert math.isinf(value)
+
+
 def test_kl_nonnegative_random():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -305,6 +323,63 @@ def test_shared_kl_oracle_objective_is_the_mixture_objective_bit_for_bit(problem
     sol = theory.brute_force_minimizer(problem)
     sigma = problem.sigma0
     assert sol.objective == theory.mixture_objective(problem, sol.mu1, sol.mu2, sigma, sigma)
+
+
+def _mahalanobis(mu1, mu0, prior):
+    """_kl's Mahalanobis term alone: a mode whose log det - k + tr is 0."""
+    k = mu1.shape[1]
+    mode = (np.full(1, float(k)), np.zeros(1), np.zeros(1, dtype=bool))
+    return 2.0 * theory._kl(mu1, mode, mu0, prior)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_kl_mahalanobis_term_matches_the_row_sum(k):
+    rng = np.random.default_rng(k)
+    for g in (1, 2, 7, 801):
+        prior = theory._kl_prior(_spd_stack(rng, 1, k))
+        mu1, mu0 = rng.standard_normal((g, k)), rng.standard_normal((1, k))
+        dmu = mu1 - mu0
+        expected = np.sum((dmu @ prior[0][0]) * dmu, axis=1)
+        assert np.all(np.abs(_mahalanobis(mu1, mu0, prior) - expected) <= 1e-15 * expected)
+
+
+@pytest.mark.parametrize("prior", ["isotropic", "random"])
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_kl_mahalanobis_term_on_line_candidates_is_the_row_sum_bit_for_bit(k, prior):
+    # the oracle's candidates: mu0 + x e1 and mu0 + (x - eps) e1, one nonzero
+    # term a row, so the order of the sum cannot move a bit
+    rng = np.random.default_rng(10 + k)
+    sigma0 = 0.7 * np.eye(k)[None] if prior == "isotropic" else _spd_stack(rng, 1, k)
+    factored = theory._kl_prior(sigma0)
+    mu0 = rng.standard_normal(k)
+    offsets = np.linspace(-2.0, 2.0, 801)
+    mu1 = np.tile(mu0, (2 * len(offsets), 1))
+    mu1[:801, 0] += offsets
+    mu1[801:, 0] = mu1[:801, 0] - 1.0
+    dmu = mu1 - mu0
+    expected = np.sum((dmu @ factored[0][0]) * dmu, axis=1)
+    assert np.array_equal(_mahalanobis(mu1, mu0[None], factored), expected)
+
+
+@pytest.mark.parametrize("drift", [5e-6, 1e-9])
+def test_oracles_refuse_a_prior_off_the_identity_by_more_than_the_bound(drift):
+    sigma0 = np.diag([1.0, 1.0 + drift])
+    kl = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl", sigma0=sigma0)
+    with pytest.raises(DomainError, match="isotropic"):
+        theory.brute_force_minimizer(kl)
+    w2 = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.9, regularizer="w2",
+                              constraint="low-rank-inlier", kappa=1, sigma0=sigma0)
+    with pytest.raises(DomainError, match="standard-normal"):
+        theory.brute_force_minimizer(w2)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_shared_kl_oracle_takes_a_scaled_identity_prior(scale):
+    problem = theory.TheoryProblem(k=3, epsilon=1.0, eta=0.75, regularizer="kl",
+                                   sigma0=scale * np.eye(3))
+    sol = theory.brute_force_minimizer(problem)
+    analytic = theory.solve_shared_cov(problem)
+    assert sol.objective == pytest.approx(analytic.objective, rel=1e-9)
 
 
 @pytest.mark.parametrize("grid_points", [0, -3, 1, 2, 3, 2.5, True, "801", None])
@@ -557,6 +632,30 @@ def test_empirical_w1_examples():
         theory.empirical_w1([0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         theory.empirical_w1(np.zeros((600, 2)), np.zeros((600, 2)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_empirical_w1_cost_is_the_norm_of_the_differences(monkeypatch, k):
+    # bit for bit for K < 8, where numpy's reduce sums a row in order
+    costs = []
+    real = scipy.optimize.linear_sum_assignment
+
+    def spy(cost):
+        costs.append(cost.copy())
+        return real(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    rng = np.random.default_rng(k)
+    a, b = rng.standard_normal((2, 40, k))
+    value = theory.empirical_w1(a, b)
+    expected = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    rows, cols = real(expected)
+    if k < 8:
+        assert np.array_equal(costs[0], expected)
+        assert value == expected[rows, cols].sum() / len(a)
+    else:
+        assert np.all(np.abs(costs[0] - expected) <= 1e-15 * expected)
+        assert value == pytest.approx(expected[rows, cols].sum() / len(a), rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
