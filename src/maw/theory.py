@@ -14,26 +14,25 @@ closed-form minimizer driven by a scalar colinearity parameter; the KL
 problem is ill-posed because KL from a rank-deficient Gaussian is infinite.
 Each analytic fact is paired with an independent numeric oracle
 (a grid over the reduced colinear/diagonal parameterization, refined by a
-bracket zoom or Nelder-Mead, and an exact-assignment empirical W1).
+bracket zoom over one scalar, and an exact-assignment empirical W1).
 
 Inputs are checked once, where they enter: the public distances and
 mixture_objective, which take one candidate each, TheoryProblem and every seed
 (a non-negative int, else DomainError).  Only the unchecked kernels take stacks
 of candidates: the oracle builds its candidates from a validated problem,
 factors the prior once per solve and calls the kernel objective on its whole
-grid as one stack.  A shared-covariance problem is convex in one
-scalar offset, so its oracle refines by re-gridding the bracket around the
-best point, each round one stack again; only the low-rank W2 problem steps
-Nelder-Mead one candidate at a time.  In the shared-covariance KL oracle every
-mode has the prior's covariance, so KL's covariance terms are computed once per
-solve too, and each evaluation computes only the Mahalanobis terms (a GEMM and
-row dots) of candidates written in place into one array: two eigendecompositions
-per solve.
+grid as one stack.  Each oracle searches one scalar whose profile is unimodal
+(a shared-covariance problem's offset, the low-rank W2 problem's colinearity u
+at inlier diagonal 1), so it refines by re-gridding the bracket around the best
+point, each round one stack again.  In the shared-covariance KL oracle every
+mode has the prior's covariance, s I, so KL's covariance terms are computed
+once per solve from s itself, and each evaluation computes only the
+Mahalanobis terms (a GEMM and row dots) of candidates written in place into one
+array: the solve makes no eigendecomposition.
 
-SciPy is loaded only here, and only on first use: the low-rank oracle's
-Nelder-Mead (_refine) and empirical_w1's assignment solver import
-scipy.optimize when they run.  `import maw` (training, scoring and the CLI's
-data path) and a shared-covariance solve never load it, so such a process
+SciPy is loaded only here, and only on first use: empirical_w1's assignment
+solver imports scipy.optimize when it runs.  `import maw` (training, scoring
+and the CLI's data path) and both oracles never load it, so such a process
 peaks at ~28 MB resident after the import instead of ~76 MB.
 """
 
@@ -50,8 +49,8 @@ from .errors import DomainError, NumericalError, ShapeError
 
 KL_SINGULAR_REL_TOL = 1e-12
 MAX_EMPIRICAL_N = 512
-NM_MAX_ITER = 10_000
-X_TOL = 1e-10  # how finely an oracle refines: the zoom's last bracket, Nelder-Mead's xatol
+X_TOL = 1e-10  # how finely an oracle refines: the width of the zoom's last bracket
+ALPHA_STEP = 1e-4  # the low-rank oracle's move of each inlier root-diagonal entry off 1
 
 REGULARIZERS = ("wp", "w2", "kl")
 CONSTRAINTS = ("shared", "low-rank-inlier")
@@ -118,31 +117,37 @@ def kl_gaussian(mu1, sigma1, mu0, sigma0):
     """KL(N(mu1, S1) || N(mu0, S0)); +inf when S1 is rank deficient.
 
     KL = (log det S0 / det S1 - K + tr(S0^{-1} S1) + dmu^T S0^{-1} dmu) / 2.
-    S0 must be positive definite; an S1 whose smallest eigenvalue is at most
-    1e-12 of its largest, at any scale, is treated as exactly singular (+inf).
+    S0 must be positive definite and S1 positive semidefinite (no eigenvalue
+    below -1e-9 of its largest magnitude, at any scale); an S1 whose smallest
+    eigenvalue is at most 1e-12 of its largest is treated as exactly singular
+    (+inf).
     """
     (mu1, mu0), (s1, s0) = _operands("kl_gaussian", (mu1, mu0), (sigma1, sigma0))
     prior = _kl_prior(s0)
     return float(_kl(mu1, _kl_mode(s1, prior), mu0, prior)[0])
 
 
-def _kl_prior(s0):
-    """(S0^{-1}, log det S0) of a (1, k, k) stack, from one sym_eig_batch call;
-    DomainError unless S0 is positive definite."""
-    w0, q0 = linalg.sym_eig_batch(s0)
+def _kl_prior(s0, spectrum=None):
+    """(S0^{-1}, log det S0) of a (1, k, k) stack, from one sym_eig_batch call or
+    from its spectrum (w0, q0) where the caller knows it; DomainError unless S0
+    is positive definite."""
+    w0, q0 = linalg.sym_eig_batch(s0) if spectrum is None else spectrum
     if np.any(w0[:, -1] <= 0.0):
         raise DomainError("reference covariance must be positive definite")
     return (q0 / w0[:, None, :]) @ np.swapaxes(q0, 1, 2), np.sum(np.log(w0), axis=1)
 
 
-def _kl_mode(s1, prior):
+def _kl_mode(s1, prior, w1=None):
     """KL's covariance terms of each matrix of a (1 or G, k, k) stack against a
     prior factored by _kl_prior: (log det S0 / det S1, tr(S0^{-1} S1), whether
-    S1 is singular), from one sym_eig_batch call; DomainError unless every S1
-    is positive semidefinite."""
+    S1 is singular), from one sym_eig_batch call or from its (descending)
+    eigenvalues w1 where the caller knows them; DomainError unless every S1 is
+    positive semidefinite, its smallest eigenvalue no less than -1e-9 of its
+    largest magnitude, at any scale."""
     inv0, log_det0 = prior
-    w1 = linalg.sym_eig_batch(s1)[0]
-    if np.any(w1[:, -1] < -1e-9 * np.maximum(1.0, np.max(np.abs(w1), axis=1))):
+    if w1 is None:
+        w1 = linalg.sym_eig_batch(s1)[0]
+    if np.any(w1[:, -1] < -1e-9 * np.max(np.abs(w1), axis=1)):
         raise DomainError("sigma1 is not positive semidefinite")
     singular = w1[:, -1] <= KL_SINGULAR_REL_TOL * w1[:, 0]
     w1 = np.where(singular[:, None], 1.0, w1)  # their entries are +inf in _kl
@@ -241,21 +246,22 @@ def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2) -> float
     return float(_objective(problem)(np.concatenate(means), cov)[0])
 
 
-def _objective(problem: TheoryProblem, fixed=None):
+def _objective(problem: TheoryProblem, fixed=None, spectrum=None):
     """mixture_objective's kernel for one problem, with the prior factored here,
     once: a function of checked (2G, k) means, mode 1's G candidates first, and
     (but for W_p) a checked (1 or 2G, k, k) covariance stack, giving the (G,)
     objective values.  A solve whose modes all have one covariance passes it as
     fixed, (1, k, k), and then calls the function with the means alone; KL's
     covariance terms of fixed are computed here, once, so each call computes
-    only the Mahalanobis terms."""
+    only the Mahalanobis terms.  A KL solve whose fixed is sigma0 and that
+    knows sigma0's spectrum (w, q) passes it: nothing is eigendecomposed."""
     mu0, sigma0, eta = problem.mu0[None], problem.sigma0[None], problem.eta
-    prior = _kl_prior(sigma0) if problem.regularizer == "kl" else None
+    prior = _kl_prior(sigma0, spectrum) if problem.regularizer == "kl" else None
 
-    def covariance(cov):
-        return cov if prior is None or cov is None else _kl_mode(cov, prior)
+    def covariance(cov, w=None):
+        return cov if prior is None or cov is None else _kl_mode(cov, prior, w)
 
-    fixed = covariance(fixed)
+    fixed = covariance(fixed, None if spectrum is None else spectrum[0])
 
     def objective(means, cov=None):
         cov = fixed if cov is None else covariance(cov)
@@ -368,26 +374,12 @@ def low_rank_w2_minimizer(k: int, kappa: int, epsilon: float, eta: float) -> The
 # ------------------------------------------------------------ numeric oracle
 
 
-def _refine(objective, x0, max_iter=NM_MAX_ITER):
-    from scipy.optimize import minimize  # on first use: `import maw` loads no SciPy
-
-    res = minimize(
-        objective, x0, method="Nelder-Mead",
-        options={"xatol": X_TOL, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter},
-    )
-    if not np.all(np.isfinite(res.x)):
-        raise NumericalError("simplex refinement diverged")
-    if res.status != 0:
-        raise NumericalError(f"simplex refinement did not converge: {res.message}")
-    return res.x, float(res.fun)
-
-
 def _zoom(evaluate, lo: float, hi: float, grid_points: int):
-    """Minimizer and minimum of a convex function of one scalar on [lo, hi].
+    """Minimizer and minimum of a unimodal function of one scalar on [lo, hi].
 
     evaluate maps a (G,) array of points to their (G,) values.  Each round
     evaluates grid_points points of the bracket as one call; as the function is
-    convex, its minimizer lies between the best point's two neighbours, which
+    unimodal, its minimizer lies between the best point's two neighbours, which
     become the next bracket.  Of points that tie for best, the middle one is
     taken, so the result sits mid-way in the range that rounding cannot tell
     apart.  The rounds stop when the bracket is at most X_TOL
@@ -396,17 +388,24 @@ def _zoom(evaluate, lo: float, hi: float, grid_points: int):
     value, or a first-round minimum on an edge of [lo, hi], raises
     NumericalError.
     """
+    ramp = np.arange(grid_points, dtype=np.float64)
+    last = grid_points - 1
     width = math.inf
     for rounds in itertools.count():
-        grid = np.linspace(lo, hi, grid_points)
+        # np.linspace(lo, hi, grid_points)'s own arithmetic, so its bits
+        grid = ramp * ((hi - lo) / last)
+        grid += lo
+        grid[last] = hi
         values = evaluate(grid)
-        if not np.all(np.isfinite(values)):
+        # the stack's min and max, a NaN if there is one: arg-reductions are ~4x faster
+        low, high = values[values.argmin()], values[values.argmax()]
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise NumericalError("a bracket zoom met a non-finite objective value")
-        ties = np.flatnonzero(values == values.min())  # rounding flattens the bottom
+        ties = (values == low).nonzero()[0]  # rounding flattens the bottom
         i = int(ties[len(ties) // 2])
-        if rounds == 0 and i in (0, grid_points - 1):
+        if rounds == 0 and i in (0, last):
             raise NumericalError("the objective's minimum is on the edge of its grid")
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid_points - 1)]
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, last)]
         if hi - lo <= X_TOL or hi - lo >= width:
             break
         width = hi - lo
@@ -414,18 +413,24 @@ def _zoom(evaluate, lo: float, hi: float, grid_points: int):
 
 
 def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> TheorySolution:
-    """Numeric minimizer over the reduced parameterization: a grid, then a
-    bracket zoom (shared covariance) or Nelder-Mead (low rank).
+    """Numeric minimizer over the reduced parameterization: a bracket zoom over
+    one scalar, as stacked calls of the kernel objective.
 
     Shared-covariance case: a scalar mean offset x along a fixed axis, with
     mu1 = mu0 + x e1 and mu2 = mu1 - eps e1.  The objective is convex in x:
     W_p gives eta |x| + (1 - eta) |x - eps|, KL a quadratic in x.  So the best
     of grid_points offsets over [-2 eps, 2 eps] brackets the minimizer between
     its neighbours, and _zoom re-grids that bracket until it is X_TOL wide.
+    The KL solve factors the isotropic prior s I from s itself (eigenvalues s,
+    eigenvectors I), so it makes no eigendecomposition.
     Low-rank case: the colinearity-coupled family (scalar u for the means,
-    free inlier root diagonal, outlier root diagonal induced by the coupling),
-    which is the family the closed-form minimizer lives in; Nelder-Mead refines
-    its best grid point.  The KL + low-rank combination is rejected as
+    inlier root diagonal alpha, outlier root diagonal induced by the coupling),
+    which is the family the closed-form minimizer lives in.  At alpha = 1 the
+    profile in u is unimodal on (0, 2], and _zoom finds u on [1e-3, 2] with
+    max(100, grid_points // 8) points a round.  Two stacked calls then check
+    the result without the closed form: the negative branch's grid, and alpha
+    moved by +-ALPHA_STEP in each coordinate; a lower value on either raises
+    NumericalError.  The KL + low-rank combination is rejected as
     ill-posed (the objective is identically infinite), and only W2 supports
     free covariances.  The KL oracle needs an isotropic prior and the low-rank
     one a standard normal, each Sigma0[i,j] within 1e-12 * max(1, |Sigma0[i,j]|)
@@ -441,10 +446,13 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
     e1[0] = 1.0
     if problem.constraint == "shared":
         sigma = problem.sigma0
-        if problem.regularizer == "kl" and not _is_scaled_identity(sigma, sigma[0, 0]):
-            # the fixed-axis reduction is only exhaustive for isotropic priors
-            raise DomainError("the KL oracle requires an isotropic shared covariance")
-        objective = _objective(problem, sigma[None])
+        spectrum = None
+        if problem.regularizer == "kl":
+            if not _is_scaled_identity(sigma, sigma[0, 0]):
+                # the fixed-axis reduction is only exhaustive for isotropic priors
+                raise DomainError("the KL oracle requires an isotropic shared covariance")
+            spectrum = np.full((1, k), sigma[0, 0]), np.eye(k)[None]
+        objective = _objective(problem, sigma[None], spectrum)
         means = np.tile(problem.mu0, (2 * grid_points, 1))
 
         def evaluate(offsets):
@@ -472,34 +480,34 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
     # means (mu1 = u eps e1, mu2 = -(1-u) eps e1); the inlier root diagonal a'
     # is free; the outlier root diagonal is induced by the colinearity relations
     # b_i = (1 + (u-1) a_i) / u on the shared block and b_i = 1 / u on the tail.
-    # x is one point (1 + kappa,) or a stack of them (G, 1 + kappa).
-    def unpack(x):
-        u = x[..., :1]
-        alpha = x[..., 1:]
+    # u is (G,) and alpha (G, kappa), or 1 for alpha = 1.
+    def unpack(u, alpha=1.0):
+        u = u[:, None]
+        alpha = np.broadcast_to(alpha, (len(u), kappa))
         mu1 = u * eps * e1
         mu2 = -(1.0 - u) * eps * e1
-        tail = np.broadcast_to(1.0 / u, u.shape[:-1] + (k - kappa,))
-        beta = np.concatenate([(1.0 + (u - 1.0) * alpha) / u, tail], axis=-1)
-        alpha_sq = np.concatenate([alpha**2, np.zeros_like(tail)], axis=-1)
-        sigma1 = alpha_sq[..., :, None] * np.eye(k)
-        sigma2 = (beta**2)[..., :, None] * np.eye(k)
+        tail = np.broadcast_to(1.0 / u, (len(u), k - kappa))
+        beta = np.concatenate([(1.0 + (u - 1.0) * alpha) / u, tail], axis=1)
+        alpha_sq = np.concatenate([alpha**2, np.zeros_like(tail)], axis=1)
+        sigma1 = alpha_sq[:, :, None] * np.eye(k)
+        sigma2 = (beta**2)[:, :, None] * np.eye(k)
         return mu1, mu2, sigma1, sigma2
 
     objective = _objective(problem)
 
-    def evaluate(points):
-        mu1, mu2, sigma1, sigma2 = unpack(points)
+    def evaluate(u, alpha=1.0):
+        mu1, mu2, sigma1, sigma2 = unpack(u, alpha)
         return objective(np.concatenate([mu1, mu2]), np.concatenate([sigma1, sigma2]))
 
-    grid = np.concatenate([
-        np.linspace(-2.0, -1e-3, max(100, grid_points // 8)),
-        np.linspace(1e-3, 2.0, max(100, grid_points // 8)),
-    ])
-    points = np.column_stack([grid, np.ones((grid.size, kappa))])
-    x0 = points[int(np.argmin(evaluate(points)))]
-    x, fun = _refine(lambda x: math.inf if abs(x[0]) < 1e-9 else evaluate(x[None])[0], x0)
-    mu1, mu2, sigma1, sigma2 = unpack(x)
-    return TheorySolution(mu1, mu2, sigma1, sigma2, fun, u=float(x[0]))
+    points = max(100, grid_points // 8)
+    u, fun = _zoom(evaluate, 1e-3, 2.0, points)
+    if np.any(evaluate(np.linspace(-2.0, -1e-3, points)) < fun):
+        raise NumericalError("the low-rank objective is lower on the negative branch of u")
+    steps = ALPHA_STEP * np.concatenate([np.eye(kappa), -np.eye(kappa)])
+    if np.any(evaluate(np.full(2 * kappa, u), 1.0 + steps) < fun):
+        raise NumericalError("the low-rank objective is lower off the inlier diagonal 1")
+    mu1, mu2, sigma1, sigma2 = unpack(np.array([u]))
+    return TheorySolution(mu1[0], mu2[0], sigma1[0], sigma2[0], fun, u=u)
 
 
 def _is_scaled_identity(m, scale) -> bool:
@@ -529,7 +537,7 @@ def empirical_w1(samples_a, samples_b) -> float:
         raise DomainError(f"empirical_w1 supports at most {MAX_EMPIRICAL_N} points per side")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("empirical_w1 samples must be finite")
-    from scipy.optimize import linear_sum_assignment  # on first use, as in _refine
+    from scipy.optimize import linear_sum_assignment  # on first use: `import maw` loads no SciPy
 
     cost = np.zeros((len(a), len(a)))
     for j in range(a.shape[1]):  # a coordinate at a time: np.linalg.norm's bits for K < 8

@@ -1,10 +1,10 @@
-"""Training, scoring, the CLI's data path and a shared-covariance oracle solve
-load no SciPy; the low-rank oracle does.
+"""Training, scoring, the CLI's data path and both theory oracles load no
+SciPy; empirical_w1 does.
 
 SciPy's optimize package roughly doubles a process's resident memory, and
-only the low-rank theory oracle (Nelder-Mead) and empirical_w1 (an assignment
-solver) use it, so they import it on first call.  The check runs in a fresh
-interpreter, since pytest's own process has loaded SciPy long before.
+only empirical_w1 (an assignment solver) uses it, so it imports it on first
+call.  The check runs in a fresh interpreter, since pytest's own process has
+loaded SciPy long before.
 """
 
 import os
@@ -44,7 +44,10 @@ assert not scipy_modules(), scipy_modules()[:3]
 
 problem = maw.TheoryProblem(k=2, epsilon=1.0, eta=0.9, regularizer="w2",
                             constraint="low-rank-inlier", kappa=1)
-maw.brute_force_minimizer(problem, grid_points=21)  # a grid and Nelder-Mead
+maw.brute_force_minimizer(problem, grid_points=21)  # a bracket zoom over u and its checks
+assert not scipy_modules(), scipy_modules()[:3]
+
+maw.empirical_w1([0.0, 1.0], [0.5, 2.0])  # an assignment solver
 assert "scipy.optimize" in sys.modules
 print("ok")
 """

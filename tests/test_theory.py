@@ -1,9 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.optimize import OptimizeResult
 
 from maw import linalg, theory
 from maw.errors import DomainError, NotPSDError, NumericalError, ShapeError
@@ -91,6 +92,19 @@ def test_kl_rejects_singular_reference():
     mu = np.zeros(2)
     with pytest.raises(DomainError):
         theory.kl_gaussian(mu, np.eye(2), mu, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-3, 1e3])
+def test_kl_of_a_negative_definite_covariance_is_a_domain_error_at_any_scale(scale):
+    # the sign check is relative to the spectrum's largest magnitude, with no absolute floor
+    mu = np.zeros(2)
+    with pytest.raises(DomainError, match="not positive semidefinite"):
+        theory.kl_gaussian(mu, -scale * np.eye(2), mu, np.eye(2))
+
+
+def test_kl_of_the_zero_covariance_is_infinite():
+    mu = np.zeros(2)
+    assert math.isinf(theory.kl_gaussian(mu, np.zeros((2, 2)), mu, np.eye(2)))
 
 
 def test_kl_of_a_tiny_full_rank_covariance_is_finite():
@@ -277,11 +291,15 @@ def test_each_objective_evaluation_makes_one_distance_call(monkeypatch, problem)
     distance_calls = _spy(monkeypatch, theory, "_" + problem.regularizer)  # its kernel
     theory.brute_force_minimizer(problem, grid_points=801)
     assert len(distance_calls) == len(evaluations)
+    sizes = [len(args[0]) for args in evaluations]  # two means a candidate
     if problem.constraint == "shared":
         # the grid, 4 zoom rounds (the bracket is then 4 eps (2/800)^5 < X_TOL), the winner alone
-        assert [len(args[0]) for args in evaluations] == [2 * 801] * 5 + [2]
+        assert sizes == [2 * 801] * 5 + [2]
     else:
-        assert len(evaluations) > 10  # the grid and the Nelder-Mead steps
+        # 100 points a round: the grid and 6 zoom rounds (the bracket is then
+        # 2 (2/99)^7 < X_TOL wide), the winner alone, the negative branch's grid,
+        # then +-ALPHA_STEP on the one inlier coordinate
+        assert sizes == [2 * 100] * 7 + [2, 2 * 100, 2 * 2]
 
 
 @pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=lambda p: p["regularizer"])
@@ -297,13 +315,34 @@ def test_the_oracle_checks_no_operand_it_built(monkeypatch, problem):
 
 
 def test_shared_kl_solve_factors_the_prior_once(monkeypatch):
+    # from the spectrum of sigma0 = s I that the isotropy check has read: no eigendecomposition
     problem = theory.TheoryProblem(k=5, epsilon=1.0, eta=5.0 / 6.0, regularizer="kl")
     calls = _spy(monkeypatch, linalg, "sym_eig_batch")
     priors = _spy(monkeypatch, theory, "_kl_prior")
     modes = _spy(monkeypatch, theory, "_kl_mode")
     theory.brute_force_minimizer(problem, grid_points=801)
     assert len(priors) == len(modes) == 1
-    assert [len(args[0]) for args in calls] == [1, 1]  # the prior, then the mode covariance
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7, 1e-3, 1e3])
+def test_an_isotropic_priors_known_spectrum_gives_the_eigensolvers_bits(scale):
+    k = 4
+    problem = theory.TheoryProblem(k=k, epsilon=1.0, eta=0.75, regularizer="kl",
+                                   sigma0=scale * np.eye(k))
+    sigma = problem.sigma0[None]
+    spectrum = np.full((1, k), scale), np.eye(k)[None]
+    means = np.random.default_rng(3).standard_normal((2 * 7, k))
+    known = theory._objective(problem, sigma, spectrum)(means)
+    assert np.array_equal(known, theory._objective(problem, sigma)(means))
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_the_kl_oracle_refuses_a_prior_that_is_not_positive_definite(scale):
+    problem = theory.TheoryProblem(k=3, epsilon=1.0, eta=0.75, regularizer="kl",
+                                   sigma0=scale * np.eye(3))
+    with pytest.raises(DomainError, match="positive definite"):
+        theory.brute_force_minimizer(problem)
 
 
 SHARED_GRID = [  # verify_shared_cov_recovery's problems
@@ -443,6 +482,31 @@ def test_the_zoom_takes_the_middle_of_tied_points():
     assert abs(x) <= 2.5 / 800 and fun == 0.0
 
 
+@pytest.mark.parametrize("grid_points", [4, 5, 100, 801])
+@pytest.mark.parametrize("centre", [-1.3, 0.3, 2.4])
+def test_the_zoom_finds_the_minimum_of_a_unimodal_function_that_is_not_convex(centre, grid_points):
+    # -exp(-(x - a)^2) is concave beyond |x - a| = 1/sqrt(2): unimodal, not convex
+    x, fun = theory._zoom(lambda x: -np.exp(-(x - centre) ** 2), -3.0, 4.0, grid_points)
+    assert abs(x - centre) <= 1e-7 and fun == pytest.approx(-1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi, grid_points", [
+    (-2.0, 2.0, 801), (1e-3, 2.0, 100), (-2e12, 2e12, 801), (-2e-9, 3e-9, 4), (0.1, 0.7, 7),
+])
+def test_the_zoom_grids_are_linspaces_bit_for_bit(lo, hi, grid_points):
+    grids = []
+
+    def evaluate(x):
+        grids.append(x.copy())
+        return (x - (0.3 * lo + 0.7 * hi)) ** 2
+
+    theory._zoom(evaluate, lo, hi, grid_points)
+    assert np.array_equal(grids[0], np.linspace(lo, hi, grid_points))
+    for grid in grids[:-1]:  # the last call is the winner alone
+        assert np.array_equal(grid, np.linspace(grid[0], grid[-1], grid_points))
+    assert len(grids) > 2
+
+
 @pytest.mark.parametrize("slope", [1.0, -1.0])
 def test_a_minimum_on_the_grid_edge_is_a_numerical_error(monkeypatch, slope):
     _shared_objective(monkeypatch, lambda n, x: slope * x)
@@ -476,16 +540,36 @@ def test_w2_overflow_is_a_numerical_error():
         theory.w2_gaussian(np.zeros(2), huge, np.zeros(2), huge)
 
 
-@pytest.mark.parametrize("problem", ORACLE_PROBLEMS[2:], ids=lambda p: p["regularizer"])
-def test_a_non_finite_simplex_candidate_ends_in_a_numerical_error(monkeypatch, problem):
-    # Nelder-Mead refines the low-rank problem only
-    def diverged(fun, x0, **kwargs):
-        x = np.full(np.shape(x0), math.nan)
-        return OptimizeResult(x=x, fun=float(fun(x)), status=0, nit=1, message="")
+def _low_rank_objective(monkeypatch, change):
+    """Make the low-rank oracle's objective the real one plus change(u, alpha):
+    u read from mode 1's means, alpha from its first inlier variance."""
+    make = theory._objective
 
-    monkeypatch.setattr(scipy.optimize, "minimize", diverged)
-    with pytest.raises(NumericalError):
-        theory.brute_force_minimizer(theory.TheoryProblem(**problem))
+    def patched(problem, *fixed):
+        real = make(problem, *fixed)
+
+        def objective(means, cov):
+            g = len(means) // 2
+            u = means[:g, 0] / problem.epsilon
+            return real(means, cov) + change(u, np.sqrt(cov[:g, 0, 0]))
+
+        return objective
+
+    monkeypatch.setattr(theory, "_objective", patched)
+
+
+LOW_RANK = ORACLE_PROBLEMS[2]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda u, alpha: np.where(u > 0.5, math.nan, 0.0), "non-finite"),
+    (lambda u, alpha: np.where(u < -1.0, -10.0, 0.0), "negative branch"),
+    (lambda u, alpha: 0.5 * (alpha**2 - 2.0) ** 2, "inlier diagonal"),  # least at alpha^2 = 2
+], ids=["non-finite", "negative-branch", "off-alpha-one"])
+def test_the_low_rank_oracle_checks_what_its_zoom_did_not_search(monkeypatch, change, message):
+    _low_rank_objective(monkeypatch, change)
+    with pytest.raises(NumericalError, match=message):
+        theory.brute_force_minimizer(theory.TheoryProblem(**LOW_RANK))
 
 
 # ------------------------------------------------------------ shared covariance
@@ -608,6 +692,27 @@ def test_low_rank_oracle_matches_analytic():
     assert oracle.u == pytest.approx(0.5, abs=1e-3)
     analytic = theory.low_rank_w2_minimizer(2, 1, 1.0, 0.9)
     assert oracle.objective == pytest.approx(analytic.objective, abs=1e-6)
+
+
+def _in_regime_instances(n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 9))
+        kappa = int(rng.integers(1, k))
+        eps = float(rng.uniform(0.2, 3.0))
+        threshold = theory.regime_threshold(k, kappa, eps)
+        yield k, kappa, eps, threshold + (1.0 - threshold) * float(rng.uniform(0.02, 0.98))
+
+
+def test_low_rank_oracle_matches_the_closed_form_on_random_instances():
+    for k, kappa, eps, eta in _in_regime_instances(100, seed=8):
+        problem = theory.TheoryProblem(k=k, epsilon=eps, eta=eta, regularizer="w2",
+                                       constraint="low-rank-inlier", kappa=kappa)
+        oracle = theory.brute_force_minimizer(problem)
+        analytic = theory.low_rank_w2_minimizer(k, kappa, eps, eta)
+        assert abs(oracle.u - theory.colinearity_minimizer(k, kappa, eps, eta)) <= theory.U_TOL
+        assert abs(oracle.objective - analytic.objective) <= 1e-9
+        assert oracle.separation_residual(eps) <= 1e-12 * eps
 
 
 def test_low_rank_oracle_rejects_ill_posed_combinations():
@@ -791,14 +896,12 @@ def test_verifiers_take_an_integral_float_seed_as_an_int():
         theory.verify_kl_rank_deficiency(seed=1, per_dim=2)
 
 
-@pytest.mark.parametrize("status, nit", [(1, 7), (2, theory.NM_MAX_ITER)])
-def test_refine_rejects_a_run_that_did_not_converge(monkeypatch, status, nit):
-    def stopped(fun, x0, **kwargs):
-        x = np.asarray(x0, dtype=np.float64)
-        return OptimizeResult(x=x, fun=float(fun(x)), status=status, nit=nit,
-                              message="stopped early")
-
-    monkeypatch.setattr(scipy.optimize, "minimize", stopped)
-    problem = theory.TheoryProblem(**ORACLE_PROBLEMS[2])  # Nelder-Mead's one problem
-    with pytest.raises(NumericalError):
-        theory.brute_force_minimizer(problem)
+def test_no_minimize_in_the_package():
+    # the oracles zoom over one scalar; SciPy backs only empirical_w1's assignment solver
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(theory.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and any(a.name == "minimize" for a in node.names)
+             or isinstance(node, ast.Attribute) and node.attr == "minimize"
+             or isinstance(node, ast.Name) and node.id == "minimize"]
+    assert found == []
