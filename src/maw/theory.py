@@ -28,7 +28,10 @@ point, each round one stack again.  In the shared-covariance KL oracle every
 mode has the prior's covariance, s I, so KL's covariance terms are computed
 once per solve from s itself, and each evaluation computes only the
 Mahalanobis terms (a GEMM and row dots) of candidates written in place into one
-array: the solve makes no eigendecomposition.
+array: the solve makes no eigendecomposition.  A zoom round costs about 20
+numpy calls whatever its size, so the oracles grid 101 points a round, over
+more rounds, and stop at a bracket X_TOL of their scalar's scale wide (X_TOL
+eps for an offset, X_TOL for u): 7 grids at any eps.
 
 SciPy is loaded only here, and only on first use: empirical_w1's assignment
 solver imports scipy.optimize when it runs.  `import maw` (training, scoring
@@ -49,7 +52,7 @@ from .errors import DomainError, NumericalError, ShapeError
 
 KL_SINGULAR_REL_TOL = 1e-12
 MAX_EMPIRICAL_N = 512
-X_TOL = 1e-10  # how finely an oracle refines: the width of the zoom's last bracket
+X_TOL = 1e-10  # an oracle zoom's last bracket width, relative to its scalar's scale
 ALPHA_STEP = 1e-4  # the low-rank oracle's move of each inlier root-diagonal entry off 1
 
 REGULARIZERS = ("wp", "w2", "kl")
@@ -127,23 +130,30 @@ def kl_gaussian(mu1, sigma1, mu0, sigma0):
     return float(_kl(mu1, _kl_mode(s1, prior), mu0, prior)[0])
 
 
-def _kl_prior(s0, spectrum=None):
-    """(S0^{-1}, log det S0) of a (1, k, k) stack, from one sym_eig_batch call or
-    from its spectrum (w0, q0) where the caller knows it; DomainError unless S0
+def _kl_prior(s0, w0=None):
+    """(S0^{-1}, log det S0) of a (1, k, k) stack, from one sym_eig_batch call or,
+    for an isotropic S0 whose eigenvalues w0 the caller knows, from w0 alone
+    (eigenvectors I, so S0^{-1} = I / w0 with no GEMM); DomainError unless S0
     is positive definite."""
-    w0, q0 = linalg.sym_eig_batch(s0) if spectrum is None else spectrum
+    q0 = None
+    if w0 is None:
+        w0, q0 = linalg.sym_eig_batch(s0)
     if np.any(w0[:, -1] <= 0.0):
         raise DomainError("reference covariance must be positive definite")
-    return (q0 / w0[:, None, :]) @ np.swapaxes(q0, 1, 2), np.sum(np.log(w0), axis=1)
+    log_det0 = np.sum(np.log(w0), axis=1)
+    if q0 is None:  # eigenvectors I: the GEMM below would give I / w0's bits
+        return np.eye(w0.shape[1]) / w0[:, None, :], log_det0
+    return (q0 / w0[:, None, :]) @ np.swapaxes(q0, 1, 2), log_det0
 
 
 def _kl_mode(s1, prior, w1=None):
-    """KL's covariance terms of each matrix of a (1 or G, k, k) stack against a
-    prior factored by _kl_prior: (log det S0 / det S1, tr(S0^{-1} S1), whether
-    S1 is singular), from one sym_eig_batch call or from its (descending)
-    eigenvalues w1 where the caller knows them; DomainError unless every S1 is
-    positive semidefinite, its smallest eigenvalue no less than -1e-9 of its
-    largest magnitude, at any scale."""
+    """KL's fixed covariance term of each matrix of a (1 or G, k, k) stack
+    against a prior factored by _kl_prior, log det S0 - log det S1 - k +
+    tr(S0^{-1} S1) summed, and whether S1 is singular (None when none is), from
+    one sym_eig_batch call or from its (descending) eigenvalues w1 where the
+    caller knows them; DomainError unless every S1 is positive semidefinite,
+    its smallest eigenvalue no less than -1e-9 of its largest magnitude, at any
+    scale."""
     inv0, log_det0 = prior
     if w1 is None:
         w1 = linalg.sym_eig_batch(s1)[0]
@@ -152,19 +162,20 @@ def _kl_mode(s1, prior, w1=None):
     singular = w1[:, -1] <= KL_SINGULAR_REL_TOL * w1[:, 0]
     w1 = np.where(singular[:, None], 1.0, w1)  # their entries are +inf in _kl
     log_det = log_det0 - np.sum(np.log(w1), axis=1)
-    trace = np.sum(inv0 * np.swapaxes(s1, 1, 2), axis=(1, 2))
-    return log_det, trace, singular
+    fixed = log_det - s1.shape[-1] + np.sum(inv0 * np.swapaxes(s1, 1, 2), axis=(1, 2))
+    return fixed, singular if singular.any() else None
 
 
 def _kl(mu1, mode, mu0, prior):
     """KL of (G, k) means whose covariance terms _kl_mode computed: only the
-    Mahalanobis term is computed here, a GEMM against the one prior's S0^{-1}."""
-    log_det, trace, singular = mode
+    Mahalanobis term is computed here, a GEMM against the one prior's S0^{-1},
+    and a singular mode's +inf is written only when there is one."""
+    fixed, singular = mode
     dmu = mu1 - mu0
     val = np.einsum("ij,ij->i", dmu @ prior[0][0], dmu)  # row dots; np.sum's is ~3x slower
-    val += log_det - mu1.shape[1] + trace
+    val += fixed
     val *= 0.5
-    return np.where(singular, math.inf, val)
+    return val if singular is None else np.where(singular, math.inf, val)
 
 
 # ------------------------------------------------------------ problem objects
@@ -246,22 +257,22 @@ def mixture_objective(problem: TheoryProblem, mu1, mu2, sigma1, sigma2) -> float
     return float(_objective(problem)(np.concatenate(means), cov)[0])
 
 
-def _objective(problem: TheoryProblem, fixed=None, spectrum=None):
+def _objective(problem: TheoryProblem, fixed=None, w0=None):
     """mixture_objective's kernel for one problem, with the prior factored here,
     once: a function of checked (2G, k) means, mode 1's G candidates first, and
     (but for W_p) a checked (1 or 2G, k, k) covariance stack, giving the (G,)
     objective values.  A solve whose modes all have one covariance passes it as
     fixed, (1, k, k), and then calls the function with the means alone; KL's
     covariance terms of fixed are computed here, once, so each call computes
-    only the Mahalanobis terms.  A KL solve whose fixed is sigma0 and that
-    knows sigma0's spectrum (w, q) passes it: nothing is eigendecomposed."""
+    only the Mahalanobis terms.  A KL solve whose fixed is an isotropic sigma0
+    passes sigma0's eigenvalues w0: nothing is eigendecomposed."""
     mu0, sigma0, eta = problem.mu0[None], problem.sigma0[None], problem.eta
-    prior = _kl_prior(sigma0, spectrum) if problem.regularizer == "kl" else None
+    prior = _kl_prior(sigma0, w0) if problem.regularizer == "kl" else None
 
     def covariance(cov, w=None):
         return cov if prior is None or cov is None else _kl_mode(cov, prior, w)
 
-    fixed = covariance(fixed, None if spectrum is None else spectrum[0])
+    fixed = covariance(fixed, w0)
 
     def objective(means, cov=None):
         cov = fixed if cov is None else covariance(cov)
@@ -374,7 +385,7 @@ def low_rank_w2_minimizer(k: int, kappa: int, epsilon: float, eta: float) -> The
 # ------------------------------------------------------------ numeric oracle
 
 
-def _zoom(evaluate, lo: float, hi: float, grid_points: int):
+def _zoom(evaluate, lo: float, hi: float, grid_points: int, x_tol: float):
     """Minimizer and minimum of a unimodal function of one scalar on [lo, hi].
 
     evaluate maps a (G,) array of points to their (G,) values.  Each round
@@ -382,8 +393,9 @@ def _zoom(evaluate, lo: float, hi: float, grid_points: int):
     unimodal, its minimizer lies between the best point's two neighbours, which
     become the next bracket.  Of points that tie for best, the middle one is
     taken, so the result sits mid-way in the range that rounding cannot tell
-    apart.  The rounds stop when the bracket is at most X_TOL
-    wide or no longer shrinks (floating-point resolution), and the best point is
+    apart.  The rounds stop when the bracket is at most x_tol wide (the
+    caller scales it to its scalar) or no longer shrinks (floating-point
+    resolution), and the best point is
     evaluated alone last, as a one-point call, for the minimum.  A non-finite
     value, or a first-round minimum on an edge of [lo, hi], raises
     NumericalError.
@@ -406,13 +418,13 @@ def _zoom(evaluate, lo: float, hi: float, grid_points: int):
         if rounds == 0 and i in (0, last):
             raise NumericalError("the objective's minimum is on the edge of its grid")
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, last)]
-        if hi - lo <= X_TOL or hi - lo >= width:
+        if hi - lo <= x_tol or hi - lo >= width:
             break
         width = hi - lo
     return float(grid[i]), float(evaluate(grid[i:i + 1])[0])
 
 
-def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> TheorySolution:
+def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 101) -> TheorySolution:
     """Numeric minimizer over the reduced parameterization: a bracket zoom over
     one scalar, as stacked calls of the kernel objective.
 
@@ -420,17 +432,19 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
     mu1 = mu0 + x e1 and mu2 = mu1 - eps e1.  The objective is convex in x:
     W_p gives eta |x| + (1 - eta) |x - eps|, KL a quadratic in x.  So the best
     of grid_points offsets over [-2 eps, 2 eps] brackets the minimizer between
-    its neighbours, and _zoom re-grids that bracket until it is X_TOL wide.
-    The KL solve factors the isotropic prior s I from s itself (eigenvalues s,
-    eigenvectors I), so it makes no eigendecomposition.
+    its neighbours, and _zoom re-grids that bracket until it is X_TOL eps wide,
+    so its precision relative to eps is the same at any eps.  The default, 101
+    points, is odd so that x = 0, W_p's minimizer, is on the first grid.  The
+    KL solve factors the isotropic prior s I from s itself (eigenvalues s,
+    eigenvectors I, S0^{-1} = I / s), so it makes no eigendecomposition.
     Low-rank case: the colinearity-coupled family (scalar u for the means,
     inlier root diagonal alpha, outlier root diagonal induced by the coupling),
     which is the family the closed-form minimizer lives in.  At alpha = 1 the
     profile in u is unimodal on (0, 2], and _zoom finds u on [1e-3, 2] with
-    max(100, grid_points // 8) points a round.  Two stacked calls then check
-    the result without the closed form: the negative branch's grid, and alpha
-    moved by +-ALPHA_STEP in each coordinate; a lower value on either raises
-    NumericalError.  The KL + low-rank combination is rejected as
+    grid_points points a round until its bracket is X_TOL wide.  Two stacked
+    calls then check the result without the closed form: the negative branch's
+    grid, and alpha moved by +-ALPHA_STEP in each coordinate; a lower value on
+    either raises NumericalError.  The KL + low-rank combination is rejected as
     ill-posed (the objective is identically infinite), and only W2 supports
     free covariances.  The KL oracle needs an isotropic prior and the low-rank
     one a standard normal, each Sigma0[i,j] within 1e-12 * max(1, |Sigma0[i,j]|)
@@ -446,14 +460,15 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
     e1[0] = 1.0
     if problem.constraint == "shared":
         sigma = problem.sigma0
-        spectrum = None
+        w0 = None
         if problem.regularizer == "kl":
             if not _is_scaled_identity(sigma, sigma[0, 0]):
                 # the fixed-axis reduction is only exhaustive for isotropic priors
                 raise DomainError("the KL oracle requires an isotropic shared covariance")
-            spectrum = np.full((1, k), sigma[0, 0]), np.eye(k)[None]
-        objective = _objective(problem, sigma[None], spectrum)
-        means = np.tile(problem.mu0, (2 * grid_points, 1))
+            w0 = np.full((1, k), sigma[0, 0])
+        objective = _objective(problem, sigma[None], w0)
+        means = np.empty((2 * grid_points, k))
+        means[:] = problem.mu0
 
         def evaluate(offsets):
             # g candidates a mode, with the prior's covariance, written in place:
@@ -464,7 +479,7 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
             np.subtract(stack[:g, 0], eps, out=stack[g:, 0])
             return objective(stack)
 
-        x, fun = _zoom(evaluate, -2.0 * eps, 2.0 * eps, grid_points)
+        x, fun = _zoom(evaluate, -2.0 * eps, 2.0 * eps, grid_points, X_TOL * eps)
         mu1 = problem.mu0 + x * e1
         return TheorySolution(mu1, mu1 - eps * e1, sigma.copy(), sigma.copy(), fun)
 
@@ -499,9 +514,8 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 801) -> The
         mu1, mu2, sigma1, sigma2 = unpack(u, alpha)
         return objective(np.concatenate([mu1, mu2]), np.concatenate([sigma1, sigma2]))
 
-    points = max(100, grid_points // 8)
-    u, fun = _zoom(evaluate, 1e-3, 2.0, points)
-    if np.any(evaluate(np.linspace(-2.0, -1e-3, points)) < fun):
+    u, fun = _zoom(evaluate, 1e-3, 2.0, grid_points, X_TOL)
+    if np.any(evaluate(np.linspace(-2.0, -1e-3, grid_points)) < fun):
         raise NumericalError("the low-rank objective is lower on the negative branch of u")
     steps = ALPHA_STEP * np.concatenate([np.eye(kappa), -np.eye(kappa)])
     if np.any(evaluate(np.full(2 * kappa, u), 1.0 + steps) < fun):

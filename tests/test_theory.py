@@ -289,17 +289,17 @@ def test_each_objective_evaluation_makes_one_distance_call(monkeypatch, problem)
 
     monkeypatch.setattr(theory, "_objective", counted)
     distance_calls = _spy(monkeypatch, theory, "_" + problem.regularizer)  # its kernel
-    theory.brute_force_minimizer(problem, grid_points=801)
+    theory.brute_force_minimizer(problem)
     assert len(distance_calls) == len(evaluations)
     sizes = [len(args[0]) for args in evaluations]  # two means a candidate
+    # the default 101 points a round: the grid and 6 zoom rounds (the bracket is
+    # then 4 eps (2/100)^7 < X_TOL eps, or 2 (2/100)^7 < X_TOL for u), the winner alone
+    zoom = [2 * 101] * 7 + [2]
     if problem.constraint == "shared":
-        # the grid, 4 zoom rounds (the bracket is then 4 eps (2/800)^5 < X_TOL), the winner alone
-        assert sizes == [2 * 801] * 5 + [2]
+        assert sizes == zoom
     else:
-        # 100 points a round: the grid and 6 zoom rounds (the bracket is then
-        # 2 (2/99)^7 < X_TOL wide), the winner alone, the negative branch's grid,
-        # then +-ALPHA_STEP on the one inlier coordinate
-        assert sizes == [2 * 100] * 7 + [2, 2 * 100, 2 * 2]
+        # then the negative branch's grid and +-ALPHA_STEP on the one inlier coordinate
+        assert sizes == zoom + [2 * 101, 2 * 2]
 
 
 @pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=lambda p: p["regularizer"])
@@ -320,7 +320,7 @@ def test_shared_kl_solve_factors_the_prior_once(monkeypatch):
     calls = _spy(monkeypatch, linalg, "sym_eig_batch")
     priors = _spy(monkeypatch, theory, "_kl_prior")
     modes = _spy(monkeypatch, theory, "_kl_mode")
-    theory.brute_force_minimizer(problem, grid_points=801)
+    theory.brute_force_minimizer(problem)
     assert len(priors) == len(modes) == 1
     assert calls == []
 
@@ -331,9 +331,12 @@ def test_an_isotropic_priors_known_spectrum_gives_the_eigensolvers_bits(scale):
     problem = theory.TheoryProblem(k=k, epsilon=1.0, eta=0.75, regularizer="kl",
                                    sigma0=scale * np.eye(k))
     sigma = problem.sigma0[None]
-    spectrum = np.full((1, k), scale), np.eye(k)[None]
+    w0 = np.full((1, k), scale)
+    # S0^{-1} = I / s and log det S0 from the eigenvalues alone, as the eigensolver's
+    for known, solved in zip(theory._kl_prior(sigma, w0), theory._kl_prior(sigma)):
+        assert np.array_equal(known, solved)
     means = np.random.default_rng(3).standard_normal((2 * 7, k))
-    known = theory._objective(problem, sigma, spectrum)(means)
+    known = theory._objective(problem, sigma, w0)(means)
     assert np.array_equal(known, theory._objective(problem, sigma)(means))
 
 
@@ -366,8 +369,7 @@ def test_shared_kl_oracle_objective_is_the_mixture_objective_bit_for_bit(problem
 
 def _mahalanobis(mu1, mu0, prior):
     """_kl's Mahalanobis term alone: a mode whose log det - k + tr is 0."""
-    k = mu1.shape[1]
-    mode = (np.full(1, float(k)), np.zeros(1), np.zeros(1, dtype=bool))
+    mode = (np.zeros(1), None)
     return 2.0 * theory._kl(mu1, mode, mu0, prior)
 
 
@@ -441,13 +443,28 @@ def test_shared_oracle_finds_the_closed_form_offset(problem):
 
 
 @pytest.mark.parametrize("regularizer", ["wp", "kl"])
-@pytest.mark.parametrize("epsilon", [1e12, 1e-12])
-def test_shared_oracle_zoom_ends_at_floating_point_resolution(regularizer, epsilon):
-    # no bracket around 0.25e12 is 1e-10 wide in doubles: the zoom stops when it stops shrinking
-    problem = theory.TheoryProblem(k=3, epsilon=epsilon, eta=0.75, regularizer=regularizer)
+@pytest.mark.parametrize("eta", [0.75, 5.0 / 6.0])
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12])
+def test_shared_oracle_zoom_ends_at_floating_point_resolution(monkeypatch, regularizer, eta,
+                                                              epsilon):
+    # the zoom stops at a bracket X_TOL eps wide: as many kernel calls and the
+    # same precision relative to eps at any scale; (1 - eta) eps = eps / 6 is on no grid
+    problem = theory.TheoryProblem(k=3, epsilon=epsilon, eta=eta, regularizer=regularizer)
+    calls = _spy(monkeypatch, theory, "_" + regularizer)
     sol = theory.brute_force_minimizer(problem)
-    offset = 0.25 * epsilon if regularizer == "kl" else 0.0
+    assert len(calls) == 8  # 7 grids and the winner alone
+    offset = (1.0 - eta) * epsilon if regularizer == "kl" else 0.0  # KL: the barycenter's error
     assert abs(sol.mu1[0] - offset) <= 1e-8 * epsilon
+
+
+@pytest.mark.parametrize("problem", SHARED_GRID, ids=lambda p: (
+    f"{p['regularizer']}-k{p['k']}-eps{p['epsilon']}-eta{p['eta']:.3f}"))
+def test_the_default_grid_agrees_with_801_points(problem):
+    problem = theory.TheoryProblem(**problem)
+    sol = theory.brute_force_minimizer(problem)
+    fine = theory.brute_force_minimizer(problem, grid_points=801)
+    assert abs(sol.mu1[0] - fine.mu1[0]) <= 1e-7 * problem.epsilon
+    assert abs(sol.objective - fine.objective) <= 1e-12
 
 
 def _shared_objective(monkeypatch, values):
@@ -478,7 +495,8 @@ def test_a_non_finite_zoom_value_is_a_numerical_error(monkeypatch, bad_call):
 def test_the_zoom_takes_the_middle_of_tied_points():
     # flat on [-0.25, 0.25]: the middle of the ties, not the first, so the bracket
     # closes on the flat part's centre
-    x, fun = theory._zoom(lambda x: np.maximum(np.abs(x) - 0.25, 0.0), -1.0, 1.5, 801)
+    x, fun = theory._zoom(lambda x: np.maximum(np.abs(x) - 0.25, 0.0), -1.0, 1.5, 801,
+                          theory.X_TOL)
     assert abs(x) <= 2.5 / 800 and fun == 0.0
 
 
@@ -486,7 +504,8 @@ def test_the_zoom_takes_the_middle_of_tied_points():
 @pytest.mark.parametrize("centre", [-1.3, 0.3, 2.4])
 def test_the_zoom_finds_the_minimum_of_a_unimodal_function_that_is_not_convex(centre, grid_points):
     # -exp(-(x - a)^2) is concave beyond |x - a| = 1/sqrt(2): unimodal, not convex
-    x, fun = theory._zoom(lambda x: -np.exp(-(x - centre) ** 2), -3.0, 4.0, grid_points)
+    x, fun = theory._zoom(lambda x: -np.exp(-(x - centre) ** 2), -3.0, 4.0, grid_points,
+                          theory.X_TOL)
     assert abs(x - centre) <= 1e-7 and fun == pytest.approx(-1.0, abs=1e-15)
 
 
@@ -500,7 +519,7 @@ def test_the_zoom_grids_are_linspaces_bit_for_bit(lo, hi, grid_points):
         grids.append(x.copy())
         return (x - (0.3 * lo + 0.7 * hi)) ** 2
 
-    theory._zoom(evaluate, lo, hi, grid_points)
+    theory._zoom(evaluate, lo, hi, grid_points, theory.X_TOL)
     assert np.array_equal(grids[0], np.linspace(lo, hi, grid_points))
     for grid in grids[:-1]:  # the last call is the winner alone
         assert np.array_equal(grid, np.linspace(grid[0], grid[-1], grid_points))
