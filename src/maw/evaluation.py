@@ -27,7 +27,6 @@ from .errors import DataError, DomainError, MetricError, ShapeError
 class Dataset:
     features: np.ndarray  # (n, D), rows unit-normalized
     labels: np.ndarray  # 0 = inlier, 1 = outlier
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -84,7 +83,7 @@ class SyntheticFamily:
         outliers = scale * rng.standard_normal((n_outliers, self.dim))
         features = linalg.normalize_rows(np.vstack([inliers, outliers]))
         labels = np.concatenate([np.zeros(n_inliers, int), np.ones(n_outliers, int)])
-        return Dataset(features, labels, provenance="synthetic")
+        return Dataset(features, labels)
 
 
 def _sample_args(n_inliers, n_outliers, sample_seed) -> list[int]:
@@ -122,10 +121,7 @@ class PoolFamily:
         pick_in = rng.choice(self._inliers, size=n_inliers, replace=False)
         pick_out = rng.choice(self._outliers, size=n_outliers, replace=False)
         idx = np.concatenate([pick_in, pick_out])
-        return Dataset(
-            self.dataset.features[idx], self.dataset.labels[idx],
-            provenance=self.dataset.provenance,
-        )
+        return Dataset(self.dataset.features[idx], self.dataset.labels[idx])
 
 
 def load_csv(path) -> Dataset:
@@ -172,7 +168,7 @@ def load_csv(path) -> Dataset:
     if not rows:
         raise DataError(f"no data rows in {path}")
     features = linalg.normalize_rows(np.asarray(rows, dtype=np.float64))
-    return Dataset(features, np.asarray(labels), provenance="csv")
+    return Dataset(features, np.asarray(labels))
 
 
 def _is_finite_number(cell: str) -> bool:

@@ -17,7 +17,7 @@ prefix scored alone by ~1e-16 (float32 GEMMs moved it by up to 4.8e-7).
 Scoring draws from the inlier mode only and averages cosine similarity
 between a test point and its decodes: the mean dot product of unit (or zero)
 rows, clipped to [-1, 1], from a plan built once per set of weights
-(_scoring_plan).  _modes is the one posterior
+(_scoring_plan, memoized per model in _PLANS).  _modes is the one posterior
 after the encoder's four output quarters: training runs it on the tape,
 scoring on plain arrays.
 """
@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,15 +146,13 @@ def cosine_score(y, decodes):
 
 
 class MawModel:
-    """Trainable parameters plus hyperparameters for one detector instance."""
+    """A detector's weights and their layout; training state lives in train."""
 
-    def __init__(self, hp: Hyperparams, feature_dim: int, store: nets.ParamStore,
-                 specs: dict, optimizers: dict):
+    def __init__(self, hp: Hyperparams, feature_dim: int, store: nets.ParamStore, specs: dict):
         self.hp = hp
         self.feature_dim = feature_dim
         self.store = store
         self.specs = specs
-        self.optimizers = optimizers
 
     def to_payload(self) -> dict:
         return {
@@ -173,8 +173,7 @@ class MawModel:
         positive integer, and every parameter and state array must match
         init_model's names and shapes and be finite in TRAIN_DTYPE, the dtype
         it loads in, else DataError: a missing entry would silently keep its
-        init value.  A checkpoint holds no optimizer state: the model's
-        optimizers start at step 0.
+        init value.
         """
         if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
             raise DataError("not a model checkpoint payload")
@@ -195,21 +194,17 @@ class MawModel:
         return model
 
 
-def _check_names(names, source, section: str):
-    """source must be a dict holding exactly the given names."""
-    if not isinstance(source, dict) or source.keys() != set(names):
-        found = set(source) if isinstance(source, dict) else set()
-        raise DataError(
-            f"checkpoint {section} do not match the model: missing "
-            f"{sorted(set(names) - found)}, unexpected {sorted(found - set(names))}"
-        )
-
-
 def _load_arrays(target: dict, source, section: str):
     """Replace each array of target by source's entry of the same name and
     shape, cast to TRAIN_DTYPE (a float32 value's float64 text reads back
-    exactly); an entry that is not finite after the cast is a DataError."""
-    _check_names(target, source, section)
+    exactly).  source must be a dict of exactly target's names, and an entry
+    that is not finite after the cast is a DataError."""
+    if not isinstance(source, dict) or source.keys() != target.keys():
+        found = set(source) if isinstance(source, dict) else set()
+        raise DataError(
+            f"checkpoint {section} do not match the model: missing "
+            f"{sorted(target.keys() - found)}, unexpected {sorted(found - target.keys())}"
+        )
     for name, ref in target.items():
         try:
             value = np.asarray(source[name], dtype=np.float64)
@@ -254,10 +249,9 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
         raise ConfigError("feature dimension must be positive")
     specs = network_specs(hp, feature_dim)
     ing = hp.ingredients
-    uses_reduction = ing is not None and ing.reduction
     store = nets.ParamStore()
     nets.build_mlp_params(store, "enc", specs["enc"], rng)
-    if uses_reduction:
+    if ing is not None and ing.reduction:
         store.add("A", nets.glorot_init(hp.dprime, hp.d, rng))
     if ing is None:
         store.add("head.W", nets.glorot_init(4 * hp.dprime, 2 * hp.d, rng))
@@ -267,17 +261,27 @@ def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> M
         nets.build_mlp_params(store, "cri", specs["cri"], rng, running_stats=False)
     store.params = {k: v.astype(TRAIN_DTYPE) for k, v in store.params.items()}
     store.state = {k: v.astype(TRAIN_DTYPE) for k, v in store.state.items()}
+    return MawModel(hp, feature_dim, store, specs)
 
-    gen_names = store.names("enc.") + (["A"] if uses_reduction else [])
-    if ing is None:
-        vae_names = store.names("enc.") + store.names("head.") + store.names("dec.")
-    else:
-        vae_names = gen_names + store.names("dec.")
+
+class Training(NamedTuple):  # a model and the optimizers that train steps, keyed by loss
+    model: MawModel
+    optimizers: dict
+
+
+def init_training(model: MawModel) -> Training:
+    """model with new optimizers over its parameters, at step 0 in their dtype,
+    built in this order: "vae", Adam on the reconstruction (encoder, A or the
+    vae head, decoder), then with a critic "critic", RMSprop, and "gen", Adam
+    on the generator (encoder and A).  train calls it before the first batch."""
+    hp, store = model.hp, model.store
+    gen_names = store.names("enc.") + (["A"] if "A" in store.params else [])
+    vae_names = gen_names + store.names("head.") + store.names("dec.")
     optimizers = {"vae": nets.Optimizer("adam", hp.lr_vae, vae_names, store)}
-    if "cri" in specs:
+    if "cri" in model.specs:
         optimizers["critic"] = nets.Optimizer("rmsprop", hp.lr_critic, store.names("cri."), store)
         optimizers["gen"] = nets.Optimizer("adam", hp.lr_vae, gen_names, store)
-    return MawModel(hp, feature_dim, store, specs, optimizers)
+    return Training(model, optimizers)
 
 
 def _modes(ops, model: MawModel, enc, modes=(1, 2)):
@@ -348,7 +352,7 @@ def _draw_batch_noise(hp: Hyperparams, rng: np.random.Generator, batch_rows: int
     return labels, point_idx, eps1, eps2, z_hyp
 
 
-def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, float, float]:
+def _maw_batch_update(model: MawModel, optimizers: dict, xb, noise) -> tuple[float, float, float]:
     ing = model.hp.ingredients
     labels, point_idx, eps1, eps2, z_hyp = noise
     x_rep = xb[point_idx]
@@ -360,7 +364,7 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     decoded = _decode(tape, model, z)
     l_vae = tape.mean_rowwise_norm_diff(decoded, tape.const(x_rep), squared=squared)
     grads = tape.backward(l_vae)
-    model.optimizers["vae"].step(model.store, grads)
+    optimizers["vae"].step(model.store, grads)
 
     # one forward of the updated generator serves the critic and generator
     # steps, as the critic step changes neither enc.* nor A; the encoder's
@@ -380,7 +384,7 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     else:
         l_cri = tape.add(tape.mean_all(d_gen), tape.scale(tape.mean_all(d_hyp), -1.0))
     grads = tape.backward(l_cri)
-    model.optimizers["critic"].step(model.store, grads)
+    optimizers["critic"].step(model.store, grads)
     if not bce:
         nets.clip_weights(model.store, model.store.names("cri."))
 
@@ -392,12 +396,12 @@ def _maw_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     else:
         l_gen = gen_tape.scale(gen_tape.mean_all(d_gen), -1.0)
     grads = gen_tape.backward(l_gen)
-    model.optimizers["gen"].step(model.store, grads)
+    optimizers["gen"].step(model.store, grads)
 
     return float(l_vae.value), float(l_cri.value), float(l_gen.value)
 
 
-def _vae_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, float, float]:
+def _vae_batch_update(model: MawModel, optimizers: dict, xb, noise) -> tuple[float, float, float]:
     hp = model.hp
     _, point_idx, eps1, _, _ = noise
     x_rep = xb[point_idx]
@@ -417,7 +421,7 @@ def _vae_batch_update(model: MawModel, xb: np.ndarray, noise) -> tuple[float, fl
     kl = tape.vae_kl_diag(mu, logvar)
     total = tape.add(recon, kl)
     grads = tape.backward(total)
-    model.optimizers["vae"].step(model.store, grads)
+    optimizers["vae"].step(model.store, grads)
     return float(recon.value), float(kl.value), 0.0
 
 
@@ -440,7 +444,7 @@ def train(features, hp: Hyperparams, seed: int):
     x = linalg.normalize_rows(x).astype(TRAIN_DTYPE)
 
     rng = np.random.default_rng(seed)
-    model = init_model(hp, x.shape[1], rng)
+    model, optimizers = init_training(init_model(hp, x.shape[1], rng))
     update = _vae_batch_update if hp.ingredients is None else _maw_batch_update
 
     trace = []
@@ -454,7 +458,7 @@ def train(features, hp: Hyperparams, seed: int):
             if idx.size < 2:
                 continue  # a trailing singleton cannot be batch-normalized
             noise = _draw_batch_noise(hp, rng, idx.size)
-            losses = update(model, x[idx], noise)
+            losses = update(model, optimizers, x[idx], noise)
             if not np.all(np.isfinite(losses)):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {start // hp.batch_size}"
@@ -475,17 +479,20 @@ def train(features, hp: Hyperparams, seed: int):
 # --------------------------------------------------------------------- scoring
 
 
+_PLANS = weakref.WeakKeyDictionary()  # model -> its last scoring plan
+
+
 def _scoring_plan(model: MawModel) -> SimpleNamespace:
-    """What scoring reads, memoized in model.store.folded while each source
-    array (keys: (section, name)) is the same object; clip_weights, which edits
-    arrays in place, clears it.  enc and dec are the folded networks
+    """What scoring reads, memoized in _PLANS while each source array (keys:
+    (section, name)) is the same object: every writer of a parameter or
+    statistic replaces its array.  enc and dec are the folded networks
     (nets.fold_layers); mean and diag slice enc's output for the inlier mode;
     ops are the Tape methods _modes calls, on plain arrays, bound to A in
     float64 and its A-outer-A rows.  Where A reduces the quarters, enc's last
     layer keeps the mode's two: a GEMM's column keeps its bits then (on
     OpenBLAS, for quarters of a multiple of 4 columns)."""
     store, hp = model.store, model.hp
-    plan = store.folded.get("plan")
+    plan = _PLANS.get(model)
     if plan is not None and all(map(operator.is_, [getattr(store, section)[name] for
                                                    section, name in plan.keys], plan.sources)):
         return plan
@@ -511,8 +518,8 @@ def _scoring_plan(model: MawModel) -> SimpleNamespace:
         ops.batch_diag_sandwich = lambda _, s_rows: (s_rows @ aa).reshape(-1, hp.d, hp.d)
     keys += dec_keys
     sources = [getattr(store, section)[name] for section, name in keys]
-    plan = store.folded["plan"] = SimpleNamespace(keys=keys, sources=sources, enc=enc, mean=mean,
-                                                  diag=diag, mode=j, dec=dec, ops=ops)
+    plan = _PLANS[model] = SimpleNamespace(keys=keys, sources=sources, enc=enc, mean=mean,
+                                           diag=diag, mode=j, dec=dec, ops=ops)
     return plan
 
 

@@ -11,8 +11,9 @@ over blocks of BLOCK_ROWS rows, each block through every layer while its
 intermediates are still in cache; model memoizes the fold per model.
 A network ends at its last affine layer: model cuts and normalizes its outputs.
 An Optimizer keeps each moment as one flat buffer over its parameters, allocated
-once, and steps them all in one vectorized pass, rebinding each parameter to a
-new array.
+once, and steps them all in one vectorized pass.  Every writer here (a step,
+clipping, mlp_forward's statistics) rebinds a name to a new array, never edits
+one in place, so model's scoring memo, keyed on identity, sees every write.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class ParamStore:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
-        self.folded: dict = {}  # model._scoring_plan's memo; clip_weights clears it
 
     def add(self, name: str, value: np.ndarray):
         if name in self.params:
@@ -220,11 +220,10 @@ class Optimizer:
         self.kind, self.learning_rate, self.names = kind, learning_rate, list(names)
         if not self.names:
             raise ConfigError("an optimizer needs at least one parameter")
+        self._spans, size = [], 0  # (name, start, stop, shape) of each parameter in a buffer
         for name in self.names:
             if name not in store.params:
                 raise ConfigError(f"optimizer refers to unknown parameter {name}")
-        self._spans, size = [], 0  # (name, start, stop, shape) of each parameter in a buffer
-        for name in self.names:
             shape = np.shape(store.params[name])
             self._spans.append((name, size, size + math.prod(shape), shape))
             size = self._spans[-1][2]
@@ -278,9 +277,8 @@ class Optimizer:
 
 
 def clip_weights(store: ParamStore, names: list[str], lo: float = -1.0, hi: float = 1.0):
-    """Elementwise clamp of the named parameters (the critic's, in training)."""
+    """Clamp each named parameter (the critic's, in training) into a new array."""
     if lo >= hi:
         raise DomainError("clip_weights needs lo < hi")
-    store.folded.clear()
     for name in names:
-        np.clip(store.params[name], lo, hi, out=store.params[name])
+        store.params[name] = np.clip(store.params[name], lo, hi)

@@ -29,9 +29,9 @@ mode has the prior's covariance, s I, so KL's covariance terms are computed
 once per solve from s itself, and each evaluation computes only the
 Mahalanobis terms (a GEMM and row dots) of candidates written in place into one
 array: the solve makes no eigendecomposition.  A zoom round costs about 20
-numpy calls whatever its size, so the oracles grid 101 points a round, over
-more rounds, and stop at a bracket X_TOL of their scalar's scale wide (X_TOL
-eps for an offset, X_TOL for u): 7 grids at any eps.
+numpy calls whatever its size, so the oracles grid GRID_POINTS = 101 points a
+round, over more rounds, and stop at a bracket X_TOL of their scalar's scale
+wide (X_TOL eps for an offset, X_TOL for u): 7 grids at any eps.
 
 SciPy is loaded only here, and only on first use: empirical_w1's assignment
 solver imports scipy.optimize when it runs.  `import maw` (training, scoring
@@ -53,6 +53,7 @@ from .errors import DomainError, NumericalError, ShapeError
 KL_SINGULAR_REL_TOL = 1e-12
 MAX_EMPIRICAL_N = 512
 X_TOL = 1e-10  # an oracle zoom's last bracket width, relative to its scalar's scale
+GRID_POINTS = 101  # an oracle zoom's points a round; odd, so x = 0 (W_p's minimizer) is on grid
 ALPHA_STEP = 1e-4  # the low-rank oracle's move of each inlier root-diagonal entry off 1
 
 REGULARIZERS = ("wp", "w2", "kl")
@@ -424,37 +425,31 @@ def _zoom(evaluate, lo: float, hi: float, grid_points: int, x_tol: float):
     return float(grid[i]), float(evaluate(grid[i:i + 1])[0])
 
 
-def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 101) -> TheorySolution:
+def brute_force_minimizer(problem: TheoryProblem) -> TheorySolution:
     """Numeric minimizer over the reduced parameterization: a bracket zoom over
     one scalar, as stacked calls of the kernel objective.
 
     Shared-covariance case: a scalar mean offset x along a fixed axis, with
     mu1 = mu0 + x e1 and mu2 = mu1 - eps e1.  The objective is convex in x:
     W_p gives eta |x| + (1 - eta) |x - eps|, KL a quadratic in x.  So the best
-    of grid_points offsets over [-2 eps, 2 eps] brackets the minimizer between
+    of GRID_POINTS offsets over [-2 eps, 2 eps] brackets the minimizer between
     its neighbours, and _zoom re-grids that bracket until it is X_TOL eps wide,
-    so its precision relative to eps is the same at any eps.  The default, 101
-    points, is odd so that x = 0, W_p's minimizer, is on the first grid.  The
+    so its precision relative to eps is the same at any eps.  The
     KL solve factors the isotropic prior s I from s itself (eigenvalues s,
     eigenvectors I, S0^{-1} = I / s), so it makes no eigendecomposition.
     Low-rank case: the colinearity-coupled family (scalar u for the means,
     inlier root diagonal alpha, outlier root diagonal induced by the coupling),
     which is the family the closed-form minimizer lives in.  At alpha = 1 the
     profile in u is unimodal on (0, 2], and _zoom finds u on [1e-3, 2] with
-    grid_points points a round until its bracket is X_TOL wide.  Two stacked
+    GRID_POINTS points a round until its bracket is X_TOL wide.  Two stacked
     calls then check the result without the closed form: the negative branch's
     grid, and alpha moved by +-ALPHA_STEP in each coordinate; a lower value on
     either raises NumericalError.  The KL + low-rank combination is rejected as
     ill-posed (the objective is identically infinite), and only W2 supports
     free covariances.  The KL oracle needs an isotropic prior and the low-rank
     one a standard normal, each Sigma0[i,j] within 1e-12 * max(1, |Sigma0[i,j]|)
-    of it (linalg.is_symmetric's rule), else DomainError.  grid_points is an
-    int in [4, linalg.SIZE_MAX] (an integral float counts, a bool does not),
-    else DomainError: a zoom round shrinks the bracket by (grid_points - 1) / 2.
+    of it (linalg.is_symmetric's rule), else DomainError.
     """
-    grid_points = linalg.as_size(grid_points, "grid_points", DomainError)
-    if grid_points < 4:
-        raise DomainError(f"grid_points must be >= 4, got {grid_points}")
     k, eps = problem.k, problem.epsilon
     e1 = np.zeros(k)
     e1[0] = 1.0
@@ -467,19 +462,19 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 101) -> The
                 raise DomainError("the KL oracle requires an isotropic shared covariance")
             w0 = np.full((1, k), sigma[0, 0])
         objective = _objective(problem, sigma[None], w0)
-        means = np.empty((2 * grid_points, k))
+        means = np.empty((2 * GRID_POINTS, k))
         means[:] = problem.mu0
 
         def evaluate(offsets):
             # g candidates a mode, with the prior's covariance, written in place:
             # mode 1's rows (mu0 + x e1) end where mode 2's (mu1 - eps e1) begin
             g = len(offsets)
-            stack = means[grid_points - g:grid_points + g]
+            stack = means[GRID_POINTS - g:GRID_POINTS + g]
             np.add(problem.mu0[0], offsets, out=stack[:g, 0])
             np.subtract(stack[:g, 0], eps, out=stack[g:, 0])
             return objective(stack)
 
-        x, fun = _zoom(evaluate, -2.0 * eps, 2.0 * eps, grid_points, X_TOL * eps)
+        x, fun = _zoom(evaluate, -2.0 * eps, 2.0 * eps, GRID_POINTS, X_TOL * eps)
         mu1 = problem.mu0 + x * e1
         return TheorySolution(mu1, mu1 - eps * e1, sigma.copy(), sigma.copy(), fun)
 
@@ -514,8 +509,8 @@ def brute_force_minimizer(problem: TheoryProblem, grid_points: int = 101) -> The
         mu1, mu2, sigma1, sigma2 = unpack(u, alpha)
         return objective(np.concatenate([mu1, mu2]), np.concatenate([sigma1, sigma2]))
 
-    u, fun = _zoom(evaluate, 1e-3, 2.0, grid_points, X_TOL)
-    if np.any(evaluate(np.linspace(-2.0, -1e-3, grid_points)) < fun):
+    u, fun = _zoom(evaluate, 1e-3, 2.0, GRID_POINTS, X_TOL)
+    if np.any(evaluate(np.linspace(-2.0, -1e-3, GRID_POINTS)) < fun):
         raise NumericalError("the low-rank objective is lower on the negative branch of u")
     steps = ALPHA_STEP * np.concatenate([np.eye(kappa), -np.eye(kappa)])
     if np.any(evaluate(np.full(2 * kappa, u), 1.0 + steps) < fun):

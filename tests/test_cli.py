@@ -468,18 +468,11 @@ def test_score_checkpoint_value_beyond_float32_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_score_version_1_checkpoint_exits_3(tmp_path, capsys, version):
-    # a file in version 2's layout: version 3's sections plus each optimizer's
-    # step and moment slots
+    # the version alone rejects a file, whatever sections it holds
     cfg = small_config(tmp_path, model={"epochs": 0})
     ckpt = _trained_checkpoint(cfg)
     payload = json.loads(open(ckpt).read())
-    optimizers = M.MawModel.from_payload(payload).optimizers
     payload["version"] = version
-    payload["optimizers"] = {
-        name: {k: v if k == "step" else {n: a.tolist() for n, a in v.items()}
-               for k, v in opt.slots.items()}
-        for name, opt in optimizers.items()
-    }
     with open(ckpt, "w") as fh:
         json.dump(payload, fh)
     capsys.readouterr()

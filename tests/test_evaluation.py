@@ -103,7 +103,7 @@ def _pool(n_in=12, n_out=5):
     # row i is the i-th unit vector scaled, so a split's rows name their pool rows
     features = np.eye(n_in + n_out)
     labels = np.r_[np.zeros(n_in, int), np.ones(n_out, int)]
-    return E.Dataset(features, labels, provenance="pool.csv")
+    return E.Dataset(features, labels)
 
 
 def _pool_rows(split):
@@ -118,7 +118,6 @@ def test_pool_family_split_sizes_and_labels():
     rows = _pool_rows(split)
     assert np.array_equal(pool.labels[rows], split.labels)
     assert len(set(rows)) == len(rows)  # drawn without replacement
-    assert split.provenance == "pool.csv"
     whole = E.PoolFamily(pool, seed=1).sample(12, 5, sample_seed=0)
     assert sorted(_pool_rows(whole)) == list(range(17))
 
@@ -153,7 +152,6 @@ def test_load_csv_normalizes(tmp_path):
     ds = E.load_csv(p)
     assert np.allclose(ds.features, [[0.6, 0.8]])
     assert ds.labels.tolist() == [0]
-    assert ds.provenance == "csv"
 
 
 def test_load_csv_missing_label_column(tmp_path):

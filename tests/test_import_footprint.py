@@ -39,12 +39,12 @@ assert code == 0, code
 assert not scipy_modules(), scipy_modules()[:3]
 
 problem = maw.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
-maw.brute_force_minimizer(problem, grid_points=21)  # a grid and a bracket zoom
+maw.brute_force_minimizer(problem)  # a grid and a bracket zoom
 assert not scipy_modules(), scipy_modules()[:3]
 
 problem = maw.TheoryProblem(k=2, epsilon=1.0, eta=0.9, regularizer="w2",
                             constraint="low-rank-inlier", kappa=1)
-maw.brute_force_minimizer(problem, grid_points=21)  # a bracket zoom over u and its checks
+maw.brute_force_minimizer(problem)  # a bracket zoom over u and its checks
 assert not scipy_modules(), scipy_modules()[:3]
 
 maw.empirical_w1([0.0, 1.0], [0.5, 2.0])  # an assignment solver

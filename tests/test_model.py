@@ -1,10 +1,13 @@
 import ast
 import copy
 import dataclasses
+import gc
 import inspect
 import json
 import tracemalloc
+import weakref
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,21 +71,32 @@ def inlier_mode(model):
     return mu[0], factors[0]
 
 
-def fresh_optimizers(model):
-    """model with new optimizers at step 0 over its store, in its arrays' dtype."""
-    model.optimizers = {key: nets.Optimizer(o.kind, o.learning_rate, o.names, model.store)
-                        for key, o in model.optimizers.items()}
-    return model
-
-
 def as_float64(model):
-    """model with its parameters and state cast up to float64, and float64
-    optimizers over them, so that its tapes and steps run in float64 (the
+    """model with its parameters and state cast up to float64, so that its
+    tapes, and the steps of optimizers built over it, run in float64 (the
     finite-difference checks' dtype)."""
     store = model.store
     store.params = {k: v.astype(np.float64) for k, v in store.params.items()}
     store.state = {k: v.astype(np.float64) for k, v in store.state.items()}
-    return fresh_optimizers(model)
+    return model
+
+
+def batch_update(model, xb, noise):
+    """One batch update of model by its variant's update, with new optimizers."""
+    update = M._vae_batch_update if model.hp.variant == "vae" else M._maw_batch_update
+    return update(model, M.init_training(model).optimizers, xb, noise)
+
+
+def kept_trainings(monkeypatch):
+    """The list that each later M.init_training call appends its Training to."""
+    built, init_training = [], M.init_training
+
+    def kept(model):
+        built.append(init_training(model))
+        return built[-1]
+
+    monkeypatch.setattr(M, "init_training", kept)
+    return built
 
 
 def float64_noise(hp, rng, batch_rows):
@@ -679,15 +693,14 @@ def test_batch_update_matches_fully_attached_tapes(variant):
     # weights drop only gradients that no optimizer reads
     rng = np.random.default_rng(62)
     model, xb, noise = loss_model_and_noise(rng, variant)
-    # a deep copy's slot views are arrays of their own: ref gets its own
-    # optimizers over its store, the same state at step 0
-    ref = fresh_optimizers(copy.deepcopy(model))
+    ref = copy.deepcopy(model)
+    optimizers, ref_optimizers = (M.init_training(m).optimizers for m in (model, ref))
     for _ in range(2):
-        losses = M._maw_batch_update(model, xb, noise)
+        losses = M._maw_batch_update(model, optimizers, xb, noise)
         ref_losses = []
         for which in ("vae", "critic", "gen"):
             tape, root = loss_value(ref, xb, noise, which)
-            ref.optimizers[which].step(ref.store, tape.backward(root))
+            ref_optimizers[which].step(ref.store, tape.backward(root))
             if which == "critic" and variant != "maw-kl":
                 nets.clip_weights(ref.store, ref.store.names("cri."))
             ref_losses.append(float(root.value))
@@ -697,8 +710,8 @@ def test_batch_update_matches_fully_attached_tapes(variant):
         assert np.array_equal(model.store.params[name], value), name
     for name, value in ref.store.state.items():
         assert np.array_equal(model.store.state[name], value), name
-    for key, opt in ref.optimizers.items():
-        slots = model.optimizers[key].slots
+    for key, opt in ref_optimizers.items():
+        slots = optimizers[key].slots
         assert slots["step"] == opt.slots["step"] == 2
         assert slots.keys() == opt.slots.keys() == {"step", *nets.MOMENTS[opt.kind]}
         for moment in nets.MOMENTS[opt.kind]:
@@ -717,7 +730,7 @@ def test_each_removed_ingredient_acts(variant):
     def update(variant):
         model, xb, noise = loss_model_and_noise(np.random.default_rng(65), variant)
         layout = {name: value.shape for name, value in model.store.params.items()}
-        return layout, M._maw_batch_update(model, xb, noise)
+        return layout, batch_update(model, xb, noise)
 
     layout, losses = update("maw")
     got_layout, got_losses = update(variant)
@@ -775,7 +788,7 @@ def test_batch_update_runs_the_encoder_twice(variant, monkeypatch):
         return inner(tape, store, prefix, *args, **kwargs)
 
     monkeypatch.setattr(nets, "mlp_forward", counted)
-    M._maw_batch_update(model, xb, noise)
+    batch_update(model, xb, noise)
     assert prefixes.count("enc") == 2
     assert prefixes.count("dec") == 1
 
@@ -799,8 +812,7 @@ def test_a_batch_update_records_one_node_per_network_run(variant, monkeypatch):
 
     monkeypatch.setattr(Tape, "__init__", recorded)
     monkeypatch.setattr(nets, "mlp_forward", holding)
-    update = M._vae_batch_update if variant == "vae" else M._maw_batch_update
-    update(model, xb, noise)
+    batch_update(model, xb, noise)
     nodes = [node for tape in tapes for node in tape.nodes]
     runs = Counter(node.names[0].split(".")[0] for node in nodes if isinstance(node, MlpNode))
     assert runs == ({"enc": 1, "head": 1, "dec": 1} if variant == "vae"
@@ -843,7 +855,8 @@ def test_encoder_running_statistics_take_three_steps_per_batch(variant):
     spec = model.specs["enc"]
     before = _encoder_batch_statistics(model.store.params, spec, xb)
     running = {k: v.copy() for k, v in model.store.state.items()}
-    vae = model.optimizers["vae"]
+    optimizers = M.init_training(model).optimizers
+    vae = optimizers["vae"]
     after = []
 
     def step(store, grads, inner=vae.step):
@@ -851,7 +864,7 @@ def test_encoder_running_statistics_take_three_steps_per_batch(variant):
         after.extend(_encoder_batch_statistics(store.params, spec, xb))
 
     vae.step = step
-    M._maw_batch_update(model, xb, noise)
+    M._maw_batch_update(model, optimizers, xb, noise)
     for k, stats in enumerate(zip(before, after)):
         for j, key in enumerate(("running_mean", "running_var")):
             ref = running[f"enc.l{k}.{key}"]
@@ -873,10 +886,8 @@ def test_checkpoint_roundtrip():
 
 
 def _stored_arrays(model):
-    """Every parameter, running statistic and optimizer moment array of model."""
-    slots = [a for opt in model.optimizers.values() for moment in nets.MOMENTS[opt.kind]
-             for a in opt.slots[moment].values()]
-    return [*model.store.params.values(), *model.store.state.values(), *slots]
+    """Every parameter and running statistic array of model."""
+    return [*model.store.params.values(), *model.store.state.values()]
 
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
@@ -893,34 +904,109 @@ def test_float32_checkpoint_round_trips_exactly(variant):
     assert np.array_equal(M.score_batch(clone, x, seed=5), M.score_batch(model, x, seed=5))
 
 
+MODEL_ATTRIBUTES = {"hp", "feature_dim", "store", "specs"}
+
+
 @pytest.mark.parametrize("variant", M.VARIANTS)
-def test_a_loaded_model_optimizers_start_at_step_0(variant):
-    # a checkpoint holds no optimizer state: the clone has the model's
-    # optimizers, kind, rate and names, at step 0 with zero moments, and its
-    # slot views read what the next step writes
+def test_a_loaded_model_holds_only_its_weights(variant, monkeypatch):
+    # a checkpoint holds no optimizer state, and loading builds none; scoring
+    # memoizes its plan beside the model, not on it
     x = line_data(8, 4, seed=9)
-    model, _ = M.train(x, tiny_hp(epochs=2, variant=variant), seed=0)
-    clone = M.MawModel.from_payload(json.loads(json.dumps(model.to_payload())))
-    assert clone.optimizers.keys() == model.optimizers.keys()
-    rng = np.random.default_rng(1)
-    for key, opt in clone.optimizers.items():
-        trained = model.optimizers[key]
-        assert trained.slots["step"] > 0 and opt.slots["step"] == 0
-        assert (opt.kind, opt.learning_rate, opt.names) == (
-            trained.kind, trained.learning_rate, trained.names)
-        assert opt.slots.keys() == {"step", *nets.MOMENTS[opt.kind]}
+    payload = json.loads(json.dumps(M.train(x, tiny_hp(epochs=1, variant=variant),
+                                            seed=0)[0].to_payload()))
+    built, init = [], nets.Optimizer.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(nets.Optimizer, "__init__", counted)
+    clone = M.MawModel.from_payload(payload)
+    assert built == []
+    assert vars(clone).keys() == MODEL_ATTRIBUTES
+    M.score_batch(clone, x, seed=5)
+    assert vars(clone).keys() == MODEL_ATTRIBUTES and vars(clone.store).keys() == {"params", "state"}
+    M.train(x, clone.hp, seed=0)
+    assert built == (["adam"] if variant == "vae" else ["adam", "rmsprop", "adam"])
+
+
+def test_the_scoring_memo_does_not_keep_its_model_alive():
+    model = M.init_model(tiny_hp(), 4, np.random.default_rng(0))
+    M.score_batch(model, line_data(8, 4, seed=9), seed=5)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_loading_the_default_model_allocates_under_twice_its_float64_weights():
+    # the loaded float32 weights, plus the float64 draws init_model casts and
+    # one float64 entry at a time; zeroed optimizer moments took 2.6 MB here
+    payload = json.loads(json.dumps(
+        M.init_model(M.Hyperparams(), 20, np.random.default_rng(0)).to_payload()))
+    weight_bytes = 8 * sum(np.size(v) for v in payload["params"].values())
+    tracemalloc.start()
+    try:
+        M.MawModel.from_payload(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * weight_bytes, (peak, weight_bytes)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_train_steps_the_optimizers_init_training_builds(variant, monkeypatch):
+    # vae (Adam) on the reconstruction, then critic (RMSprop) and gen (Adam) with
+    # a critic, at step 0 with zero moments; train steps exactly these, in order
+    model = M.init_model(tiny_hp(variant=variant), 4, np.random.default_rng(0))
+    training = M.init_training(model)
+    assert training.model is model
+    keys = ["vae"] if variant == "vae" else ["vae", "critic", "gen"]
+    assert list(training.optimizers) == keys
+    store, hp = model.store, model.hp
+    gen = store.names("enc.") + store.names("A")
+    want = {"vae": ("adam", hp.lr_vae, gen + store.names("head.") + store.names("dec.")),
+            "critic": ("rmsprop", hp.lr_critic, store.names("cri.")),
+            "gen": ("adam", hp.lr_vae, gen)}
+    for key, opt in training.optimizers.items():
+        assert (opt.kind, opt.learning_rate, opt.names) == want[key]
+        assert opt.slots["step"] == 0
         for moment in nets.MOMENTS[opt.kind]:
-            assert opt.slots[moment].keys() == set(opt.names)
             for name, value in opt.slots[moment].items():
-                assert value.dtype == M.TRAIN_DTYPE
-                assert value.shape == clone.store.params[name].shape and not value.any()
-        grads = {n: rng.standard_normal(clone.store.params[n].shape).astype(M.TRAIN_DTYPE)
-                 for n in opt.names}
-        opt.step(clone.store, grads)
-        decay = nets.BETA2 if opt.kind == "adam" else nets.RHO
-        assert opt.slots["step"] == 1
-        for name, g in grads.items():
-            assert np.array_equal(opt.slots["v"][name], (1.0 - decay) * g * g), (key, name)
+                assert value.dtype == M.TRAIN_DTYPE and not value.any()
+                assert value.shape == model.store.params[name].shape
+
+    built, stepped, step = kept_trainings(monkeypatch), [], nets.Optimizer.step
+
+    def counted(self, store, grads):
+        stepped.append(id(self))
+        step(self, store, grads)
+
+    monkeypatch.setattr(nets.Optimizer, "step", counted)
+    M.train(line_data(8, 4, seed=9), tiny_hp(epochs=2, variant=variant), seed=0)
+    (trained,) = built
+    assert stepped == [id(trained.optimizers[key]) for key in keys] * 2  # one batch an epoch
+    assert [opt.slots["step"] for opt in trained.optimizers.values()] == [2] * len(keys)
+
+
+def test_only_train_reads_optimizers_and_nets_keeps_no_memo():
+    # a model is its weights: the optimizers live in train's frame, and the
+    # scoring plan's memo lives beside _scoring_plan in model
+    package = Path(M.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_train = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "train"
+                    and path.name == "model.py" for node in ast.walk(fn)}
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "optimizers"
+                  and id(node) not in in_train]
+    assert found == []
+    nets_tree = ast.parse((package / "nets.py").read_text())
+    assert not [node.lineno for node in ast.walk(nets_tree)
+                if isinstance(node, ast.Attribute) and node.attr == "folded"
+                or isinstance(node, ast.Name) and node.id == "folded"]
 
 
 def test_float64_checkpoint_loads_in_the_training_dtype():
@@ -952,7 +1038,7 @@ def _fresh_copy(model):
 
 
 def _optimizer_step(model, rng):
-    opt = model.optimizers["vae"]  # the encoder, A or the head, and the decoder
+    opt = M.init_training(model).optimizers["vae"]  # the encoder, A or the head, and the decoder
     opt.step(model.store, {n: rng.standard_normal(model.store.params[n].shape).astype(M.TRAIN_DTYPE)
                            for n in opt.names})
 
@@ -1225,10 +1311,11 @@ def test_training_runs_in_float32(variant, monkeypatch):
             dtypes.setdefault(node.value.dtype, set()).add(node.tag)
         return node
 
+    built = kept_trainings(monkeypatch)
     monkeypatch.setattr(Tape, "_record", recorded)
     model, _ = M.train(line_data(8, 4, seed=0), tiny_hp(epochs=1, variant=variant), seed=0)
     assert dtypes.keys() == {np.dtype(np.float32)}, dtypes
-    slots = [a for opt in model.optimizers.values() for moment in nets.MOMENTS[opt.kind]
+    slots = [a for opt in built[0].optimizers.values() for moment in nets.MOMENTS[opt.kind]
              for a in opt.slots[moment].values()]
     arrays = [*model.store.params.values(), *model.store.state.values(), *slots]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
@@ -1237,16 +1324,16 @@ def test_training_runs_in_float32(variant, monkeypatch):
 # ------------------------------------------------------------ no dead state
 
 
-def _optimizer_gradients(model, xb, noise):
+def _optimizer_gradients(model, optimizers, xb, noise):
     """The gradient each optimizer receives from its own loss in one batch update."""
     seen = {}
-    for key, opt in model.optimizers.items():
+    for key, opt in optimizers.items():
         def step(store, grads, key=key, opt=opt, inner=opt.step):
             seen[key] = {name: grads[name] for name in opt.names}
             inner(store, grads)
         opt.step = step
     update = M._vae_batch_update if model.hp.variant == "vae" else M._maw_batch_update
-    update(model, xb, noise)
+    update(model, optimizers, xb, noise)
     return seen
 
 
@@ -1256,15 +1343,15 @@ def test_every_stepped_tensor_gets_a_gradient(variant):
     # The W1 critic is defined up to a constant, so its loss gives the critic's
     # output bias exactly zero (maw-kl's critic loss does not)
     hp = M.Hyperparams(d=2, dprime=16, samples=5, batch_size=32, variant=variant)
-    model = M.init_model(hp, 20, np.random.default_rng(0))
+    model, optimizers = M.init_training(M.init_model(hp, 20, np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     xb = rng.standard_normal((32, 20))
     xb /= np.linalg.norm(xb, axis=1, keepdims=True)
     # a float64 batch would promote the tape and give the dead bias ~1e-7
     xb = xb.astype(M.TRAIN_DTYPE)
-    grads = _optimizer_gradients(model, xb, M._draw_batch_noise(hp, rng, 32))
+    grads = _optimizer_gradients(model, optimizers, xb, M._draw_batch_noise(hp, rng, 32))
     w1_shift = f"cri.l{len(hp.critic_widths)}.b" if variant not in ("maw-kl", "vae") else None
-    for key, opt in model.optimizers.items():
+    for key, opt in optimizers.items():
         assert grads[key].keys() == set(opt.names)
         for name, g in grads[key].items():
             if name == w1_shift:
@@ -1272,7 +1359,7 @@ def test_every_stepped_tensor_gets_a_gradient(variant):
             else:
                 assert np.max(np.abs(g)) > 1e-8, (key, name)
     assert not [name for name in model.store.state if name.startswith("cri.")]
-    for opt in model.optimizers.values():
+    for opt in optimizers.values():
         assert set(opt.slots) == {"step", "v"} | ({"m"} if opt.kind == "adam" else set())
     if variant != "vae":
-        assert model.optimizers["critic"].kind == "rmsprop"
+        assert optimizers["critic"].kind == "rmsprop"

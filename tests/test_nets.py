@@ -351,15 +351,20 @@ def test_flat_step_trains_the_per_parameter_loops_bits(monkeypatch, variant):
     hp = M.Hyperparams(d=2, dprime=4, samples=2, epochs=2, batch_size=8, encoder_widths=(8, 8),
                        decoder_widths=(8, 8), critic_widths=(8, 8), variant=variant)
     x = np.random.default_rng(4).standard_normal((20, 5))
-    runs, optimizers = [], []
+    runs, trainings, init_training = [], [], M.init_training
+
+    def kept(model):
+        trainings.append(init_training(model))
+        return trainings[-1]
+
+    monkeypatch.setattr(M, "init_training", kept)
     for step in (nets.Optimizer.step, _per_parameter_step):
         monkeypatch.setattr(nets.Optimizer, "step", step)
         model, trace = M.train(x, hp, seed=2)
         assert next(iter(model.store.params.values())).dtype == M.TRAIN_DTYPE
         runs.append((json.dumps(model.to_payload()), json.dumps(trace)))
-        optimizers.append(model.optimizers)
     assert runs[0] == runs[1]
-    flat, loops = optimizers
+    flat, loops = (training.optimizers for training in trainings)
     assert flat.keys() == loops.keys()
     for key, opt in flat.items():  # the payload holds no moments: compare them here
         slots = loops[key].slots

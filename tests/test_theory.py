@@ -423,13 +423,6 @@ def test_shared_kl_oracle_takes_a_scaled_identity_prior(scale):
     assert sol.objective == pytest.approx(analytic.objective, rel=1e-9)
 
 
-@pytest.mark.parametrize("grid_points", [0, -3, 1, 2, 3, 2.5, True, "801", None])
-def test_brute_force_minimizer_rejects_a_bad_grid_size(grid_points):
-    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
-    with pytest.raises(DomainError, match="grid_points"):
-        theory.brute_force_minimizer(problem, grid_points=grid_points)
-
-
 @pytest.mark.parametrize("problem", SHARED_GRID, ids=lambda p: (
     f"{p['regularizer']}-k{p['k']}-eps{p['epsilon']}-eta{p['eta']:.3f}"))
 def test_shared_oracle_finds_the_closed_form_offset(problem):
@@ -459,10 +452,11 @@ def test_shared_oracle_zoom_ends_at_floating_point_resolution(monkeypatch, regul
 
 @pytest.mark.parametrize("problem", SHARED_GRID, ids=lambda p: (
     f"{p['regularizer']}-k{p['k']}-eps{p['epsilon']}-eta{p['eta']:.3f}"))
-def test_the_default_grid_agrees_with_801_points(problem):
+def test_the_default_grid_agrees_with_801_points(monkeypatch, problem):
     problem = theory.TheoryProblem(**problem)
     sol = theory.brute_force_minimizer(problem)
-    fine = theory.brute_force_minimizer(problem, grid_points=801)
+    monkeypatch.setattr(theory, "GRID_POINTS", 801)
+    fine = theory.brute_force_minimizer(problem)
     assert abs(sol.mu1[0] - fine.mu1[0]) <= 1e-7 * problem.epsilon
     assert abs(sol.objective - fine.objective) <= 1e-12
 
@@ -886,13 +880,6 @@ def test_theory_problem_bounds_kappa(size):
     with pytest.raises(DomainError, match="rank kappa must be at most 2147483647"):
         theory.TheoryProblem(k=3, epsilon=1.0, eta=0.9, regularizer="w2",
                              constraint="low-rank-inlier", kappa=size)
-
-
-@pytest.mark.parametrize("size", [linalg.SIZE_MAX + 1, 10**19])
-def test_brute_force_minimizer_bounds_grid_points(size):
-    problem = theory.TheoryProblem(k=2, epsilon=1.0, eta=0.75, regularizer="kl")
-    with pytest.raises(DomainError, match="grid_points must be at most 2147483647"):
-        theory.brute_force_minimizer(problem, grid_points=size)
 
 
 SEEDED = {
