@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,16 @@ def _pool(n_in=12, n_out=5):
 
 def _pool_rows(split):
     return np.argmax(split.features, axis=1)
+
+
+def test_a_dataset_holds_only_features_and_labels(tmp_path):
+    assert [f.name for f in dataclasses.fields(E.Dataset)] == ["features", "labels"]
+    p = tmp_path / "d.csv"
+    p.write_text("f1,f2,label\n3,4,0\n")
+    for ds in (E.PoolFamily(_pool(), seed=1).sample(7, 3, sample_seed=0),
+               E.SyntheticFamily(6, 1, 0.1, seed=0).sample(5, 2, sample_seed=0),
+               E.load_csv(p)):
+        assert set(vars(ds)) == {"features", "labels"}
 
 
 def test_pool_family_split_sizes_and_labels():

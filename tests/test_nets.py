@@ -123,6 +123,22 @@ def test_clip_weights():
         nets.clip_weights(store, ["cri.w"], lo=1.0, hi=-1.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clip_weights_rebinds_each_array_and_keeps_the_in_place_values(dtype):
+    values = np.array([[-2.5, 0.25], [1.0 + 1e-7, -0.999]], dtype=dtype)
+    store = nets.ParamStore()
+    store.add("cri.w", values)
+    store.params["cri.w"] = before = values.copy()  # training casts its store to float32
+    nets.clip_weights(store, ["cri.w"])
+    after = store.params["cri.w"]
+    assert after is not before  # a new array, so identity checks see the write
+    assert np.array_equal(before, values)  # the old array is left as it was
+    expected = values.copy()
+    np.clip(expected, -1.0, 1.0, out=expected)
+    assert after.dtype == dtype
+    assert after.tobytes() == expected.tobytes()
+
+
 def test_mlp_spec_validation():
     with pytest.raises(ConfigError):
         nets.MlpSpec(0, (3,), ("relu",))
