@@ -12,8 +12,9 @@ seeds; the CLI's eval and sweep run lists of such cells.
 
 from __future__ import annotations
 
+import array
 import csv
-import io
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -134,13 +135,16 @@ def load_csv(path) -> Dataset:
     """
     try:
         with open(path, newline="") as fh:
-            content = [line for line in fh if not line.startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:  # OSError's text names the path
+            return _parse_csv(csv.reader(line for line in fh if not line.startswith("#")), path)
+    except (OSError, UnicodeDecodeError) as exc:  # raised as the parse reads; OSError names path
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not content:
+
+
+def _parse_csv(reader, path) -> Dataset:
+    """load_csv's records from reader as it reads: each feature cell parsed once."""
+    header = next(reader, None)
+    if header is None:
         raise DataError(f"empty file: {path}")
-    reader = csv.reader(io.StringIO("".join(content)))
-    header = next(reader)
     header = [h.strip() for h in header]
     if len(header) == 0 or any(not h for h in header):
         raise DataError("malformed header row")
@@ -148,34 +152,27 @@ def load_csv(path) -> Dataset:
     feat_cols = [i for i in range(len(header)) if i != label_col]
     if not feat_cols:
         raise DataError("no feature columns")
-    rows, labels = [], []
+    values, labels = array.array("d"), []
     for r, rec in enumerate(reader, start=1):
         if len(rec) != len(header):
             raise DataError(f"row {r}: expected {len(header)} cells, got {len(rec)}")
-        bad = next((i for i in feat_cols if not _is_finite_number(rec[i])), None)
-        if bad is not None:
-            raise DataError(
-                f"row {r}, column {header[bad]!r}: expected a finite number, got {rec[bad]!r}"
-            )
-        rows.append([float(rec[i]) for i in feat_cols])
-        if label_col is None:
-            labels.append(0)
-        else:
-            cell = rec[label_col].strip()
-            if cell not in ("0", "1"):
-                raise DataError(f"row {r}, column 'label': expected 0 or 1, got {cell!r}")
-            labels.append(int(cell))
-    if not rows:
+        for i in feat_cols:
+            try:
+                value = float(rec[i])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataError(f"row {r}, column {header[i]!r}: expected a finite "
+                                f"number, got {rec[i]!r}")
+            values.append(value)
+        cell = "0" if label_col is None else rec[label_col].strip()
+        if cell not in ("0", "1"):
+            raise DataError(f"row {r}, column 'label': expected 0 or 1, got {cell!r}")
+        labels.append(int(cell))
+    if not labels:
         raise DataError(f"no data rows in {path}")
-    features = linalg.normalize_rows(np.asarray(rows, dtype=np.float64))
+    features = linalg.normalize_rows(np.frombuffer(values).reshape(len(labels), -1))
     return Dataset(features, np.asarray(labels))
-
-
-def _is_finite_number(cell: str) -> bool:
-    try:
-        return bool(np.isfinite(float(cell)))
-    except ValueError:
-        return False
 
 
 # --------------------------------------------------------------------- metrics

@@ -10,10 +10,12 @@ The generator forward runs twice per batch: once for the reconstruction step,
 and once shared by the critic step (its draws as constants, on a tape of its
 own) and the generator step (the updated critic, frozen, on its tape).
 Training's batch norm uses batch statistics, scoring's the running statistics
-that each training forward steps.  Training's arrays are TRAIN_DTYPE, cast from
-float64 draws so that the RNG streams do not move; scoring casts the weights up
-to float64, where a GEMM's rounding of a row as the row count changes moves a
-prefix scored alone by ~1e-16 (float32 GEMMs moved it by up to 4.8e-7).
+that each training forward steps.  _layout lists a model's arrays once:
+init_model draws them in its order, in float64 cast to TRAIN_DTYPE so that the
+RNG streams do not move, and a checkpoint load reads them by it, drawing
+nothing.  Scoring casts the weights up to float64, where a GEMM's rounding of
+a row as the row count changes moves a prefix scored alone by ~1e-16 (float32
+GEMMs moved it by up to 4.8e-7).
 Scoring draws from the inlier mode only and averages cosine similarity
 between a test point and its decodes: the mean dot product of unit (or zero)
 rows, clipped to [-1, 1], from a plan built once per set of weights
@@ -170,10 +172,10 @@ class MawModel:
 
         Unknown hyperparameters raise ConfigError.  A payload of another
         format or version (an int) is a DataError.  feature_dim must be a
-        positive integer, and every parameter and state array must match
-        init_model's names and shapes and be finite in TRAIN_DTYPE, the dtype
-        it loads in, else DataError: a missing entry would silently keep its
-        init value.
+        positive integer, and the parameter and state sections must hold
+        exactly _layout's names, each of its shape and finite in TRAIN_DTYPE,
+        the dtype it loads in, else DataError.  The load draws nothing: each
+        array is the payload's entry, sized and checked by _layout.
         """
         if not isinstance(payload, dict) or payload.get("format") != "maw-checkpoint":
             raise DataError("not a model checkpoint payload")
@@ -188,38 +190,41 @@ class MawModel:
         dim = linalg.as_size(payload["feature_dim"], "checkpoint feature_dim", DataError)
         if dim < 1:
             raise DataError(f"checkpoint feature_dim must be positive, got {dim}")
-        model = init_model(hp, dim, np.random.default_rng(0))
-        _load_arrays(model.store.params, payload["params"], "params")
-        _load_arrays(model.store.state, payload["state"], "state")
-        return model
+        specs = network_specs(hp, dim)
+        store, layout = nets.ParamStore(), _layout(hp, specs)
+        for section in ("params", "state"):
+            shapes = {name: shape for where, name, shape, _ in layout if where == section}
+            setattr(store, section, _load_arrays(shapes, payload[section], section))
+        return cls(hp, dim, store, specs)
 
 
-def _load_arrays(target: dict, source, section: str):
-    """Replace each array of target by source's entry of the same name and
-    shape, cast to TRAIN_DTYPE (a float32 value's float64 text reads back
-    exactly).  source must be a dict of exactly target's names, and an entry
-    that is not finite after the cast is a DataError."""
-    if not isinstance(source, dict) or source.keys() != target.keys():
+def _load_arrays(shapes: dict, source, section: str) -> dict:
+    """A new dict of source's entries in shapes' order, cast to TRAIN_DTYPE (a
+    float32 value's float64 text reads back exactly).  Names other than shapes',
+    another shape or a value not finite after the cast is a DataError."""
+    if not isinstance(source, dict) or source.keys() != shapes.keys():
         found = set(source) if isinstance(source, dict) else set()
         raise DataError(
             f"checkpoint {section} do not match the model: missing "
-            f"{sorted(target.keys() - found)}, unexpected {sorted(found - target.keys())}"
+            f"{sorted(shapes.keys() - found)}, unexpected {sorted(found - shapes.keys())}"
         )
-    for name, ref in target.items():
+    arrays = {}
+    for name, shape in shapes.items():
         try:
             value = np.asarray(source[name], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DataError(f"checkpoint {section} entry {name} is not numeric") from exc
-        if value.shape != ref.shape:
+        if value.shape != shape:
             raise DataError(
-                f"checkpoint {section} entry {name} has shape {value.shape}, expected {ref.shape}"
+                f"checkpoint {section} entry {name} has shape {value.shape}, expected {shape}"
             )
         with np.errstate(over="ignore"):  # beyond TRAIN_DTYPE's range: inf, rejected below
             value = value.astype(TRAIN_DTYPE)
         if not np.all(np.isfinite(value)):
             raise DataError(f"checkpoint {section} entry {name} is not finite "
                             f"in {np.dtype(TRAIN_DTYPE).name}")
-        target[name] = value
+        arrays[name] = value
+    return arrays
 
 
 def network_specs(hp: Hyperparams, feature_dim: int) -> dict:
@@ -243,24 +248,30 @@ def network_specs(hp: Hyperparams, feature_dim: int) -> dict:
     return specs
 
 
+def _layout(hp: Hyperparams, specs: dict) -> list:
+    """nets._mlp_layout's list for the whole model: the encoder, A or the vae head,
+    the decoder and the critic, which is never scored (no running statistics)."""
+    layout = nets._mlp_layout("enc", specs["enc"])
+    if hp.ingredients is None:
+        layout += [("params", "head.W", (4 * hp.dprime, 2 * hp.d), None),
+                   ("params", "head.b", (2 * hp.d,), 0.0)]
+    elif hp.ingredients.reduction:
+        layout.append(("params", "A", (hp.dprime, hp.d), None))
+    layout += nets._mlp_layout("dec", specs["dec"])
+    if "cri" in specs:
+        layout += nets._mlp_layout("cri", specs["cri"], running_stats=False)
+    return layout
+
+
 def init_model(hp: Hyperparams, feature_dim: int, rng: np.random.Generator) -> MawModel:
-    """Glorot-initialized model; parameter creation order is fixed for determinism."""
-    if feature_dim < 1:
-        raise ConfigError("feature dimension must be positive")
+    """A new model, its arrays made in _layout's order, which fixes the draws: each
+    Glorot weight drawn from rng in float64 and cast to TRAIN_DTYPE, each constant
+    made in TRAIN_DTYPE.  network_specs checks every size before the first draw."""
     specs = network_specs(hp, feature_dim)
-    ing = hp.ingredients
     store = nets.ParamStore()
-    nets.build_mlp_params(store, "enc", specs["enc"], rng)
-    if ing is not None and ing.reduction:
-        store.add("A", nets.glorot_init(hp.dprime, hp.d, rng))
-    if ing is None:
-        store.add("head.W", nets.glorot_init(4 * hp.dprime, 2 * hp.d, rng))
-        store.add("head.b", np.zeros(2 * hp.d))
-    nets.build_mlp_params(store, "dec", specs["dec"], rng)
-    if "cri" in specs:  # the critic is never scored: no running statistics
-        nets.build_mlp_params(store, "cri", specs["cri"], rng, running_stats=False)
-    store.params = {k: v.astype(TRAIN_DTYPE) for k, v in store.params.items()}
-    store.state = {k: v.astype(TRAIN_DTYPE) for k, v in store.state.items()}
+    for section, name, shape, fill in _layout(hp, specs):
+        getattr(store, section)[name] = (nets.glorot_init(*shape, rng).astype(TRAIN_DTYPE)
+                                         if fill is None else np.full(shape, fill, TRAIN_DTYPE))
     return MawModel(hp, feature_dim, store, specs)
 
 

@@ -1,14 +1,16 @@
-"""Network plumbing: MLP specs, Glorot init, optimizers, weight clipping.
+"""Network plumbing: MLP specs and layouts, Glorot init, optimizers, weight clipping.
 
 Every hidden layer is affine without bias -> batch norm (beta shifts) ->
 activation; output layers are affine with a bias (batch norm on an output layer
 would re-center the produced distribution parameters, so only hidden layers
-have it).  The critic keeps batch norm too, deliberately.  On the tape a network
-run is one `Tape.mlp` node on the batch statistics, its parameters bound by
-name; mlp_forward steps the running statistics that fold_layers folds into each
-layer for scoring, and the critic keeps none.  mlp_apply runs the folded layers
-over blocks of BLOCK_ROWS rows, each block through every layer while its
-intermediates are still in cache; model memoizes the fold per model.
+have it).  The critic keeps batch norm too, deliberately.  _layer_names is the
+one rule that names a layer's arrays; _mlp_layout lists them with their shapes
+and initial fills.  On the tape a network run is one `Tape.mlp` node on the
+batch statistics, its parameters bound by name; mlp_forward steps the running
+statistics that fold_layers folds into each layer for scoring, and the critic
+keeps none.  mlp_apply runs the folded layers over blocks of BLOCK_ROWS rows,
+each block through every layer while its intermediates are still in cache;
+model memoizes the fold per model.
 A network ends at its last affine layer: model cuts and normalizes its outputs.
 An Optimizer keeps each moment as one flat buffer over its parameters, allocated
 once, and steps them all in one vectorized pass.  Every writer here (a step,
@@ -76,16 +78,6 @@ class ParamStore:
         self.params: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, value: np.ndarray):
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter {name}")
-        self.params[name] = np.asarray(value, dtype=np.float64)
-
-    def add_state(self, name: str, value: np.ndarray):
-        if name in self.state:
-            raise ConfigError(f"duplicate state entry {name}")
-        self.state[name] = np.asarray(value, dtype=np.float64)
-
     def names(self, prefix: str) -> list[str]:
         return [n for n in self.params if n.startswith(prefix)]
 
@@ -98,28 +90,30 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _normed(spec: MlpSpec, k: int) -> bool:
-    """Whether layer k of spec is followed by batch norm: every layer but the last."""
-    return k < len(spec.widths) - 1
+def _layer_names(prefix: str, spec: MlpSpec, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Layer k's parameter names, in the tape's order, and its running statistics':
+    (W, gamma, beta) and (running_mean, running_var), or (W, b) and () in the last."""
+    layer = f"{prefix}.l{k}"
+    if k < len(spec.widths) - 1:
+        return (f"{layer}.W", f"{layer}.gamma", f"{layer}.beta"), (f"{layer}.running_mean",
+                                                                  f"{layer}.running_var")
+    return (f"{layer}.W", f"{layer}.b"), ()
 
 
-def build_mlp_params(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.random.Generator,
-                     running_stats: bool = True):
-    """Glorot weights; a zero bias where no batch norm follows, else unit/zero
-    gamma/beta, plus running statistics unless running_stats is False (a
-    network that is never scored)."""
-    fan_in = spec.in_dim
+def _mlp_layout(prefix: str, spec: MlpSpec, running_stats: bool = True) -> list:
+    """(section, name, shape, fill) of each array, in creation order: fill None is
+    a Glorot weight, else a constant.  running_stats False leaves the statistics
+    out (a network that is never scored)."""
+    layout, fan_in = [], spec.in_dim
     for k, width in enumerate(spec.widths):
-        store.add(f"{prefix}.l{k}.W", glorot_init(fan_in, width, rng))
-        if _normed(spec, k):
-            store.add(f"{prefix}.l{k}.gamma", np.ones(width))
-            store.add(f"{prefix}.l{k}.beta", np.zeros(width))
-            if running_stats:
-                store.add_state(f"{prefix}.l{k}.running_mean", np.zeros(width))
-                store.add_state(f"{prefix}.l{k}.running_var", np.ones(width))
-        else:
-            store.add(f"{prefix}.l{k}.b", np.zeros(width))
+        params, stats = _layer_names(prefix, spec, k)
+        fills = (None, 1.0, 0.0) if stats else (None, 0.0)
+        layout += [("params", name, (fan_in, width) if fill is None else (width,), fill)
+                   for name, fill in zip(params, fills)]
+        if running_stats:
+            layout += [("state", name, (width,), fill) for name, fill in zip(stats, (0.0, 1.0))]
         fan_in = width
+    return layout
 
 
 def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x,
@@ -128,14 +122,13 @@ def mlp_forward(tape: Tape, store: ParamStore, prefix: str, spec: MlpSpec, x,
     their store names; returns the node.  _frozen gives them no adjoints.  Each
     stored running statistic is replaced by a new array, _stat_steps momentum
     steps toward its batch statistic: the bits of as many forwards."""
-    params, state, layers = store.params, store.state, []
+    params, state, layers, stat_names = store.params, store.state, [], []
     for k, act in enumerate(spec.activations):
-        names = [f"{prefix}.l{k}.{n}" for n in (("W", "gamma", "beta") if _normed(spec, k)
-                                                  else ("W", "b"))]
+        names, stats = _layer_names(prefix, spec, k)
         layers.append((act, *((name, params[name]) for name in names)))
+        stat_names.append(stats)
     node = tape.mlp(x, layers, _frozen)
-    for k, stats in enumerate(node.batch_stats):
-        names = (f"{prefix}.l{k}.running_mean", f"{prefix}.l{k}.running_var")
+    for names, stats in zip(stat_names, node.batch_stats):
         if stats is not None and names[0] in state:
             for name, batch in zip(names, stats):
                 running = state[name]
@@ -153,13 +146,11 @@ def fold_layers(store: ParamStore, prefix: str, spec: MlpSpec) -> tuple[list, li
     b' = beta - running_mean s; other layers keep their W and b."""
     keys, layers = [], []
     for k, act in enumerate(spec.activations):
-        layer, normed = f"{prefix}.l{k}", _normed(spec, k)
-        names = [("params", f"{layer}.{n}")
-                 for n in (("W", "gamma", "beta") if normed else ("W", "b"))]
-        names += [("state", f"{layer}.running_{n}") for n in ("mean", "var") if normed]
+        params, stats = _layer_names(prefix, spec, k)
+        names = [("params", name) for name in params] + [("state", name) for name in stats]
         arrays = [np.asarray(getattr(store, section)[name], dtype=np.float64)
                   for section, name in names]
-        if normed:
+        if stats:
             w, gamma, beta, mean, var = arrays
             s = gamma / np.sqrt(var + BN_EPS)
             w, b = w * s, beta - mean * s

@@ -41,10 +41,26 @@ def _scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return out
 
 
+def _store(**params):
+    """A ParamStore holding params as float64 arrays."""
+    store = nets.ParamStore()
+    store.params = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
+    return store
+
+
+def _mlp_store(prefix, spec, rng, running_stats=True):
+    """A float64 store of one network, created from nets._mlp_layout's list as
+    init_model creates a model: Glorot weights drawn in order, constant fills."""
+    store = nets.ParamStore()
+    for section, name, shape, fill in nets._mlp_layout(prefix, spec, running_stats):
+        getattr(store, section)[name] = (nets.glorot_init(*shape, rng) if fill is None
+                                         else np.full(shape, fill))
+    return store
+
+
 def _scalar_optimizer(kind, lr, value, name="w", **moments):
     """An optimizer over one scalar parameter, its moment slots set to moments."""
-    store = nets.ParamStore()
-    store.add(name, np.array(value))
+    store = _store(**{name: value})
     opt = nets.Optimizer(kind, lr, [name], store)
     for moment, start in moments.items():
         opt.slots[moment][name][...] = start
@@ -110,13 +126,12 @@ def test_nan_gradient_raises_with_name():
 
 
 def test_clip_weights():
-    store = nets.ParamStore()
-    store.add("cri.w", np.array([-2.0, 0.5, 3.0]))
+    store = _store(**{"cri.w": [-2.0, 0.5, 3.0]})
     nets.clip_weights(store, ["cri.w"])
     assert np.array_equal(store.params["cri.w"], [-1.0, 0.5, 1.0])
     nets.clip_weights(store, ["cri.w"])  # idempotent
     assert np.array_equal(store.params["cri.w"], [-1.0, 0.5, 1.0])
-    store.add("cri.ok", np.array([0.1, -0.9]))
+    store.params["cri.ok"] = np.array([0.1, -0.9])
     nets.clip_weights(store, ["cri.ok"])
     assert np.array_equal(store.params["cri.ok"], [0.1, -0.9])
     with pytest.raises(DomainError):
@@ -127,8 +142,7 @@ def test_clip_weights():
 def test_clip_weights_rebinds_each_array_and_keeps_the_in_place_values(dtype):
     values = np.array([[-2.5, 0.25], [1.0 + 1e-7, -0.999]], dtype=dtype)
     store = nets.ParamStore()
-    store.add("cri.w", values)
-    store.params["cri.w"] = before = values.copy()  # training casts its store to float32
+    store.params["cri.w"] = before = values.copy()  # training's store is float32
     nets.clip_weights(store, ["cri.w"])
     after = store.params["cri.w"]
     assert after is not before  # a new array, so identity checks see the write
@@ -159,8 +173,7 @@ def test_mlp_spec_validation():
 def test_batch_normed_layers_have_no_bias(running_stats):
     # beta is the shift of a layer with batch norm; only the output layer has a bias
     spec = nets.mlp(3, (5, 6, 4), "relu")
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "net", spec, np.random.default_rng(0), running_stats)
+    store = _mlp_store("net", spec, np.random.default_rng(0), running_stats)
     hidden = [f"net.l{k}.{p}" for k in (0, 1) for p in ("W", "gamma", "beta")]
     assert set(store.params) == {*hidden, "net.l2.W", "net.l2.b"}
     stats = {f"net.l{k}.{s}" for k in (0, 1) for s in ("running_mean", "running_var")}
@@ -170,11 +183,29 @@ def test_batch_normed_layers_have_no_bias(running_stats):
     assert out.value.shape == (4, 4)
 
 
+def test_mlp_layout_lists_each_array_and_the_forwards_read_its_names():
+    # a hidden layer: W, gamma 1, beta 0 and its running statistics (mean 0,
+    # var 1); the output layer: W and b 0.  mlp_forward binds the parameters
+    # and fold_layers reads every array, both in the layout's order
+    spec = nets.mlp(3, (5, 4), "relu")
+    want = [("params", "net.l0.W", (3, 5), None), ("params", "net.l0.gamma", (5,), 1.0),
+            ("params", "net.l0.beta", (5,), 0.0), ("state", "net.l0.running_mean", (5,), 0.0),
+            ("state", "net.l0.running_var", (5,), 1.0), ("params", "net.l1.W", (5, 4), None),
+            ("params", "net.l1.b", (4,), 0.0)]
+    assert nets._mlp_layout("net", spec) == want
+    assert nets._mlp_layout("net", spec, running_stats=False) == [e for e in want
+                                                                  if e[0] == "params"]
+    store = _mlp_store("net", spec, np.random.default_rng(0))
+    tape = Tape()
+    node = nets.mlp_forward(tape, store, "net", spec, tape.const(np.ones((4, 3))))
+    assert list(node.names) == [name for section, name, _, _ in want if section == "params"]
+    assert nets.fold_layers(store, "net", spec)[0] == [entry[:2] for entry in want]
+
+
 def test_mlp_forward_updates_running_stats():
     # one momentum-0.9 step toward the batch {1, 3}: mean 2, biased variance 1
     spec = nets.MlpSpec(1, (1, 1), ("linear", "linear"))
-    store = nets.ParamStore()
-    nets.build_mlp_params(store, "net", spec, np.random.default_rng(0))
+    store = _mlp_store("net", spec, np.random.default_rng(0))
     store.params["net.l0.W"] = np.ones((1, 1))
     tape = Tape()
     nets.mlp_forward(tape, store, "net", spec, tape.const([[1.0], [3.0]]))
@@ -187,8 +218,7 @@ def test_mlp_forward_stat_steps_equal_as_many_forwards():
     # running statistics are replaced by new arrays, never edited
     rng = np.random.default_rng(11)
     spec = nets.mlp(3, (4, 5, 2), "relu")
-    once = nets.ParamStore()
-    nets.build_mlp_params(once, "net", spec, rng)
+    once = _mlp_store("net", spec, rng)
     once.state = {k: rng.uniform(0.5, 2.0, v.shape) for k, v in once.state.items()}
     twice = nets.ParamStore()
     twice.params, twice.state = dict(once.params), {k: v.copy() for k, v in once.state.items()}
@@ -227,8 +257,7 @@ def test_folded_forward_matches_textbook_batch_norm():
     rng = np.random.default_rng(4)
     for act in ("relu", "leaky_relu"):
         spec = nets.mlp(3, (5, 6, 4), act)
-        store = nets.ParamStore()
-        nets.build_mlp_params(store, "net", spec, rng)
+        store = _mlp_store("net", spec, rng)
         # push every hidden layer's stats and affine off their init to make the check real
         for k in range(len(spec.widths) - 1):
             width = spec.widths[k]
@@ -281,8 +310,7 @@ def test_optimizer_steps_are_deterministic():
     spec = nets.mlp(3, (4, 2), "relu")
     results = []
     for _ in range(2):
-        store = nets.ParamStore()
-        nets.build_mlp_params(store, "n", spec, np.random.default_rng(7))
+        store = _mlp_store("n", spec, np.random.default_rng(7))
         opt = nets.Optimizer("adam", 1e-3, store.names("n"), store)
         grads = {k: np.ones_like(v) for k, v in store.params.items()}
         for _ in range(3):
@@ -308,9 +336,7 @@ def _reference_step(kind, theta, g, m, v, t, lr):
 def test_in_place_optimizer_matches_out_of_place_formulas(kind):
     rng = np.random.default_rng(8)
     shapes = {"s": (), "b": (7,), "W": (4, 3)}
-    store = nets.ParamStore()
-    for k, s in shapes.items():
-        store.add(k, rng.standard_normal(s))
+    store = _store(**{k: rng.standard_normal(s) for k, s in shapes.items()})
     opt = nets.Optimizer(kind, 1e-2, list(shapes), store)
     slots = opt.slots
     ref = {k: (store.params[k].copy(), np.zeros(s), np.zeros(s)) for k, s in shapes.items()}
@@ -394,11 +420,10 @@ def test_flat_step_trains_the_per_parameter_loops_bits(monkeypatch, variant):
 
 def _three_parameter_optimizer(kind):
     """A float32 optimizer over three parameters, and one set of their gradients."""
-    store = nets.ParamStore()
     rng = np.random.default_rng(6)
-    for name, shape in (("a", (3, 2)), ("b", (2,)), ("c", (1,))):
-        store.add(name, rng.standard_normal(shape))
-    store.params = {k: v.astype(np.float32) for k, v in store.params.items()}
+    store = nets.ParamStore()
+    store.params = {name: rng.standard_normal(shape).astype(np.float32)
+                    for name, shape in (("a", (3, 2)), ("b", (2,)), ("c", (1,)))}
     opt = nets.Optimizer(kind, 1e-2, list(store.params), store)
     grads = {k: rng.standard_normal(v.shape).astype(np.float32) for k, v in store.params.items()}
     return store, opt, grads
@@ -421,9 +446,7 @@ def test_a_non_finite_gradient_changes_nothing(kind):
 
 
 def test_step_leaves_the_tapes_adjoints_unchanged():
-    store = nets.ParamStore()
-    store.add("p", np.array([1.0, -2.0]))
-    store.add("q", np.array([0.5, 3.0]))
+    store = _store(p=[1.0, -2.0], q=[0.5, 3.0])
     tape = Tape()
     p, q = tape.param(store.params["p"], "p"), tape.param(store.params["q"], "q")
     s = tape.add(p, q)
@@ -447,9 +470,7 @@ def test_one_step_makes_as_many_sqrt_and_isfinite_calls_for_3_or_30_parameters(m
 
     seen = []
     for size in (3, 30):
-        store = nets.ParamStore()
-        for k in range(size):
-            store.add(f"p{k}", np.ones((2, k % 4 + 1)))
+        store = _store(**{f"p{k}": np.ones((2, k % 4 + 1)) for k in range(size)})
         opt = nets.Optimizer(kind, 1e-3, store.names("p"), store)
         grads = {k: np.ones_like(v) for k, v in store.params.items()}
         counts.clear()
